@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint conflint test test-short test-race bench bench-solver bench-smoke solver-smoke metrics-smoke explore-smoke conflint-smoke serve-smoke pec-smoke fuzz experiments experiments-full clean
+.PHONY: all build vet lint conflint test test-short test-race bench bench-solver bench-smoke bench-check solver-smoke metrics-smoke explore-smoke conflint-smoke serve-smoke pec-smoke fuzz experiments experiments-full clean
 
 all: build vet lint test
 
@@ -43,9 +43,10 @@ bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkIncrementalAssumptions' -benchmem ./internal/sat/
 
 # CI gate for incremental validation: runs the E16 experiment at its
-# smallest sweep point (520 devices) with the soundness gate on — any
-# device whose table changes outside the computed blast radius, or any
-# delta report diverging from a full sweep, panics and fails the target.
+# smallest sweep point (520 devices) with the soundness gate on — any FIB
+# row that changes outside its device's computed scope, or any delta
+# report diverging from a full sweep, panics and fails the target (the
+# gate is armed at every size; -quick only picks the smallest).
 # The -benchmem leg locks the zero-allocation steady state: a warmed
 # sequential ValidateAll must report 0 allocs/op on both the trie and the
 # PEC engine (the companion test asserts the same via AllocsPerRun).
@@ -53,6 +54,15 @@ bench-smoke:
 	$(GO) run ./cmd/dcbench -e e16 -quick
 	$(GO) test -run TestValidateAllSteadyStateZeroAlloc -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
+
+# CI gate for the benchmark harness: benchmark/ is a nested module that
+# `go build ./...` and `go test ./...` never enter, yet it calls delta,
+# bgp, rcdc, pec, shard and engine directly — so a signature change there
+# would otherwise first fail in a benchmark run. Builds it, runs its own
+# tests, then every workload once at the quick sizes, twice per seed,
+# requiring correct verdicts and repeatable counts.
+bench-check:
+	cd benchmark && $(GO) test . && $(GO) run . -quick -selfcheck
 
 # CI gate for solver performance: one short E4 point; panics when
 # smt/contract exceeds a generous ceiling or the SMT verdicts (sequential

@@ -101,9 +101,6 @@ func main() {
 	// store; scale by adding instances (monitor.Service).
 	e13Sizes := []int{1000, 2500, 5000}
 	e16Sizes := []int{520, 1000, 2008}
-	// E16's soundness gate snapshots every table twice; bound it to the
-	// small sweep points.
-	e16VerifyMax := 600
 	claim1Trials := 40
 	// E17's 2-pod Clos: 8 ToRs per cluster is ~26k k=2 scenarios before
 	// pruning; quick halves the pods' width.
@@ -165,7 +162,7 @@ func main() {
 		{"e14", func() experiments.Result { return experiments.E14Claim1(claim1Trials) }},
 		{"e15", experiments.E15Region},
 		{"e16", func() experiments.Result {
-			res, rows := experiments.E16Incremental(e16Sizes, e16VerifyMax)
+			res, rows := experiments.E16Incremental(e16Sizes)
 			writeJSON("BENCH_incremental.json", rows)
 			return res
 		}},

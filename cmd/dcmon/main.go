@@ -259,6 +259,11 @@ func printSummary(reg *obs.Registry) {
 		"dcv_rcdc_device_check_seconds_sum":    0,
 		"dcv_rcdc_devices_checked_total":       0,
 		"dcv_monitor_modeled_pull_seconds_sum": 0,
+		"dcv_delta_blast_radius_devices_count": 0,
+		"dcv_delta_blast_radius_devices_sum":   0,
+		"dcv_delta_scoped_devices_total":       0,
+		"dcv_delta_whole_devices_total":        0,
+		"dcv_delta_dirty_rows_sum":             0,
 	}
 	for _, s := range reg.Snapshot() {
 		if _, ok := want[s.Name]; ok && len(s.Labels) == 0 {
@@ -271,6 +276,14 @@ func printSummary(reg *obs.Registry) {
 		want["dcv_rcdc_devices_checked_total"],
 		want["dcv_rcdc_device_check_seconds_sum"],
 		want["dcv_monitor_modeled_pull_seconds_sum"])
+	if want["dcv_delta_blast_radius_devices_count"] > 0 {
+		fmt.Printf("dcmon: %.0f bounded delta(s): %.0f dirty device(s) — %.0f whole, %.0f scoped to %.0f row(s)\n",
+			want["dcv_delta_blast_radius_devices_count"],
+			want["dcv_delta_blast_radius_devices_sum"],
+			want["dcv_delta_whole_devices_total"],
+			want["dcv_delta_scoped_devices_total"],
+			want["dcv_delta_dirty_rows_sum"])
+	}
 	printArenaSummary(reg)
 }
 

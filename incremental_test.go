@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"dcvalidate/internal/rcdc"
+	"dcvalidate/internal/topology"
 )
 
 // incParams is the equivalence-test topology: multi-spine planes so
@@ -34,11 +37,37 @@ func renderReport(rep *Report) []byte {
 	return buf.Bytes()
 }
 
+// renderFields renders every field of every violation, including the ones
+// Violation.String leaves out (Remaining, RulePrefix) but the query API
+// serves.
+func renderFields(rep *Report) []byte {
+	var buf bytes.Buffer
+	for i := range rep.Devices {
+		for _, v := range rep.Devices[i].Violations {
+			fmt.Fprintf(&buf, "%s rule=%s remaining=%d expects=%v\n", v.String(), v.RulePrefix, v.Remaining, v.Contract.NextHops)
+		}
+	}
+	return buf.Bytes()
+}
+
+// metricValue reads one unlabelled series of a registry (0 when absent).
+func metricValue(reg *MetricsRegistry, name string) float64 {
+	for _, s := range reg.Snapshot() {
+		if s.Name == name && len(s.Labels) == 0 {
+			return s.Value
+		}
+	}
+	return 0
+}
+
 // TestIncrementalEquivalence is the incremental-validation property test:
 // after every step of a random seeded sequence of link failures, session
 // shutdowns, restores, and (journaled) config edits, delta revalidation
 // against the previous report produces a report byte-identical to a
-// from-scratch full sweep of the same state.
+// from-scratch full sweep of the same state. The delta leg runs the
+// row-scoped path — contract-level splices into reports that already hold
+// violations — and the test requires that it did, rather than quietly
+// falling back to whole devices.
 func TestIncrementalEquivalence(t *testing.T) {
 	inc, err := NewDatacenter(incParams())
 	if err != nil {
@@ -48,12 +77,14 @@ func TestIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := inc.Metrics()
 	opts := ValidateOptions{Workers: 4}
 	rng := rand.New(rand.NewSource(2019))
 	links := len(inc.Topo.Links)
 
 	var prev *Report
-	for step := 0; step < 40; step++ {
+	scopedOverViolations := 0 // steps that spliced row scopes into a violating report
+	for step := 0; step < 60; step++ {
 		// Mutate both datacenters identically.
 		switch op := rng.Intn(10); {
 		case op < 4:
@@ -82,9 +113,14 @@ func TestIncrementalEquivalence(t *testing.T) {
 		}
 
 		gen := inc.Topo.Generation()
+		scopedBefore := metricValue(reg, "dcv_delta_scoped_devices_total")
+		violating := prev != nil && prev.Failures > 0
 		prev, err = inc.ValidateDelta(prev, opts)
 		if err != nil {
 			t.Fatalf("step %d: delta: %v", step, err)
+		}
+		if violating && metricValue(reg, "dcv_delta_scoped_devices_total") > scopedBefore {
+			scopedOverViolations++
 		}
 		if prev.Generation != gen {
 			t.Fatalf("step %d: report generation %d, want %d", step, prev.Generation, gen)
@@ -98,10 +134,113 @@ func TestIncrementalEquivalence(t *testing.T) {
 			t.Fatalf("step %d: delta report diverges from full sweep:\n--- delta ---\n%s\n--- full ---\n%s",
 				step, firstDiffWindow(got, want), firstDiffWindow(want, got))
 		}
+		if got, want := renderFields(prev), renderFields(full); !bytes.Equal(got, want) {
+			t.Fatalf("step %d: delta violations diverge from full sweep in an unrendered field:\n--- delta ---\n%s\n--- full ---\n%s",
+				step, firstDiffWindow(got, want), firstDiffWindow(want, got))
+		}
 		if len(prev.Devices) != len(inc.Topo.Devices) || prev.Checked == 0 {
 			t.Fatalf("step %d: degenerate report (%d devices, %d checked)",
 				step, len(prev.Devices), prev.Checked)
 		}
+	}
+	if scopedOverViolations < 10 {
+		t.Fatalf("only %d steps spliced row scopes into a violating report; the scoped path is not being driven", scopedOverViolations)
+	}
+	if patched := metricValue(reg, "dcv_bgp_synth_rows_patched_total"); patched == 0 {
+		t.Fatal("no cached row was ever patched")
+	}
+}
+
+// TestIncrementalEquivalenceDefaultRowTrap walks the one verdict
+// dependency that reaches outside a contract's own rows: a MissingRoute
+// violation reports the next-hop count of the default row it falls through
+// to. A leaf holds such a violation (its ToR link is down); then a plane
+// spine loses its regional uplinks one by one, which puts only the leaf's
+// *default row* in scope. The spliced report must still track the
+// violation's Remaining count, byte for byte, at every step — and back.
+func TestIncrementalEquivalenceDefaultRowTrap(t *testing.T) {
+	inc, err := NewDatacenter(incParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewDatacenter(incParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := inc.Metrics()
+	topo := inc.Topo
+	name := func(id DeviceID) string { return topo.Device(id).Name }
+	tor, leaf := topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0]
+	spine := topo.Spines()[0] // plane 0, like leaf
+	var uplinks []DeviceID
+	for _, n := range topo.Neighbors(spine) {
+		if topo.Device(n).Role == topology.RoleRegionalSpine {
+			uplinks = append(uplinks, n)
+		}
+	}
+	if len(uplinks) < 2 {
+		t.Fatalf("spine %s has %d regional uplinks, want at least 2", name(spine), len(uplinks))
+	}
+
+	type op struct {
+		what string
+		do   func(dc *Datacenter) error
+	}
+	ops := []op{{"fail " + name(tor) + "—" + name(leaf), func(dc *Datacenter) error { return dc.FailLink(name(tor), name(leaf)) }}}
+	for _, rs := range uplinks {
+		rs := rs
+		ops = append(ops, op{"fail " + name(spine) + "—" + name(rs), func(dc *Datacenter) error { return dc.FailLink(name(spine), name(rs)) }})
+	}
+	for _, rs := range uplinks {
+		rs := rs
+		ops = append(ops, op{"restore " + name(spine) + "—" + name(rs), func(dc *Datacenter) error { return dc.RestoreLink(name(spine), name(rs)) }})
+	}
+
+	leafRemaining := func(rep *Report) int {
+		for _, v := range rep.Devices[leaf].Violations {
+			if v.Kind == rcdc.MissingRoute {
+				return v.Remaining
+			}
+		}
+		return -1
+	}
+	prev, err := inc.ValidateDelta(nil, ValidateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, o := range ops {
+		if err := o.do(inc); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.do(ref); err != nil {
+			t.Fatal(err)
+		}
+		whole := metricValue(reg, "dcv_delta_whole_devices_total")
+		prev, err = inc.ValidateDelta(prev, ValidateOptions{})
+		if err != nil {
+			t.Fatalf("%s: delta: %v", o.what, err)
+		}
+		full, err := ref.Validate(ValidateOptions{})
+		if err != nil {
+			t.Fatalf("%s: full: %v", o.what, err)
+		}
+		if got, want := renderReport(prev), renderReport(full); !bytes.Equal(got, want) {
+			t.Fatalf("%s: delta report diverges from full sweep:\n--- delta ---\n%s\n--- full ---\n%s",
+				o.what, firstDiffWindow(got, want), firstDiffWindow(want, got))
+		}
+		if got, want := renderFields(prev), renderFields(full); !bytes.Equal(got, want) {
+			t.Fatalf("%s: delta violations diverge from full sweep in an unrendered field:\n--- delta ---\n%s\n--- full ---\n%s",
+				o.what, firstDiffWindow(got, want), firstDiffWindow(want, got))
+		}
+		if n := metricValue(reg, "dcv_delta_whole_devices_total") - whole; n > 1 {
+			t.Fatalf("%s: %v devices revalidated whole, want at most the one endpoint", o.what, n)
+		}
+		seen[leafRemaining(prev)] = true
+	}
+	if seen[-1] || len(seen) < 2 {
+		t.Fatalf("leaf %s MissingRoute Remaining values seen: %v — want the violation held throughout and its count moving with the default row",
+			name(leaf), seen)
 	}
 }
 

@@ -75,11 +75,13 @@ type Synth struct {
 }
 
 // EnableTableCache turns on per-device table caching. Cached tables are
-// invalidated by Refresh using the topology change journal: only devices
-// inside the blast radius of the changes since the last Refresh are
-// evicted (everything, if the radius is unbounded or the journal was
-// truncated). Call only on long-lived sources that serve repeated
-// incremental pulls; memory grows to one table per distinct device pulled.
+// brought up to date by Refresh using the topology change journal: inside
+// the blast radius of the changes since the last Refresh, a device with a
+// row scope has exactly those rows re-derived in place and a device dirty
+// as a whole is evicted (everything is, if the radius is unbounded or the
+// journal was truncated). Call only on long-lived sources that serve
+// repeated incremental pulls; memory grows to one table per distinct
+// device pulled.
 func (s *Synth) EnableTableCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -104,10 +106,24 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 // topology and configuration state. The monitoring loop calls this at the
 // start of every pull cycle so synthesized FIBs track live state. The
 // derived sets are always rebuilt (they are cheap, and direct config-map
-// edits leave no journal trace); only the opt-in table cache is
-// invalidated selectively via the change journal.
-func (s *Synth) Refresh() {
-	s.evictDirty()
+// edits leave no journal trace); only the opt-in table cache is brought
+// up to date selectively via the change journal. Refresh must not run
+// concurrently with pulls.
+func (s *Synth) Refresh() { s.RefreshDelta(nil, 0) }
+
+// RefreshDelta is Refresh for a caller that already holds ds, the blast
+// radius of every change journaled after generation since up to now: the
+// table cache is synchronized from ds instead of computing the radius a
+// second time. A ds whose window starts after the cache's last
+// synchronization (or a nil ds) is ignored and the cache reads the
+// journal itself.
+func (s *Synth) RefreshDelta(ds *delta.Set, since uint64) {
+	dirty := s.cacheWindow(ds, since)
+	s.recompute()
+	s.syncCache(dirty)
+}
+
+func (s *Synth) recompute() {
 	topo := s.topo
 	s.fastAccept = len(s.cfg) == 0
 	spp := topo.Params.SpinesPerPlane
@@ -159,33 +175,108 @@ func (s *Synth) Refresh() {
 	}
 }
 
-// evictDirty drops cached tables for every device inside the blast radius
-// of the topology changes since the cache was last synchronized. Unbounded
-// change sets (journal truncation, device-level changes, acceptance-
-// altering configs) clear the whole cache.
-func (s *Synth) evictDirty() {
+// cacheWindow returns the blast radius the table cache is behind by — nil
+// when caching is off or the cache is in sync — and marks the cache
+// synchronized to the current generation. Unbounded change sets (journal
+// truncation, device-level changes, acceptance-altering configs) come
+// back as a full set.
+func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache == nil {
-		return
-	}
 	gen := s.topo.Generation()
-	if gen == s.cacheGen {
-		return
+	if s.cache == nil || gen == s.cacheGen {
+		return nil
 	}
-	changes, ok := s.topo.ChangesSince(s.cacheGen)
+	behind := s.cacheGen
 	s.cacheGen = gen
+	if ds != nil && since <= behind {
+		return ds
+	}
+	changes, ok := s.topo.ChangesSince(behind)
 	if !ok {
-		s.cache = make(map[topology.DeviceID]*fib.Table)
+		ds = delta.NewSet()
+		ds.MarkFull()
+		return ds
+	}
+	return delta.Compute(s.topo, changes, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
+}
+
+// syncCache applies a blast radius to the cached tables, after recompute:
+// row-scoped devices are patched, whole devices evicted.
+func (s *Synth) syncCache(dirty *delta.Set) {
+	if dirty == nil {
 		return
 	}
-	ds := delta.Compute(s.topo, changes, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
-	if ds.Full() {
-		s.cache = make(map[topology.DeviceID]*fib.Table)
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var patched, evicted int
+	for d, t := range s.cache {
+		sc, ok := dirty.Scope(d)
+		switch {
+		case !ok:
+		case sc.Whole:
+			delete(s.cache, d)
+			evicted++
+		default:
+			s.patch(t, sc.Rows)
+			patched += len(sc.Rows)
+		}
 	}
-	for _, d := range ds.Devices() {
-		delete(s.cache, d)
+	s.Metrics.observeSync(patched, evicted)
+}
+
+// patch re-derives the rows of a cached table at the given prefixes in
+// place. Next-hop slices are replaced, never written, so copies handed out
+// earlier stay intact. Rows are found by binary search: a row scope implies
+// a flat address plan (see package delta).
+func (s *Synth) patch(t *fib.Table, rows []ipnet.Prefix) {
+	d := t.Device
+	def, specifics := s.layout(t)
+	for _, p := range rows {
+		if p.IsDefault() {
+			had := def < specifics
+			setRow(t, def, had, fib.Entry{NextHops: s.defaultNextHops(d)})
+			_, specifics = s.layout(t)
+			continue
+		}
+		pi, end := ipnet.OverlapRun(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }, p)
+		if pi == end || s.prefixes[pi].Prefix != p || s.prefixes[pi].ToR == d {
+			continue // no such hosted prefix, or d's own (connected, never moves)
+		}
+		tail := t.Entries[specifics:]
+		at := specifics + sort.Search(len(tail), func(i int) bool { return tail[i].Prefix.Compare(p) >= 0 })
+		had := at < len(t.Entries) && t.Entries[at].Prefix == p
+		setRow(t, at, had, fib.Entry{Prefix: p, NextHops: s.specificNextHops(d, pi, s.prefixes[pi])})
+	}
+}
+
+// layout returns where a synthesized table keeps its default row and where
+// its specific rows start: connected rows come first, then the default row
+// if there is one (def == specifics if not), then the specifics in prefix
+// order. That order is what lets a row be found, inserted or dropped by
+// position.
+func (s *Synth) layout(t *fib.Table) (def, specifics int) {
+	def = len(s.topo.Device(t.Device).HostedPrefixes)
+	specifics = def
+	if def < len(t.Entries) && t.Entries[def].Prefix.IsDefault() {
+		specifics++
+	}
+	return def, specifics
+}
+
+// setRow makes position at of the table hold e — or no row, when e has no
+// next hops: a route nobody advertises is absent, not empty. had says
+// whether the row is there now.
+func setRow(t *fib.Table, at int, had bool, e fib.Entry) {
+	switch want := len(e.NextHops) > 0; {
+	case had && want:
+		t.Entries[at] = e
+	case had:
+		t.Entries = append(t.Entries[:at], t.Entries[at+1:]...)
+	case want:
+		t.Entries = append(t.Entries, fib.Entry{})
+		copy(t.Entries[at+1:], t.Entries[at:])
+		t.Entries[at] = e
 	}
 }
 
@@ -262,25 +353,76 @@ func (s *Synth) truncate(d topology.DeviceID, nhs []topology.DeviceID) []topolog
 // injector does) without corrupting the cache, but must treat the NextHops
 // slices as immutable, same as contracts.
 func (s *Synth) Table(d topology.DeviceID) (*fib.Table, error) {
-	s.mu.Lock()
-	caching := s.cache != nil
-	if caching {
-		if t, ok := s.cache[d]; ok {
-			s.mu.Unlock()
-			s.Metrics.observeCache(true)
-			return copyTable(t), nil
-		}
-	}
-	s.mu.Unlock()
-	t := s.synthesize(d)
-	if caching {
-		s.Metrics.observeCache(false)
-		s.mu.Lock()
-		s.cache[d] = t
-		s.mu.Unlock()
+	t, cached := s.table(d)
+	if cached {
 		return copyTable(t), nil
 	}
 	return t, nil
+}
+
+// Rows answers a row query without copying the table: the rows of d's
+// converged FIB whose prefix contains or is contained in one of the given
+// prefixes, plus the default row, in table order. That is everything a
+// contract on one of those prefixes can read (rcdc.RowSource). The entries
+// are copies; their NextHops slices are shared and immutable. Like patch,
+// Rows finds rows by binary search and so requires the flat address plan
+// that every row scope implies.
+func (s *Synth) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
+	t, _ := s.table(d)
+	_, specifics := s.layout(t)
+	var out []fib.Entry
+	for _, e := range t.Entries[:specifics] { // connected rows and the default
+		if e.Prefix.IsDefault() || overlapsAny(e.Prefix, overlapping) {
+			out = append(out, e)
+		}
+	}
+	tail := t.Entries[specifics:]
+	// Specific rows follow the flat plan: each query is one run. Queries
+	// arrive in any order and may share rows; emit each row once, in
+	// table order.
+	var idx []int
+	for _, q := range overlapping {
+		lo, hi := ipnet.OverlapRun(len(tail), func(i int) ipnet.Prefix { return tail[i].Prefix }, q)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+	}
+	sort.Ints(idx)
+	for k, i := range idx {
+		if k == 0 || i != idx[k-1] {
+			out = append(out, tail[i])
+		}
+	}
+	return out, nil
+}
+
+func overlapsAny(p ipnet.Prefix, qs []ipnet.Prefix) bool {
+	for _, q := range qs {
+		if p.Overlaps(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// table returns d's converged table: the cache's own copy (shared — read
+// only) when caching is on, a fresh synthesis the caller owns otherwise.
+func (s *Synth) table(d topology.DeviceID) (t *fib.Table, cached bool) {
+	s.mu.Lock()
+	caching := s.cache != nil
+	t, hit := s.cache[d]
+	s.mu.Unlock()
+	if !caching {
+		return s.synthesize(d), false
+	}
+	s.Metrics.observeCache(hit)
+	if !hit {
+		t = s.synthesize(d)
+		s.mu.Lock()
+		s.cache[d] = t
+		s.mu.Unlock()
+	}
+	return t, true
 }
 
 func copyTable(t *fib.Table) *fib.Table {
@@ -492,12 +634,18 @@ func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.Hosted
 				if !s.leafHasDirect(leaf, hp.ToR) {
 					continue
 				}
-				path = []uint32{s.asn(leaf), torASN}
+				if !s.fastAccept {
+					path = []uint32{s.asn(leaf), torASN}
+				}
 			} else {
 				// The leaf needs a via-spine route on its plane.
 				ok := false
 				for _, sp := range s.planeSpines(leaf) {
 					if s.live(leaf, sp) && has[s.spineIdx(sp)] {
+						if s.fastAccept {
+							ok = true
+							break
+						}
 						hl := s.hostLeaf(hp.Cluster, plane)
 						if s.acceptsPath(leaf, []uint32{s.asn(sp), s.asn(hl), torASN}) {
 							ok = true
@@ -510,7 +658,7 @@ func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.Hosted
 					continue
 				}
 			}
-			if s.acceptsPath(d, path) {
+			if s.fastAccept || s.acceptsPath(d, path) {
 				nhs = append(nhs, leaf)
 			}
 		}

@@ -54,10 +54,36 @@ type Contract struct {
 	NextHops []topology.DeviceID
 }
 
-// DeviceContracts bundles every contract of one device.
+// DeviceContracts bundles every contract of one device. The generator
+// emits the default contract, if any, first, then the specific contracts in
+// facts.Prefixes order.
 type DeviceContracts struct {
 	Device    topology.DeviceID
 	Contracts []Contract
+}
+
+// Default returns the index of the default contract of a generated set, if
+// the device has one.
+func (dc DeviceContracts) Default() (int, bool) {
+	return 0, len(dc.Contracts) > 0 && dc.Contracts[0].Kind == Default
+}
+
+// Overlapping appends to dst, in contract order, the indices of the
+// specific contracts whose prefix contains or is contained in p: the
+// contracts whose verdict can depend on a routing rule at p. It searches a
+// generated set over a flat address plan (ascending, pairwise disjoint
+// prefixes), which is where row scopes exist (see package delta).
+func (dc DeviceContracts) Overlapping(dst []int, p ipnet.Prefix) []int {
+	cs := dc.Contracts
+	if _, ok := dc.Default(); ok {
+		cs = cs[1:]
+	}
+	skip := len(dc.Contracts) - len(cs)
+	lo, hi := ipnet.OverlapRun(len(cs), func(i int) ipnet.Prefix { return cs[i].Prefix }, p)
+	for i := lo; i < hi; i++ {
+		dst = append(dst, i+skip)
+	}
+	return dst
 }
 
 // Generator derives contracts from metadata facts.
@@ -121,6 +147,8 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 // generate derives one device's contracts from the facts.
 func (g *Generator) generate(id topology.DeviceID) DeviceContracts {
 	df := g.facts.Device(id)
+	// Every role below emits its default contract first and its specific
+	// contracts in facts.Prefixes order (see DeviceContracts).
 	dc := DeviceContracts{Device: id}
 
 	uplinks := devIDs(df.Uplinks)

@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"fmt"
 	"testing"
 
 	"dcvalidate/internal/ipnet"
@@ -183,5 +184,44 @@ func TestNextHopsSorted(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Specific.String() != "specific" || Default.String() != "default" {
 		t.Error("Kind.String wrong")
+	}
+}
+
+// TestOverlappingMatchesWalk pins the binary-search lookups on a generated
+// contract set to a plain walk over it.
+func TestOverlappingMatchesWalk(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 1, PrefixesPerToR: 2,
+	})
+	g := NewGenerator(metadata.FromTopology(topo))
+	probes := []ipnet.Prefix{{}, ipnet.MustParsePrefix("10.0.0.0/8"), ipnet.MustParsePrefix("10.0.3.0/25"),
+		ipnet.MustParsePrefix("10.0.2.0/23"), ipnet.MustParsePrefix("11.0.0.0/8")}
+	for _, hp := range topo.HostedPrefixes() {
+		probes = append(probes, hp.Prefix)
+	}
+	for id := range topo.Devices {
+		dc := g.ForDevice(topology.DeviceID(id))
+		wi, wok := 0, false
+		for i, c := range dc.Contracts {
+			if c.Kind == Default {
+				wi, wok = i, true
+				break
+			}
+		}
+		if gi, gok := dc.Default(); gi != wi || gok != wok {
+			t.Fatalf("device %d: Default() = %d,%v, walk says %d,%v", id, gi, gok, wi, wok)
+		}
+		for _, p := range probes {
+			var want []int
+			for i, c := range dc.Contracts {
+				if c.Kind == Specific && c.Prefix.Overlaps(p) {
+					want = append(want, i)
+				}
+			}
+			if got := dc.Overlapping(nil, p); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("device %d: Overlapping(%s) = %v, walk says %v", id, p, got, want)
+			}
+		}
 	}
 }

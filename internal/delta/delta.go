@@ -1,6 +1,7 @@
 // Package delta computes the blast radius of a topology change set: the
-// set of devices whose converged FIBs can differ from before the changes,
-// i.e. the only devices incremental revalidation needs to revisit.
+// devices whose converged FIBs can differ from before the changes and, per
+// device, which rows — the only (device × prefix) cells incremental
+// revalidation needs to revisit.
 //
 // This is the change-driven half of the paper's locality argument (§2.4,
 // Claim 1): because contracts are local and the EBGP design is a strict
@@ -14,27 +15,40 @@
 // datacenter, which is always safe: incremental validation then degrades
 // to the full sweep it replaces.
 //
-// Per change type, with l = leaf of cluster c on plane j:
+// Per change type, with l = leaf of cluster c on plane j. Each dirty
+// device carries a Scope: the rows the change can have moved, or Whole when
+// (nearly) every row mentions the flipped link:
 //
-//   - ToR–leaf link: the hosting cluster's plane-j leaf is the unique
-//     injector of the ToR's prefixes into plane j, so the prefixes appear
-//     or vanish across the whole plane and every ToR in the datacenter
-//     adjusts its ECMP set for them. Dirty: all ToRs, plane-j leaves,
-//     plane-j spines, all regional spines.
+//   - ToR–leaf link (t — l): the hosting cluster's plane-j leaf is the
+//     unique injector of t's prefixes into plane j, so those prefixes
+//     appear or vanish across the whole plane and every ToR in the
+//     datacenter adjusts its ECMP set for them. Dirty: all ToRs, plane-j
+//     leaves, plane-j spines, all regional spines — each only in the rows
+//     for t's hosted prefixes. t itself is Whole: l sits in every one of
+//     its next-hop sets, default included.
 //
-//   - Leaf–spine link (l — s): the endpoints and every plane-j leaf (their
-//     via-spine route sets mention s), plus the regional spines adjacent
-//     to s. ToRs are only dragged in when the leaf above them may have
-//     gained or lost its *last* path for some remote cluster's prefixes or
-//     for the default route — checked per cluster against the alternative
-//     spines of the plane.
+//   - Leaf–spine link (l — s): every plane-j leaf (their via-spine route
+//     sets mention s), s itself and the regional spines adjacent to s, in
+//     the rows for cluster c's prefixes — s learns exactly those from l.
+//     l is Whole: s sits in all its remote rows and its default. ToRs are
+//     only dragged in when the leaf above them may have gained or lost its
+//     *last* path — checked per cluster against the alternative spines of
+//     the plane: cluster c's ToRs Whole (every remote row and the default
+//     ride on l), another cluster's ToRs in cluster c's rows.
 //
-//   - Spine–RS link (s — r): the endpoints; if s has no stable live RS
-//     link, its default-route origination may flip, dirtying the plane-j
-//     leaves, and any such leaf left without a stable default spine drags
-//     in its cluster's ToRs.
+//   - Spine–RS link (s — r): s in its default row only; r is Whole (s sits
+//     in every one of its rows). If s has no stable live RS link, its
+//     default-route origination may flip, dirtying the default row of the
+//     plane-j leaves, and any such leaf left without a stable default
+//     spine drags in its cluster's ToRs — default row only.
 //
 //   - Everything else (ChangeDevice, unrecognized tiers): whole DC.
+//
+// Scopes of several changes in one window union per device. Row scopes
+// presuppose a flat address plan (hosted prefixes ascending ToR by ToR and
+// pairwise disjoint — the only kind topology.New emits): that is what lets
+// the table cache and the contract lookup find a row by binary search. On
+// any other plan every dirty device is Whole.
 //
 // All alternative-path tests demand *stable* links: live in the current
 // state and untouched by the change window. A stable path existed before
@@ -47,18 +61,35 @@ package delta
 import (
 	"sort"
 
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
 )
 
-// Set is a blast-radius dirty set: either an explicit device set or the
-// conservative whole-datacenter fallback.
+// Scope is the part of one dirty device's FIB a change window can have
+// moved: every row (Whole), or exactly the rows at the listed prefixes —
+// present before, after, both or neither. ipnet.Prefix{} names the default
+// row. Rows is ascending, duplicate-free and shared between devices: read
+// only.
+type Scope struct {
+	Whole bool
+	Rows  []ipnet.Prefix
+}
+
+// defaultRow is the scope of a change that can only move default routes.
+var defaultRow = []ipnet.Prefix{{}}
+
+// Set is a blast-radius dirty set: either an explicit set of devices, each
+// with its row scope, or the conservative whole-datacenter fallback.
 type Set struct {
 	full bool
-	devs map[topology.DeviceID]struct{}
+	devs map[topology.DeviceID]Scope
+	// wholeOnly turns every row scope into Whole: the address plan is not
+	// flat, so rows cannot be addressed on their own.
+	wholeOnly bool
 }
 
 // NewSet returns an empty dirty set.
-func NewSet() *Set { return &Set{devs: make(map[topology.DeviceID]struct{})} }
+func NewSet() *Set { return &Set{devs: make(map[topology.DeviceID]Scope)} }
 
 // Full reports whether the set degenerated to the whole datacenter.
 func (s *Set) Full() bool { return s.full }
@@ -66,18 +97,85 @@ func (s *Set) Full() bool { return s.full }
 // MarkFull degrades the set to the whole-datacenter fallback.
 func (s *Set) MarkFull() { s.full = true }
 
-// Add inserts one device.
+// Add inserts one device with every row in scope.
 func (s *Set) Add(d topology.DeviceID) {
 	if !s.full {
-		s.devs[d] = struct{}{}
+		s.devs[d] = Scope{Whole: true}
 	}
 }
 
-// AddAll inserts a slice of devices.
+// AddAll inserts a slice of devices, every row in scope.
 func (s *Set) AddAll(ds []topology.DeviceID) {
 	for _, d := range ds {
 		s.Add(d)
 	}
+}
+
+// addRows inserts one device with the given rows in scope, widening any
+// scope it already has. rows must be ascending and duplicate-free — hosted
+// prefixes in ToR order are, on a flat plan, and on any other the rows are
+// not looked at; the set keeps the slice, so the caller must not write to
+// it afterwards.
+func (s *Set) addRows(d topology.DeviceID, rows []ipnet.Prefix) {
+	if s.full || len(rows) == 0 {
+		return
+	}
+	if s.wholeOnly {
+		s.Add(d)
+		return
+	}
+	cur, dirty := s.devs[d]
+	if cur.Whole {
+		return
+	}
+	if dirty {
+		rows = mergeRows(cur.Rows, rows)
+	}
+	s.devs[d] = Scope{Rows: rows}
+}
+
+func (s *Set) addRowsAll(ds []topology.DeviceID, rows []ipnet.Prefix) {
+	for _, d := range ds {
+		s.addRows(d, rows)
+	}
+}
+
+// mergeRows unions two ascending row lists, returning a itself when b adds
+// nothing (the common repeat of one change in a window).
+func mergeRows(a, b []ipnet.Prefix) []ipnet.Prefix {
+	var out []ipnet.Prefix
+	i := 0
+	for j, q := range b {
+		for i < len(a) && a[i].Compare(q) < 0 {
+			if out != nil {
+				out = append(out, a[i])
+			}
+			i++
+		}
+		if i < len(a) && a[i] == q {
+			continue
+		}
+		if out == nil {
+			out = make([]ipnet.Prefix, i, len(a)+len(b)-j)
+			copy(out, a[:i])
+		}
+		out = append(out, q)
+	}
+	if out == nil {
+		return a
+	}
+	return append(out, a[i:]...)
+}
+
+// Scope returns the rows of d the change window can have moved. ok is
+// false for a device outside the blast radius; a full set puts every
+// device in scope whole.
+func (s *Set) Scope(d topology.DeviceID) (sc Scope, ok bool) {
+	if s.full {
+		return Scope{Whole: true}, true
+	}
+	sc, ok = s.devs[d]
+	return sc, ok
 }
 
 // Contains reports whether the device is dirty. A full set contains
@@ -151,6 +249,7 @@ func Compute(t *topology.Topology, changes []topology.Change, opts Options) *Set
 		}
 		sc.changed[c.Link] = true
 	}
+	s.wholeOnly = !flatPlan(t)
 	for _, c := range changes {
 		if s.full {
 			break
@@ -169,7 +268,7 @@ func (sc scope) blastLink(l *topology.Link, s *Set) {
 	}
 	switch {
 	case a.Role == topology.RoleToR && b.Role == topology.RoleLeaf:
-		sc.blastToRLeaf(b, s)
+		sc.blastToRLeaf(a, b, s)
 	case a.Role == topology.RoleLeaf && b.Role == topology.RoleSpine:
 		sc.blastLeafSpine(a, b, s)
 	case a.Role == topology.RoleSpine && b.Role == topology.RoleRegionalSpine:
@@ -183,25 +282,33 @@ func (sc scope) blastLink(l *topology.Link, s *Set) {
 
 // blastToRLeaf handles a ToR–leaf link change: the ToR's prefixes are
 // (un)injected into the leaf's whole plane, so every ToR in the DC and the
-// regional spines adjust their ECMP sets for them.
-func (sc scope) blastToRLeaf(leaf *topology.Device, s *Set) {
+// regional spines adjust their ECMP sets for them — and for nothing else.
+// The ToR itself loses or gains the leaf in every row.
+func (sc scope) blastToRLeaf(tor, leaf *topology.Device, s *Set) {
 	t := sc.t
-	s.AddAll(t.ToRs())
-	s.AddAll(planeLeaves(t, leaf.Plane))
-	s.AddAll(planeSpines(t, leaf.Plane))
-	s.AddAll(t.RegionalSpines())
+	rows := tor.HostedPrefixes
+	s.Add(tor.ID)
+	s.addRowsAll(t.ToRs(), rows)
+	s.addRowsAll(planeLeaves(t, leaf.Plane), rows)
+	s.addRowsAll(planeSpines(t, leaf.Plane), rows)
+	s.addRowsAll(t.RegionalSpines(), rows)
 }
 
 // blastLeafSpine handles a leaf–spine link change between leaf l (cluster
 // c, plane j) and spine sp.
 func (sc scope) blastLeafSpine(l, sp *topology.Device, s *Set) {
 	t := sc.t
-	s.Add(l.ID)
-	s.Add(sp.ID)
-	s.AddAll(planeLeaves(t, l.Plane))
-	for _, r := range neighborsOfRole(t, sp.ID, topology.RoleRegionalSpine) {
-		s.Add(r)
+	// sp hears cluster c's prefixes from l alone, so only those rows move
+	// on sp and on whoever lists sp as a next hop for them. l lists sp in
+	// every remote row and in its default.
+	var rows []ipnet.Prefix
+	for _, tor := range t.ClusterToRs(l.Cluster) {
+		rows = append(rows, t.Device(tor).HostedPrefixes...)
 	}
+	s.Add(l.ID)
+	s.addRows(sp.ID, rows)
+	s.addRowsAll(planeLeaves(t, l.Plane), rows)
+	s.addRowsAll(neighborsOfRole(t, sp.ID, topology.RoleRegionalSpine), rows)
 	// l's own cluster's ToRs see l in their ECMP sets for every remote
 	// prefix and the default route; they are dirty only if l's route
 	// *availability* can have flipped, i.e. no stable path witnesses the
@@ -218,7 +325,7 @@ func (sc scope) blastLeafSpine(l, sp *topology.Device, s *Set) {
 		}
 		l2 := t.ClusterLeaves(c2)[l.Plane]
 		if !sc.hasStableSpinePath(l2, l.ID) {
-			s.AddAll(t.ClusterToRs(c2))
+			s.addRowsAll(t.ClusterToRs(c2), rows)
 		}
 	}
 }
@@ -227,7 +334,9 @@ func (sc scope) blastLeafSpine(l, sp *topology.Device, s *Set) {
 // and regional spine r.
 func (sc scope) blastSpineRS(sp, r *topology.Device, s *Set) {
 	t := sc.t
-	s.Add(sp.ID)
+	// Below r the link carries the default route and nothing else; r
+	// itself lists sp in every row.
+	s.addRows(sp.ID, defaultRow)
 	s.Add(r.ID)
 	if sc.spineHasStableRS(sp.ID) {
 		return
@@ -236,10 +345,10 @@ func (sc scope) blastSpineRS(sp, r *topology.Device, s *Set) {
 	// default ECMP set can change, and any leaf left without a stable
 	// default-carrying spine flips its own default, dirtying its ToRs.
 	leaves := planeLeaves(t, sp.Plane)
-	s.AddAll(leaves)
+	s.addRowsAll(leaves, defaultRow)
 	for _, lf := range leaves {
 		if !sc.leafHasStableDefault(t.Device(lf)) {
-			s.AddAll(t.ClusterToRs(t.Device(lf).Cluster))
+			s.addRowsAll(t.ClusterToRs(t.Device(lf).Cluster), defaultRow)
 		}
 	}
 }
@@ -298,6 +407,23 @@ func (sc scope) spineHasStableRS(sp topology.DeviceID) bool {
 func (sc scope) stable(a, b topology.DeviceID) bool {
 	l, ok := sc.t.LinkBetween(a, b)
 	return ok && l.Live() && !sc.changed[l.ID]
+}
+
+// flatPlan reports whether the hosted prefixes, ToR by ToR — the order of
+// Topology.HostedPrefixes, which synthesized tables and generated contracts
+// follow — are ascending and pairwise disjoint.
+func flatPlan(t *topology.Topology) bool {
+	var last ipnet.Addr
+	seen := false
+	for _, tor := range t.ToRs() {
+		for _, p := range t.Device(tor).HostedPrefixes {
+			if seen && last >= p.First() {
+				return false
+			}
+			last, seen = p.Last(), true
+		}
+	}
+	return true
 }
 
 func planeLeaves(t *topology.Topology, plane int) []topology.DeviceID {

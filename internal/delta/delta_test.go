@@ -7,6 +7,7 @@ import (
 
 	"dcvalidate/internal/bgp"
 	"dcvalidate/internal/delta"
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
 )
 
@@ -125,6 +126,64 @@ func TestDeviceChangeAndUnboundedConfigFallBack(t *testing.T) {
 	}
 }
 
+// TestRowScopesUnionWithoutLimit flips two leaf–spine links of different
+// clusters in one window: the plane's other leaves carry both clusters'
+// prefixes as a row scope, however many that is — a scope never widens to
+// the whole device for being long.
+func TestRowScopesUnionWithoutLimit(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 12, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 1,
+		PrefixesPerToR: 4,
+	})
+	gen := topo.Generation()
+	for c := 0; c < 2; c++ {
+		if !topo.FailLink(topo.ClusterLeaves(c)[0], topo.Spines()[0]) {
+			t.Fatal("FailLink failed")
+		}
+	}
+	ds := delta.Compute(topo, changesAfter(t, topo, gen), delta.Options{})
+	sc, ok := ds.Scope(topo.ClusterLeaves(2)[0])
+	if want := 2 * 12 * 4; !ok || sc.Whole || len(sc.Rows) != want {
+		t.Fatalf("third plane leaf: scope ok=%v whole=%v with %d rows, want %d rows", ok, sc.Whole, len(sc.Rows), want)
+	}
+	for i := 1; i < len(sc.Rows); i++ {
+		if sc.Rows[i-1].Compare(sc.Rows[i]) >= 0 {
+			t.Fatalf("rows not ascending at %d: %s, %s", i, sc.Rows[i-1], sc.Rows[i])
+		}
+	}
+}
+
+// TestUnorderedAddressPlanScopesWhole: row scopes are addressed by binary
+// search downstream, so an address plan that is not ascending and disjoint
+// gets whole-device scopes over the same devices.
+func TestUnorderedAddressPlanScopesWhole(t *testing.T) {
+	flat, swapped := multiSpine(t), multiSpine(t)
+	a, b := swapped.Device(swapped.ToRs()[0]), swapped.Device(swapped.ToRs()[4])
+	a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+	var sets [2]*delta.Set
+	for i, topo := range []*topology.Topology{flat, swapped} {
+		gen := topo.Generation()
+		topo.FailLink(topo.ToRs()[1], topo.ClusterLeaves(0)[0])
+		sets[i] = delta.Compute(topo, changesAfter(t, topo, gen), delta.Options{})
+	}
+	if fmt.Sprint(sets[0].Devices()) != fmt.Sprint(sets[1].Devices()) {
+		t.Fatalf("dirty devices differ: %v vs %v", sets[0].Devices(), sets[1].Devices())
+	}
+	rowScoped := 0
+	for _, d := range sets[0].Devices() {
+		if sc, _ := sets[0].Scope(d); !sc.Whole {
+			rowScoped++
+		}
+		if sc, _ := sets[1].Scope(d); !sc.Whole {
+			t.Fatalf("device %s has a row scope on an unordered address plan", swapped.Device(d).Name)
+		}
+	}
+	if rowScoped == 0 {
+		t.Fatal("the flat plan should yield row scopes")
+	}
+}
+
 func TestEmptyWindowIsEmpty(t *testing.T) {
 	topo := multiSpine(t)
 	ds := delta.Compute(topo, nil, delta.Options{})
@@ -133,36 +192,51 @@ func TestEmptyWindowIsEmpty(t *testing.T) {
 	}
 }
 
-// renderTables snapshots every device's converged table as a comparable
-// string.
-func renderTables(t *testing.T, topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig) map[topology.DeviceID]string {
+// tableRows snapshots every device's converged table from scratch, one
+// rendered row per prefix.
+func tableRows(t *testing.T, topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig) []map[ipnet.Prefix]string {
 	t.Helper()
 	s := bgp.NewSynth(topo, cfg)
-	out := make(map[topology.DeviceID]string, len(topo.Devices))
+	out := make([]map[ipnet.Prefix]string, len(topo.Devices))
 	for id := range topo.Devices {
-		d := topology.DeviceID(id)
-		tbl, err := s.Table(d)
+		tbl, err := s.Table(topology.DeviceID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := tbl.Clone()
-		c.Sort()
-		out[d] = fmt.Sprint(c.Entries)
+		rows := make(map[ipnet.Prefix]string, len(tbl.Entries))
+		for _, e := range tbl.Entries {
+			rows[e.Prefix] = fmt.Sprint(e)
+		}
+		out[id] = rows
 	}
 	return out
 }
 
-// TestBlastRadiusIsSuperset is the soundness property: after any random
-// sequence of link/session flips — applied to arbitrary (possibly already
-// degraded) starting states — every device whose converged table changed
-// is inside the computed blast radius.
+func inScope(sc delta.Scope, p ipnet.Prefix) bool {
+	if sc.Whole {
+		return true
+	}
+	for _, q := range sc.Rows {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBlastRadiusIsSuperset is the soundness property, at row level:
+// after any random window of link and session flips — applied to
+// arbitrary (possibly already degraded) starting states, some flipped and
+// flipped back inside the window — every FIB row that differs between the
+// before and after from-scratch tables, the default row and rows that
+// appear or vanish included, lies inside its device's scope.
 func TestBlastRadiusIsSuperset(t *testing.T) {
 	paramSets := []topology.Params{
 		topology.Figure3Params(), // SpinesPerPlane == 1: no alternatives
 		{Clusters: 3, ToRsPerCluster: 2, LeavesPerCluster: 2,
 			SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2, PrefixesPerToR: 1},
 		{Clusters: 4, ToRsPerCluster: 2, LeavesPerCluster: 3,
-			SpinesPerPlane: 3, RegionalSpines: 6, RSLinksPerSpine: 2, PrefixesPerToR: 1},
+			SpinesPerPlane: 3, RegionalSpines: 6, RSLinksPerSpine: 2, PrefixesPerToR: 2},
 	}
 	for pi, p := range paramSets {
 		p := p
@@ -175,29 +249,46 @@ func TestBlastRadiusIsSuperset(t *testing.T) {
 				topo.Leaves()[1]: {MaxECMPPaths: 2},
 			}
 			rng := rand.New(rand.NewSource(int64(42 + pi)))
-			for trial := 0; trial < 60; trial++ {
-				before := renderTables(t, topo, cfg)
+			flip := func(lid topology.LinkID, session, up bool) {
+				if session {
+					topo.SetSessionUp(lid, up)
+				} else {
+					topo.SetLinkUp(lid, up)
+				}
+			}
+			for trial := 0; trial < 80; trial++ {
+				before := tableRows(t, topo, cfg)
 				gen := topo.Generation()
 				nflips := 1 + rng.Intn(4)
 				for i := 0; i < nflips; i++ {
 					lid := topology.LinkID(rng.Intn(len(topo.Links)))
-					if rng.Intn(2) == 0 {
-						topo.SetLinkUp(lid, rng.Intn(2) == 0)
-					} else {
-						topo.SetSessionUp(lid, rng.Intn(2) == 0)
+					session, up := rng.Intn(2) == 0, rng.Intn(2) == 0
+					flip(lid, session, up)
+					if rng.Intn(4) == 0 {
+						flip(lid, session, !up) // and straight back
 					}
 				}
 				ds := delta.Compute(topo, changesAfter(t, topo, gen), delta.Options{})
 				if ds.Full() {
 					continue // trivially sound
 				}
-				after := renderTables(t, topo, cfg)
+				after := tableRows(t, topo, cfg)
 				for id := range topo.Devices {
 					d := topology.DeviceID(id)
-					if before[d] != after[d] && !ds.Contains(d) {
+					sc, dirty := ds.Scope(d)
+					check := func(p ipnet.Prefix) {
+						if before[d][p] == after[d][p] || (dirty && inScope(sc, p)) {
+							return
+						}
 						cs, _ := topo.ChangesSince(gen)
-						t.Fatalf("trial %d: device %s table changed outside blast radius\nchanges: %+v\nblast: %v\nbefore: %s\nafter: %s",
-							trial, topo.Device(d).Name, cs, ds.Devices(), before[d], after[d])
+						t.Fatalf("trial %d: device %s row %s changed outside its scope\nchanges: %+v\ndirty: %v scope: %+v\nbefore: %q\nafter:  %q",
+							trial, topo.Device(d).Name, p, cs, dirty, sc, before[d][p], after[d][p])
+					}
+					for p := range before[d] {
+						check(p)
+					}
+					for p := range after[d] {
+						check(p)
 					}
 				}
 			}

@@ -289,14 +289,17 @@ func (e *Engine) SimulateBGP() fib.Source {
 
 // cachedSourceLocked returns the persistent generation-cached FIB source
 // used by incremental validation and the serving caches, refreshed
-// against the live topology.
-func (e *Engine) cachedSourceLocked() *bgp.Synth {
+// against the live topology. A caller that already holds the blast radius
+// ds of the changes journaled after generation since passes it on, so the
+// source does not compute it again; nil makes the source read the journal
+// itself.
+func (e *Engine) cachedSourceLocked(ds *delta.Set, since uint64) *bgp.Synth {
 	if e.synth == nil {
 		e.synth = bgp.NewSynth(e.topo, e.cfg)
 		e.synth.EnableTableCache()
 		e.synth.Metrics = e.bgpM
 	}
-	e.synth.Refresh()
+	e.synth.RefreshDelta(ds, since)
 	return e.synth
 }
 
@@ -498,10 +501,11 @@ func (e *Engine) validateLocked(opts Options) (*rcdc.Report, error) {
 }
 
 // ValidateDelta revalidates only the blast radius of the topology changes
-// journaled since prev was taken, splicing the fresh per-device results
-// into prev — byte-for-byte identical to a from-scratch Validate of the
-// current state. It falls back to a full Validate when prev is nil, the
-// journal no longer reaches back, or the blast radius is unbounded.
+// journaled since prev was taken — per device, only the rows the changes
+// can have moved and the contracts that read them — splicing the fresh
+// results into prev: byte-for-byte identical to a from-scratch Validate of
+// the current state. It falls back to a full Validate when prev is nil,
+// the journal no longer reaches back, or the blast radius is unbounded.
 func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -509,21 +513,24 @@ func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, e
 }
 
 func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
+	// The blast radius is computed once and shared by the table cache, the
+	// PEC invalidation and the validator. nil: the journal cannot say what
+	// changed since prev.
+	var ds *delta.Set
+	var since uint64
+	if prev != nil {
+		since = prev.Generation
+		if changes, ok := e.topo.ChangesSince(since); ok {
+			ds = delta.Compute(e.topo, changes, delta.Options{
+				UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
+				Metrics:         e.deltaM,
+			})
+		}
+	}
 	if opts.Source == nil {
-		opts.Source = e.cachedSourceLocked()
+		opts.Source = e.cachedSourceLocked(ds, since)
 	}
-	if prev == nil {
-		return e.validateLocked(opts)
-	}
-	changes, ok := e.topo.ChangesSince(prev.Generation)
-	if !ok {
-		return e.validateLocked(opts)
-	}
-	ds := delta.Compute(e.topo, changes, delta.Options{
-		UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
-		Metrics:         e.deltaM,
-	})
-	if ds.Full() {
+	if ds == nil || ds.Full() {
 		return e.validateLocked(opts)
 	}
 	e.pecInvalidateLocked(ds.Devices())
@@ -533,7 +540,7 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 		e.cgen.EnableMemo()
 	}
 	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
-	rep, err := v.ValidateDelta(prev, e.factsLocked(), e.cgen, opts.Source, ds.Devices())
+	rep, err := v.ValidateScoped(prev, e.factsLocked(), e.cgen, opts.Source, ds)
 	if rep != nil {
 		rep.Generation = gen
 	}

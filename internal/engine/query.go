@@ -101,14 +101,30 @@ func (e *Engine) ensureReportLocked() (*rcdc.Report, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	idx := make(map[string]int, len(rep.Devices))
-	for i := range rep.Devices {
-		idx[rep.Devices[i].Name] = i
+	if !sameDevices(e.report, rep) {
+		e.reportIdx = make(map[string]int, len(rep.Devices))
+		for i := range rep.Devices {
+			e.reportIdx[rep.Devices[i].Name] = i
+		}
 	}
 	e.report = rep
-	e.reportIdx = idx
 	e.serveM.observeSweep(mode, len(rep.Devices))
 	return rep, false, nil
+}
+
+// sameDevices reports whether two reports list the same devices at the
+// same positions — what a delta splice leaves behind — so a name index
+// built for one serves the other.
+func sameDevices(a, b *rcdc.Report) bool {
+	if a == nil || len(a.Devices) != len(b.Devices) {
+		return false
+	}
+	for i := range a.Devices {
+		if a.Devices[i].Name != b.Devices[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // ensureGlobalLocked returns a global snapshot checker for the current
@@ -120,7 +136,7 @@ func (e *Engine) ensureGlobalLocked() (*rcdc.GlobalChecker, bool, error) {
 		return e.global, true, nil
 	}
 	e.serveM.snapshot(false)
-	g, err := rcdc.NewGlobalChecker(e.topo, e.cachedSourceLocked())
+	g, err := rcdc.NewGlobalChecker(e.topo, e.cachedSourceLocked(nil, 0))
 	if err != nil {
 		return nil, false, err
 	}

@@ -143,12 +143,12 @@ func TestE17Smoke(t *testing.T) {
 
 func TestE13bSmoke(t *testing.T) { checkResult(t, E13bIncremental(150), "E13b") }
 
-// The soundness gate (verifyMax >= size) runs here: a blast-radius or
-// report-equivalence violation panics.
+// The soundness gate runs here: a row changed outside its scope or a
+// delta report diverging from the full sweep panics.
 func TestE16Smoke(t *testing.T) {
-	res, rows := E16Incremental([]int{150}, 200)
+	res, rows := E16Incremental([]int{150})
 	checkResult(t, res, "E16")
-	if len(rows) != 1 || !rows[0].Verified || rows[0].Dirty == 0 {
-		t.Fatalf("rows = %+v, want one verified row with a nonempty blast radius", rows)
+	if len(rows) != 1 || !rows[0].Verified || rows[0].Dirty == 0 || rows[0].DirtyRows == 0 {
+		t.Fatalf("rows = %+v, want one verified row with a nonempty, row-scoped blast radius", rows)
 	}
 }

@@ -10,6 +10,7 @@ package ipnet
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -178,6 +179,17 @@ func (p Prefix) Compare(q Prefix) int {
 		return 1
 	}
 	return 0
+}
+
+// OverlapRun returns the index range [lo, hi) of the prefixes that overlap
+// p, among the n prefixes at(0..n-1) of a flat address plan — ascending and
+// sharing no address pairwise, such as the hosted /24s of a generated
+// datacenter. Being disjoint and ascending, they form one run.
+func OverlapRun(n int, at func(int) Prefix, p Prefix) (lo, hi int) {
+	lo = sort.Search(n, func(i int) bool { return at(i).Last() >= p.First() })
+	for hi = lo; hi < n && at(hi).First() <= p.Last(); hi++ {
+	}
+	return lo, hi
 }
 
 // Range is an inclusive IPv4 address interval [Lo, Hi].

@@ -351,3 +351,22 @@ func TestRangeAndPrefixHelpers(t *testing.T) {
 		t.Errorf("Range.String = %q", r.String())
 	}
 }
+
+func TestOverlapRunMatchesLinearScan(t *testing.T) {
+	// A flat plan with gaps and mixed lengths.
+	var plan []Prefix
+	for _, s := range []string{"10.0.0.0/24", "10.0.1.0/25", "10.0.1.128/25", "10.0.4.0/22", "10.0.9.0/24", "10.1.0.0/16"} {
+		plan = append(plan, MustParsePrefix(s))
+	}
+	at := func(i int) Prefix { return plan[i] }
+	for _, q := range []string{"0.0.0.0/0", "10.0.0.0/8", "10.0.1.0/24", "10.0.1.64/26", "10.0.2.0/24",
+		"10.0.4.0/24", "10.0.0.0/21", "10.1.200.0/24", "9.0.0.0/8", "11.0.0.0/8", "10.0.9.0/24"} {
+		p := MustParsePrefix(q)
+		lo, hi := OverlapRun(len(plan), at, p)
+		for i := range plan {
+			if got, want := lo <= i && i < hi, plan[i].Overlaps(p); got != want {
+				t.Errorf("%s vs %s: in run = %v, overlaps = %v", q, plan[i], got, want)
+			}
+		}
+	}
+}

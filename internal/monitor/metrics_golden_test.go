@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"dcvalidate/internal/bgp"
 	"flag"
 	"os"
 	"path/filepath"
@@ -27,7 +28,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestMetricsGoldenExposition(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	topo.FailLink(topo.ToRs()[0], topo.ClusterLeaves(0)[0])
-	in := NewInstance("golden", NewDatacenter("fig3", topo, nil))
+	dc := NewDatacenter("fig3", topo, nil)
+	in := NewInstance("golden", dc)
 	// Workers is part of the golden contract: the modeled pull makespan
 	// depends on the pool size, so it must not float with GOMAXPROCS.
 	in.Workers = 2
@@ -36,6 +38,12 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	in.Incremental = true
 	reg := obs.NewRegistry()
 	in.EnableObservability(reg)
+	// A table-cached source, so the link repair below also pins what the
+	// cache does with a bounded delta: rows patched in place on row-scoped
+	// devices, the one whole device evicted.
+	synth := dc.Source.(*bgp.Synth)
+	synth.EnableTableCache()
+	synth.Metrics = bgp.NewMetrics(reg)
 
 	for cycle := 1; cycle <= 2; cycle++ {
 		if _, err := in.RunCycle(); err != nil {

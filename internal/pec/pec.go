@@ -210,6 +210,26 @@ func (c *Checker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role
 	return c.checkPrivate(s, in, tbl, dc, role, th, ch, false)
 }
 
+// CheckRows implements rcdc.RowChecker: it evaluates a fragment of a device
+// (a row-scoped re-check) on its own — no cache lookup, no arena, and
+// nothing stored, so the device's cached atomization and its shape
+// attachment stay those of its whole table.
+func (c *Checker) CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]rcdc.Violation, error) {
+	c.mu.Lock()
+	if c.in == nil {
+		c.in = newInterner()
+	}
+	in := c.in
+	c.mu.Unlock()
+	s, _ := c.pool.Get().(*scratch)
+	if s == nil {
+		s = &scratch{}
+	}
+	viols, _, _ := c.evaluate(s, in, tbl, dc, role)
+	c.pool.Put(s)
+	return viols, nil
+}
+
 // ruleRef is one deduplicated non-default FIB rule projected onto the
 // address line: [first, lastEx) with its prefix length, the index of the
 // winning table entry (last write wins, like trie insertion), and its

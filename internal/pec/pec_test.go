@@ -238,6 +238,67 @@ func TestPECCacheAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestCheckRowsLeavesDeviceStateAlone: a fragment check (what a row-scoped
+// re-check hands the engine) agrees with the trie on the fragment and
+// neither reads nor replaces the device's cached atomization or its arena
+// shape.
+func TestCheckRowsLeavesDeviceStateAlone(t *testing.T) {
+	topo := topology.MustNew(topology.Figure3Params())
+	topo.FailLink(topo.ToRs()[1], topo.ClusterLeaves(0)[0])
+	facts := metadata.FromTopology(topo)
+	gen := contracts.NewGenerator(facts)
+	synth := bgp.NewSynth(topo, nil)
+	dev := topo.ToRs()[0]
+	tbl, err := synth.Table(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := gen.ForDevice(dev)
+	role := facts.Device(dev).Role
+
+	c := &Checker{Exact: true} // a thinned ECMP set is a violation
+	if _, err := c.CheckDevice(tbl, dc, role); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+
+	// The fragment: the contracts on the failed ToR's prefixes, against the
+	// rows they read.
+	var sub []contracts.Contract
+	for _, p := range topo.Device(topo.ToRs()[1]).HostedPrefixes {
+		for _, i := range dc.Overlapping(nil, p) {
+			sub = append(sub, dc.Contracts[i])
+		}
+	}
+	rows, err := synth.Rows(dev, topo.Device(topo.ToRs()[1]).HostedPrefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := fib.NewTable(dev)
+	frag.Entries = rows
+	fragDC := contracts.DeviceContracts{Device: dev, Contracts: sub}
+	got, err := c.CheckRows(frag, fragDC, role)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rcdc.TrieChecker{Exact: true}.CheckDevice(frag, fragDC, role)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fragment verdicts:\n got %v\nwant %v", got, want)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("fragment check moved the engine's state:\nbefore %+v\n after %+v", before, after)
+	}
+	if _, err := c.CheckDevice(tbl.Clone(), dc, role); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.CacheHits != before.CacheHits+1 || st.Atomizations != before.Atomizations {
+		t.Fatalf("whole-device check after a fragment should hit the cache: %+v", st)
+	}
+}
+
 // TestClassesLPMOracle cross-checks every class's owner against
 // longest-prefix lookups at its endpoints.
 func TestClassesLPMOracle(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"dcvalidate/internal/bgp"
 	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/delta"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/topology"
 )
@@ -93,5 +94,67 @@ func TestViolationsCopyOnReturn(t *testing.T) {
 	b.Write(before)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("second Violations() call diverges from the report")
+	}
+}
+
+// TestScopedSpliceNeverWritesPrev pins the copy-on-splice contract of the
+// row-scoped delta: a contract-level splice builds the device's new
+// violation list in fresh memory, so neither the splice itself nor a
+// caller scribbling over the new report can reach the previous report —
+// which the serving layer may still be answering queries from.
+func TestScopedSpliceNeverWritesPrev(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 2, ToRsPerCluster: 3, LeavesPerCluster: 2,
+		SpinesPerPlane: 1, RegionalSpines: 2, RSLinksPerSpine: 2,
+		PrefixesPerToR: 1,
+	})
+	// Outstanding violations across the plane: the leaf, the plane spine
+	// and the other cluster's plane leaf all miss the ToR's prefix.
+	topo.FailLink(topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0])
+	facts := metadata.FromTopology(topo)
+	gen := contracts.NewGenerator(facts)
+	gen.EnableMemo()
+	synth := bgp.NewSynth(topo, nil)
+	synth.EnableTableCache()
+	v := Validator{Workers: 2}
+	prev, err := v.ValidateAll(facts, synth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := renderViolations(prev)
+
+	// A second ToR–leaf failure on the same plane: every device that holds
+	// a violation is dirty again, in one row.
+	since := topo.Generation()
+	topo.FailLink(topo.ClusterToRs(1)[1], topo.ClusterLeaves(1)[0])
+	changes, _ := topo.ChangesSince(since)
+	ds := delta.Compute(topo, changes, delta.Options{})
+	synth.RefreshDelta(ds, since)
+	rep, err := v.ValidateScoped(prev, facts, gen, synth, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := renderViolations(prev); !bytes.Equal(before, after) {
+		t.Fatalf("the splice wrote into the previous report:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+
+	spliced := 0
+	for i := range rep.Devices {
+		sc, dirty := ds.Scope(rep.Devices[i].Device)
+		old, fresh := prev.Devices[i].Violations, rep.Devices[i].Violations
+		if !dirty || sc.Whole || len(old) == 0 || len(fresh) <= len(old) {
+			continue
+		}
+		spliced++ // kept its old violations and gained one: a real splice
+		for j := range fresh {
+			fresh[j] = Violation{Device: -99}
+		}
+		_ = append(fresh[:0], Violation{Device: -98})
+	}
+	if spliced == 0 {
+		t.Fatal("no row-scoped device kept old violations and gained new ones; the test exercises nothing")
+	}
+	if after := renderViolations(prev); !bytes.Equal(before, after) {
+		t.Fatalf("scribbling over the spliced report reached the previous one:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 }

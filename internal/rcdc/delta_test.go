@@ -2,12 +2,15 @@ package rcdc
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"dcvalidate/internal/bgp"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
+	"dcvalidate/internal/fib"
 	"dcvalidate/internal/metadata"
+	"dcvalidate/internal/obs"
 	"dcvalidate/internal/topology"
 )
 
@@ -28,9 +31,10 @@ func reportsEquivalent(t *testing.T, got, want *Report) {
 			t.Fatalf("device %d differs:\n got %+v\nwant %+v", i, g, w)
 		}
 		for j := range g.Violations {
-			if g.Violations[j].String() != w.Violations[j].String() {
-				t.Fatalf("device %d violation %d differs: %s vs %s",
-					i, j, g.Violations[j], w.Violations[j])
+			gv, wv := g.Violations[j], w.Violations[j]
+			if gv.String() != wv.String() || gv.Remaining != wv.Remaining || gv.RulePrefix != wv.RulePrefix {
+				t.Fatalf("device %d violation %d differs: %s (remaining %d, rule %s) vs %s (remaining %d, rule %s)",
+					i, j, gv, gv.Remaining, gv.RulePrefix, wv, wv.Remaining, wv.RulePrefix)
 			}
 		}
 	}
@@ -95,6 +99,45 @@ func TestValidateDeltaMatchesFullSweep(t *testing.T) {
 	reportsEquivalent(t, got, want)
 }
 
+// TestValidateDeltaSortsUnorderedPrev: a previous report whose devices are
+// not ascending is spliced as if it were — no device twice, none lost.
+func TestValidateDeltaSortsUnorderedPrev(t *testing.T) {
+	topo := topology.MustNew(topology.Figure3Params())
+	facts := metadata.FromTopology(topo)
+	v := Validator{Workers: 2}
+	prev, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := *prev
+	shuffled.Devices = append([]DeviceReport(nil), prev.Devices...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled.Devices), func(i, j int) {
+		shuffled.Devices[i], shuffled.Devices[j] = shuffled.Devices[j], shuffled.Devices[i]
+	})
+	order := append([]DeviceReport(nil), shuffled.Devices...)
+
+	tor, leaf := topo.ToRs()[0], topo.ClusterLeaves(0)[0]
+	topo.FailLink(tor, leaf)
+	dirty := []topology.DeviceID{tor, leaf, topo.ToRs()[1]}
+	got, err := v.ValidateDelta(&shuffled, facts, nil, bgp.NewSynth(topo, nil), dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v.ValidateDelta(prev, facts, nil, bgp.NewSynth(topo, nil), dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEquivalent(t, got, want)
+	if want.Failures == 0 {
+		t.Fatal("the failed link should show as violations")
+	}
+	for i := range order {
+		if shuffled.Devices[i].Device != order[i].Device {
+			t.Fatal("prev was reordered in place")
+		}
+	}
+}
+
 func TestValidateDeltaRequiresPrev(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	facts := metadata.FromTopology(topo)
@@ -130,5 +173,114 @@ func TestValidateDeltaKeepsPrevResultOnError(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("failed dirty device must keep its previous result")
+	}
+}
+
+// plainSource hides a source's row queries: ValidateScoped must fall back
+// to whole devices.
+type plainSource struct{ inner fib.Source }
+
+func (p plainSource) Table(d topology.DeviceID) (*fib.Table, error) { return p.inner.Table(d) }
+
+// TestValidateScopedMatchesFullSweep drives the contract-level splice over
+// random windows of link and session flips on a degrading fleet — so most
+// splices land in reports that already hold violations — through every
+// kind of source: the table-cached synth (patched rows), an uncached one,
+// one that cannot answer row queries (whole-device fallback), and a synth
+// over an address plan that is not ascending (every scope whole: eviction
+// in place of patching, whole devices re-checked). Every step must match a
+// from-scratch sweep.
+func TestValidateScopedMatchesFullSweep(t *testing.T) {
+	params := topology.Params{
+		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 2,
+	}
+	cases := []struct {
+		name      string
+		unordered bool
+		source    func(*bgp.Synth) fib.Source
+		rows      bool // devices are re-checked by row: a flat address plan, and a source that answers row queries
+		patches   bool // cached rows get patched in place: a flat address plan, and a cache
+	}{
+		{name: "cached synth", rows: true, patches: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return s }},
+		{name: "uncached synth", rows: true, source: func(s *bgp.Synth) fib.Source { return s }},
+		{name: "no row queries", patches: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return plainSource{s} }},
+		{name: "unordered address plan", unordered: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return s }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			topo := topology.MustNew(params)
+			if tc.unordered {
+				a, b := topo.Device(topo.ToRs()[0]), topo.Device(topo.ToRs()[4])
+				a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+			}
+			facts := metadata.FromTopology(topo)
+			gen := contracts.NewGenerator(facts)
+			gen.EnableMemo()
+			reg := obs.NewRegistry()
+			v := Validator{Workers: 2, Metrics: NewMetrics(reg)}
+			synth := bgp.NewSynth(topo, nil)
+			synth.Metrics = bgp.NewMetrics(reg)
+			src := tc.source(synth)
+			prev, err := v.ValidateAll(facts, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			splicedIntoViolations := 0
+			for step := 0; step < 40; step++ {
+				since := topo.Generation()
+				for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+					lid := topology.LinkID(rng.Intn(len(topo.Links)))
+					if rng.Intn(2) == 0 {
+						topo.SetLinkUp(lid, rng.Intn(3) > 0)
+					} else {
+						topo.SetSessionUp(lid, rng.Intn(3) > 0)
+					}
+				}
+				changes, ok := topo.ChangesSince(since)
+				if !ok {
+					t.Fatal("journal truncated")
+				}
+				ds := delta.Compute(topo, changes, delta.Options{})
+				synth.RefreshDelta(ds, since)
+				if prev.Failures > 0 && ds.Count() > 0 {
+					splicedIntoViolations++
+				}
+				got, err := v.ValidateScoped(prev, facts, gen, src, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := (&Validator{Workers: 2}).ValidateAll(facts, bgp.NewSynth(topo, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reportsEquivalent(t, got, want)
+				prev = got
+			}
+			if splicedIntoViolations < 10 {
+				t.Fatalf("only %d splices into violating reports", splicedIntoViolations)
+			}
+			// Row queries must show as fewer contracts re-checked than the
+			// whole-device fallback needs; without them, as exactly that.
+			series := func(name string) float64 {
+				for _, s := range reg.Snapshot() {
+					if s.Name == name {
+						return s.Value
+					}
+				}
+				return 0
+			}
+			perDevice := series("dcv_rcdc_delta_contracts_checked_sum") / series("dcv_rcdc_delta_dirty_devices_sum")
+			if full := float64(len(topo.HostedPrefixes())); tc.rows == (perDevice > full/2) {
+				t.Fatalf("%.1f contracts re-checked per dirty device (a whole device has ~%.0f); row queries available: %v",
+					perDevice, full, tc.rows)
+			}
+			if patched := series("dcv_bgp_synth_rows_patched_total"); tc.patches != (patched > 0) {
+				t.Fatalf("%v cached rows patched, want patching: %v", patched, tc.patches)
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ type Metrics struct {
 	violations    *obs.Counter    // dcv_rcdc_violations_total
 	runs          *obs.CounterVec // dcv_rcdc_validate_runs_total{mode}
 	dirty         *obs.Histogram  // dcv_rcdc_delta_dirty_devices
+	rechecked     *obs.Histogram  // dcv_rcdc_delta_contracts_checked
 	utilization   *obs.Gauge      // dcv_rcdc_worker_utilization_ratio
 }
 
@@ -36,6 +37,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Validation runs by mode.", "mode"),
 		dirty: r.Histogram("dcv_rcdc_delta_dirty_devices",
 			"Dirty-set size per delta validation run.", obs.SizeBuckets),
+		rechecked: r.Histogram("dcv_rcdc_delta_contracts_checked",
+			"Contracts re-checked per delta validation run.", obs.SizeBuckets),
 		utilization: r.Gauge("dcv_rcdc_worker_utilization_ratio",
 			"Sum of per-device check time over workers x run wall time, last run."),
 	}
@@ -70,6 +73,15 @@ func (m *Metrics) observeRun(mode string, rep *Report, dirty int, busy time.Dura
 		util = float64(busy) / (float64(rep.Workers) * float64(rep.Elapsed))
 	}
 	m.utilization.Set(util)
+}
+
+// observeRecheck records how many contracts a delta run actually
+// re-checked: all of a whole device's, the scoped few of a row-scoped one.
+func (m *Metrics) observeRecheck(contracts int) {
+	if m == nil {
+		return
+	}
+	m.rechecked.Observe(float64(contracts))
 }
 
 // busyTime sums the per-device check time of a report slice.

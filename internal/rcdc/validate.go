@@ -6,11 +6,14 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/topology"
@@ -143,13 +146,33 @@ func (v *Validator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// validateSet runs the worker pool over one device set, pulling each FIB
-// from the source and validating it against gen's contracts. It returns
-// the per-device reports in ascending device order together with every
-// per-device error (the two are disjoint: an errored device produces no
-// report).
-func (v *Validator) validateSet(facts *metadata.Facts, gen *contracts.Generator,
-	source fib.Source, devs []topology.DeviceID) ([]DeviceReport, []error) {
+// RowSource is a fib.Source that can also answer a row query: the rows of
+// one device's table whose prefix contains or is contained in one of the
+// given prefixes, plus the default row, in table order — without handing
+// over (or copying) the whole table. Those rows are all a contract on one
+// of the prefixes reads, which is what lets ValidateScoped re-check a
+// handful of contracts on a device with a row scope. Entries returned are
+// read-only.
+type RowSource interface {
+	fib.Source
+	Rows(dev topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error)
+}
+
+// checkWhole pulls one device's table and validates it against all its
+// contracts.
+func (v *Validator) checkWhole(facts *metadata.Facts, gen *contracts.Generator, source fib.Source, id topology.DeviceID) (DeviceReport, error) {
+	tbl, err := source.Table(id)
+	if err != nil {
+		return DeviceReport{}, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)
+	}
+	return v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+}
+
+// validateSet runs the worker pool over one device set, producing each
+// device's report with check. It returns the per-device reports in
+// ascending device order together with every per-device error (the two
+// are disjoint: an errored device produces no report).
+func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID) (DeviceReport, error)) ([]DeviceReport, []error) {
 	type result struct {
 		rep DeviceReport
 		err error
@@ -162,12 +185,7 @@ func (v *Validator) validateSet(facts *metadata.Facts, gen *contracts.Generator,
 		go func() {
 			defer wg.Done()
 			for id := range ids {
-				tbl, err := source.Table(id)
-				if err != nil {
-					results <- result{err: fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)}
-					continue
-				}
-				rep, err := v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+				rep, err := check(id)
 				results <- result{rep: rep, err: err}
 			}
 		}()
@@ -215,7 +233,10 @@ func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Repo
 	for i := range facts.Devices {
 		devs[i] = facts.Devices[i].ID
 	}
-	reps, errs := v.validateSet(facts, v.gen(facts), source, devs)
+	gen := v.gen(facts)
+	reps, errs := v.validateSet(devs, func(id topology.DeviceID) (DeviceReport, error) {
+		return v.checkWhole(facts, gen, source, id)
+	})
 	rep := &Report{Workers: v.workers(), Devices: reps}
 	for i := range reps {
 		rep.Checked += reps[i].Contracts
@@ -279,19 +300,41 @@ func (v *Validator) validateAllSeq(facts *metadata.Facts, source fib.Source) (*R
 
 // ValidateDelta revalidates only the dirty devices (a blast-radius set
 // from internal/delta) and splices the fresh results into prev, carrying
-// every other device's result forward unchanged. The spliced report keeps
-// the sorted-by-device order, so a delta report over an accurate dirty set
-// is byte-identical to a from-scratch full sweep under a fixed clock — the
-// determinism invariant the equivalence test locks.
-//
-// prev must be a complete report over the same device set (typically from
-// ValidateAll or an earlier ValidateDelta); it is not mutated. gen may be
-// nil for a transient generator, or a shared memoizing generator to
-// amortize contract generation across repeated delta validations.
-// Per-device failures degrade as in ValidateAll: a failed dirty device
-// keeps its previous result, and the error return enumerates the failures.
+// every other device's result forward unchanged: ValidateScoped with every
+// dirty device in scope as a whole. prev must be a complete report (from
+// ValidateAll or an earlier delta run) and is not mutated; gen may be nil.
+// The spliced report lists its devices in ascending order, as ValidateAll
+// does, whatever order prev had them in.
 func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *contracts.Generator,
 	source fib.Source, dirty []topology.DeviceID) (*Report, error) {
+	ds := delta.NewSet()
+	ds.AddAll(dirty)
+	return v.ValidateScoped(prev, facts, gen, source, ds)
+}
+
+// ValidateScoped revalidates a blast radius and splices the fresh results
+// into prev, carrying everything else forward unchanged. A device dirty as
+// a whole is pulled and checked against all its contracts and its result
+// replaces the previous one. A device with a row scope — when source can
+// answer row queries — has only the contracts re-checked whose verdict can
+// read a row in scope, against only those rows, and the fresh verdicts
+// replace the previous ones contract by contract (see recheck). The
+// spliced report keeps the sorted-by-device order and, per device, contract
+// order, so a delta report over an accurate dirty set is byte-identical to
+// a from-scratch full sweep under a fixed clock — the determinism invariant
+// the equivalence tests lock.
+//
+// prev must be a complete report over the same device set (from
+// ValidateAll or an earlier delta run, which list devices in ascending
+// order; any other order is sorted first); it is not mutated, nor are its
+// Violations slices. gen may be nil for a transient
+// generator, or a shared memoizing generator to amortize contract
+// generation across repeated delta validations. A full dirty set
+// revalidates every device of facts. Per-device failures degrade as in
+// ValidateAll: a failed dirty device keeps its previous result, and the
+// error return enumerates the failures.
+func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *contracts.Generator,
+	source fib.Source, dirty *delta.Set) (*Report, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("rcdc: ValidateDelta requires a previous report")
 	}
@@ -301,27 +344,169 @@ func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *cont
 	if gen == nil {
 		gen = v.gen(facts)
 	}
-	fresh, errs := v.validateSet(facts, gen, source, dirty)
-
-	rep := &Report{Workers: v.workers()}
-	rep.Devices = append([]DeviceReport(nil), prev.Devices...)
-	pos := make(map[topology.DeviceID]int, len(rep.Devices))
-	for i := range rep.Devices {
-		pos[rep.Devices[i].Device] = i
+	devs := dirty.Devices()
+	if dirty.Full() {
+		devs = make([]topology.DeviceID, len(facts.Devices))
+		for i := range facts.Devices {
+			devs[i] = facts.Devices[i].ID
+		}
 	}
+	// The splice base: prev's device reports, ascending by device so that
+	// devicePos can search them. Nothing writes it until the checks are done.
+	base := append([]DeviceReport(nil), prev.Devices...)
+	byDevice := func(i, j int) bool { return base[i].Device < base[j].Device }
+	if !sort.SliceIsSorted(base, byDevice) {
+		sort.SliceStable(base, byDevice)
+	}
+	rows, _ := source.(RowSource)
+	var checked atomic.Int64
+	fresh, errs := v.validateSet(devs, func(id topology.DeviceID) (DeviceReport, error) {
+		dc := gen.ForDevice(id)
+		sc, _ := dirty.Scope(id)
+		if i, ok := devicePos(base, id); ok && !sc.Whole && rows != nil && base[i].Contracts == len(dc.Contracts) {
+			rep, n, err := v.recheck(rows, dc, &base[i], sc.Rows)
+			if !errors.Is(err, errOutOfOrder) {
+				checked.Add(int64(n))
+				return rep, err
+			}
+		}
+		checked.Add(int64(len(dc.Contracts)))
+		return v.checkWhole(facts, gen, source, id)
+	})
+
+	rep := &Report{Workers: v.workers(), Devices: base}
 	for _, fr := range fresh {
-		if i, ok := pos[fr.Device]; ok {
+		if i, ok := devicePos(base, fr.Device); ok {
 			rep.Devices[i] = fr
 		} else {
 			rep.Devices = append(rep.Devices, fr)
 		}
 	}
-	sort.Slice(rep.Devices, func(i, j int) bool { return rep.Devices[i].Device < rep.Devices[j].Device })
+	if len(rep.Devices) > len(base) {
+		sort.Slice(rep.Devices, func(i, j int) bool { return rep.Devices[i].Device < rep.Devices[j].Device })
+	}
 	for i := range rep.Devices {
 		rep.Checked += rep.Devices[i].Contracts
 		rep.Failures += len(rep.Devices[i].Violations)
 	}
 	rep.Elapsed = clock.Since(v.Clock, start)
-	v.Metrics.observeRun("delta", rep, len(dirty), busyTime(fresh))
+	v.Metrics.observeRun("delta", rep, len(devs), busyTime(fresh))
+	v.Metrics.observeRecheck(int(checked.Load()))
 	return rep, errors.Join(errs...)
 }
+
+// devicePos finds a device in an ascending-by-device report slice.
+func devicePos(devs []DeviceReport, id topology.DeviceID) (int, bool) {
+	i := sort.Search(len(devs), func(i int) bool { return devs[i].Device >= id })
+	return i, i < len(devs) && devs[i].Device == id
+}
+
+// errOutOfOrder reports violations that do not follow contract order, so
+// they cannot be spliced contract by contract; the device is re-checked
+// whole instead.
+var errOutOfOrder = errors.New("rcdc: violations out of contract order")
+
+// recheck re-verifies the part of one device a row scope can have moved
+// and splices the outcome into the device's previous report, returning it
+// with the number of contracts re-checked.
+//
+// Which contracts: a contract's verdict reads the rows whose prefix
+// contains or is contained in the contract's prefix (the candidate walk of
+// §2.5.2) and nothing else — except that a MissingRoute violation reports
+// the next-hop count of the default row it falls through to, and the
+// default contract reads the default row alone. So the contracts to
+// re-check are those overlapping a scoped prefix, plus, when the default
+// row is in scope, the default contract and every contract that held a
+// MissingRoute violation (it still does: whether the specific rows cover
+// the contract is decided by rows outside the scope, which did not move).
+// Those contracts are checked by the configured Checker against a table of
+// just the rows they can read — through CheckRows if it is a RowChecker, so
+// that the fragment never replaces what the checker knows of the device.
+//
+// The splice walks the contracts in order, taking the fresh violations for
+// a re-checked contract and the previous ones for every other, into a new
+// slice — prev's is shared with earlier reports and never written.
+func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
+	prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
+	start := clock.Or(v.Clock).Now()
+	var picked []int                            // indices into dc.Contracts
+	if len(scope) > 0 && scope[0].IsDefault() { // scopes are ascending: the default row sorts first
+		scope = scope[1:]
+		if i, ok := dc.Default(); ok {
+			picked = append(picked, i)
+		}
+		for k := range prev.Violations {
+			if o := &prev.Violations[k]; o.Kind == MissingRoute {
+				for _, i := range dc.Overlapping(nil, o.Contract.Prefix) {
+					if sameContract(&dc.Contracts[i], &o.Contract) {
+						picked = append(picked, i)
+					}
+				}
+			}
+		}
+	}
+	for _, p := range scope {
+		picked = dc.Overlapping(picked, p)
+	}
+	if len(picked) == 0 {
+		return *prev, 0, nil
+	}
+	sort.Ints(picked)
+	var sub []contracts.Contract // the contracts to re-check, in contract order
+	var read []ipnet.Prefix      // the prefixes whose rows they read
+	for k, i := range picked {
+		if k > 0 && i == picked[k-1] {
+			continue
+		}
+		c := dc.Contracts[i]
+		sub = append(sub, c)
+		if c.Kind != contracts.Default {
+			read = append(read, c.Prefix)
+		}
+	}
+	entries, err := source.Rows(dc.Device, read)
+	if err != nil {
+		return DeviceReport{}, 0, fmt.Errorf("rcdc: pulling rows for device %d: %w", dc.Device, err)
+	}
+	tbl := fib.NewTable(dc.Device)
+	tbl.Entries = entries
+	check := v.checker().CheckDevice
+	if rc, ok := v.checker().(RowChecker); ok {
+		check = rc.CheckRows
+	}
+	fresh, err := check(tbl, contracts.DeviceContracts{Device: dc.Device, Contracts: sub}, prev.Role)
+	if err != nil {
+		return DeviceReport{}, 0, err
+	}
+	rep, rechecked := *prev, len(sub)
+	if len(prev.Violations) > 0 || len(fresh) > 0 {
+		rep.Violations = make([]Violation, 0, len(prev.Violations)+len(fresh))
+		old := prev.Violations
+		for i := range dc.Contracts {
+			c := &dc.Contracts[i]
+			redone := len(sub) > 0 && sameContract(&sub[0], c)
+			if redone {
+				sub = sub[1:]
+			}
+			for ; len(old) > 0 && sameContract(&old[0].Contract, c); old = old[1:] {
+				if !redone {
+					rep.Violations = append(rep.Violations, old[0])
+				}
+			}
+			for ; redone && len(fresh) > 0 && sameContract(&fresh[0].Contract, c); fresh = fresh[1:] {
+				rep.Violations = append(rep.Violations, fresh[0])
+			}
+		}
+		if len(old) > 0 || len(fresh) > 0 {
+			return DeviceReport{}, 0, errOutOfOrder
+		}
+		if len(rep.Violations) == 0 {
+			rep.Violations = nil
+		}
+	}
+	rep.Elapsed = clock.Since(v.Clock, start)
+	v.Metrics.observeDevice(&rep)
+	return rep, rechecked, nil
+}
+
+func sameContract(a, b *contracts.Contract) bool { return a.Kind == b.Kind && a.Prefix == b.Prefix }

@@ -200,3 +200,14 @@ func hopsOKSorted(expected, actual []topology.DeviceID, exact bool) bool {
 type Checker interface {
 	CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error)
 }
+
+// RowChecker is a Checker that keeps state per device between calls (the
+// PEC engine caches each device's atomization) and therefore has a second
+// entry point for a fragment of a device — some of its contracts against
+// just the rows they read, as a row-scoped re-check hands it — which must
+// not pass for the device's state. CheckRows returns what CheckDevice would
+// on the same inputs and remembers nothing.
+type RowChecker interface {
+	Checker
+	CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error)
+}

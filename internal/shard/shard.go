@@ -172,9 +172,14 @@ func (c *Coordinator) Sweep() (*rcdc.Report, error) {
 	}
 	mode := "full"
 	var dirty []topology.DeviceID
+	// ds is shared with every shard's table cache below; nil (no previous
+	// merge, or a truncated journal) leaves each cache to its own journal.
+	var ds *delta.Set
+	var since uint64
 	if c.merged != nil {
-		if changes, ok := c.topo.ChangesSince(c.merged.Generation); ok {
-			ds := delta.Compute(c.topo, changes, delta.Options{
+		since = c.merged.Generation
+		if changes, ok := c.topo.ChangesSince(since); ok {
+			ds = delta.Compute(c.topo, changes, delta.Options{
 				UnboundedConfig: bgp.ConfigUnbounded(c.cfg),
 				Metrics:         c.opts.DeltaMetrics,
 			})
@@ -192,7 +197,7 @@ func (c *Coordinator) Sweep() (*rcdc.Report, error) {
 
 	queues := make([]*deque, len(c.shards))
 	for i, s := range c.shards {
-		s.synth.Refresh()
+		s.synth.RefreshDelta(ds, since)
 		work := s.devices
 		if mode == "delta" {
 			work = intersect(dirty, s.devices)

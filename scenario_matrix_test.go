@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dcvalidate/internal/fib"
+	"dcvalidate/internal/topology"
 )
 
 // The cross-engine differential scenario matrix: every §2.6.2-style error
@@ -15,7 +16,9 @@ import (
 // reports must render byte-identically; across engines, the violation
 // sets must agree on the (device, contract prefix, kind) surface; and the
 // trie and PEC engines — which share exact verdict semantics down to
-// witness details — must render byte-identically to each other.
+// witness details — must render byte-identically to each other. One
+// scenario goes a step further and splices a second, row-scoped delta into
+// the report that already holds the first one's violations.
 
 // renderMatrixReport is the timing-free byte surface of a report, the
 // same shape the E19/E20 identity gates pin.
@@ -118,6 +121,11 @@ type matrixScenario struct {
 	// blast radius covers the corruption, exactly as the telemetry
 	// injectors in internal/workload do.
 	source func(t *testing.T, dc *Datacenter) FIBSource
+	// then, when non-nil, is a follow-up journaled change applied after
+	// the first delta: every engine splices it, at contract granularity,
+	// into the report that now holds violations, and must again match a
+	// full sweep.
+	then func(t *testing.T, dc *Datacenter)
 }
 
 func matrixScenarios() []matrixScenario {
@@ -128,6 +136,21 @@ func matrixScenarios() []matrixScenario {
 			if err := dc.FailLink(name(dc, dc.Topo.ClusterToRs(0)[0]), name(dc, dc.Topo.ClusterLeaves(0)[0])); err != nil {
 				t.Fatal(err)
 			}
+		}, then: func(t *testing.T, dc *Datacenter) {
+			// The plane-0 spine now misses the ToR's prefix (a MissingRoute
+			// violation, whose Remaining is read off the default row);
+			// dropping one of its regional uplinks puts only that default
+			// row in scope.
+			spine := dc.Topo.Spines()[0]
+			for _, n := range dc.Topo.Neighbors(spine) {
+				if dc.Topo.Device(n).Role == topology.RoleRegionalSpine {
+					if err := dc.FailLink(name(dc, spine), name(dc, n)); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+			t.Fatal("spine has no regional uplink")
 		}},
 		{name: "session-shutdown", broken: true, apply: func(t *testing.T, dc *Datacenter) {
 			if err := dc.ShutSession(name(dc, dc.Topo.ClusterToRs(0)[0]), name(dc, dc.Topo.ClusterLeaves(0)[1])); err != nil {
@@ -226,10 +249,31 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 				}
 				fullRender[e.name] = fr
 				fullSigs[e.name] = violationSigs(full)
+
+				if sc.then != nil {
+					sc.then(t, dc)
+					full2, err := dc.Validate(opts)
+					if err != nil {
+						t.Fatalf("%s follow-up full: %v", e.name, err)
+					}
+					delta2, err := dc.ValidateDelta(delta, opts)
+					if err != nil {
+						t.Fatalf("%s follow-up delta: %v", e.name, err)
+					}
+					fr2, dr2 := renderFields(full2), renderFields(delta2)
+					if bytes.Equal(fr2, renderFields(full)) {
+						t.Errorf("%s: follow-up change moved no violation field; the leg checks nothing", e.name)
+					}
+					if !bytes.Equal(renderMatrixReport(full2), renderMatrixReport(delta2)) || !bytes.Equal(fr2, dr2) {
+						t.Errorf("%s: follow-up delta diverges from full sweep\n--- full ---\n%s%s--- delta ---\n%s%s",
+							e.name, renderMatrixReport(full2), fr2, renderMatrixReport(delta2), dr2)
+					}
+					fullRender[e.name+"/then"] = append(renderMatrixReport(full2), fr2...)
+				}
 			}
 
 			// Trie and PEC share exact semantics: byte identity.
-			if !bytes.Equal(fullRender["trie"], fullRender["pec"]) {
+			if !bytes.Equal(fullRender["trie"], fullRender["pec"]) || !bytes.Equal(fullRender["trie/then"], fullRender["pec/then"]) {
 				t.Errorf("PEC report diverges from trie\n--- trie ---\n%s--- pec ---\n%s",
 					fullRender["trie"], fullRender["pec"])
 			}

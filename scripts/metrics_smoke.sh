@@ -53,7 +53,9 @@ for series in \
     dcv_monitor_unmonitored_devices \
     dcv_rcdc_devices_checked_total \
     dcv_rcdc_device_check_seconds_count \
-    dcv_delta_blast_radius_devices_count; do
+    dcv_delta_blast_radius_devices_count \
+    dcv_delta_dirty_rows_count \
+    dcv_delta_scoped_devices_total; do
     if ! grep -q "^${series}" "$OUT"; then
         echo "metrics_smoke: required series ${series} missing from /metrics" >&2
         fail=1
