@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -340,7 +341,7 @@ func (s *Synth) acceptsPath(d topology.DeviceID, path []uint32) bool {
 }
 
 func (s *Synth) truncate(d topology.DeviceID, nhs []topology.DeviceID) []topology.DeviceID {
-	sort.Slice(nhs, func(i, j int) bool { return nhs[i] < nhs[j] })
+	slices.Sort(nhs) // built from ascending neighbor lists: usually a no-op pass
 	if m := s.config(d).MaxECMPPaths; m > 0 && len(nhs) > m && !s.UnionECMP {
 		nhs = nhs[:m]
 	}
@@ -432,7 +433,9 @@ func copyTable(t *fib.Table) *fib.Table {
 }
 
 // synthesize computes the converged FIB of one device from the refreshed
-// reachability sets.
+// reachability sets. Consecutive specific rows with equal next-hop sets
+// share one slice — a ToR's ~all rows name the same leaves — which the
+// NextHops-are-immutable rule of Table already covers.
 func (s *Synth) synthesize(d topology.DeviceID) *fib.Table {
 	t := fib.NewTable(d)
 	dev := s.topo.Device(d)
@@ -440,92 +443,126 @@ func (s *Synth) synthesize(d topology.DeviceID) *fib.Table {
 
 	// Connected routes.
 	for _, p := range dev.HostedPrefixes {
-		t.Add(fib.Entry{Prefix: p, Connected: true})
+		t.Entries = append(t.Entries, fib.Entry{Prefix: p, Connected: true})
 	}
 
 	// Default route.
 	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
-		t.Add(fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
+		t.Entries = append(t.Entries, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
 	}
 
 	// Specific routes, in prefix order (HostedPrefixes is prefix-ordered).
-	if dev.Role == topology.RoleToR && s.fastAccept {
-		s.torSpecifics(t, d, dev)
-		return t
-	}
-	for pi, hp := range s.prefixes {
-		if dev.Role == topology.RoleToR && hp.ToR == d {
-			continue // connected
-		}
-		if nhs := s.specificNextHops(d, pi, hp); len(nhs) > 0 {
-			t.Add(fib.Entry{Prefix: hp.Prefix, NextHops: nhs})
-		}
-	}
-	return t
-}
-
-// torSpecifics is the allocation-lean fast path for the dominant workload:
-// ToR tables under the default ASN allocation. Per-device state (live
-// leaves, their live plane-spine availability) is hoisted out of the
-// per-prefix loop.
-func (s *Synth) torSpecifics(t *fib.Table, d topology.DeviceID, dev *topology.Device) {
-	leaves := s.topo.ClusterLeaves(dev.Cluster)
-	type leafState struct {
-		id     topology.DeviceID
-		plane  int
-		spines []int // spine indices with a live link from this leaf
-	}
-	var live []leafState
-	for plane, leaf := range leaves {
-		if !s.live(d, leaf) {
-			continue
-		}
-		ls := leafState{id: leaf, plane: plane}
-		for _, sp := range s.planeSpines(leaf) {
-			if s.live(leaf, sp) {
-				ls.spines = append(ls.spines, s.spineIdx(sp))
-			}
-		}
-		live = append(live, ls)
-	}
-	maxPaths := s.config(d).MaxECMPPaths
-
-	var hops []topology.DeviceID
+	hopsToward := s.specifics(d, dev)
+	var hops, shared []topology.DeviceID
 	for pi := range s.prefixes {
 		hp := &s.prefixes[pi]
 		if hp.ToR == d {
 			continue // connected
 		}
-		hops = hops[:0]
-		has := s.spineHas[pi]
-		if hp.Cluster == dev.Cluster {
-			for _, ls := range live {
-				// Direct route exists iff this leaf reaches the hosting
-				// ToR; the leaf's own plane spine entry encodes exactly
-				// leafHasDirect ∧ spine link — recheck the direct link.
-				if s.leafHasDirect(ls.id, hp.ToR) {
-					hops = append(hops, ls.id)
-				}
-			}
-		} else {
-			for _, ls := range live {
-				for _, k := range ls.spines {
-					if has[k] {
-						hops = append(hops, ls.id)
-						break
-					}
-				}
-			}
-		}
-		if len(hops) == 0 {
+		if hops = hopsToward(hops[:0], pi); len(hops) == 0 {
 			continue
 		}
-		out := make([]topology.DeviceID, len(hops))
-		copy(out, hops)
-		if maxPaths > 0 && len(out) > maxPaths && !s.UnionECMP {
-			out = out[:maxPaths]
+		if !slices.Equal(hops, shared) {
+			shared = slices.Clone(hops)
 		}
-		t.Add(fib.Entry{Prefix: hp.Prefix, NextHops: out})
+		t.Entries = append(t.Entries, fib.Entry{Prefix: hp.Prefix, NextHops: shared})
+	}
+	return t
+}
+
+// specifics returns the function synthesize derives d's specific rows
+// with: it appends d's next hops toward hosted prefix pi to dst, ascending.
+// Under the default ASN allocation (fastAccept: no device configuration,
+// so every constructed path is accepted and nothing is truncated) what is
+// per-device — which neighbors d has a live session to, and which spines
+// those reach — is worked out once here rather than once per prefix.
+// Otherwise every row goes through specificNextHops, which is also what
+// patch re-derives single rows with.
+func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+	if !s.fastAccept {
+		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+			return append(dst, s.specificNextHops(d, pi, s.prefixes[pi])...)
+		}
+	}
+	// liveSpines lists the spines (as spineHas positions) among sps that
+	// have a live link to device from.
+	liveSpines := func(from topology.DeviceID, sps []topology.DeviceID) []int {
+		var out []int
+		for _, sp := range sps {
+			if s.live(from, sp) {
+				out = append(out, s.spineIdx(sp))
+			}
+		}
+		return out
+	}
+	viaSpines := func(spines []int) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+			has := s.spineHas[pi]
+			for _, k := range spines {
+				if has[k] {
+					dst = append(dst, s.spineBase+topology.DeviceID(k))
+				}
+			}
+			return dst
+		}
+	}
+	switch dev.Role {
+	case topology.RoleRegionalSpine:
+		return viaSpines(liveSpines(d, s.topo.Spines()))
+	case topology.RoleSpine:
+		// spineHas already holds "the hosting cluster's leaf on my plane
+		// has the direct route and my link to it is live".
+		k := s.spineIdx(d)
+		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+			if s.spineHas[pi][k] {
+				dst = append(dst, s.hostLeaf(s.prefixes[pi].Cluster, dev.Plane))
+			}
+			return dst
+		}
+	case topology.RoleLeaf:
+		remote := viaSpines(liveSpines(d, s.planeSpines(d)))
+		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+			hp := &s.prefixes[pi]
+			if hp.Cluster != dev.Cluster {
+				return remote(dst, pi)
+			}
+			if s.leafHasDirect(d, hp.ToR) {
+				dst = append(dst, hp.ToR)
+			}
+			return dst
+		}
+	}
+	// ToR: via each live leaf that has the route — the direct one inside
+	// the cluster, one through any of its live plane spines outside it.
+	type leafState struct {
+		id     topology.DeviceID
+		spines []int
+	}
+	var live []leafState
+	for _, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
+		if s.live(d, leaf) {
+			live = append(live, leafState{id: leaf, spines: liveSpines(leaf, s.planeSpines(leaf))})
+		}
+	}
+	return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+		hp := &s.prefixes[pi]
+		has := s.spineHas[pi]
+		for i := range live {
+			ls := &live[i]
+			if hp.Cluster == dev.Cluster {
+				if s.leafHasDirect(ls.id, hp.ToR) {
+					dst = append(dst, ls.id)
+				}
+				continue
+			}
+			for _, k := range ls.spines {
+				if has[k] {
+					dst = append(dst, ls.id)
+					break
+				}
+			}
+		}
+		return dst
 	}
 }
 

@@ -21,7 +21,7 @@
 package contracts
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"dcvalidate/internal/ipnet"
@@ -135,21 +135,25 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 			return dc
 		}
 		g.mu.Unlock()
-		dc := g.generate(id)
+		dc := g.Generate(id, nil)
 		g.mu.Lock()
 		g.memo[id] = dc
 		g.mu.Unlock()
 		return dc
 	}
-	return g.generate(id)
+	return g.Generate(id, nil)
 }
 
-// generate derives one device's contracts from the facts.
-func (g *Generator) generate(id topology.DeviceID) DeviceContracts {
+// Generate derives one device's contracts from the facts, bypassing the
+// memo, into buf's backing array (grown if too small): a sweep that checks
+// one device at a time hands the previous device's Contracts back in and
+// generates the whole fleet through one buffer. The contracts are valid
+// until buf is reused; their NextHops slices are fresh and never reused.
+func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContracts {
 	df := g.facts.Device(id)
 	// Every role below emits its default contract first and its specific
 	// contracts in facts.Prefixes order (see DeviceContracts).
-	dc := DeviceContracts{Device: id}
+	dc := DeviceContracts{Device: id, Contracts: buf[:0]}
 
 	uplinks := devIDs(df.Uplinks)
 	switch df.Role {
@@ -158,10 +162,9 @@ func (g *Generator) generate(id topology.DeviceID) DeviceContracts {
 		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
 		// Specific contract for every datacenter prefix not hosted here,
 		// next hops the neighboring leaves.
-		hosted := prefixSet(df.HostedPrefixes)
 		dc.grow(len(g.facts.Prefixes))
 		for _, p := range g.facts.Prefixes {
-			if hosted[p.Prefix] {
+			if slices.Contains(df.HostedPrefixes, p.Prefix) {
 				continue
 			}
 			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: uplinks})
@@ -252,8 +255,8 @@ func (dc *DeviceContracts) grow(n int) {
 }
 
 func sortedCopy(hops []topology.DeviceID) []topology.DeviceID {
-	out := append([]topology.DeviceID(nil), hops...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(hops)
+	slices.Sort(out)
 	return out
 }
 
@@ -262,14 +265,6 @@ func devIDs(ns []metadata.Neighbor) []topology.DeviceID {
 	for i, n := range ns {
 		out[i] = n.Device
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-func prefixSet(ps []ipnet.Prefix) map[ipnet.Prefix]bool {
-	m := make(map[ipnet.Prefix]bool, len(ps))
-	for _, p := range ps {
-		m[p] = true
-	}
-	return m
 }

@@ -32,7 +32,7 @@ type Table struct {
 	Device  topology.DeviceID
 	Entries []Entry
 
-	trie *ipnet.Trie[int] // prefix -> index into Entries; built lazily
+	index *ipnet.Index // Entries by prefix; built lazily, dropped by Add and Sort
 }
 
 // NewTable returns an empty FIB for the device.
@@ -44,16 +44,16 @@ func NewTable(dev topology.DeviceID) *Table {
 // longest-prefix match regardless.
 func (t *Table) Add(e Entry) {
 	t.Entries = append(t.Entries, e)
-	t.trie = nil
+	t.index = nil
 }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.Entries) }
 
-// Get returns the entry exactly matching the prefix.
+// Get returns the entry exactly matching the prefix; of several such
+// entries, the last.
 func (t *Table) Get(p ipnet.Prefix) (*Entry, bool) {
-	t.build()
-	i, ok := t.trie.Get(p)
+	i, ok := t.Index().Get(p)
 	if !ok {
 		return nil, false
 	}
@@ -62,30 +62,21 @@ func (t *Table) Get(p ipnet.Prefix) (*Entry, bool) {
 
 // Lookup performs longest-prefix match for a destination address, per §2.2.
 func (t *Table) Lookup(a ipnet.Addr) (*Entry, bool) {
-	t.build()
-	_, i, ok := t.trie.Lookup(a)
+	i, ok := t.Index().Lookup(a)
 	if !ok {
 		return nil, false
 	}
 	return &t.Entries[i], true
 }
 
-// Trie exposes the prefix trie over entry indices; used by the RCDC
-// trie-based checker (§2.5.2).
-func (t *Table) Trie() *ipnet.Trie[int] {
-	t.build()
-	return t.trie
-}
-
-func (t *Table) build() {
-	if t.trie != nil {
-		return
+// Index exposes the sorted prefix index over entry positions; used by the
+// RCDC checker (§2.5.2). Code that edits Entries directly — rather than
+// through Add or Sort — must do so before the first query.
+func (t *Table) Index() *ipnet.Index {
+	if t.index == nil {
+		t.index = ipnet.NewIndex(len(t.Entries), func(i int) ipnet.Prefix { return t.Entries[i].Prefix })
 	}
-	tr := &ipnet.Trie[int]{}
-	for i := range t.Entries {
-		tr.Insert(t.Entries[i].Prefix, i)
-	}
-	t.trie = tr
+	return t.index
 }
 
 // Default returns the default-route entry (0.0.0.0/0), if present.
@@ -99,7 +90,7 @@ func (t *Table) Sort() {
 	sort.Slice(t.Entries, func(i, j int) bool {
 		return t.Entries[i].Prefix.Compare(t.Entries[j].Prefix) < 0
 	})
-	t.trie = nil
+	t.index = nil
 }
 
 // Clone returns a deep copy of the table.

@@ -85,7 +85,16 @@ func TestAddInvalidatesTrie(t *testing.T) {
 	tbl.Add(Entry{Prefix: ipnet.MustParsePrefix("10.0.0.0/24"), NextHops: []topology.DeviceID{2}})
 	e, ok := tbl.Lookup(ipnet.MustParseAddr("10.0.0.1"))
 	if !ok || e.Prefix.Bits != 24 {
-		t.Error("trie not rebuilt after Add")
+		t.Error("index not rebuilt after Add")
+	}
+	// The same prefix added again: the later row answers.
+	tbl.Add(Entry{Prefix: ipnet.MustParsePrefix("10.0.0.0/24"), NextHops: []topology.DeviceID{3}})
+	tbl.Add(Entry{Prefix: ipnet.Prefix{}, NextHops: []topology.DeviceID{4}})
+	if e, ok := tbl.Get(ipnet.MustParsePrefix("10.0.0.0/24")); !ok || e.NextHops[0] != 3 {
+		t.Errorf("Get of a duplicated prefix = %+v, want the last row", e)
+	}
+	if e, ok := tbl.Default(); !ok || e.NextHops[0] != 4 {
+		t.Errorf("Default = %+v", e)
 	}
 }
 

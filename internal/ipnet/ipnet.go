@@ -3,9 +3,9 @@
 //
 // Addresses are represented as uint32 in host order so that prefix
 // containment, range arithmetic, and bit-vector encoding are cheap and
-// allocation-free. The package also provides a binary prefix trie keyed by
-// address prefix, which backs both the FIB longest-prefix-match lookup and
-// the RCDC trie-based contract checker.
+// allocation-free. The package also provides a sorted prefix index (Index),
+// which backs both the FIB longest-prefix-match lookup and the RCDC
+// contract checker.
 package ipnet
 
 import (
@@ -149,12 +149,6 @@ func (p Prefix) Children() (left, right Prefix) {
 	left = Prefix{p.Addr, p.Bits + 1}
 	right = Prefix{p.Addr | (1 << (31 - p.Bits)), p.Bits + 1}
 	return left, right
-}
-
-// Bit returns bit i of the prefix address counting from the most significant
-// bit (bit 0 is the top bit). Only bits < p.Bits are meaningful.
-func (p Prefix) Bit(i uint8) byte {
-	return byte(p.Addr >> (31 - i) & 1)
 }
 
 // NumAddrs returns the number of addresses covered by the prefix.

@@ -11,12 +11,11 @@ import (
 
 // walkScratch pools the candidate and coverage slices of the general
 // specific-contract path. TrieChecker is a stateless value, so the pool
-// is package-level; pooling replaces the three per-walk slice
-// allocations the benchmem gate used to flag. The report-byte-identity
-// regression test pins that pooling changed no output.
+// is package-level; pooling replaces the per-walk slice allocations the
+// benchmem gate used to flag. The report-byte-identity regression test
+// pins that pooling changed no output.
 type walkScratch struct {
 	candidates []int
-	ancestors  []int
 	covered    []ipnet.Prefix
 }
 
@@ -24,8 +23,13 @@ var walkPool = sync.Pool{New: func() any { return &walkScratch{} }}
 
 // TrieChecker is the specialized algorithm of §2.5.2: it exploits the fact
 // that both contract ranges and routing rules are proper address prefixes,
-// representing the policy as a hash-trie and limiting each contract check
-// to the rules whose prefix contains or is contained in the contract range.
+// limiting each contract check to the rules whose prefix contains or is
+// contained in the contract range. The paper keeps the rules in a
+// hash-trie; here they are the table's sorted prefix index (the trie's
+// pre-order, see ipnet.Index), and because contracts are generated in the
+// same order, checking a device is a merge-join: a cursor into the index
+// follows the contracts. The cursor is a hint, never a precondition —
+// contracts in any order over rows in any order yield the same violations.
 // It is the engine RCDC uses for the common workload, scaling validation to
 // thousands of devices on modest CPU (§2.5).
 //
@@ -45,13 +49,15 @@ type TrieChecker struct {
 // CheckDevice implements Checker.
 func (t TrieChecker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error) {
 	var out []Violation
-	tr := tbl.Trie()
-	for _, c := range dc.Contracts {
+	x := tbl.Index()
+	cursor := 0
+	for i := range dc.Contracts {
+		c := &dc.Contracts[i]
 		if c.Kind == contracts.Default {
-			out = appendDefaultViolations(out, tbl, c, role)
+			out = appendDefaultViolations(out, tbl, *c, role)
 			continue
 		}
-		out = appendSpecificViolations(out, tbl, tr, c, role, t.Exact)
+		out, cursor = appendSpecificViolations(out, tbl, x, cursor, c, role, t.Exact)
 	}
 	return out, nil
 }
@@ -84,43 +90,44 @@ func appendDefaultViolations(out []Violation, tbl *fib.Table, c contracts.Contra
 // whose next hops differ from the contract, until the accumulated rule
 // prefixes cover the contract range. Any uncovered remainder would be
 // handled by the default route and is reported as a missing specific route.
-func appendSpecificViolations(out []Violation, tbl *fib.Table, tr *ipnet.Trie[int], c contracts.Contract, role topology.Role, exact bool) []Violation {
+// cursor is where the previous contract's rules ended in the index, which
+// is where this one's begin when contracts arrive in prefix order; the
+// position after this contract's rules is returned for the next.
+func appendSpecificViolations(out []Violation, tbl *fib.Table, x *ipnet.Index, cursor int, c *contracts.Contract, role topology.Role, exact bool) ([]Violation, int) {
+	// The rules inside the contract range are one run of the index.
+	pos, found := x.Seek(c.Prefix, cursor)
+	end := x.RunEnd(c.Prefix, pos)
 	// Fast path for the dominant healthy case: a rule exactly at the
 	// contract prefix, no more-specific rules beneath it, next hops
-	// satisfying the contract. No allocation, O(prefix length).
-	if idx, ok := tr.Get(c.Prefix); ok && !tr.HasStrictDescendant(c.Prefix) {
-		r := &tbl.Entries[idx]
-		if len(r.NextHops) > 0 && hopsOKSorted(c.NextHops, r.NextHops, exact) {
-			return out
+	// satisfying the contract. No allocation, no search when in order.
+	if found && end == pos+1 {
+		_, row := x.At(pos)
+		if r := &tbl.Entries[row]; len(r.NextHops) > 0 && hopsOKSorted(c.NextHops, r.NextHops, exact) {
+			return out, end
 		}
 	}
 	// Candidates: descendants first (they are longer), then ancestors from
-	// longest to shortest. The trie yields ancestors shortest-first, so
-	// collect and reverse; descendants are already at least as long as the
-	// contract range.
+	// longest to shortest, the order Enclosing yields them in.
 	ws := walkPool.Get().(*walkScratch)
-	candidates, ancestors, covered := ws.candidates[:0], ws.ancestors[:0], ws.covered[:0]
+	candidates, covered := ws.candidates[:0], ws.covered[:0]
 	defer func() {
-		ws.candidates, ws.ancestors, ws.covered = candidates, ancestors, covered
+		ws.candidates, ws.covered = candidates, covered
 		walkPool.Put(ws)
 	}()
-	tr.Descendants(c.Prefix, func(_ ipnet.Prefix, idx int) bool {
-		candidates = append(candidates, idx)
-		return true
-	})
-	// Descendants walk is lexicographic; sort by descending prefix length
-	// (stable order for equal lengths doesn't matter: equal-length
-	// prefixes under one range are disjoint).
+	for i := pos; i < end; i++ {
+		_, row := x.At(i)
+		candidates = append(candidates, row)
+	}
+	// The run is lexicographic; sort by descending prefix length (stable
+	// order for equal lengths doesn't matter: equal-length prefixes under
+	// one range are disjoint).
 	sortByPrefixLenDesc(tbl, candidates)
-	tr.Ancestors(c.Prefix, func(p ipnet.Prefix, idx int) bool {
-		if p.IsDefault() || p == c.Prefix {
-			return true // default handled separately; exact match is in descendants
+	for i := x.Enclosing(c.Prefix, pos); i >= 0; i = x.Enclosing(c.Prefix, i) {
+		p, row := x.At(i)
+		if p.IsDefault() {
+			break // handled separately
 		}
-		ancestors = append(ancestors, idx)
-		return true
-	})
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		candidates = append(candidates, ancestors[i])
+		candidates = append(candidates, row)
 	}
 
 	rng := ipnet.RangeOf(c.Prefix)
@@ -133,16 +140,19 @@ func appendSpecificViolations(out []Violation, tbl *fib.Table, tr *ipnet.Trie[in
 		}
 		if bad {
 			v := Violation{
-				Device: c.Device, Contract: c, Kind: WrongNextHops,
+				Device: c.Device, Contract: *c, Kind: WrongNextHops,
 				RulePrefix: r.Prefix, Missing: missing, Unexpected: unexpected,
 				Remaining: len(r.NextHops),
 			}
 			classify(&v, role)
 			out = append(out, v)
 		}
+		if r.Prefix.ContainsPrefix(c.Prefix) {
+			return out, end // contract range fully covered by this rule
+		}
 		covered = append(covered, r.Prefix)
 		if len(rng.SubtractPrefixes(covered)) == 0 {
-			return out // contract range fully covered by specific rules
+			return out, end // fully covered by the more-specific rules
 		}
 	}
 	// Remainder falls to the default route: missing specific route.
@@ -152,10 +162,10 @@ func appendSpecificViolations(out []Violation, tbl *fib.Table, tr *ipnet.Trie[in
 		remaining = len(def.NextHops)
 	}
 	v := Violation{
-		Device: c.Device, Contract: c, Kind: MissingRoute, Remaining: remaining,
+		Device: c.Device, Contract: *c, Kind: MissingRoute, Remaining: remaining,
 	}
 	classify(&v, role)
-	return append(out, v)
+	return append(out, v), end
 }
 
 func sortByPrefixLenDesc(tbl *fib.Table, idxs []int) {

@@ -159,20 +159,28 @@ type RowSource interface {
 }
 
 // checkWhole pulls one device's table and validates it against all its
-// contracts.
-func (v *Validator) checkWhole(facts *metadata.Facts, gen *contracts.Generator, source fib.Source, id topology.DeviceID) (DeviceReport, error) {
+// contracts. A non-nil buf is the calling worker's contract buffer: the
+// contracts are generated into it, replacing the previous device's, instead
+// of into a fresh slice — only for a generator nobody else holds sets of.
+func (v *Validator) checkWhole(facts *metadata.Facts, gen *contracts.Generator, source fib.Source, id topology.DeviceID, buf *[]contracts.Contract) (DeviceReport, error) {
 	tbl, err := source.Table(id)
 	if err != nil {
 		return DeviceReport{}, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)
 	}
-	return v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+	if buf == nil {
+		return v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+	}
+	dc := gen.Generate(id, *buf)
+	*buf = dc.Contracts
+	return v.ValidateDevice(facts, tbl, dc)
 }
 
 // validateSet runs the worker pool over one device set, producing each
-// device's report with check. It returns the per-device reports in
+// device's report with check, which is also handed a contract buffer that
+// belongs to the worker calling it. It returns the per-device reports in
 // ascending device order together with every per-device error (the two
 // are disjoint: an errored device produces no report).
-func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID) (DeviceReport, error)) ([]DeviceReport, []error) {
+func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID, *[]contracts.Contract) (DeviceReport, error)) ([]DeviceReport, []error) {
 	type result struct {
 		rep DeviceReport
 		err error
@@ -184,8 +192,9 @@ func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.De
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []contracts.Contract
 			for id := range ids {
-				rep, err := check(id)
+				rep, err := check(id, &buf)
 				results <- result{rep: rep, err: err}
 			}
 		}()
@@ -213,8 +222,10 @@ func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.De
 }
 
 // ValidateAll checks every device, pulling each FIB from the source and
-// generating its contracts on the fly. FIBs are not retained: memory stays
-// O(one device) per worker regardless of datacenter size.
+// generating its contracts on the fly. Neither is retained — a worker
+// regenerates contracts into one buffer — so memory stays O(one device) per
+// worker regardless of datacenter size. A Checker must not keep
+// dc.Contracts past CheckDevice (violations hold copies).
 //
 // Per-device failures degrade rather than abort: the returned report
 // covers every device that validated, alongside an errors.Join of the
@@ -234,8 +245,11 @@ func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Repo
 		devs[i] = facts.Devices[i].ID
 	}
 	gen := v.gen(facts)
-	reps, errs := v.validateSet(devs, func(id topology.DeviceID) (DeviceReport, error) {
-		return v.checkWhole(facts, gen, source, id)
+	reps, errs := v.validateSet(devs, func(id topology.DeviceID, buf *[]contracts.Contract) (DeviceReport, error) {
+		if v.Contracts != nil {
+			buf = nil // the caller's generator may memoize: its sets are shared
+		}
+		return v.checkWhole(facts, gen, source, id, buf)
 	})
 	rep := &Report{Workers: v.workers(), Devices: reps}
 	for i := range reps {
@@ -360,7 +374,7 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	}
 	rows, _ := source.(RowSource)
 	var checked atomic.Int64
-	fresh, errs := v.validateSet(devs, func(id topology.DeviceID) (DeviceReport, error) {
+	fresh, errs := v.validateSet(devs, func(id topology.DeviceID, _ *[]contracts.Contract) (DeviceReport, error) {
 		dc := gen.ForDevice(id)
 		sc, _ := dirty.Scope(id)
 		if i, ok := devicePos(base, id); ok && !sc.Whole && rows != nil && base[i].Contracts == len(dc.Contracts) {
@@ -371,7 +385,7 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 			}
 		}
 		checked.Add(int64(len(dc.Contracts)))
-		return v.checkWhole(facts, gen, source, id)
+		return v.checkWhole(facts, gen, source, id, nil)
 	})
 
 	rep := &Report{Workers: v.workers(), Devices: base}

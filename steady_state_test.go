@@ -6,6 +6,7 @@ import (
 
 	"dcvalidate/internal/bgp"
 	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/experiments"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/pec"
@@ -23,7 +24,7 @@ import (
 // -benchmem gate).
 
 // memSource serves pre-pulled, pre-indexed tables: the steady-state
-// fixture where pull cost and lazy trie builds are already paid.
+// fixture where pull cost and lazy index builds are already paid.
 type memSource map[topology.DeviceID]*fib.Table
 
 func (m memSource) Table(id topology.DeviceID) (*fib.Table, error) {
@@ -35,7 +36,7 @@ func (m memSource) Table(id topology.DeviceID) (*fib.Table, error) {
 }
 
 // steadyFixture pulls every Figure 3 table once, pre-builds each table's
-// prefix trie, and returns a memoizing generator with every contract set
+// prefix index, and returns a memoizing generator with every contract set
 // pre-generated — the warmed-up world a long-running validator lives in.
 func steadyFixture(tb testing.TB) (*metadata.Facts, memSource, *contracts.Generator) {
 	tb.Helper()
@@ -49,7 +50,7 @@ func steadyFixture(tb testing.TB) (*metadata.Facts, memSource, *contracts.Genera
 		if err != nil {
 			tb.Fatal(err)
 		}
-		tbl.Trie() // pre-build the lazy index
+		tbl.Index() // pre-build the lazy index
 		src[id] = tbl
 	}
 	gen := contracts.NewGenerator(facts)
@@ -131,6 +132,58 @@ func BenchmarkValidateAllSteadyState(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// The cold sweep is the other end: nothing pre-pulled, nothing memoized —
+// every table synthesized, indexed and checked against freshly generated
+// contracts, which is what the facade's default Validate does. Its cost is
+// dominated by how much it allocates per (device × prefix), so the gate is
+// mallocs per contract checked.
+
+// coldSweep runs one from-scratch ValidateAll of a healthy fleet and
+// returns the number of contracts it checked.
+func coldSweep(tb testing.TB, topo *topology.Topology, facts *metadata.Facts) int {
+	v := rcdc.Validator{Workers: 1}
+	rep, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Failures != 0 {
+		tb.Fatalf("%d failures on a healthy fleet", rep.Failures)
+	}
+	return rep.Checked
+}
+
+// TestValidateAllColdAllocCeiling locks the cold sweep's allocation diet on
+// a 136-device fleet: 0.50 mallocs per contract checked when written (2.2
+// before next-hop sets were shared, contracts generated into one buffer
+// per worker and the per-table trie replaced by one sorted index), almost
+// all of it per-device overhead that a larger fleet spreads thinner (0.03
+// at 2008 devices, from 1.55). The ceiling is 1.5x that.
+func TestValidateAllColdAllocCeiling(t *testing.T) {
+	topo := topology.MustNew(experiments.SizedParams("cold", 136))
+	facts := metadata.FromTopology(topo)
+	checked := coldSweep(t, topo, facts)
+	allocs := testing.AllocsPerRun(5, func() { coldSweep(t, topo, facts) })
+	if per := allocs / float64(checked); per > 0.75 {
+		t.Errorf("cold sweep: %.0f mallocs for %d contracts = %.2f per contract, ceiling 0.75", allocs, checked, per)
+	}
+}
+
+func BenchmarkValidateAllCold(b *testing.B) {
+	for _, n := range []int{136, 2008} {
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			topo := topology.MustNew(experiments.SizedParams("cold", n))
+			facts := metadata.FromTopology(topo)
+			checked := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checked += coldSweep(b, topo, facts)
+			}
+			b.ReportMetric(float64(checked)/float64(b.N), "contracts/op")
 		})
 	}
 }
