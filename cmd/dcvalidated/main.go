@@ -5,10 +5,10 @@
 // O(1) cache hit with zero revalidation work (watch
 // dcv_serve_cache_hits_total climb on repeats).
 //
-// With -shards N, full-fleet sweeps are partitioned across N validator
-// shards coordinated by consistent hashing over the Clos pod structure
-// with work stealing; merged reports are byte-identical to single-engine
-// sweeps.
+// With -shards N, the table caches behind every sweep are partitioned
+// across N validator shards by consistent hashing over the Clos pod
+// structure — each device is pulled by the shard that owns it; answers are
+// byte-identical to the single engine's.
 //
 // The -engine flag swaps the verification engine behind every sweep —
 // trie (default), smt, or pec (packet equivalence classes) — without
@@ -68,12 +68,9 @@ func main() {
 		os.Exit(2)
 	}
 	eng := engine.New(topo, nil)
-	eng.Metrics() // instrument before the coordinator is built
-	// Set the default engine before sharding so the coordinator inherits it.
+	eng.Metrics()
 	eng.SetDefaultEngine(kind)
-	if *shards > 0 {
-		eng.EnableSharding(*shards)
-	}
+	eng.SetShards(*shards)
 	srv := serve.New(eng)
 	if *warm {
 		sum, err := eng.Summary()

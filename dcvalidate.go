@@ -352,7 +352,6 @@ type ValidateOptions struct {
 func (o ValidateOptions) engineOptions() engine.Options {
 	return engine.Options{
 		Engine:  o.Engine.engineKind(),
-		SMT:     o.Engine == EngineSMT,
 		Exact:   o.Exact,
 		Workers: o.Workers,
 		Source:  o.Source,
@@ -465,22 +464,21 @@ func (d *Datacenter) QueryViolations() ([]Violation, uint64, error) {
 }
 
 // SetDefaultEngine makes every run that doesn't name an engine in its
-// ValidateOptions — including the serving path's cache refreshes — use
-// the given one. Call it before EnableSharding so the shard coordinator
-// inherits the choice.
+// ValidateOptions — including the serving path's cache refreshes, sharded
+// or not — use the given one.
 func (d *Datacenter) SetDefaultEngine(e Engine) { d.eng.SetDefaultEngine(e.engineKind()) }
 
-// EnableSharding partitions full-fleet sweeps across n validator shards
-// coordinated by consistent hashing over the Clos pod structure with
-// work stealing. Sharded sweeps are byte-identical (modulo timing) to
-// single-engine sweeps. Call Metrics() first to observe the shard
-// counters.
-func (d *Datacenter) EnableSharding(n int) { d.eng.EnableSharding(n) }
+// EnableSharding partitions the serving and incremental paths' table
+// caches across n validator shards by consistent hashing over the Clos pod
+// structure: each device's tables are pulled and cached by the shard that
+// owns it, and the same blast-radius revalidation runs over them, so
+// answers are byte-identical (modulo timing) to the unsharded ones.
+func (d *Datacenter) EnableSharding(n int) { d.eng.SetShards(n) }
 
-// DisableSharding restores single-engine sweeps.
-func (d *Datacenter) DisableSharding() { d.eng.DisableSharding() }
+// DisableSharding restores the single table cache.
+func (d *Datacenter) DisableSharding() { d.eng.SetShards(0) }
 
-// Shards reports the current sweep partition width (1 when unsharded).
+// Shards reports the current partition width (1 when unsharded).
 func (d *Datacenter) Shards() int { return d.eng.Shards() }
 
 // SecGuru facade.

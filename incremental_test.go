@@ -62,13 +62,22 @@ func metricValue(reg *MetricsRegistry, name string) float64 {
 
 // TestIncrementalEquivalence is the incremental-validation property test:
 // after every step of a random seeded sequence of link failures, session
-// shutdowns, restores, and (journaled) config edits, delta revalidation
-// against the previous report produces a report byte-identical to a
-// from-scratch full sweep of the same state. The delta leg runs the
-// row-scoped path — contract-level splices into reports that already hold
-// violations — and the test requires that it did, rather than quietly
-// falling back to whole devices.
+// shutdowns, restores, (journaled) config edits and steps that change
+// nothing, delta revalidation against the previous report produces a report
+// byte-identical to a from-scratch full sweep of the same state — with the
+// table caches unsharded and split over 2 and 5 shards. The delta leg runs
+// the row-scoped path — contract-level splices into reports that already
+// hold violations — and the test requires that it did, rather than quietly
+// falling back to whole devices. Each step also asks the serving path, which
+// refreshes its own report over the same source, and a step that changed
+// nothing must be answered from its cache.
 func TestIncrementalEquivalence(t *testing.T) {
+	for _, shards := range []int{0, 2, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { incrementalEquivalence(t, shards) })
+	}
+}
+
+func incrementalEquivalence(t *testing.T, shards int) {
 	inc, err := NewDatacenter(incParams())
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +85,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 	ref, err := NewDatacenter(incParams())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shards > 0 {
+		inc.EnableSharding(shards)
 	}
 	reg := inc.Metrics()
 	opts := ValidateOptions{Workers: 4}
@@ -86,7 +98,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 	scopedOverViolations := 0 // steps that spliced row scopes into a violating report
 	for step := 0; step < 60; step++ {
 		// Mutate both datacenters identically.
-		switch op := rng.Intn(10); {
+		genBefore := inc.Topo.Generation()
+		switch op := rng.Intn(11); {
 		case op < 4:
 			l := rng.Intn(links)
 			up := rng.Intn(2) == 0
@@ -100,7 +113,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		case op == 8:
 			inc.Topo.RestoreAll()
 			ref.Topo.RestoreAll()
-		default:
+		case op == 9:
 			// A journaled config edit: ECMP truncation on a random ToR.
 			name := inc.Topo.Device(inc.Topo.ToRs()[rng.Intn(len(inc.Topo.ToRs()))]).Name
 			keep := 1 + rng.Intn(3)
@@ -110,6 +123,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 			if err := ref.SetDeviceConfig(name, &DeviceConfig{MaxECMPPaths: keep}); err != nil {
 				t.Fatal(err)
 			}
+		default:
+			// No mutation: the delta is empty and the serving path must hit.
 		}
 
 		gen := inc.Topo.Generation()
@@ -142,12 +157,60 @@ func TestIncrementalEquivalence(t *testing.T) {
 			t.Fatalf("step %d: degenerate report (%d devices, %d checked)",
 				step, len(prev.Devices), prev.Checked)
 		}
+
+		sum, err := inc.Summary()
+		if err != nil {
+			t.Fatalf("step %d: summary: %v", step, err)
+		}
+		if sum.Generation != gen || sum.Violations != full.Failures || sum.Contracts != full.Checked || sum.Shards != max(shards, 1) {
+			t.Fatalf("step %d: summary %+v, want generation %d, %d violations of %d contracts, over %d shard(s)",
+				step, sum, gen, full.Failures, full.Checked, max(shards, 1))
+		}
+		if unchanged := step > 0 && gen == genBefore; sum.Cached != unchanged {
+			t.Fatalf("step %d: summary cached = %v, generation moved = %v", step, sum.Cached, !unchanged)
+		}
 	}
 	if scopedOverViolations < 10 {
 		t.Fatalf("only %d steps spliced row scopes into a violating report; the scoped path is not being driven", scopedOverViolations)
 	}
 	if patched := metricValue(reg, "dcv_bgp_synth_rows_patched_total"); patched == 0 {
 		t.Fatal("no cached row was ever patched")
+	}
+}
+
+// TestShardingOrderIndependent: sharding swaps the table caches under the
+// serving path and nothing else, so the engine chosen and the registry
+// created after EnableSharding still drive — and observe — its sweeps.
+func TestShardingOrderIndependent(t *testing.T) {
+	dc, err := NewDatacenter(incParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.EnableSharding(2)
+	dc.SetDefaultEngine(EnginePEC)
+	reg := dc.Metrics()
+	if _, err := dc.Summary(); err != nil {
+		t.Fatal(err)
+	}
+	topo := dc.Topo
+	if err := dc.FailLink(topo.Device(topo.ClusterToRs(0)[0]).Name, topo.Device(topo.ClusterLeaves(0)[0]).Name); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := dc.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Shards != 2 || sum.Violations == 0 {
+		t.Fatalf("summary after the flip: %+v", sum)
+	}
+	for _, name := range []string{
+		"dcv_pec_atomize_seconds_count",        // the sweeps ran PEC
+		"dcv_delta_scoped_devices_total",       // the flip was planned by rows
+		"dcv_rcdc_delta_contracts_checked_sum", // and re-checked by the engine's validator
+	} {
+		if metricValue(reg, name) == 0 {
+			t.Errorf("%s did not move under sharding", name)
+		}
 	}
 }
 

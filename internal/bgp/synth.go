@@ -193,13 +193,7 @@ func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 	if ds != nil && since <= behind {
 		return ds
 	}
-	changes, ok := s.topo.ChangesSince(behind)
-	if !ok {
-		ds = delta.NewSet()
-		ds.MarkFull()
-		return ds
-	}
-	return delta.Compute(s.topo, changes, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
+	return delta.Since(s.topo, behind, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 }
 
 // syncCache applies a blast radius to the cached tables, after recompute:

@@ -259,6 +259,19 @@ func Compute(t *topology.Topology, changes []topology.Change, opts Options) *Set
 	return s
 }
 
+// Since returns the blast radius of every change journaled after
+// generation gen: Compute over that journal window, or the whole
+// datacenter when the journal no longer reaches back to gen.
+func Since(t *topology.Topology, gen uint64, opts Options) *Set {
+	changes, ok := t.ChangesSince(gen)
+	if !ok {
+		s := NewSet()
+		s.MarkFull()
+		return s
+	}
+	return Compute(t, changes, opts)
+}
+
 // blastLink adds the dirty set of one link state change.
 func (sc scope) blastLink(l *topology.Link, s *Set) {
 	t := sc.t

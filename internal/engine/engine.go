@@ -7,8 +7,9 @@
 //
 //   - the public dcvalidate.Datacenter facade (a thin, source-compatible
 //     client of this package),
-//   - the sharded coordinator (internal/shard), which partitions sweeps
-//     across N validator shards and plugs back in as a Sweeper,
+//   - the sharded coordinator (internal/shard), which partitions the
+//     table caches across N validator shards and plugs back in as the
+//     engine's cached FIB source (SetShards),
 //   - the dcvalidated HTTP server (internal/serve), which exposes the
 //     Query API over the wire.
 //
@@ -48,28 +49,14 @@ import (
 // facade's ValidateOptions).
 type Options struct {
 	// Engine selects the verification engine for this run. KindDefault
-	// defers to the SMT flag below, then the engine-wide default
-	// (SetDefaultEngine), then trie.
+	// defers to the engine-wide default (SetDefaultEngine), then trie.
 	Engine Kind
-	// SMT selects the bit-vector-logic engine (§2.5.1); default is the
-	// specialized trie engine (§2.5.2). Subsumed by Engine; kept because
-	// the facade's ValidateOptions predates engine kinds.
-	SMT bool
 	// Exact extends the exact-ECMP-set requirement to specific contracts.
 	Exact bool
 	// Workers is the parallelism degree (0 = all CPUs).
 	Workers int
 	// Source overrides the FIB source (fault injection, SimulateBGP).
 	Source fib.Source
-}
-
-// Sweeper produces a complete, generation-stamped fleet report — the
-// hook the sharded coordinator implements. A Sweeper must return reports
-// byte-identical (modulo timing) to a single-engine full sweep of the
-// same topology state; the shard equivalence tests lock that contract.
-type Sweeper interface {
-	Sweep() (*rcdc.Report, error)
-	Shards() int
 }
 
 // Engine bundles a topology with its metadata facts, converged FIB
@@ -84,9 +71,12 @@ type Engine struct {
 	facts *metadata.Facts // regenerated lazily if nil
 
 	// Incremental-validation state: a persistent FIB source with
-	// generation-keyed table caching and a memoized contract generator.
-	synth *bgp.Synth
-	cgen  *contracts.Generator
+	// generation-keyed table caching — the engine's own synth, or the shard
+	// coordinator when SetShards partitioned the caches — and a memoized
+	// contract generator.
+	synth  *bgp.Synth
+	shards *shard.Coordinator
+	cgen   *contracts.Generator
 
 	// Serving caches, all keyed on the topology generation. report is the
 	// last complete sweep; reportIdx indexes it by device name for O(1)
@@ -96,10 +86,6 @@ type Engine struct {
 	reportIdx map[string]int
 	global    *rcdc.GlobalChecker
 	globalGen uint64
-
-	// sweeper, when set, routes report-cache refreshes through the
-	// sharded coordinator instead of the single-engine delta path.
-	sweeper Sweeper
 
 	// lintGate makes Apply(SetConfig) render and statically lint the
 	// candidate fleet, rejecting changes that introduce findings.
@@ -156,54 +142,41 @@ func (e *Engine) SetClock(c clock.Clock) {
 	e.clk = c
 }
 
-// SetSweeper routes full-fleet report refreshes through s (the sharded
-// coordinator); nil restores the single-engine path. The report cache is
-// dropped so the next query re-derives it through the new path.
-func (e *Engine) SetSweeper(s Sweeper) {
+// SetShards partitions the engine's table caches across n validator shards
+// — a consistent-hash coordinator over the Clos pod structure, which then
+// answers every pull of the incremental and serving paths from the owning
+// shard's cache; n < 1 restores the engine's own single cache. Checker,
+// instrumentation and contract generator stay the engine's either way, so
+// the call's order relative to SetDefaultEngine and Metrics does not
+// matter. The report cache is dropped: the next query re-derives it over
+// the new source.
+func (e *Engine) SetShards(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sweeper = s
-	e.report = nil
-	e.reportIdx = nil
-}
-
-// EnableSharding partitions full-fleet sweeps across n validator shards
-// via a consistent-hash coordinator over the Clos pod structure. When
-// the engine's registry exists (Metrics() was called), the coordinator
-// is instrumented into it; call Metrics() first to observe shard
-// counters. The report cache is dropped so the next query re-derives it
-// through the coordinator.
-func (e *Engine) EnableSharding(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var m *shard.Metrics
-	if e.reg != nil {
-		m = shard.NewMetrics(e.reg)
+	e.shards = nil
+	if n > 0 {
+		e.shards = shard.New(e.topo, e.cfg, n, shard.Options{Clock: e.clk})
+		if e.reg != nil {
+			e.shards.Instrument(shard.NewMetrics(e.reg), e.bgpM)
+		}
 	}
-	e.sweeper = shard.New(e.topo, e.cfg, n, shard.Options{
-		SMT:          e.defaultKind == KindSMT,
-		PEC:          e.defaultKind == KindPEC,
-		PECMetrics:   e.pecM,
-		Metrics:      m,
-		DeltaMetrics: e.deltaM,
-		Clock:        e.clk,
-	})
 	e.report = nil
 	e.reportIdx = nil
 }
 
-// DisableSharding restores single-engine sweeps.
-func (e *Engine) DisableSharding() { e.SetSweeper(nil) }
-
-// Shards reports the partition width of the active sweeper (1 when
-// sweeps run single-engine).
+// Shards reports the partition width of the table caches (1 when the
+// engine keeps its own).
 func (e *Engine) Shards() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.sweeper == nil {
+	return e.shardsLocked()
+}
+
+func (e *Engine) shardsLocked() int {
+	if e.shards == nil {
 		return 1
 	}
-	return e.sweeper.Shards()
+	return e.shards.Shards()
 }
 
 // Facts returns the metadata snapshot, generated on first call and then
@@ -249,6 +222,9 @@ func (e *Engine) Metrics() *obs.Registry {
 		if e.pecExact != nil {
 			e.pecExact.Metrics = e.pecM
 		}
+		if e.shards != nil {
+			e.shards.Instrument(shard.NewMetrics(e.reg), e.bgpM)
+		}
 	}
 	return e.reg
 }
@@ -287,19 +263,27 @@ func (e *Engine) SimulateBGP() fib.Source {
 	return sim
 }
 
+// liveSource is what the engine keeps as its cached FIB source: row
+// queries, and a refresh against the live topology.
+type liveSource interface {
+	rcdc.RowSource
+	rcdc.Refresher
+}
+
 // cachedSourceLocked returns the persistent generation-cached FIB source
-// used by incremental validation and the serving caches, refreshed
-// against the live topology. A caller that already holds the blast radius
-// ds of the changes journaled after generation since passes it on, so the
-// source does not compute it again; nil makes the source read the journal
-// itself.
-func (e *Engine) cachedSourceLocked(ds *delta.Set, since uint64) *bgp.Synth {
+// behind incremental validation and the serving caches: the shard
+// coordinator when the caches are partitioned, the engine's own synth
+// otherwise. It is as fresh as its last RefreshDelta; rcdc.Revalidate
+// refreshes it with the blast radius it planned from.
+func (e *Engine) cachedSourceLocked() liveSource {
+	if e.shards != nil {
+		return e.shards
+	}
 	if e.synth == nil {
 		e.synth = bgp.NewSynth(e.topo, e.cfg)
 		e.synth.EnableTableCache()
 		e.synth.Metrics = e.bgpM
 	}
-	e.synth.RefreshDelta(ds, since)
 	return e.synth
 }
 
@@ -513,37 +497,18 @@ func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, e
 }
 
 func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
-	// The blast radius is computed once and shared by the table cache, the
-	// PEC invalidation and the validator. nil: the journal cannot say what
-	// changed since prev.
-	var ds *delta.Set
-	var since uint64
-	if prev != nil {
-		since = prev.Generation
-		if changes, ok := e.topo.ChangesSince(since); ok {
-			ds = delta.Compute(e.topo, changes, delta.Options{
-				UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
-				Metrics:         e.deltaM,
-			})
-		}
-	}
 	if opts.Source == nil {
-		opts.Source = e.cachedSourceLocked(ds, since)
+		opts.Source = e.cachedSourceLocked()
 	}
-	if ds == nil || ds.Full() {
-		return e.validateLocked(opts)
-	}
-	e.pecInvalidateLocked(ds.Devices())
-	gen := e.topo.Generation()
 	if e.cgen == nil {
 		e.cgen = contracts.NewGenerator(e.factsLocked())
 		e.cgen.EnableMemo()
 	}
 	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
-	rep, err := v.ValidateScoped(prev, e.factsLocked(), e.cgen, opts.Source, ds)
-	if rep != nil {
-		rep.Generation = gen
-	}
+	rep, _, err := v.Revalidate(prev, e.topo, e.factsLocked(), e.cgen, opts.Source, delta.Options{
+		UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
+		Metrics:         e.deltaM,
+	})
 	return rep, err
 }
 

@@ -332,46 +332,6 @@ func TestQueryReach(t *testing.T) {
 	}
 }
 
-// fakeSweeper returns a canned report and counts invocations.
-type fakeSweeper struct {
-	rep   *rcdc.Report
-	calls int
-}
-
-func (f *fakeSweeper) Sweep() (*rcdc.Report, error) { f.calls++; return f.rep, nil }
-func (f *fakeSweeper) Shards() int                  { return 3 }
-
-// TestSweeperHook: with a Sweeper installed, report refreshes route
-// through it and the summary reports its width.
-func TestSweeperHook(t *testing.T) {
-	e := newTestEngine(t)
-	want, err := e.Validate(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := &fakeSweeper{rep: want}
-	e.SetSweeper(fs)
-	s, err := e.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.calls != 1 {
-		t.Fatalf("sweeper calls = %d, want 1", fs.calls)
-	}
-	if s.Shards != 3 {
-		t.Fatalf("shards = %d, want 3", s.Shards)
-	}
-	if _, err := e.Summary(); err != nil {
-		t.Fatal(err)
-	}
-	if fs.calls != 1 {
-		t.Fatalf("cached summary re-ran sweeper: calls = %d", fs.calls)
-	}
-	if e.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", e.Shards())
-	}
-}
-
 // TestLintGate: engine-level lint gating mirrors the facade contract.
 func TestLintGate(t *testing.T) {
 	e := newTestEngine(t)

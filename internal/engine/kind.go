@@ -5,12 +5,10 @@ import (
 	"strings"
 
 	"dcvalidate/internal/pec"
-	"dcvalidate/internal/topology"
 )
 
 // Kind names a verification engine. Runs resolve it in this order: an
-// explicit Options.Engine wins; the legacy Options.SMT flag comes next
-// (kept for facade compatibility); then the engine-wide default set by
+// explicit Options.Engine wins; then the engine-wide default set by
 // SetDefaultEngine; trie last.
 type Kind int
 
@@ -58,11 +56,10 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // SetDefaultEngine sets the checker used by runs that don't name one
-// (Options.Engine == KindDefault and SMT unset) — including the serving
-// path's cache refreshes, which is how dcvalidated's -engine flag takes
-// effect. Call it before EnableSharding so the coordinator inherits the
-// choice; the report caches are dropped either way, so the next query
-// revalidates through the new engine.
+// (Options.Engine == KindDefault) — including the serving path's cache
+// refreshes, sharded or not, which is how dcvalidated's -engine flag takes
+// effect. The report caches are dropped, so the next query revalidates
+// through the new engine.
 func (e *Engine) SetDefaultEngine(k Kind) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -78,14 +75,12 @@ func (e *Engine) DefaultEngine() Kind {
 	return e.defaultKind
 }
 
-// resolveKindLocked applies the Options → SMT flag → engine default →
-// trie precedence.
+// resolveKindLocked applies the Options → engine default → trie
+// precedence.
 func (e *Engine) resolveKindLocked(o Options) Kind {
 	switch {
 	case o.Engine != KindDefault:
 		return o.Engine
-	case o.SMT:
-		return KindSMT
 	case e.defaultKind != KindDefault:
 		return e.defaultKind
 	}
@@ -95,8 +90,8 @@ func (e *Engine) resolveKindLocked(o Options) Kind {
 // pecLocked returns the engine-lifetime PEC checker for the given
 // semantics, creating it on first use. Persistence is the point: the
 // checker's content-hash atomization cache survives across runs, and
-// pecInvalidateLocked keeps it consistent with the blast-radius dirty
-// sets of the delta path.
+// rcdc.Revalidate has it forget the blast radius of each delta run
+// (rcdc.RowChecker).
 func (e *Engine) pecLocked(exact bool) *pec.Checker {
 	p := &e.pec
 	if exact {
@@ -106,16 +101,4 @@ func (e *Engine) pecLocked(exact bool) *pec.Checker {
 		*p = &pec.Checker{Exact: exact, Clock: e.clk, Metrics: e.pecM}
 	}
 	return *p
-}
-
-// pecInvalidateLocked forwards a blast-radius dirty set to the
-// persistent PEC checkers: dirty devices re-atomize on their next check,
-// every other device's cached verdict survives the delta run untouched.
-func (e *Engine) pecInvalidateLocked(devs []topology.DeviceID) {
-	if e.pec != nil {
-		e.pec.Invalidate(devs)
-	}
-	if e.pecExact != nil {
-		e.pecExact.Invalidate(devs)
-	}
 }

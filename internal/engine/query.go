@@ -17,8 +17,8 @@ import (
 // hits with zero revalidation work:
 //
 //   - the report cache (last complete sweep + a device-name index),
-//     refreshed through the sharded Sweeper when one is installed and
-//     through the blast-radius delta path otherwise;
+//     refreshed through the blast-radius delta path over the engine's
+//     cached FIB source — its own synth, or the shard coordinator;
 //   - the global snapshot cache behind reachability queries, which also
 //     derives counterexample packets for failing trajectories.
 //
@@ -90,14 +90,10 @@ func (e *Engine) ensureReportLocked() (*rcdc.Report, bool, error) {
 	}
 	e.serveM.miss()
 	mode := "single"
-	var rep *rcdc.Report
-	var err error
-	if e.sweeper != nil {
+	if e.shards != nil {
 		mode = "sharded"
-		rep, err = e.sweeper.Sweep()
-	} else {
-		rep, err = e.validateDeltaLocked(e.report, Options{})
 	}
+	rep, err := e.validateDeltaLocked(e.report, Options{})
 	if err != nil {
 		return nil, false, err
 	}
@@ -136,7 +132,9 @@ func (e *Engine) ensureGlobalLocked() (*rcdc.GlobalChecker, bool, error) {
 		return e.global, true, nil
 	}
 	e.serveM.snapshot(false)
-	g, err := rcdc.NewGlobalChecker(e.topo, e.cachedSourceLocked(nil, 0))
+	src := e.cachedSourceLocked()
+	src.RefreshDelta(nil, 0)
+	g, err := rcdc.NewGlobalChecker(e.topo, src)
 	if err != nil {
 		return nil, false, err
 	}
@@ -225,7 +223,7 @@ func (e *Engine) Summary() (*Summary, error) {
 }
 
 // summaryFrom derives the fleet summary; caller holds at least the read
-// lock (for the sweeper width).
+// lock (for the shard width).
 func (e *Engine) summaryFrom(rep *rcdc.Report, cached bool) *Summary {
 	s := &Summary{
 		Devices:    len(rep.Devices),
@@ -233,11 +231,8 @@ func (e *Engine) summaryFrom(rep *rcdc.Report, cached bool) *Summary {
 		Violations: rep.Failures,
 		HighRisk:   rep.HighRisk(),
 		Generation: rep.Generation,
-		Shards:     1,
+		Shards:     e.shardsLocked(),
 		Cached:     cached,
-	}
-	if e.sweeper != nil {
-		s.Shards = e.sweeper.Shards()
 	}
 	for i := range rep.Devices {
 		if rep.Devices[i].Healthy() {

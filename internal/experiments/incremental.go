@@ -150,21 +150,16 @@ func E16Incremental(deviceCounts []int) (Result, []E16Row) {
 
 		// The incremental cycle: consume the journal, bound the blast,
 		// patch the cached tables, revalidate only the dirty rows.
+		prev.Generation = genBefore
 		start = now()
-		changes, ok := topo.ChangesSince(genBefore)
-		if !ok {
-			panic("e16: journal truncated")
-		}
-		ds := delta.Compute(topo, changes, delta.Options{})
-		if ds.Full() {
-			panic("e16: expected a bounded blast radius for one leaf-spine failure")
-		}
-		cached.RefreshDelta(ds, genBefore)
-		rep, err := v.ValidateScoped(prev, facts, gen, cached, ds)
+		rep, ds, err := v.Revalidate(prev, topo, facts, gen, cached, delta.Options{})
 		if err != nil {
 			panic(err)
 		}
 		deltaWall := since(start)
+		if ds.Full() {
+			panic("e16: expected a bounded blast radius for one leaf-spine failure")
+		}
 
 		e16RequireSuperset(topo, before, e16Tables(topo), ds)
 		full, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))

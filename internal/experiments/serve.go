@@ -30,6 +30,7 @@ type E19Row struct {
 	Shards       int     `json:"shards"`
 	SweepNs      int64   `json:"sweepNs"`      // cold full sweep through the coordinator
 	DeltaSweepNs int64   `json:"deltaSweepNs"` // sweep after one journaled link failure
+	Rechecked    float64 `json:"rechecked"`    // contracts the cold queries' delta revalidations re-checked
 	Identical    bool    `json:"identical"`    // merged report byte-identical to single engine
 	ColdNs       int64   `json:"coldQueryNs"`  // HTTP query that must revalidate first
 	CachedP50Ns  int64   `json:"cachedP50Ns"`
@@ -164,13 +165,16 @@ func e19Percentile(durs []time.Duration, q float64) time.Duration {
 // by a link flap through the API, so the engine must revalidate) and a
 // concurrent cached stream. Two gates are armed: every cached request
 // must land as a dcv_serve_cache_hits_total increment, and the cached
-// phase must not trigger a single revalidation sweep.
-func e19Loadgen(p topology.Params, n, coldSamples, cachedSamples, concurrency int) (cold, p50, p99 time.Duration, qps, hits float64) {
+// phase must not trigger a single revalidation sweep. rechecked is the
+// number of contracts the cold queries' delta revalidations re-checked
+// (the first one finds no report and sweeps in full; every later one
+// follows a flip of the same ToR–leaf link).
+func e19Loadgen(p topology.Params, n, coldSamples, cachedSamples, concurrency int) (cold, p50, p99 time.Duration, qps, hits, rechecked float64) {
 	topo := topology.MustNew(p)
 	eng := engine.New(topo, nil)
 	reg := eng.Metrics()
 	if n > 1 {
-		eng.EnableSharding(n)
+		eng.SetShards(n)
 	}
 	srv := serve.New(eng)
 
@@ -209,6 +213,7 @@ func e19Loadgen(p topology.Params, n, coldSamples, cachedSamples, concurrency in
 		resp.Body.Close()
 		coldTotal += e19Get(client, base+"/device?name="+names[i%len(names)])
 	}
+	rechecked = e19Sample(reg, "dcv_rcdc_delta_contracts_checked_sum")
 	cold = coldTotal / time.Duration(coldSamples)
 	if coldSamples%2 == 1 { // leave the fleet healthy for the cached phase
 		resp, err := client.Post(fmt.Sprintf("%s/link?a=%s&b=%s&action=restore", base, tor, leaf), "", nil)
@@ -255,7 +260,7 @@ func e19Loadgen(p topology.Params, n, coldSamples, cachedSamples, concurrency in
 		panic(fmt.Sprintf("e19: cached query stream triggered %.0f revalidation sweep(s)", sweeps))
 	}
 	return cold, e19Percentile(all, 0.50), e19Percentile(all, 0.99),
-		float64(len(all)) / wall.Seconds(), hits
+		float64(len(all)) / wall.Seconds(), hits, rechecked
 }
 
 // E19Serve measures the sharded serving plane end to end: for each fleet
@@ -277,19 +282,27 @@ func E19Serve(deviceCounts []int) (Result, []E19Row) {
 
 	var b strings.Builder
 	var rows []E19Row
-	fmt.Fprintf(&b, "%10s %7s %10s %10s %10s %11s %11s %9s %9s\n",
-		"devices", "shards", "sweep", "deltaSweep", "coldQuery", "cachedP50", "cachedP99", "QPS", "identical")
+	fmt.Fprintf(&b, "%10s %7s %10s %10s %9s %10s %11s %11s %9s %9s\n",
+		"devices", "shards", "sweep", "deltaSweep", "rechecked", "coldQuery", "cachedP50", "cachedP99", "QPS", "identical")
 	for _, n := range deviceCounts {
 		p := SizedParams("e19", n)
 		devices := len(topology.MustNew(p).Devices)
+		var single float64 // contracts the unsharded engine re-checks for the same flips
 		for _, ns := range shardCounts {
 			sweep, deltaSweep := e19Identity(topology.MustNew(p), ns)
-			cold, p50, p99, qps, hits := e19Loadgen(p, ns, coldSamples, cachedSamples, concurrency)
+			cold, p50, p99, qps, hits, rechecked := e19Loadgen(p, ns, coldSamples, cachedSamples, concurrency)
+			if ns == 1 {
+				single = rechecked
+			}
+			if rechecked != single || rechecked == 0 {
+				panic(fmt.Sprintf("e19: the %d-shard engine re-checked %.0f contracts for the ToR–leaf flips, the single engine %.0f", ns, rechecked, single))
+			}
 			row := E19Row{
 				Devices:      devices,
 				Shards:       ns,
 				SweepNs:      sweep.Nanoseconds(),
 				DeltaSweepNs: deltaSweep.Nanoseconds(),
+				Rechecked:    rechecked,
 				Identical:    true, // divergence panics in e19Identity
 				ColdNs:       cold.Nanoseconds(),
 				CachedP50Ns:  p50.Nanoseconds(),
@@ -298,9 +311,9 @@ func E19Serve(deviceCounts []int) (Result, []E19Row) {
 				CacheHits:    hits,
 			}
 			rows = append(rows, row)
-			fmt.Fprintf(&b, "%10d %7d %10s %10s %10s %11s %11s %9.0f %9v\n",
+			fmt.Fprintf(&b, "%10d %7d %10s %10s %9.0f %10s %11s %11s %9.0f %9v\n",
 				row.Devices, ns,
-				sweep.Round(time.Millisecond), deltaSweep.Round(time.Millisecond),
+				sweep.Round(time.Millisecond), deltaSweep.Round(time.Millisecond), rechecked,
 				cold.Round(time.Microsecond),
 				p50.Round(time.Microsecond), p99.Round(time.Microsecond),
 				qps, row.Identical)

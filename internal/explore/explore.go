@@ -11,6 +11,7 @@ import (
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/monitor"
 	"dcvalidate/internal/rcdc"
@@ -449,19 +450,34 @@ func ViolationKey(v rcdc.Violation) string {
 	return fmt.Sprintf("%d|%s|%s|%s", v.Device, v.Contract.Kind, v.Contract.Prefix, v.Kind)
 }
 
-// gatedSource wraps a FIB source, failing pulls for telemetry-dead
-// devices so the validator's graceful-degradation path (keep the previous
-// verdict, surface the error) models monitoring blindness.
+// gatedSource wraps the worker's cached FIB source, failing pulls — whole
+// tables and row queries alike — for telemetry-dead devices so the
+// validator's graceful-degradation path (keep the previous verdict,
+// surface the error) models monitoring blindness.
 type gatedSource struct {
-	src  fib.Source
+	*bgp.Synth
 	dead map[topology.DeviceID]bool
 }
 
-func (g *gatedSource) Table(d topology.DeviceID) (*fib.Table, error) {
+func (g *gatedSource) blackout(d topology.DeviceID) error {
 	if g.dead[d] {
-		return nil, fmt.Errorf("explore: telemetry blackout on device %d", d)
+		return fmt.Errorf("explore: telemetry blackout on device %d", d)
 	}
-	return g.src.Table(d)
+	return nil
+}
+
+func (g *gatedSource) Table(d topology.DeviceID) (*fib.Table, error) {
+	if err := g.blackout(d); err != nil {
+		return nil, err
+	}
+	return g.Synth.Table(d)
+}
+
+func (g *gatedSource) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
+	if err := g.blackout(d); err != nil {
+		return nil, err
+	}
+	return g.Synth.Rows(d, overlapping)
 }
 
 // worker owns one clone of the world: topology, cached FIB source,
@@ -472,8 +488,7 @@ func (g *gatedSource) Table(d topology.DeviceID) (*fib.Table, error) {
 type worker struct {
 	ex        *Explorer
 	topo      *topology.Topology
-	synth     *bgp.Synth
-	gated     *gatedSource
+	src       *gatedSource
 	facts     *metadata.Facts
 	cgen      *contracts.Generator
 	val       rcdc.Validator
@@ -493,10 +508,9 @@ func newWorker(e *Explorer, blasts map[Fault]*delta.Set) (*worker, error) {
 		blasts: blasts,
 		cache:  make(map[string]map[string]bool),
 	}
-	w.synth = bgp.NewSynth(w.topo, e.Cfg)
-	w.synth.UnionECMP = e.Opts.UnionECMP
-	w.synth.EnableTableCache()
-	w.gated = &gatedSource{src: w.synth}
+	w.src = &gatedSource{Synth: bgp.NewSynth(w.topo, e.Cfg)}
+	w.src.UnionECMP = e.Opts.UnionECMP
+	w.src.EnableTableCache()
 	w.facts = metadata.FromTopology(w.topo)
 	w.cgen = contracts.NewGenerator(w.facts)
 	w.cgen.EnableMemo()
@@ -506,11 +520,10 @@ func newWorker(e *Explorer, blasts map[Fault]*delta.Set) (*worker, error) {
 		Clock:   e.Opts.Clock,
 	}
 	w.unbounded = bgp.ConfigUnbounded(e.Cfg)
-	base, err := w.val.ValidateAll(w.facts, w.synth)
+	base, _, err := w.revalidate(nil)
 	if err != nil {
 		return nil, fmt.Errorf("explore: baseline validation: %w", err)
 	}
-	base.Generation = w.topo.Generation()
 	w.baseline = base
 	w.baseKeys = make(map[string]bool)
 	for _, v := range base.Violations() {
@@ -554,30 +567,28 @@ func applyFaults(t *topology.Topology, sc []Fault) (undo func(), dead map[topolo
 	}, dead
 }
 
-// validate revalidates the current (faulted) clone state against the
-// baseline: journal window since prevGen → blast radius → delta
-// revalidation of just the dirty devices. Telemetry-dead devices are
-// forced into the dirty set so their pulls visibly fail and degrade.
-func (w *worker) validate(prevGen uint64, dead map[topology.DeviceID]bool, prev *rcdc.Report) (*rcdc.Report, error) {
-	w.synth.Refresh()
-	w.gated.dead = dead
-	changes, ok := w.topo.ChangesSince(prevGen)
-	full := !ok
-	var ds *delta.Set
-	if ok {
-		ds = delta.Compute(w.topo, changes, delta.Options{UnboundedConfig: w.unbounded})
-		for d := range dead {
-			ds.Add(d)
-		}
-		full = ds.Full()
-	}
-	var rep *rcdc.Report
-	var err error
-	if full {
-		rep, err = w.val.ValidateAll(w.facts, w.gated)
-	} else {
-		rep, err = w.val.ValidateDelta(prev, w.facts, w.cgen, w.gated, ds.Devices())
-	}
+// base returns the healthy baseline as the report of the clone's current
+// generation: every scenario ends by restoring the clone to exactly the
+// base state, so the baseline describes it at each generation a scenario
+// starts from, and the journal window of the next validate holds that
+// scenario's faults alone.
+func (w *worker) base() *rcdc.Report {
+	w.baseline.Generation = w.topo.Generation()
+	return w.baseline
+}
+
+func (w *worker) revalidate(prev *rcdc.Report) (*rcdc.Report, *delta.Set, error) {
+	return w.val.Revalidate(prev, w.topo, w.facts, w.cgen, w.src, delta.Options{UnboundedConfig: w.unbounded})
+}
+
+// validate revalidates the current (faulted) clone state against prev, the
+// report of the state before the faults: rcdc.Revalidate over the journal
+// window since prev.Generation, with telemetry-dead devices blacked out so
+// that one inside the blast radius fails its pull and keeps its previous
+// verdict.
+func (w *worker) validate(dead map[topology.DeviceID]bool, prev *rcdc.Report) (*rcdc.Report, error) {
+	w.src.dead = dead
+	rep, _, err := w.revalidate(prev)
 	if err != nil && len(dead) == 0 {
 		return nil, err
 	}
@@ -589,9 +600,9 @@ func (w *worker) validate(prevGen uint64, dead map[topology.DeviceID]bool, prev 
 // the base state.
 func (w *worker) eval(sc []Fault) (Scenario, error) {
 	out := Scenario{Faults: append([]Fault(nil), sc...), Key: Key(sc)}
-	prevGen := w.topo.Generation()
+	prev := w.base()
 	undo, dead := applyFaults(w.topo, sc)
-	rep, err := w.validate(prevGen, dead, w.baseline)
+	rep, err := w.validate(dead, prev)
 	if err != nil {
 		undo()
 		return out, err

@@ -29,12 +29,7 @@ func (e *Explorer) blastSets(universe []Fault) (map[Fault]*delta.Set, error) {
 	for _, f := range universe {
 		prevGen := t.Generation()
 		undo, dead := applyFaults(t, []Fault{f})
-		s := delta.NewSet()
-		if changes, ok := t.ChangesSince(prevGen); ok {
-			s = delta.Compute(t, changes, delta.Options{UnboundedConfig: unbounded})
-		} else {
-			s.MarkFull()
-		}
+		s := delta.Since(t, prevGen, delta.Options{UnboundedConfig: unbounded})
 		for d := range dead {
 			s.Add(d)
 		}
@@ -120,7 +115,7 @@ func (w *worker) traces(j job) (*traceOutcome, error) {
 // the base state before returning.
 func (w *worker) evalTrace(seq []Fault) (map[string]bool, error) {
 	keys := make(map[string]bool)
-	prev := w.baseline
+	prev := w.base()
 	dead := make(map[topology.DeviceID]bool)
 	var undos []func()
 	unwind := func() {
@@ -129,13 +124,12 @@ func (w *worker) evalTrace(seq []Fault) (map[string]bool, error) {
 		}
 	}
 	for i := range seq {
-		prevGen := w.topo.Generation()
 		undo, d := applyFaults(w.topo, seq[i:i+1])
 		undos = append(undos, undo)
 		for dd := range d {
 			dead[dd] = true
 		}
-		rep, err := w.validate(prevGen, dead, prev)
+		rep, err := w.validate(dead, prev)
 		if err != nil {
 			unwind()
 			return nil, err

@@ -38,16 +38,12 @@ func (in *Instance) cyclePlan() (map[string][]topology.DeviceID, bool) {
 	}
 	plan := make(map[string][]topology.DeviceID, len(in.Datacenters))
 	for _, dc := range in.Datacenters {
-		changes, ok := dc.Topo.ChangesSince(in.lastGen[dc.Name])
-		if !ok {
-			return nil, true // journal truncated: can't bound the blast
-		}
-		ds := delta.Compute(dc.Topo, changes, delta.Options{
+		ds := delta.Since(dc.Topo, in.lastGen[dc.Name], delta.Options{
 			UnboundedConfig: bgp.ConfigUnbounded(dc.Cfg),
 			Metrics:         in.deltaM,
 		})
 		if ds.Full() {
-			return nil, true
+			return nil, true // unbounded blast, or a journal truncated past lastGen
 		}
 		dirty := make(map[topology.DeviceID]bool, ds.Count())
 		for _, d := range ds.Devices() {

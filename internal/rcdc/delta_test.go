@@ -284,3 +284,55 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestRevalidate walks the planner's three outcomes over one cached source:
+// no previous report (full sweep, no radius), a journaled link failure
+// (bounded radius, spliced) and a journal truncated past the previous
+// report (full radius, full sweep) — each stamped with the generation it
+// reflects and equal to a from-scratch sweep.
+func TestRevalidate(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 1,
+	})
+	facts := metadata.FromTopology(topo)
+	src := bgp.NewSynth(topo, nil)
+	src.EnableTableCache()
+	v := Validator{Workers: 2}
+	step := func(prev *Report) (*Report, *delta.Set) {
+		t.Helper()
+		rep, ds, err := v.Revalidate(prev, topo, facts, nil, src, delta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Generation != topo.Generation() {
+			t.Fatalf("report stamped %d, topology at %d", rep.Generation, topo.Generation())
+		}
+		want, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEquivalent(t, rep, want)
+		return rep, ds
+	}
+
+	rep, ds := step(nil)
+	if ds != nil {
+		t.Fatalf("no previous report, yet a blast radius of %d devices", ds.Count())
+	}
+	tor, leaf := topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0]
+	topo.FailLink(tor, leaf)
+	rep, ds = step(rep)
+	if ds.Full() || !ds.Contains(tor) || rep.Failures == 0 {
+		t.Fatalf("link failure: full=%v contains(tor)=%v failures=%d", ds.Full(), ds.Contains(tor), rep.Failures)
+	}
+	for _, ok := topo.ChangesSince(rep.Generation); ok; _, ok = topo.ChangesSince(rep.Generation) {
+		topo.RestoreLink(tor, leaf)
+		topo.FailLink(tor, leaf)
+	}
+	topo.RestoreLink(tor, leaf)
+	if rep, ds = step(rep); !ds.Full() || rep.Failures != 0 {
+		t.Fatalf("truncated journal: full=%v failures=%d", ds.Full(), rep.Failures)
+	}
+}

@@ -39,9 +39,9 @@ type Report struct {
 	Workers  int
 	Checked  int // total contracts checked
 	Failures int // total violations
-	// Generation is caller-maintained bookkeeping: the topology generation
-	// the report reflects, recorded by callers that feed the report back
-	// into ValidateDelta (the validator itself never reads it).
+	// Generation is the topology generation the report reflects. Revalidate
+	// stamps it and reads it back as the start of the next journal window;
+	// ValidateAll, ValidateDelta and ValidateScoped leave it to the caller.
 	Generation uint64
 }
 
@@ -156,6 +156,14 @@ func (v *Validator) workers() int {
 type RowSource interface {
 	fib.Source
 	Rows(dev topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error)
+}
+
+// Refresher is implemented by a fib.Source that follows the live topology
+// (bgp.Synth, the shard coordinator): RefreshDelta brings it up to the
+// current generation, given the blast radius ds of the changes journaled
+// after generation since — or nil, and the source reads the journal itself.
+type Refresher interface {
+	RefreshDelta(ds *delta.Set, since uint64)
 }
 
 // checkWhole pulls one device's table and validates it against all its
@@ -407,6 +415,45 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	v.Metrics.observeRun("delta", rep, len(devs), busyTime(fresh))
 	v.Metrics.observeRecheck(int(checked.Load()))
 	return rep, errors.Join(errs...)
+}
+
+// Revalidate is the change-driven sweep every layer shares: it brings prev
+// — a complete report stamped with the topology generation it reflects — up
+// to the topology's current generation, and returns the blast radius it
+// planned from (nil without a prev). The journal window since
+// prev.Generation gives the radius (delta.Since); a source that is a
+// Refresher is refreshed with it; a RowChecker forgets the dirty devices; then
+// ValidateScoped re-checks the radius and splices — or ValidateAll sweeps
+// the fleet, when there is no prev, the journal no longer reaches back to
+// it, or the radius is unbounded. The report is stamped with the generation
+// read before anything is pulled, ready to be fed back in. gen is passed on
+// to ValidateScoped.
+func (v *Validator) Revalidate(prev *Report, topo *topology.Topology, facts *metadata.Facts, gen *contracts.Generator,
+	source fib.Source, opts delta.Options) (*Report, *delta.Set, error) {
+	stamp := topo.Generation()
+	var ds *delta.Set
+	var since uint64
+	if prev != nil {
+		since = prev.Generation
+		ds = delta.Since(topo, since, opts)
+	}
+	if live, ok := source.(Refresher); ok {
+		live.RefreshDelta(ds, since)
+	}
+	var rep *Report
+	var err error
+	if ds == nil || ds.Full() {
+		rep, err = v.ValidateAll(facts, source)
+	} else {
+		if rc, ok := v.checker().(RowChecker); ok {
+			rc.Invalidate(ds.Devices())
+		}
+		rep, err = v.ValidateScoped(prev, facts, gen, source, ds)
+	}
+	if rep != nil {
+		rep.Generation = stamp
+	}
+	return rep, ds, err
 }
 
 // devicePos finds a device in an ascending-by-device report slice.

@@ -202,12 +202,15 @@ type Checker interface {
 }
 
 // RowChecker is a Checker that keeps state per device between calls (the
-// PEC engine caches each device's atomization) and therefore has a second
-// entry point for a fragment of a device — some of its contracts against
-// just the rows they read, as a row-scoped re-check hands it — which must
-// not pass for the device's state. CheckRows returns what CheckDevice would
-// on the same inputs and remembers nothing.
+// PEC engine caches each device's atomization) and therefore has two more
+// entry points. CheckRows takes a fragment of a device — some of its
+// contracts against just the rows they read, as a row-scoped re-check hands
+// it — which must not pass for the device's state: it returns what
+// CheckDevice would on the same inputs and remembers nothing. Invalidate
+// drops what the checker keeps for the devices of a blast radius; Revalidate
+// calls it before re-checking them.
 type RowChecker interface {
 	Checker
 	CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error)
+	Invalidate(devs []topology.DeviceID)
 }

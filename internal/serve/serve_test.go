@@ -312,7 +312,7 @@ func TestServeSharded(t *testing.T) {
 	}
 	eng := engine.New(topo, nil)
 	eng.Metrics()
-	eng.EnableSharding(3)
+	eng.SetShards(3)
 	ts := httptest.NewServer(New(eng))
 	defer ts.Close()
 
@@ -334,7 +334,30 @@ func TestServeSharded(t *testing.T) {
 	if sum.Shards != 3 || sum.Violating != 0 || sum.Devices != len(topo.Devices) {
 		t.Fatalf("sharded summary = %+v", sum)
 	}
-	if n := sample(eng.Metrics(), "dcv_shard_sweeps_total", "mode", "full"); n != 1 {
-		t.Fatalf("shard sweeps = %v, want 1", n)
+	if n := sample(eng.Metrics(), "dcv_serve_sweeps_total", "mode", "sharded"); n != 1 {
+		t.Fatalf("sharded sweeps = %v, want 1", n)
+	}
+
+	// A ToR–leaf flip re-checks over the shards exactly the contracts the
+	// unsharded engine re-checks for it: rows, not whole devices.
+	single, singleEng := newTestServer(t)
+	singleEng.Metrics()
+	get(t, single.URL+"/summary", nil)
+	rechecked := func(base string, e *engine.Engine) float64 {
+		if code := post(t, base+"/link?a=dc-c0-t0-0&b=dc-c0-t1-0&action=fail", nil); code != 200 {
+			t.Fatalf("POST /link = %d", code)
+		}
+		var dev struct {
+			Conformant bool `json:"conformant"`
+			Cached     bool `json:"cached"`
+		}
+		if code := get(t, base+"/device?name=dc-c0-t0-0", &dev); code != 200 || dev.Conformant || dev.Cached {
+			t.Fatalf("/device after the flip = %d %+v", code, dev)
+		}
+		return sample(e.Metrics(), "dcv_rcdc_delta_contracts_checked_sum")
+	}
+	got, want := rechecked(ts.URL, eng), rechecked(single.URL, singleEng)
+	if got != want || want == 0 {
+		t.Fatalf("contracts re-checked after a ToR–leaf flip: sharded %v, unsharded %v", got, want)
 	}
 }

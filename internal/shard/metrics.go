@@ -11,11 +11,9 @@ import (
 // methods are nil-receiver-safe no-ops, matching the other subsystem
 // bundles.
 type Metrics struct {
-	sweeps       *obs.CounterVec   // dcv_shard_sweeps_total{mode}
-	steals       *obs.Counter      // dcv_shard_steals_total
-	devices      *obs.GaugeVec     // dcv_shard_devices{shard}
-	sweepSeconds *obs.Histogram    // dcv_shard_sweep_seconds
-	shardSeconds *obs.HistogramVec // dcv_shard_partial_seconds{shard}
+	sweeps       *obs.CounterVec // dcv_shard_sweeps_total{mode}
+	devices      *obs.GaugeVec   // dcv_shard_devices{shard}
+	sweepSeconds *obs.Histogram  // dcv_shard_sweep_seconds
 }
 
 // NewMetrics registers the coordinator metric families in r and returns
@@ -24,14 +22,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		sweeps: r.CounterVec("dcv_shard_sweeps_total",
 			"Coordinator sweeps by mode (full, delta, cached).", "mode"),
-		steals: r.Counter("dcv_shard_steals_total",
-			"Work chunks executed by a worker other than the owning shard's."),
 		devices: r.GaugeVec("dcv_shard_devices",
 			"Devices assigned to each shard by the consistent-hash ring.", "shard"),
 		sweepSeconds: r.Histogram("dcv_shard_sweep_seconds",
 			"End-to-end coordinator sweep latency.", obs.LatencyBuckets),
-		shardSeconds: r.HistogramVec("dcv_shard_partial_seconds",
-			"Per-shard busy time within a sweep.", obs.LatencyBuckets, "shard"),
 	}
 }
 
@@ -48,17 +42,5 @@ func (m *Metrics) observeSweep(mode string, d time.Duration) {
 func (m *Metrics) observeAssignment(shard, devices int) {
 	if m != nil {
 		m.devices.With(strconv.Itoa(shard)).Set(float64(devices))
-	}
-}
-
-func (m *Metrics) steal() {
-	if m != nil {
-		m.steals.Inc()
-	}
-}
-
-func (m *Metrics) observeShard(shard int, d time.Duration) {
-	if m != nil {
-		m.shardSeconds.With(strconv.Itoa(shard)).ObserveDuration(d)
 	}
 }

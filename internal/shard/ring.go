@@ -1,10 +1,12 @@
 // Package shard partitions the validation plane: a Coordinator spreads
 // the fleet across N validator shards by consistent hashing over the
-// Clos pod structure, sweeps them with a work-stealing worker pool, and
-// merges the per-shard partial reports into a single fleet report that
-// is byte-identical (modulo timing) to a single-engine sweep — the
-// horizontal-scaling story of the paper's Figure 5 deployment, where
-// RCDC instances divide the datacenter between them.
+// Clos pod structure. A shard owns the table cache of its devices; the
+// coordinator routes every FIB pull to the owner, so the one
+// plan→check→splice (rcdc.Validator.Revalidate) runs over it unchanged
+// and its report is byte-identical (modulo timing) to a single-engine
+// sweep — the horizontal-scaling story of the paper's Figure 5
+// deployment, where RCDC instances divide the datacenter between them
+// and each pulls the tables of its own part (§2.4, §2.6.1).
 package shard
 
 import (

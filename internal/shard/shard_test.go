@@ -74,52 +74,6 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-func TestDequeOrder(t *testing.T) {
-	d := &deque{}
-	for i := 0; i < 3; i++ {
-		d.push(chunk{owner: i})
-	}
-	if c, ok := d.popBottom(); !ok || c.owner != 2 {
-		t.Fatalf("popBottom = %+v, want owner 2 (LIFO)", c)
-	}
-	if c, ok := d.stealTop(); !ok || c.owner != 0 {
-		t.Fatalf("stealTop = %+v, want owner 0 (FIFO)", c)
-	}
-	if c, ok := d.popBottom(); !ok || c.owner != 1 {
-		t.Fatalf("popBottom = %+v, want owner 1", c)
-	}
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("empty deque popped")
-	}
-	if _, ok := d.stealTop(); ok {
-		t.Fatal("empty deque stolen from")
-	}
-}
-
-func TestChunked(t *testing.T) {
-	devs := make([]topology.DeviceID, 37)
-	for i := range devs {
-		devs[i] = topology.DeviceID(i)
-	}
-	chunks := chunked(4, devs)
-	if len(chunks) != 3 {
-		t.Fatalf("37 devices → %d chunks, want 3", len(chunks))
-	}
-	total := 0
-	for _, c := range chunks {
-		if c.owner != 4 {
-			t.Fatalf("owner = %d, want 4", c.owner)
-		}
-		total += len(c.devs)
-	}
-	if total != 37 {
-		t.Fatalf("chunks cover %d devices, want 37", total)
-	}
-	if chunked(0, nil) != nil {
-		t.Fatal("empty device list must produce no chunks")
-	}
-}
-
 // TestPartitionCoversFleet: every device lands on exactly one shard, and
 // pod-mates land together.
 func TestPartitionCoversFleet(t *testing.T) {
@@ -182,7 +136,8 @@ func TestSweepEquivalence(t *testing.T) {
 func TestSweepCached(t *testing.T) {
 	topo := topology.MustNew(testParams())
 	reg := obs.NewRegistry()
-	c := New(topo, nil, 2, Options{Metrics: NewMetrics(reg)})
+	c := New(topo, nil, 2, Options{})
+	c.Instrument(NewMetrics(reg), nil)
 	r1, err := c.Sweep()
 	if err != nil {
 		t.Fatal(err)

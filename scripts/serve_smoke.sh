@@ -4,8 +4,8 @@
 # and fail unless repeat queries land as dcv_serve_cache_hits_total
 # increments without triggering extra revalidation sweeps. Then run the
 # E19 experiment at its quick sweep point, which arms the byte-identity
-# gate (sharded merged report vs single-engine sweep for N in {1,2,5})
-# and the cached-query O(1) gates.
+# gate (sharded report vs single-engine sweep for N in {1,2,5}), the
+# same-contracts-re-checked gate and the cached-query O(1) gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,19 +89,33 @@ if [ "$S1" -ne "$S0" ]; then
     exit 1
 fi
 
-# A mutation through the API invalidates the cache (one new sweep), and
-# the violation surfaces in the device answer.
+# A mutation through the API invalidates the cache (one new sweep over
+# the shards), and the violation surfaces in a fresh device answer — new
+# generation, not served from cache; restoring the link heals it the same
+# way.
+generation() { sed -n 's/.*"generation": *\([0-9]*\).*/\1/p' | head -n 1; }
+G1="$(echo "$DEV" | generation)"
 curl -fsS -X POST "$BASE/link?a=$TOR&b=dc-c0-t1-0&action=fail" >/dev/null
-curl -fsS "$BASE/device?name=$TOR" | grep -q '"conformant": false' || {
-    echo "serve_smoke: failed link did not surface as a violation on $TOR" >&2
+DEV="$(curl -fsS "$BASE/device?name=$TOR")"
+G2="$(echo "$DEV" | generation)"
+if ! echo "$DEV" | grep -q '"conformant": false' || ! echo "$DEV" | grep -q '"cached": false' || [ "$G2" -le "$G1" ]; then
+    echo "serve_smoke: failed link did not surface as a fresh violation on $TOR (generation $G1 -> $G2):" >&2
+    echo "$DEV" >&2
     exit 1
-}
+fi
 S2="$(sweeps)"
 if [ "$S2" -ne $((S1 + 1)) ]; then
     echo "serve_smoke: post-mutation query ran $((S2 - S1)) sweeps (want exactly 1)" >&2
     exit 1
 fi
 curl -fsS -X POST "$BASE/link?a=$TOR&b=dc-c0-t1-0&action=restore" >/dev/null
+DEV="$(curl -fsS "$BASE/device?name=$TOR")"
+G3="$(echo "$DEV" | generation)"
+if ! echo "$DEV" | grep -q '"conformant": true' || [ "$G3" -le "$G2" ]; then
+    echo "serve_smoke: restored link did not heal $TOR (generation $G2 -> $G3):" >&2
+    echo "$DEV" >&2
+    exit 1
+fi
 
 kill "$PID" 2>/dev/null || true
 PID=""
