@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPECDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzArenaDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzPrefixIndex -fuzztime $(FUZZTIME) ./internal/ipnet/
+	$(GO) test -fuzz FuzzRunsDifferential -fuzztime $(FUZZTIME) ./internal/rcdc/
 
 # Regenerate every paper experiment (see DESIGN.md / EXPERIMENTS.md).
 experiments:

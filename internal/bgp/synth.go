@@ -40,12 +40,26 @@ type Synth struct {
 	cfg  map[topology.DeviceID]*DeviceConfig
 
 	prefixes []topology.HostedPrefix
-	// spineHas[p][k] reports whether the k'th spine (position in
-	// topo.Spines(), a contiguous ID block) has a route for prefix p.
-	spineHas        [][]bool
+	// classes[class[p]][k] reports whether the k'th spine (position in
+	// topo.Spines(), a contiguous ID block) has a route for prefix p
+	// (spineHas). Prefixes whose rows are equal share one class: a healthy
+	// fleet has a single class, and each fault splits off a few more.
+	class   []int32
+	classes [][]bool
+	// blocks cuts the prefix list into maximal stretches of one class and
+	// one hosting cluster. Outside its own cluster a device forwards every
+	// prefix of a block alike, which is what lets runs derive next hops
+	// once per block instead of once per prefix.
+	blocks []block
+	// direct[p*LeavesPerCluster+plane] reports whether the hosting
+	// cluster's leaf on that plane has the direct route to prefix p.
+	direct          []bool
 	spineBase       topology.DeviceID
 	spineHasDefault map[topology.DeviceID]bool
 	leafHasDefault  map[topology.DeviceID]bool
+	// leafSpines[leaf] lists the spines (as spineHas positions) of the
+	// leaf's plane that it has a live session to.
+	leafSpines [][]int
 	// fastAccept short-circuits AS-path acceptance checks when no device
 	// configuration overrides exist: under the default ASN allocation the
 	// propagation rules never self-loop, so every constructed path is
@@ -130,10 +144,15 @@ func (s *Synth) recompute() {
 	spp := topo.Params.SpinesPerPlane
 	nSpines := len(topo.Spines())
 
-	s.spineHas = make([][]bool, len(s.prefixes))
-	flat := make([]bool, len(s.prefixes)*nSpines)
+	planes := topo.Params.LeavesPerCluster
+	s.direct = make([]bool, len(s.prefixes)*planes)
+	s.class = make([]int32, len(s.prefixes))
+	s.classes, s.blocks = nil, nil
+	intern := make(map[string]int32)
+	has := make([]bool, nSpines)
+	key := make([]byte, nSpines)
 	for pi, hp := range s.prefixes {
-		has := flat[pi*nSpines : (pi+1)*nSpines]
+		clear(has)
 		// The hosting cluster's leaf on each plane has the prefix iff its
 		// link to the hosting ToR is live; each spine of that plane has it
 		// iff additionally its link to that leaf is live.
@@ -141,13 +160,39 @@ func (s *Synth) recompute() {
 			if !s.leafHasDirect(leaf, hp.ToR) {
 				continue
 			}
+			s.direct[pi*planes+plane] = true
 			for k := plane * spp; k < (plane+1)*spp; k++ {
 				if s.live(topo.Spines()[k], leaf) {
 					has[k] = true
 				}
 			}
 		}
-		s.spineHas[pi] = has
+		// Neighbouring prefixes usually share a class: try the last one
+		// before the intern table.
+		c, ok := int32(0), false
+		if pi > 0 {
+			c = s.class[pi-1]
+			ok = slices.Equal(has, s.classes[c])
+		}
+		if !ok {
+			for k, h := range has {
+				key[k] = 0
+				if h {
+					key[k] = 1
+				}
+			}
+			if c, ok = intern[string(key)]; !ok {
+				c = int32(len(s.classes))
+				s.classes = append(s.classes, slices.Clone(has))
+				intern[string(key)] = c
+			}
+		}
+		s.class[pi] = c
+		if n := len(s.blocks); n > 0 && s.class[pi-1] == c && s.prefixes[pi-1].Cluster == hp.Cluster {
+			s.blocks[n-1].hi++
+		} else {
+			s.blocks = append(s.blocks, block{lo: pi, hi: pi + 1, cluster: hp.Cluster})
+		}
 	}
 
 	s.spineHasDefault = make(map[topology.DeviceID]bool)
@@ -163,7 +208,16 @@ func (s *Synth) recompute() {
 		}
 	}
 	s.leafHasDefault = make(map[topology.DeviceID]bool)
+	s.leafSpines = make([][]int, len(topo.Devices))
+	flat := make([]int, 0, len(topo.Leaves())*spp)
 	for _, leaf := range topo.Leaves() {
+		lo := len(flat)
+		for _, sp := range s.planeSpines(leaf) {
+			if s.live(leaf, sp) {
+				flat = append(flat, s.spineIdx(sp))
+			}
+		}
+		s.leafSpines[leaf] = flat[lo:len(flat):len(flat)]
 		if s.config(leaf).RejectDefaultIn {
 			continue
 		}
@@ -274,6 +328,13 @@ func setRow(t *fib.Table, at int, had bool, e fib.Entry) {
 		t.Entries[at] = e
 	}
 }
+
+// block is a stretch [lo, hi) of the prefix list with one class and one
+// hosting cluster.
+type block struct{ lo, hi, cluster int }
+
+// spineHas returns, for hosted prefix pi, whether each spine has a route.
+func (s *Synth) spineHas(pi int) []bool { return s.classes[s.class[pi]] }
 
 func (s *Synth) spineIdx(sp topology.DeviceID) int { return int(sp - s.spineBase) }
 
@@ -426,46 +487,87 @@ func copyTable(t *fib.Table) *fib.Table {
 	return cp
 }
 
-// synthesize computes the converged FIB of one device from the refreshed
-// reachability sets. Consecutive specific rows with equal next-hop sets
-// share one slice — a ToR's ~all rows name the same leaves — which the
-// NextHops-are-immutable rule of Table already covers.
-func (s *Synth) synthesize(d topology.DeviceID) *fib.Table {
-	t := fib.NewTable(d)
-	dev := s.topo.Device(d)
-	t.Entries = make([]fib.Entry, 0, len(s.prefixes)+2)
-
-	// Connected routes.
-	for _, p := range dev.HostedPrefixes {
-		t.Entries = append(t.Entries, fib.Entry{Prefix: p, Connected: true})
+// RunPrefixes returns the prefix list TableRuns indexes, the hosted
+// prefixes in ToR order — or nil while the table cache is on: the cache is
+// the table, and a sweep that took runs past it would leave it cold.
+func (s *Synth) RunPrefixes() []topology.HostedPrefix {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cache != nil {
+		return nil
 	}
-
-	// Default route.
-	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
-		t.Entries = append(t.Entries, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
-	}
-
-	// Specific routes, in prefix order (HostedPrefixes is prefix-ordered).
-	hopsToward := s.specifics(d, dev)
-	var hops, shared []topology.DeviceID
-	for pi := range s.prefixes {
-		hp := &s.prefixes[pi]
-		if hp.ToR == d {
-			continue // connected
-		}
-		if hops = hopsToward(hops[:0], pi); len(hops) == 0 {
-			continue
-		}
-		if !slices.Equal(hops, shared) {
-			shared = slices.Clone(hops)
-		}
-		t.Entries = append(t.Entries, fib.Entry{Prefix: hp.Prefix, NextHops: shared})
-	}
-	return t
+	return s.prefixes
 }
 
-// specifics returns the function synthesize derives d's specific rows
-// with: it appends d's next hops toward hosted prefix pi to dst, ascending.
+// TableRuns returns d's converged table as runs over RunPrefixes (see
+// fib.RunTable), appending the runs to buf[:0]: Rows holds the connected
+// routes and the default route, and each run is a maximal stretch of
+// hosted prefixes d forwards to one next-hop set. Expanding them gives
+// exactly what Table returns.
+func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+	dev := s.topo.Device(d)
+	rt := fib.RunTable{Device: d, Runs: buf[:0]}
+	rt.Rows = make([]fib.Entry, 0, len(dev.HostedPrefixes)+1)
+	for _, p := range dev.HostedPrefixes {
+		rt.Rows = append(rt.Rows, fib.Entry{Prefix: p, Connected: true})
+	}
+	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
+		rt.Rows = append(rt.Rows, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
+	}
+
+	// Specific routes, in prefix list order. Under fastAccept a block
+	// outside d's own cluster is one set of next hops, derived at its first
+	// prefix; inside it (and with any configuration) they are per prefix.
+	hopsToward := s.specifics(d, dev)
+	local := dev.Role == topology.RoleToR || dev.Role == topology.RoleLeaf
+	var hops []topology.DeviceID
+	for _, b := range s.blocks {
+		if s.fastAccept && !(local && b.cluster == dev.Cluster) {
+			hops = hopsToward(hops[:0], b.lo)
+			rt.Runs = appendRun(rt.Runs, b.lo, b.hi, hops)
+			continue
+		}
+		for pi := b.lo; pi < b.hi; pi++ {
+			if s.prefixes[pi].ToR == d {
+				continue // connected
+			}
+			hops = hopsToward(hops[:0], pi)
+			rt.Runs = appendRun(rt.Runs, pi, pi+1, hops)
+		}
+	}
+	return rt
+}
+
+// synthesize computes the converged FIB of one device: its runs, expanded.
+// The rows of a run share one next-hop slice — a ToR's ~all rows name the
+// same leaves — which the NextHops-are-immutable rule of Table covers.
+func (s *Synth) synthesize(d topology.DeviceID) *fib.Table {
+	return s.TableRuns(d, nil).Expand(s.prefixes)
+}
+
+// appendRun adds rows at positions [lo, hi) forwarding to hops: it extends
+// the last run when that ends at lo with the same next hops, and otherwise
+// starts a new one — sharing the last run's next-hop slice when equal (a
+// ToR's own prefix splits its "via all my leaves" run in two), else with
+// its own copy of hops. A route nobody advertises is absent, so empty hops
+// add nothing.
+func appendRun(runs []fib.Run, lo, hi int, hops []topology.DeviceID) []fib.Run {
+	if len(hops) == 0 {
+		return runs
+	}
+	n := len(runs)
+	if n > 0 && slices.Equal(runs[n-1].NextHops, hops) {
+		if runs[n-1].Hi == lo {
+			runs[n-1].Hi = hi
+			return runs
+		}
+		return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: runs[n-1].NextHops})
+	}
+	return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: slices.Clone(hops)})
+}
+
+// specifics returns the function TableRuns derives d's specific rows with: it
+// appends d's next hops toward hosted prefix pi to dst, ascending.
 // Under the default ASN allocation (fastAccept: no device configuration,
 // so every constructed path is accepted and nothing is truncated) what is
 // per-device — which neighbors d has a live session to, and which spines
@@ -478,20 +580,10 @@ func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []
 			return append(dst, s.specificNextHops(d, pi, s.prefixes[pi])...)
 		}
 	}
-	// liveSpines lists the spines (as spineHas positions) among sps that
-	// have a live link to device from.
-	liveSpines := func(from topology.DeviceID, sps []topology.DeviceID) []int {
-		var out []int
-		for _, sp := range sps {
-			if s.live(from, sp) {
-				out = append(out, s.spineIdx(sp))
-			}
-		}
-		return out
-	}
+	planes := s.topo.Params.LeavesPerCluster
 	viaSpines := func(spines []int) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
 		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			has := s.spineHas[pi]
+			has := s.spineHas(pi)
 			for _, k := range spines {
 				if has[k] {
 					dst = append(dst, s.spineBase+topology.DeviceID(k))
@@ -502,25 +594,31 @@ func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []
 	}
 	switch dev.Role {
 	case topology.RoleRegionalSpine:
-		return viaSpines(liveSpines(d, s.topo.Spines()))
+		var spines []int
+		for _, sp := range s.topo.Spines() {
+			if s.live(d, sp) {
+				spines = append(spines, s.spineIdx(sp))
+			}
+		}
+		return viaSpines(spines)
 	case topology.RoleSpine:
 		// spineHas already holds "the hosting cluster's leaf on my plane
 		// has the direct route and my link to it is live".
 		k := s.spineIdx(d)
 		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			if s.spineHas[pi][k] {
+			if s.spineHas(pi)[k] {
 				dst = append(dst, s.hostLeaf(s.prefixes[pi].Cluster, dev.Plane))
 			}
 			return dst
 		}
 	case topology.RoleLeaf:
-		remote := viaSpines(liveSpines(d, s.planeSpines(d)))
+		remote := viaSpines(s.leafSpines[d])
 		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
 			hp := &s.prefixes[pi]
 			if hp.Cluster != dev.Cluster {
 				return remote(dst, pi)
 			}
-			if s.leafHasDirect(d, hp.ToR) {
+			if s.direct[pi*planes+dev.Plane] {
 				dst = append(dst, hp.ToR)
 			}
 			return dst
@@ -530,21 +628,22 @@ func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []
 	// the cluster, one through any of its live plane spines outside it.
 	type leafState struct {
 		id     topology.DeviceID
+		plane  int
 		spines []int
 	}
-	var live []leafState
+	live := make([]leafState, 0, len(s.topo.ClusterLeaves(dev.Cluster)))
 	for _, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
 		if s.live(d, leaf) {
-			live = append(live, leafState{id: leaf, spines: liveSpines(leaf, s.planeSpines(leaf))})
+			live = append(live, leafState{id: leaf, plane: s.topo.Device(leaf).Plane, spines: s.leafSpines[leaf]})
 		}
 	}
 	return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
 		hp := &s.prefixes[pi]
-		has := s.spineHas[pi]
+		has := s.spineHas(pi)
 		for i := range live {
 			ls := &live[i]
 			if hp.Cluster == dev.Cluster {
-				if s.leafHasDirect(ls.id, hp.ToR) {
+				if s.direct[pi*planes+ls.plane] {
 					dst = append(dst, ls.id)
 				}
 				continue
@@ -566,7 +665,7 @@ func (s *Synth) defaultNextHops(d topology.DeviceID) []topology.DeviceID {
 	if cfg.RejectDefaultIn {
 		return nil
 	}
-	var nhs []topology.DeviceID
+	nhs := make([]topology.DeviceID, 0, len(s.topo.LinksOf(d)))
 	switch dev.Role {
 	case topology.RoleRegionalSpine:
 		// The RS's own default points into the regional network, outside
@@ -618,7 +717,7 @@ func (s *Synth) someDefaultSpine(leaf topology.DeviceID) topology.DeviceID {
 func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.HostedPrefix) []topology.DeviceID {
 	dev := s.topo.Device(d)
 	torASN := s.asn(hp.ToR)
-	has := s.spineHas[pi]
+	has := s.spineHas(pi)
 	var nhs []topology.DeviceID
 	switch dev.Role {
 	case topology.RoleRegionalSpine:

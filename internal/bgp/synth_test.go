@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcvalidate/internal/fib"
@@ -44,6 +45,15 @@ func checkAllTables(t *testing.T, topo *topology.Topology, cfg map[topology.Devi
 		if err := tablesEqual(st, yt); err != nil {
 			t.Fatalf("%s: device %s: %v\nsim=%+v\nsynth=%+v",
 				label, topo.Device(d).Name, err, st.Entries, yt.Entries)
+		}
+		rt := synth.TableRuns(d, nil)
+		for i, r := range rt.Runs {
+			if r.Lo >= r.Hi || i > 0 && rt.Runs[i-1].Hi > r.Lo {
+				t.Fatalf("%s: device %s: runs not ascending and disjoint: %+v", label, topo.Device(d).Name, rt.Runs)
+			}
+			if i > 0 && rt.Runs[i-1].Hi == r.Lo && slices.Equal(rt.Runs[i-1].NextHops, r.NextHops) {
+				t.Fatalf("%s: device %s: runs %d and %d touch with equal next hops: not maximal", label, topo.Device(d).Name, i-1, i)
+			}
 		}
 	}
 }
@@ -99,6 +109,9 @@ func TestSynthMatchesSimRandom(t *testing.T) {
 				topo.Links[i].SessionUp = false
 			}
 		}
+
+		// Link state alone: the derivation that works once per run.
+		checkAllTables(t, topo, nil, fmt.Sprintf("random iter %d, no config (%+v)", iter, p))
 
 		// Random config knobs.
 		cfg := map[topology.DeviceID]*DeviceConfig{}

@@ -148,46 +148,115 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 // memo, into buf's backing array (grown if too small): a sweep that checks
 // one device at a time hands the previous device's Contracts back in and
 // generates the whole fleet through one buffer. The contracts are valid
-// until buf is reused; their NextHops slices are fresh and never reused.
+// until buf is reused; their NextHops slices are never reused. It is the
+// expansion of the device's runs (see Runs).
 func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContracts {
+	return g.Runs(id, nil).Expand(g.facts.Prefixes, buf)
+}
+
+// Run is a stretch of a device's specific contracts: one contract at each
+// position Lo..Hi-1 of facts.Prefixes, all expecting NextHops.
+type Run struct {
+	Lo, Hi   int
+	NextHops []topology.DeviceID
+}
+
+// DeviceRuns is one device's contract set written as runs: the default
+// contract's expected next hops (none: no default contract), then maximal
+// runs of specific contracts that expect one next-hop slice, ascending.
+type DeviceRuns struct {
+	Device  topology.DeviceID
+	Default []topology.DeviceID
+	Runs    []Run
+}
+
+// Len returns the number of contracts the runs stand for.
+func (dr DeviceRuns) Len() int {
+	n := 0
+	if len(dr.Default) > 0 {
+		n++
+	}
+	for _, r := range dr.Runs {
+		n += r.Hi - r.Lo
+	}
+	return n
+}
+
+// Expand writes the contracts the runs stand for into buf's backing array
+// (grown if too small), in DeviceContracts order: the default contract,
+// then one specific contract per run position of prefixes, the list the
+// runs index.
+func (dr DeviceRuns) Expand(prefixes []metadata.PrefixFacts, buf []Contract) DeviceContracts {
+	dc := DeviceContracts{Device: dr.Device, Contracts: buf[:0]}
+	if n := dr.Len(); cap(buf) < n {
+		dc.Contracts = make([]Contract, 0, n)
+	}
+	if len(dr.Default) > 0 {
+		dc.Contracts = append(dc.Contracts, Contract{Device: dr.Device, Kind: Default, NextHops: dr.Default})
+	}
+	for _, r := range dr.Runs {
+		for i := r.Lo; i < r.Hi; i++ {
+			dc.Contracts = append(dc.Contracts, Contract{Device: dr.Device, Kind: Specific, Prefix: prefixes[i].Prefix, NextHops: r.NextHops})
+		}
+	}
+	return dc
+}
+
+// Runs derives one device's contracts from the facts as runs over
+// facts.Prefixes, appending them to buf[:0]. Every contract a role expects
+// of a stretch of prefixes names one shared next-hop slice — a ToR's
+// uplinks, a leaf's uplinks or the hosting ToR, a spine's leaf in the
+// hosting cluster — so a run is a stretch of one slice, and a ToR's ~all
+// contracts are one or two runs.
+func (g *Generator) Runs(id topology.DeviceID, buf []Run) DeviceRuns {
 	df := g.facts.Device(id)
-	// Every role below emits its default contract first and its specific
-	// contracts in facts.Prefixes order (see DeviceContracts).
-	dc := DeviceContracts{Device: id, Contracts: buf[:0]}
+	ps := g.facts.Prefixes
+	dr := DeviceRuns{Device: id, Runs: buf[:0]}
+	// stretch returns where the stretch of positions from i that same
+	// holds for ends.
+	stretch := func(i int, same func(p *metadata.PrefixFacts) bool) int {
+		for i < len(ps) && same(&ps[i]) {
+			i++
+		}
+		return i
+	}
 
 	uplinks := devIDs(df.Uplinks)
 	switch df.Role {
 	case topology.RoleToR:
 		// Default contract: all neighboring leaves.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
+		dr.Default = uplinks
 		// Specific contract for every datacenter prefix not hosted here,
 		// next hops the neighboring leaves.
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			if slices.Contains(df.HostedPrefixes, p.Prefix) {
-				continue
-			}
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: uplinks})
+		notHosted := func(p *metadata.PrefixFacts) bool { return !slices.Contains(df.HostedPrefixes, p.Prefix) }
+		for i := 0; i < len(ps); i++ {
+			j := stretch(i, notHosted)
+			dr.add(i, j, uplinks)
+			i = j
 		}
 
 	case topology.RoleLeaf:
 		// Default contract: the neighboring spines.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
+		dr.Default = uplinks
 		// Specific contracts: same-cluster prefixes go straight to the
-		// hosting ToR; everything else goes to the spines.
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			if p.Cluster == df.Cluster {
-				dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix,
-					NextHops: []topology.DeviceID{p.ToR}})
-			} else {
-				dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: uplinks})
+		// hosting ToR — one slice per ToR, shared by its prefixes —
+		// everything else goes to the spines.
+		for i := 0; i < len(ps); {
+			c, tor := ps[i].Cluster, ps[i].ToR
+			if c != df.Cluster {
+				j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster != df.Cluster })
+				dr.add(i, j, uplinks)
+				i = j
+				continue
 			}
+			j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster == c && p.ToR == tor })
+			dr.add(i, j, []topology.DeviceID{tor})
+			i = j
 		}
 
 	case topology.RoleSpine:
 		// Default contract: the neighboring regional spines.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
+		dr.Default = uplinks
 		// Specific contracts: the neighboring leaves of the hosting
 		// cluster (with the plane structure, exactly one per cluster).
 		downByCluster := make(map[int][]topology.DeviceID)
@@ -197,10 +266,11 @@ func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContrac
 		for c, hops := range downByCluster {
 			downByCluster[c] = sortedCopy(hops)
 		}
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix,
-				NextHops: downByCluster[p.Cluster]})
+		for i := 0; i < len(ps); {
+			c := ps[i].Cluster
+			j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster == c })
+			dr.add(i, j, downByCluster[c])
+			i = j
 		}
 
 	case topology.RoleRegionalSpine:
@@ -208,14 +278,14 @@ func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContrac
 		// the regional network, outside the datacenter model. Specific
 		// contracts expect every neighboring spine, since each spine
 		// reaches every cluster through its plane leaf.
-		downs := devIDs(df.Downlinks)
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: downs})
-		}
+		dr.add(0, len(ps), devIDs(df.Downlinks))
 	}
-	return dc
+	return dr
 }
+
+// Prefixes returns the prefix list Runs indexes: the facts' hosted
+// prefixes.
+func (g *Generator) Prefixes() []metadata.PrefixFacts { return g.facts.Prefixes }
 
 // All generates contracts for every device in the datacenter.
 func (g *Generator) All() []DeviceContracts {
@@ -237,22 +307,23 @@ func (g *Generator) Count() int {
 	return n
 }
 
-func (dc *DeviceContracts) add(c Contract) {
-	if len(c.NextHops) == 0 {
-		// A device with no expected next hops toward a prefix (possible in
-		// degenerate topologies) has no forwarding obligation.
+// add puts specific contracts expecting hops at positions [lo, hi),
+// extending the last run when that ends at lo with the same slice. A device
+// with no expected next hops toward a prefix (possible in degenerate
+// topologies) has no forwarding obligation.
+func (dr *DeviceRuns) add(lo, hi int, hops []topology.DeviceID) {
+	if lo == hi || len(hops) == 0 {
 		return
 	}
-	dc.Contracts = append(dc.Contracts, c)
+	if n := len(dr.Runs); n > 0 && dr.Runs[n-1].Hi == lo && sameSlice(dr.Runs[n-1].NextHops, hops) {
+		dr.Runs[n-1].Hi = hi
+		return
+	}
+	dr.Runs = append(dr.Runs, Run{Lo: lo, Hi: hi, NextHops: hops})
 }
 
-func (dc *DeviceContracts) grow(n int) {
-	if cap(dc.Contracts)-len(dc.Contracts) < n {
-		next := make([]Contract, len(dc.Contracts), len(dc.Contracts)+n)
-		copy(next, dc.Contracts)
-		dc.Contracts = next
-	}
-}
+// sameSlice reports whether two non-empty slices are the same slice.
+func sameSlice(a, b []topology.DeviceID) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
 func sortedCopy(hops []topology.DeviceID) []topology.DeviceID {
 	out := slices.Clone(hops)

@@ -225,3 +225,52 @@ func TestOverlappingMatchesWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestRunsAreMaximalAndShared pins the runs every role's contracts come
+// as: a leaf's in-cluster contracts toward one ToR share one next-hop
+// slice, so equal expectations are one run; neighbouring runs never share
+// a slice (they would be one run); and a ToR's contracts are one run on
+// each side of its own prefix.
+func TestRunsAreMaximalAndShared(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2, SpinesPerPlane: 2,
+		RegionalSpines: 2, RSLinksPerSpine: 1, PrefixesPerToR: 3,
+	})
+	g := NewGenerator(metadata.FromTopology(topo))
+	ps := g.Prefixes()
+	for _, d := range topo.Devices {
+		dr := g.Runs(d.ID, nil)
+		for i, r := range dr.Runs {
+			if r.Lo >= r.Hi || i > 0 && dr.Runs[i-1].Hi > r.Lo {
+				t.Fatalf("%s: runs not ascending and disjoint: %+v", d.Name, dr.Runs)
+			}
+			if i > 0 && dr.Runs[i-1].Hi == r.Lo && sameSlice(dr.Runs[i-1].NextHops, r.NextHops) {
+				t.Fatalf("%s: runs %d and %d share a slice and touch: not maximal", d.Name, i-1, i)
+			}
+		}
+		if got := len(dr.Expand(ps, nil).Contracts); got != dr.Len() {
+			t.Fatalf("%s: %d runs expand to %d contracts, Len says %d", d.Name, len(dr.Runs), got, dr.Len())
+		}
+		switch d.Role {
+		case topology.RoleToR:
+			if len(dr.Runs) > 2 {
+				t.Errorf("%s: %d runs, want at most one each side of its own prefixes", d.Name, len(dr.Runs))
+			}
+		case topology.RoleLeaf:
+			byToR := map[topology.DeviceID]*topology.DeviceID{}
+			for _, c := range g.Generate(d.ID, nil).Contracts {
+				if c.Kind != Specific || len(c.NextHops) != 1 || topo.Device(c.NextHops[0]).Role != topology.RoleToR {
+					continue
+				}
+				tor := c.NextHops[0]
+				if p, ok := byToR[tor]; ok && p != &c.NextHops[0] {
+					t.Fatalf("%s: contracts toward %s do not share one next-hop slice", d.Name, topo.Device(tor).Name)
+				}
+				byToR[tor] = &c.NextHops[0]
+			}
+			if len(byToR) != 4 {
+				t.Fatalf("%s: in-cluster contracts toward %d ToRs, want 4", d.Name, len(byToR))
+			}
+		}
+	}
+}

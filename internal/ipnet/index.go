@@ -2,7 +2,6 @@ package ipnet
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -31,26 +30,80 @@ type indexKey struct {
 
 // NewIndex indexes rows 0..n-1, row i holding prefix at(i). Rows may come
 // in any order — input already strictly ascending is taken as it stands,
-// anything else is sorted — and when several rows hold the same prefix the
-// last one wins, as a later insert replaces an earlier one.
+// anything else is put in order by merging its maximal ascending runs, which
+// is linear for the few runs a synthesized table has (connected rows, then
+// the default, then the specifics) — and when several rows hold the same
+// prefix the last one wins, as a later insert replaces an earlier one.
 func NewIndex(n int, at func(int) Prefix) *Index {
 	keys := make([]indexKey, n)
-	ascending := true
+	descents, dups := false, false
 	for i := range keys {
 		keys[i] = indexKey{at(i), int32(i)}
-		ascending = ascending && (i == 0 || keys[i-1].Compare(keys[i].Prefix) < 0)
+		if i > 0 {
+			c := keys[i-1].Compare(keys[i].Prefix)
+			descents, dups = descents || c > 0, dups || c == 0
+		}
 	}
-	if !ascending {
-		slices.SortFunc(keys, func(a, b indexKey) int {
-			if c := a.Compare(b.Prefix); c != 0 {
-				return c
+	if descents {
+		keys = mergeRuns(keys)
+	}
+	if descents || dups {
+		// Equal prefixes are now adjacent, in row order: keep the last.
+		w := 0
+		for _, k := range keys {
+			if w > 0 && keys[w-1].Prefix == k.Prefix {
+				keys[w-1] = k
+				continue
 			}
-			return int(b.row - a.row)
-		})
-		// Equal prefixes are now adjacent, the latest row first: keep it.
-		keys = slices.CompactFunc(keys, func(a, b indexKey) bool { return a.Prefix == b.Prefix })
+			keys[w] = k
+			w++
+		}
+		keys = keys[:w]
 	}
 	return &Index{keys: keys}
+}
+
+// mergeRuns sorts keys by prefix, stably, by merging neighbouring maximal
+// non-descending runs pass after pass (a natural merge sort): O(n log r)
+// for r runs.
+func mergeRuns(keys []indexKey) []indexKey {
+	buf := make([]indexKey, len(keys))
+	for {
+		out, runs := buf[:0], 0
+		for i := 0; i < len(keys); runs++ {
+			mid := runEnd(keys, i)
+			end := runEnd(keys, mid)
+			out = mergeTwo(out, keys[i:mid], keys[mid:end])
+			i = end
+		}
+		keys, buf = out, keys
+		if runs == 1 {
+			return keys
+		}
+	}
+}
+
+// runEnd returns the end of the maximal non-descending run starting at i.
+func runEnd(keys []indexKey, i int) int {
+	if i == len(keys) {
+		return i
+	}
+	for i++; i < len(keys) && keys[i-1].Compare(keys[i].Prefix) <= 0; i++ {
+	}
+	return i
+}
+
+// mergeTwo appends the stable merge of two sorted runs to out, a taking
+// ties.
+func mergeTwo(out, a, b []indexKey) []indexKey {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Compare(a[0].Prefix) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Len returns the number of distinct prefixes indexed.

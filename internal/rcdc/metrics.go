@@ -20,13 +20,19 @@ type Metrics struct {
 	dirty         *obs.Histogram  // dcv_rcdc_delta_dirty_devices
 	rechecked     *obs.Histogram  // dcv_rcdc_delta_contracts_checked
 	utilization   *obs.Gauge      // dcv_rcdc_worker_utilization_ratio
+	runsClean     *obs.Counter    // dcv_rcdc_runs_total{outcome="clean"}
+	runsExpanded  *obs.Counter    // dcv_rcdc_runs_total{outcome="expanded"}
 }
 
 // NewMetrics registers the validator metric families in r and returns
 // the recording handles. Idempotent: a second call against the same
 // registry returns handles to the same series.
 func NewMetrics(r *obs.Registry) *Metrics {
+	runs := r.CounterVec("dcv_rcdc_runs_total",
+		"Run segments of whole-device checks: decided once per segment (clean) or expanded to per-prefix checks (expanded).", "outcome")
 	return &Metrics{
+		runsClean:    runs.With("clean"),
+		runsExpanded: runs.With("expanded"),
 		deviceSeconds: r.Histogram("dcv_rcdc_device_check_seconds",
 			"Per-device contract check latency.", obs.LatencyBuckets),
 		devices: r.Counter("dcv_rcdc_devices_checked_total",
@@ -82,6 +88,15 @@ func (m *Metrics) observeRecheck(contracts int) {
 		return
 	}
 	m.rechecked.Observe(float64(contracts))
+}
+
+// observeRuns records the segments of one device's runs check.
+func (m *Metrics) observeRuns(clean, expanded int) {
+	if m == nil {
+		return
+	}
+	m.runsClean.Add(uint64(clean))
+	m.runsExpanded.Add(uint64(expanded))
 }
 
 // busyTime sums the per-device check time of a report slice.

@@ -124,15 +124,20 @@ func (v *Validator) checker() Checker {
 
 // ValidateDevice checks one device's table against its contracts.
 func (v *Validator) ValidateDevice(facts *metadata.Facts, tbl *fib.Table, dc contracts.DeviceContracts) (DeviceReport, error) {
+	return v.validateDevice(facts, tbl, dc, clock.Or(v.Clock).Now(), len(dc.Contracts))
+}
+
+// validateDevice is ValidateDevice for a check that began at start and
+// stands for n contracts: dc may be the part of them left to check.
+func (v *Validator) validateDevice(facts *metadata.Facts, tbl *fib.Table, dc contracts.DeviceContracts, start time.Time, n int) (DeviceReport, error) {
 	df := facts.Device(dc.Device)
-	start := clock.Or(v.Clock).Now()
 	viols, err := v.checker().CheckDevice(tbl, dc, df.Role)
 	if err != nil {
 		return DeviceReport{}, err
 	}
 	rep := DeviceReport{
 		Device: dc.Device, Name: df.Name, Role: df.Role,
-		Contracts: len(dc.Contracts), Violations: viols,
+		Contracts: n, Violations: viols,
 		Elapsed: clock.Since(v.Clock, start),
 	}
 	v.Metrics.observeDevice(&rep)
@@ -166,29 +171,59 @@ type Refresher interface {
 	RefreshDelta(ds *delta.Set, since uint64)
 }
 
+// sweep is what one ValidateAll or ValidateScoped checks whole devices
+// against: the facts, the contract generator and the FIB source — with the
+// source's runs, when the sweep can check runs (see newSweep).
+type sweep struct {
+	v      *Validator
+	facts  *metadata.Facts
+	gen    *contracts.Generator
+	source fib.Source
+	// memo says gen may memoize, so its contract sets are shared: take them
+	// with ForDevice, never generate into a worker's buffer.
+	memo bool
+
+	runs     RunSource               // nil: check tables row by row
+	prefixes []topology.HostedPrefix // the list runs index
+	exact    bool                    // the trie checker's Exact
+}
+
+// sweepBuf is one worker's buffers, reused from device to device: nothing
+// checked keeps them (violations hold copies).
+type sweepBuf struct {
+	contracts    []contracts.Contract
+	contractRuns []contracts.Run
+	tableRuns    []fib.Run
+	rows         []fib.Entry
+	marks        []span
+}
+
 // checkWhole pulls one device's table and validates it against all its
-// contracts. A non-nil buf is the calling worker's contract buffer: the
-// contracts are generated into it, replacing the previous device's, instead
-// of into a fresh slice — only for a generator nobody else holds sets of.
-func (v *Validator) checkWhole(facts *metadata.Facts, gen *contracts.Generator, source fib.Source, id topology.DeviceID, buf *[]contracts.Contract) (DeviceReport, error) {
-	tbl, err := source.Table(id)
+// contracts — as runs when the sweep has them (checkRuns), else row by row:
+// the contracts are generated into the worker's buffer, replacing the
+// previous device's, unless the generator memoizes.
+func (s *sweep) checkWhole(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
+	if s.runs != nil {
+		return s.checkRuns(id, buf)
+	}
+	tbl, err := s.source.Table(id)
 	if err != nil {
 		return DeviceReport{}, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)
 	}
-	if buf == nil {
-		return v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+	if s.memo {
+		return s.v.ValidateDevice(s.facts, tbl, s.gen.ForDevice(id))
 	}
-	dc := gen.Generate(id, *buf)
-	*buf = dc.Contracts
-	return v.ValidateDevice(facts, tbl, dc)
+	dc := s.gen.Generate(id, buf.contracts)
+	buf.contracts = dc.Contracts
+	return s.v.ValidateDevice(s.facts, tbl, dc)
 }
 
 // validateSet runs the worker pool over one device set, producing each
-// device's report with check, which is also handed a contract buffer that
-// belongs to the worker calling it. It returns the per-device reports in
-// ascending device order together with every per-device error (the two
-// are disjoint: an errored device produces no report).
-func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID, *[]contracts.Contract) (DeviceReport, error)) ([]DeviceReport, []error) {
+// device's report with check, which is also handed buffers that belong to
+// the worker calling it. It returns the per-device reports in ascending
+// device order together with every per-device error (the two are
+// disjoint: an errored device produces no report).
+func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID, *sweepBuf) (DeviceReport, error)) ([]DeviceReport, []error) {
 	type result struct {
 		rep DeviceReport
 		err error
@@ -200,7 +235,7 @@ func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.De
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []contracts.Contract
+			var buf sweepBuf
 			for id := range ids {
 				rep, err := check(id, &buf)
 				results <- result{rep: rep, err: err}
@@ -252,13 +287,9 @@ func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Repo
 	for i := range facts.Devices {
 		devs[i] = facts.Devices[i].ID
 	}
-	gen := v.gen(facts)
-	reps, errs := v.validateSet(devs, func(id topology.DeviceID, buf *[]contracts.Contract) (DeviceReport, error) {
-		if v.Contracts != nil {
-			buf = nil // the caller's generator may memoize: its sets are shared
-		}
-		return v.checkWhole(facts, gen, source, id, buf)
-	})
+	// The caller's generator may memoize: its sets are shared.
+	sw := v.newSweep(facts, v.gen(facts), source, v.Contracts != nil)
+	reps, errs := v.validateSet(devs, sw.checkWhole)
 	rep := &Report{Workers: v.workers(), Devices: reps}
 	for i := range reps {
 		rep.Checked += reps[i].Contracts
@@ -381,8 +412,9 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 		sort.SliceStable(base, byDevice)
 	}
 	rows, _ := source.(RowSource)
+	sw := v.newSweep(facts, gen, source, true)
 	var checked atomic.Int64
-	fresh, errs := v.validateSet(devs, func(id topology.DeviceID, _ *[]contracts.Contract) (DeviceReport, error) {
+	fresh, errs := v.validateSet(devs, func(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
 		dc := gen.ForDevice(id)
 		sc, _ := dirty.Scope(id)
 		if i, ok := devicePos(base, id); ok && !sc.Whole && rows != nil && base[i].Contracts == len(dc.Contracts) {
@@ -393,7 +425,7 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 			}
 		}
 		checked.Add(int64(len(dc.Contracts)))
-		return v.checkWhole(facts, gen, source, id, nil)
+		return sw.checkWhole(id, buf)
 	})
 
 	rep := &Report{Workers: v.workers(), Devices: base}

@@ -263,7 +263,9 @@ func New(p Params) (*Topology, error) {
 	if p.Name == "" {
 		p.Name = "dc"
 	}
-	t := &Topology{Params: p, byName: make(map[string]DeviceID)}
+	nDevices := p.NumDevices()
+	t := &Topology{Params: p, byName: make(map[string]DeviceID, nDevices)}
+	t.Devices = make([]Device, 0, nDevices)
 
 	addDevice := func(name string, role Role, cluster, index, plane int, asn uint32) DeviceID {
 		id := DeviceID(len(t.Devices))
@@ -275,16 +277,23 @@ func New(p Params) (*Topology, error) {
 		return id
 	}
 
-	// ToRs and leaves, cluster by cluster.
+	t.tors = make([]DeviceID, 0, p.Clusters*p.ToRsPerCluster)
+	t.leaves = make([]DeviceID, 0, p.Clusters*p.LeavesPerCluster)
+	t.spines = make([]DeviceID, 0, p.LeavesPerCluster*p.SpinesPerPlane)
+	t.rspines = make([]DeviceID, 0, p.RegionalSpines)
+
+	// ToRs and leaves, cluster by cluster. The hosted prefixes are carved
+	// from one array, each ToR's slice capped at its own.
 	prefixSeq := p.RegionIndex << 12
+	hosted := make([]ipnet.Prefix, p.Clusters*p.ToRsPerCluster*p.PrefixesPerToR)
 	for c := 0; c < p.Clusters; c++ {
 		for i := 0; i < p.ToRsPerCluster; i++ {
 			id := addDevice(fmt.Sprintf("%s-c%d-t0-%d", p.Name, c, i),
 				RoleToR, c, i, -1, asnToRBase+uint32(i))
 			d := &t.Devices[id]
-			for k := 0; k < p.PrefixesPerToR; k++ {
-				d.HostedPrefixes = append(d.HostedPrefixes,
-					ipnet.PrefixFrom(ipnet.Addr(0x0a000000|uint32(prefixSeq)<<8), 24))
+			d.HostedPrefixes, hosted = hosted[:p.PrefixesPerToR:p.PrefixesPerToR], hosted[p.PrefixesPerToR:]
+			for k := range d.HostedPrefixes {
+				d.HostedPrefixes[k] = ipnet.PrefixFrom(ipnet.Addr(0x0a000000|uint32(prefixSeq)<<8), 24)
 				prefixSeq++
 			}
 			t.tors = append(t.tors, id)
@@ -308,8 +317,10 @@ func New(p Params) (*Topology, error) {
 		t.rspines = append(t.rspines, id)
 	}
 
-	t.linksOf = make([][]LinkID, len(t.Devices))
-	t.linkIdx = make(map[uint64]LinkID)
+	groups := p.RegionalSpines / p.RSLinksPerSpine
+	nLinks := p.Clusters*p.LeavesPerCluster*(p.ToRsPerCluster+p.SpinesPerPlane) + len(t.spines)*p.RSLinksPerSpine
+	t.Links = make([]Link, 0, nLinks)
+	t.linkIdx = make(map[uint64]LinkID, nLinks)
 	addLink := func(a, b DeviceID) {
 		id := LinkID(len(t.Links))
 		base := ipnet.Addr(0x64400000 + 2*uint32(id)) // 100.64.0.0/10 pool
@@ -317,8 +328,6 @@ func New(p Params) (*Topology, error) {
 			ID: id, A: a, B: b, Up: true, SessionUp: true,
 			AddrA: base, AddrB: base + 1,
 		})
-		t.linksOf[a] = append(t.linksOf[a], id)
-		t.linksOf[b] = append(t.linksOf[b], id)
 		t.linkIdx[pairKey(a, b)] = id
 	}
 
@@ -343,12 +352,29 @@ func New(p Params) (*Topology, error) {
 	// Spine–regional spine: RS devices form RSLinksPerSpine groups; spine k
 	// (global index) connects to RS {g, g+groups, g+2*groups, ...} where
 	// g = k mod groups.
-	groups := p.RegionalSpines / p.RSLinksPerSpine
 	for k, sp := range t.spines {
 		g := k % groups
 		for r := g; r < p.RegionalSpines; r += groups {
 			addLink(sp, t.rspines[r])
 		}
+	}
+
+	// Incident links, in link order, carved from one array: each device's
+	// slice is capped at its degree, so a later append copies it out.
+	degree := make([]int, len(t.Devices))
+	for i := range t.Links {
+		degree[t.Links[i].A]++
+		degree[t.Links[i].B]++
+	}
+	flat := make([]LinkID, 2*len(t.Links))
+	t.linksOf = make([][]LinkID, len(t.Devices))
+	for d, n := range degree {
+		t.linksOf[d], flat = flat[:0:n], flat[n:]
+	}
+	for i := range t.Links {
+		l := &t.Links[i]
+		t.linksOf[l.A] = append(t.linksOf[l.A], l.ID)
+		t.linksOf[l.B] = append(t.linksOf[l.B], l.ID)
 	}
 	return t, nil
 }

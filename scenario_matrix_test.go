@@ -16,9 +16,12 @@ import (
 // reports must render byte-identically; across engines, the violation
 // sets must agree on the (device, contract prefix, kind) surface; and the
 // trie and PEC engines — which share exact verdict semantics down to
-// witness details — must render byte-identically to each other. One
-// scenario goes a step further and splices a second, row-scoped delta into
-// the report that already holds the first one's violations.
+// witness details — must render byte-identically to each other. The trie
+// engine runs twice: its full sweep over the synthesized fleet must take
+// the runs path, and a "rows" leg over the same tables with the runs hidden
+// must render the same bytes. One scenario goes a step further and splices
+// a second, row-scoped delta into the report that already holds the first
+// one's violations.
 
 // renderMatrixReport is the timing-free byte surface of a report, the
 // same shape the E19/E20 identity gates pin.
@@ -107,6 +110,23 @@ func selfLoopOneSpecific(tbl *fib.Table) *fib.Table {
 		out.Add(e)
 	}
 	return out
+}
+
+// rowsOnly hides a source's runs: the sweep merge-joins its tables row by
+// row.
+type rowsOnly struct{ inner FIBSource }
+
+func (r rowsOnly) Table(id DeviceID) (*fib.Table, error) { return r.inner.Table(id) }
+
+// runSegments sums dcv_rcdc_runs_total over its outcomes.
+func runSegments(reg *MetricsRegistry) float64 {
+	n := 0.0
+	for _, s := range reg.Snapshot() {
+		if s.Name == "dcv_rcdc_runs_total" {
+			n += s.Value
+		}
+	}
+	return n
 }
 
 type matrixScenario struct {
@@ -203,10 +223,12 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 	engines := []struct {
 		name string
 		eng  Engine
+		rows bool // hide the synthesized runs
 	}{
-		{"trie", EngineTrie},
-		{"smt", EngineSMT},
-		{"pec", EnginePEC},
+		{"trie", EngineTrie, false},
+		{"rows", EngineTrie, true},
+		{"smt", EngineSMT, false},
+		{"pec", EnginePEC, false},
 	}
 	for _, sc := range matrixScenarios() {
 		sc := sc
@@ -219,6 +241,14 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := ValidateOptions{Engine: e.eng, Workers: 1}
+				// The rows leg pulls from a source made after each change: an
+				// overriding source is not refreshed.
+				rowsSource := func() {
+					if e.rows {
+						opts.Source = rowsOnly{dc.Source()}
+					}
+				}
+				rowsSource()
 				prev, err := dc.Validate(opts)
 				if err != nil {
 					t.Fatalf("%s baseline: %v", e.name, err)
@@ -228,12 +258,22 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 				}
 
 				sc.apply(t, dc)
+				rowsSource()
 				if sc.source != nil {
 					opts.Source = sc.source(t, dc)
+				}
+				var reg *MetricsRegistry
+				if e.name == "trie" {
+					reg = dc.Metrics()
 				}
 				full, err := dc.Validate(opts)
 				if err != nil {
 					t.Fatalf("%s full: %v", e.name, err)
+				}
+				// The synthesized fleet is checked as runs; a corrupted pull
+				// path offers none.
+				if reg != nil && (runSegments(reg) > 0) != (sc.source == nil) {
+					t.Errorf("%s: %v run segments decided with an overriding source %v", e.name, runSegments(reg), sc.source != nil)
 				}
 				delta, err := dc.ValidateDelta(prev, opts)
 				if err != nil {
@@ -252,6 +292,7 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 
 				if sc.then != nil {
 					sc.then(t, dc)
+					rowsSource()
 					full2, err := dc.Validate(opts)
 					if err != nil {
 						t.Fatalf("%s follow-up full: %v", e.name, err)
@@ -272,10 +313,13 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 				}
 			}
 
-			// Trie and PEC share exact semantics: byte identity.
-			if !bytes.Equal(fullRender["trie"], fullRender["pec"]) || !bytes.Equal(fullRender["trie/then"], fullRender["pec/then"]) {
-				t.Errorf("PEC report diverges from trie\n--- trie ---\n%s--- pec ---\n%s",
-					fullRender["trie"], fullRender["pec"])
+			// Trie runs, trie rows and PEC share exact semantics: byte
+			// identity.
+			for _, other := range []string{"rows", "pec"} {
+				if !bytes.Equal(fullRender["trie"], fullRender[other]) || !bytes.Equal(fullRender["trie/then"], fullRender[other+"/then"]) {
+					t.Errorf("%s report diverges from trie\n--- trie ---\n%s--- %s ---\n%s",
+						other, fullRender["trie"], other, fullRender[other])
+				}
 			}
 			// All engines agree on the violation identity surface.
 			for _, e := range engines[1:] {
