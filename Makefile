@@ -61,7 +61,8 @@ bench-smoke:
 
 # CI gate for the benchmark harness: benchmark/ is a nested module that
 # `go build ./...` and `go test ./...` never enter, yet it calls delta,
-# bgp, rcdc, pec, shard and engine directly — so a signature change there
+# bgp, rcdc and engine directly, and the pec and shard packages as the
+# oracles its per-layer rows compare against — so a signature change there
 # would otherwise first fail in a benchmark run. Builds it, runs its own
 # tests, then every workload once at the quick sizes, twice per seed,
 # requiring correct verdicts and repeatable counts.
@@ -90,12 +91,12 @@ explore-smoke:
 conflint-smoke:
 	$(GO) run ./cmd/dcbench -e e18 -quick
 
-# CI gate for the serving plane: boot dcvalidated on a small sharded
-# topology, issue conformance + reachability queries over HTTP, require
-# repeat queries to land as dcv_serve_cache_hits_total increments with
-# zero extra sweeps, then run E19 at its quick point with the
-# byte-identity gate armed (sharded merged report vs single-engine sweep
-# for N in {1,2,5}). See scripts/serve_smoke.sh.
+# CI gate for the serving plane: boot dcvalidated on a small topology,
+# issue conformance + reachability queries over HTTP, require repeat
+# queries to land as dcv_serve_cache_hits_total increments with zero extra
+# sweeps, then run E19 at its quick point with the shard coordinator's
+# byte-identity gate armed (coordinator report vs single-engine sweep for
+# N in {1,2,5}). See scripts/serve_smoke.sh.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -103,8 +104,8 @@ serve-smoke:
 # its quick point, panic gates armed — the PEC report must render
 # byte-identically to the trie engine's (cold and warm), agree with the
 # SMT engine on a per-role device sample, and its warm sweep must beat its
-# own shared-arena cold sweep by 2x (what the caches promise; trie-vs-PEC
-# is a recorded column, not a floor).
+# own cold sweep by 2x (what the cache promises; trie-vs-PEC is a
+# recorded column, not a floor).
 pec-smoke:
 	$(GO) run ./cmd/dcbench -e e20 -quick
 
@@ -124,7 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/devconf/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/devconf/
 	$(GO) test -fuzz FuzzPECDifferential -fuzztime $(FUZZTIME) ./internal/pec/
-	$(GO) test -fuzz FuzzArenaDifferential -fuzztime $(FUZZTIME) ./internal/pec/
+	$(GO) test -fuzz FuzzPECFleetDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzPrefixIndex -fuzztime $(FUZZTIME) ./internal/ipnet/
 	$(GO) test -fuzz FuzzRunsDifferential -fuzztime $(FUZZTIME) ./internal/rcdc/
 

@@ -18,13 +18,12 @@
 // replay); e18 is the conflint detection gate (panics on clean-fleet false
 // positives, a missed seeded misconfig class, report instability, or
 // SMT/interval shadow disagreement); e20 gates the packet-equivalence-
-// class engine (panics unless PEC reports — per-device, shared-arena,
-// and warm — render byte-identically to the trie engine at every size,
-// agree with the SMT engine on a per-role sample, clear a 2x
-// shared-arena cold dedup floor at >=2008 devices and, at the largest
-// size, a 2x floor on warm PEC over shared-cold PEC, and trie warm stays
-// <=1.5x cold — the make pec-smoke hook; warm trie over warm PEC is
-// recorded, not gated). Every run records a
+// class engine (panics unless PEC reports — cold and warm — render
+// byte-identically to the trie engine at every size, agree with the SMT
+// engine on a per-role sample and, at the largest size, clear a 2x floor
+// on warm PEC over cold PEC while trie warm stays <=1.5x cold — the make
+// pec-smoke hook; warm trie over warm PEC is recorded, not gated). Every
+// run records a
 // per-experiment snapshot of the observability registry (validator,
 // solver, and synth-cache series plus dcv_experiment_seconds) and writes
 // them to -metrics-out as JSON: one entry per experiment holding the

@@ -50,6 +50,7 @@ import (
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/pec"
 	"dcvalidate/internal/rcdc"
+	"dcvalidate/internal/serve"
 	"dcvalidate/internal/topology"
 	"dcvalidate/internal/workload"
 )
@@ -162,7 +163,7 @@ func main() {
 	if *metricsAddr != "" {
 		http.Handle("/metrics", reg.Handler())
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
+			if err := serve.NewHTTPServer(*metricsAddr, http.DefaultServeMux).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "dcmon: metrics server:", err)
 				os.Exit(2)
 			}
@@ -284,34 +285,4 @@ func printSummary(reg *obs.Registry) {
 			want["dcv_delta_scoped_devices_total"],
 			want["dcv_delta_dirty_rows_sum"])
 	}
-	printArenaSummary(reg)
-}
-
-// printArenaSummary reports the PEC shared-atom-arena state (engine=pec
-// runs only): live shapes, attached devices, cold-check dedup outcomes,
-// and detach/evict churn — again straight from the /metrics series.
-func printArenaSummary(reg *obs.Registry) {
-	arena := map[string]float64{}
-	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "dcv_pec_shapes", "dcv_pec_shape_refs",
-			"dcv_pec_shape_detach_total", "dcv_pec_shape_evict_total":
-			arena[s.Name] = s.Value
-		case "dcv_pec_shape_total":
-			arena[s.Name+":"+s.Labels["result"]] = s.Value
-		}
-	}
-	builds := arena["dcv_pec_shape_total:build"]
-	hits := arena["dcv_pec_shape_total:hit"]
-	fallbacks := arena["dcv_pec_shape_total:fallback"]
-	cold := builds + hits + fallbacks
-	if cold == 0 {
-		return // arena never exercised (trie/SMT engine, or warm-only run)
-	}
-	fmt.Printf("dcmon: pec arena: %.0f shapes / %.0f attached devices; cold checks %.0f (%.0f builds, %.0f hits = %.1f%% dedup, %.0f fallbacks); %.0f detaches, %.0f evictions\n",
-		arena["dcv_pec_shapes"],
-		arena["dcv_pec_shape_refs"],
-		cold, builds, hits, 100*hits/cold, fallbacks,
-		arena["dcv_pec_shape_detach_total"],
-		arena["dcv_pec_shape_evict_total"])
 }

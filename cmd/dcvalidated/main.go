@@ -5,11 +5,6 @@
 // O(1) cache hit with zero revalidation work (watch
 // dcv_serve_cache_hits_total climb on repeats).
 //
-// With -shards N, the table caches behind every sweep are partitioned
-// across N validator shards by consistent hashing over the Clos pod
-// structure — each device is pulled by the shard that owns it; answers are
-// byte-identical to the single engine's.
-//
 // The -engine flag swaps the verification engine behind every sweep —
 // trie (default), smt, or pec (packet equivalence classes) — without
 // changing any verdict.
@@ -17,7 +12,6 @@
 // Usage:
 //
 //	dcvalidated -addr :8080 -clusters 6 -tors 12
-//	dcvalidated -addr :8080 -shards 4
 //
 //	curl 'localhost:8080/summary'
 //	curl 'localhost:8080/device?name=dc-c0-t0-0'
@@ -30,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 
 	"dcvalidate/internal/engine"
@@ -47,7 +40,6 @@ func main() {
 		spines   = flag.Int("spines", 2, "spines per plane")
 		rs       = flag.Int("rs", 4, "regional spines")
 		rslinks  = flag.Int("rslinks", 2, "RS links per spine")
-		shards   = flag.Int("shards", 0, "partition sweeps across N validator shards (0 = single engine)")
 		warm     = flag.Bool("warm", true, "run the first fleet sweep at boot so the first query hits the cache")
 		engName  = flag.String("engine", "", "verification engine: trie (default), smt, or pec")
 	)
@@ -70,7 +62,6 @@ func main() {
 	eng := engine.New(topo, nil)
 	eng.Metrics()
 	eng.SetDefaultEngine(kind)
-	eng.SetShards(*shards)
 	srv := serve.New(eng)
 	if *warm {
 		sum, err := eng.Summary()
@@ -78,12 +69,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dcvalidated: warm sweep:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("dcvalidated: warmed %d devices (%d contracts) across %d shard(s) at generation %d\n",
-			sum.Devices, sum.Contracts, sum.Shards, sum.Generation)
+		fmt.Printf("dcvalidated: warmed %d devices (%d contracts) at generation %d\n",
+			sum.Devices, sum.Contracts, sum.Generation)
 	}
-	fmt.Printf("dcvalidated: serving %d devices on %s (shards=%d)\n",
-		len(topo.Devices), *addr, eng.Shards())
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	fmt.Printf("dcvalidated: serving %d devices on %s\n", len(topo.Devices), *addr)
+	if err := serve.NewHTTPServer(*addr, srv).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "dcvalidated:", err)
 		os.Exit(2)
 	}

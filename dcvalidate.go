@@ -183,8 +183,8 @@ func NewRegion(params []TopologyParams) (*Region, error) {
 // Datacenter bundles a topology with its metadata facts and a converged
 // FIB source — everything RCDC needs. It is a thin client of the
 // orchestration engine (internal/engine): every method delegates, so the
-// facade, the sharded coordinator, and the dcvalidated query server all
-// share one implementation, one set of serving caches, and one lock.
+// facade and the dcvalidated query server share one implementation, one
+// set of serving caches, and one lock.
 // Datacenter methods are safe for concurrent use; only direct writes to
 // the public Topo and Config fields bypass the engine's synchronization.
 type Datacenter struct {
@@ -464,22 +464,9 @@ func (d *Datacenter) QueryViolations() ([]Violation, uint64, error) {
 }
 
 // SetDefaultEngine makes every run that doesn't name an engine in its
-// ValidateOptions — including the serving path's cache refreshes, sharded
-// or not — use the given one.
+// ValidateOptions — including the serving path's cache refreshes — use
+// the given one.
 func (d *Datacenter) SetDefaultEngine(e Engine) { d.eng.SetDefaultEngine(e.engineKind()) }
-
-// EnableSharding partitions the serving and incremental paths' table
-// caches across n validator shards by consistent hashing over the Clos pod
-// structure: each device's tables are pulled and cached by the shard that
-// owns it, and the same blast-radius revalidation runs over them, so
-// answers are byte-identical (modulo timing) to the unsharded ones.
-func (d *Datacenter) EnableSharding(n int) { d.eng.SetShards(n) }
-
-// DisableSharding restores the single table cache.
-func (d *Datacenter) DisableSharding() { d.eng.SetShards(0) }
-
-// Shards reports the current partition width (1 when unsharded).
-func (d *Datacenter) Shards() int { return d.eng.Shards() }
 
 // SecGuru facade.
 

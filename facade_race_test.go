@@ -83,15 +83,12 @@ func TestFacadeConcurrentUse(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	// Resharding mid-flight.
+	// Swapping the default engine mid-flight drops the report cache.
 	run(func(i int) {
-		switch i % 4 {
-		case 0:
-			dc.EnableSharding(2)
-		case 2:
-			dc.DisableSharding()
-		default:
-			dc.Shards()
+		if i%2 == 0 {
+			dc.SetDefaultEngine(dcvalidate.EnginePEC)
+		} else {
+			dc.SetDefaultEngine(dcvalidate.EngineTrie)
 		}
 	})
 	wg.Wait()

@@ -64,20 +64,18 @@ func metricValue(reg *MetricsRegistry, name string) float64 {
 // after every step of a random seeded sequence of link failures, session
 // shutdowns, restores, (journaled) config edits and steps that change
 // nothing, delta revalidation against the previous report produces a report
-// byte-identical to a from-scratch full sweep of the same state — with the
-// table caches unsharded and split over 2 and 5 shards. The delta leg runs
-// the row-scoped path — contract-level splices into reports that already
-// hold violations — and the test requires that it did, rather than quietly
-// falling back to whole devices. Each step also asks the serving path, which
+// byte-identical to a from-scratch full sweep of the same state. The delta
+// leg runs the row-scoped path — contract-level splices into reports that
+// already hold violations — and the test requires that it did, rather than
+// quietly falling back to whole devices. Each step also asks the serving path, which
 // refreshes its own report over the same source, and a step that changed
-// nothing must be answered from its cache.
+// nothing must be answered from its cache. The serving path reads one set
+// of unsharded table caches, which the subtest name records.
 func TestIncrementalEquivalence(t *testing.T) {
-	for _, shards := range []int{0, 2, 5} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { incrementalEquivalence(t, shards) })
-	}
+	t.Run("shards=0", incrementalEquivalence)
 }
 
-func incrementalEquivalence(t *testing.T, shards int) {
+func incrementalEquivalence(t *testing.T) {
 	inc, err := NewDatacenter(incParams())
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +83,6 @@ func incrementalEquivalence(t *testing.T, shards int) {
 	ref, err := NewDatacenter(incParams())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 0 {
-		inc.EnableSharding(shards)
 	}
 	reg := inc.Metrics()
 	opts := ValidateOptions{Workers: 4}
@@ -162,9 +157,9 @@ func incrementalEquivalence(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatalf("step %d: summary: %v", step, err)
 		}
-		if sum.Generation != gen || sum.Violations != full.Failures || sum.Contracts != full.Checked || sum.Shards != max(shards, 1) {
-			t.Fatalf("step %d: summary %+v, want generation %d, %d violations of %d contracts, over %d shard(s)",
-				step, sum, gen, full.Failures, full.Checked, max(shards, 1))
+		if sum.Generation != gen || sum.Violations != full.Failures || sum.Contracts != full.Checked {
+			t.Fatalf("step %d: summary %+v, want generation %d, %d violations of %d contracts",
+				step, sum, gen, full.Failures, full.Checked)
 		}
 		if unchanged := step > 0 && gen == genBefore; sum.Cached != unchanged {
 			t.Fatalf("step %d: summary cached = %v, generation moved = %v", step, sum.Cached, !unchanged)
@@ -178,15 +173,14 @@ func incrementalEquivalence(t *testing.T, shards int) {
 	}
 }
 
-// TestShardingOrderIndependent: sharding swaps the table caches under the
-// serving path and nothing else, so the engine chosen and the registry
-// created after EnableSharding still drive — and observe — its sweeps.
-func TestShardingOrderIndependent(t *testing.T) {
+// TestDefaultEngineDrivesServing: the engine chosen with SetDefaultEngine
+// and a registry created afterwards drive — and observe — the serving
+// path's sweeps, the delta refresh after a flip included.
+func TestDefaultEngineDrivesServing(t *testing.T) {
 	dc, err := NewDatacenter(incParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc.EnableSharding(2)
 	dc.SetDefaultEngine(EnginePEC)
 	reg := dc.Metrics()
 	if _, err := dc.Summary(); err != nil {
@@ -200,7 +194,7 @@ func TestShardingOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Shards != 2 || sum.Violations == 0 {
+	if sum.Violations == 0 || sum.Cached {
 		t.Fatalf("summary after the flip: %+v", sum)
 	}
 	for _, name := range []string{
@@ -209,7 +203,7 @@ func TestShardingOrderIndependent(t *testing.T) {
 		"dcv_rcdc_delta_contracts_checked_sum", // and re-checked by the engine's validator
 	} {
 		if metricValue(reg, name) == 0 {
-			t.Errorf("%s did not move under sharding", name)
+			t.Errorf("%s did not move", name)
 		}
 	}
 }

@@ -3,13 +3,10 @@
 // change journal + FIB synthesis + rcdc validation + blast-radius delta
 // planning + lint gating + observability wiring — extracted behind a
 // narrow interface (Validate, ValidateDelta, Query, Apply) so it can be
-// driven by three different frontends without duplication:
+// driven by two frontends without duplication:
 //
 //   - the public dcvalidate.Datacenter facade (a thin, source-compatible
 //     client of this package),
-//   - the sharded coordinator (internal/shard), which partitions the
-//     table caches across N validator shards and plugs back in as the
-//     engine's cached FIB source (SetShards),
 //   - the dcvalidated HTTP server (internal/serve), which exposes the
 //     Query API over the wire.
 //
@@ -41,7 +38,6 @@ import (
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/pec"
 	"dcvalidate/internal/rcdc"
-	"dcvalidate/internal/shard"
 	"dcvalidate/internal/topology"
 )
 
@@ -71,12 +67,9 @@ type Engine struct {
 	facts *metadata.Facts // regenerated lazily if nil
 
 	// Incremental-validation state: a persistent FIB source with
-	// generation-keyed table caching — the engine's own synth, or the shard
-	// coordinator when SetShards partitioned the caches — and a memoized
-	// contract generator.
-	synth  *bgp.Synth
-	shards *shard.Coordinator
-	cgen   *contracts.Generator
+	// generation-keyed table caching and a memoized contract generator.
+	synth *bgp.Synth
+	cgen  *contracts.Generator
 
 	// Serving caches, all keyed on the topology generation. report is the
 	// last complete sweep; reportIdx indexes it by device name for O(1)
@@ -94,10 +87,7 @@ type Engine struct {
 	// defaultKind routes runs that don't name an engine; pec/pecExact are
 	// the engine-lifetime packet-equivalence-class checkers (created
 	// lazily so non-PEC engines never pay for them) whose atomization
-	// caches the delta path invalidates by blast radius. Engine-lifetime
-	// also scopes the shared atom arena: shapes interned on the first
-	// sweep keep serving ShapeHits across later sweeps and deltas, with
-	// Invalidate detaching (and at zero refs evicting) rewritten devices.
+	// caches the delta path invalidates by blast radius.
 	defaultKind Kind
 	pec         *pec.Checker
 	pecExact    *pec.Checker
@@ -140,43 +130,6 @@ func (e *Engine) SetClock(c clock.Clock) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.clk = c
-}
-
-// SetShards partitions the engine's table caches across n validator shards
-// — a consistent-hash coordinator over the Clos pod structure, which then
-// answers every pull of the incremental and serving paths from the owning
-// shard's cache; n < 1 restores the engine's own single cache. Checker,
-// instrumentation and contract generator stay the engine's either way, so
-// the call's order relative to SetDefaultEngine and Metrics does not
-// matter. The report cache is dropped: the next query re-derives it over
-// the new source.
-func (e *Engine) SetShards(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shards = nil
-	if n > 0 {
-		e.shards = shard.New(e.topo, e.cfg, n, shard.Options{Clock: e.clk})
-		if e.reg != nil {
-			e.shards.Instrument(shard.NewMetrics(e.reg), e.bgpM)
-		}
-	}
-	e.report = nil
-	e.reportIdx = nil
-}
-
-// Shards reports the partition width of the table caches (1 when the
-// engine keeps its own).
-func (e *Engine) Shards() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.shardsLocked()
-}
-
-func (e *Engine) shardsLocked() int {
-	if e.shards == nil {
-		return 1
-	}
-	return e.shards.Shards()
 }
 
 // Facts returns the metadata snapshot, generated on first call and then
@@ -222,9 +175,6 @@ func (e *Engine) Metrics() *obs.Registry {
 		if e.pecExact != nil {
 			e.pecExact.Metrics = e.pecM
 		}
-		if e.shards != nil {
-			e.shards.Instrument(shard.NewMetrics(e.reg), e.bgpM)
-		}
 	}
 	return e.reg
 }
@@ -263,22 +213,11 @@ func (e *Engine) SimulateBGP() fib.Source {
 	return sim
 }
 
-// liveSource is what the engine keeps as its cached FIB source: row
-// queries, and a refresh against the live topology.
-type liveSource interface {
-	rcdc.RowSource
-	rcdc.Refresher
-}
-
 // cachedSourceLocked returns the persistent generation-cached FIB source
-// behind incremental validation and the serving caches: the shard
-// coordinator when the caches are partitioned, the engine's own synth
-// otherwise. It is as fresh as its last RefreshDelta; rcdc.Revalidate
-// refreshes it with the blast radius it planned from.
-func (e *Engine) cachedSourceLocked() liveSource {
-	if e.shards != nil {
-		return e.shards
-	}
+// behind incremental validation and the serving caches. It is as fresh as
+// its last RefreshDelta; rcdc.Revalidate refreshes it with the blast
+// radius it planned from.
+func (e *Engine) cachedSourceLocked() *bgp.Synth {
 	if e.synth == nil {
 		e.synth = bgp.NewSynth(e.topo, e.cfg)
 		e.synth.EnableTableCache()

@@ -240,9 +240,6 @@ func TestSummary(t *testing.T) {
 	if s.Devices != n || s.Healthy != n || s.Violating != 0 || s.Violations != 0 {
 		t.Fatalf("healthy fleet summary: %+v", s)
 	}
-	if s.Shards != 1 {
-		t.Fatalf("shards = %d, want 1", s.Shards)
-	}
 	if err := e.Apply(Change{Kind: FailLink, A: "dc-c0-t0-0", B: "dc-c0-t1-0"}); err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ func ParseKind(s string) (Kind, error) {
 
 // SetDefaultEngine sets the checker used by runs that don't name one
 // (Options.Engine == KindDefault) — including the serving path's cache
-// refreshes, sharded or not, which is how dcvalidated's -engine flag takes
-// effect. The report caches are dropped, so the next query revalidates
-// through the new engine.
+// refreshes, which is how dcvalidated's -engine flag takes effect. The
+// report caches are dropped, so the next query revalidates through the
+// new engine.
 func (e *Engine) SetDefaultEngine(k Kind) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

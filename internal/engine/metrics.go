@@ -38,7 +38,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		queries: r.CounterVec("dcv_serve_queries_total",
 			"Queries served by kind.", "kind"),
 		sweeps: r.CounterVec("dcv_serve_sweeps_total",
-			"Report-cache refreshes by mode (single, sharded).", "mode"),
+			"Report-cache refreshes; mode is always single.", "mode"),
 		reportDevices: r.Gauge("dcv_serve_report_devices",
 			"Devices covered by the cached report."),
 	}
@@ -75,10 +75,12 @@ func (m *Metrics) observeQuery(kind string, d time.Duration) {
 	m.querySeconds.With(kind).ObserveDuration(d)
 }
 
-func (m *Metrics) observeSweep(mode string, devices int) {
+// observeSweep counts one report-cache refresh. The series keeps its
+// mode="single" label so existing scrapers read the same name.
+func (m *Metrics) observeSweep(devices int) {
 	if m == nil {
 		return
 	}
-	m.sweeps.With(mode).Inc()
+	m.sweeps.With("single").Inc()
 	m.reportDevices.Set(float64(devices))
 }

@@ -18,7 +18,7 @@ import (
 //
 //   - the report cache (last complete sweep + a device-name index),
 //     refreshed through the blast-radius delta path over the engine's
-//     cached FIB source — its own synth, or the shard coordinator;
+//     cached FIB source;
 //   - the global snapshot cache behind reachability queries, which also
 //     derives counterexample packets for failing trajectories.
 //
@@ -75,7 +75,6 @@ type Summary struct {
 	Violations int    `json:"violations"`
 	HighRisk   int    `json:"high_risk"`
 	Generation uint64 `json:"generation"`
-	Shards     int    `json:"shards"`
 	Cached     bool   `json:"cached"`
 }
 
@@ -89,10 +88,6 @@ func (e *Engine) ensureReportLocked() (*rcdc.Report, bool, error) {
 		return e.report, true, nil
 	}
 	e.serveM.miss()
-	mode := "single"
-	if e.shards != nil {
-		mode = "sharded"
-	}
 	rep, err := e.validateDeltaLocked(e.report, Options{})
 	if err != nil {
 		return nil, false, err
@@ -104,7 +99,7 @@ func (e *Engine) ensureReportLocked() (*rcdc.Report, bool, error) {
 		}
 	}
 	e.report = rep
-	e.serveM.observeSweep(mode, len(rep.Devices))
+	e.serveM.observeSweep(len(rep.Devices))
 	return rep, false, nil
 }
 
@@ -202,7 +197,7 @@ func (e *Engine) Summary() (*Summary, error) {
 	c := clock.Or(e.clk)
 	start := c.Now()
 	if e.report != nil && e.report.Generation == e.topo.Generation() {
-		s := e.summaryFrom(e.report, true)
+		s := summaryFrom(e.report, true)
 		e.serveM.hit()
 		e.mu.RUnlock()
 		e.serveM.observeQuery("summary", clock.Since(c, start))
@@ -216,22 +211,20 @@ func (e *Engine) Summary() (*Summary, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	s := e.summaryFrom(rep, cached)
+	s := summaryFrom(rep, cached)
 	e.mu.Unlock()
 	e.serveM.observeQuery("summary", clock.Since(c, start))
 	return s, nil
 }
 
-// summaryFrom derives the fleet summary; caller holds at least the read
-// lock (for the shard width).
-func (e *Engine) summaryFrom(rep *rcdc.Report, cached bool) *Summary {
+// summaryFrom derives the fleet summary from a report.
+func summaryFrom(rep *rcdc.Report, cached bool) *Summary {
 	s := &Summary{
 		Devices:    len(rep.Devices),
 		Contracts:  rep.Checked,
 		Violations: rep.Failures,
 		HighRisk:   rep.HighRisk(),
 		Generation: rep.Generation,
-		Shards:     e.shardsLocked(),
 		Cached:     cached,
 	}
 	for i := range rep.Devices {

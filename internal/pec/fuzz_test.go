@@ -132,8 +132,8 @@ func FuzzPECDifferential(f *testing.F) {
 	})
 }
 
-// arenaDev is one synthetic near-clone in the arena fuzzer's fleet.
-type arenaDev struct {
+// fleetDev is one synthetic near-clone in the fleet fuzzer's fleet.
+type fleetDev struct {
 	tbl  *fib.Table
 	dc   contracts.DeviceContracts
 	role topology.Role
@@ -141,10 +141,9 @@ type arenaDev struct {
 
 // cloneFor derives device i of a fuzzed fleet from the template: same
 // structure, device identity rewritten and every next hop offset into a
-// device-private band — near-clones that should share a shape — plus
-// zero to two extra connected entries that perturb (or break) the
-// delta-locality conditions on just that device.
-func (r *fuzzReader) cloneFor(i int, tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) arenaDev {
+// device-private band, plus zero to two extra connected entries that
+// perturb just that device.
+func (r *fuzzReader) cloneFor(i int, tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) fleetDev {
 	id := topology.DeviceID(1000 + i)
 	off := topology.DeviceID(16 * i)
 	shift := func(hops []topology.DeviceID) []topology.DeviceID {
@@ -154,7 +153,7 @@ func (r *fuzzReader) cloneFor(i int, tbl *fib.Table, dc contracts.DeviceContract
 		}
 		return out
 	}
-	d := arenaDev{tbl: fib.NewTable(id), role: role}
+	d := fleetDev{tbl: fib.NewTable(id), role: role}
 	for _, e := range tbl.Entries {
 		d.tbl.Add(fib.Entry{Prefix: e.Prefix, Connected: e.Connected, NextHops: shift(e.NextHops)})
 	}
@@ -174,14 +173,14 @@ func (r *fuzzReader) cloneFor(i int, tbl *fib.Table, dc contracts.DeviceContract
 	return d
 }
 
-// FuzzArenaDifferential drives a fleet of fuzzed near-clone devices
-// through the shared atom arena with the per-device PEC path and the trie
-// engine as oracles: all three must agree device by device, before and
-// after randomized mutation/invalidation/detach rounds. This is the
-// correctness line of the arena — shape sharing, rank collapse, verdict
-// materialization, refcounting, and the locality fallback all sit under
-// it.
-func FuzzArenaDifferential(f *testing.F) {
+// FuzzPECFleetDifferential drives a fleet of fuzzed near-clone devices
+// through one long-lived PEC checker with the trie engine as oracle: the
+// two must agree device by device, before and after randomized
+// mutation/invalidation rounds. It is the multi-device line of the
+// content-hash cache — a device whose table changed must miss, one whose
+// table did not may hit, and Invalidate of any subset (mutated or
+// bystander) must never change a verdict.
+func FuzzPECFleetDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 5, 10, 1, 2, 3, 0, 4, 2, 2, 0, 3, 9, 9, 9, 1, 1, 3, 0, 2, 7, 1})
 	f.Add([]byte{0, 0, 24, 0, 0, 0, 0, 0, 3, 1, 2, 3, 7, 0, 0, 0, 0, 0, 2, 2, 2,
@@ -189,13 +188,12 @@ func FuzzArenaDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		tbl, dc, role, exact := r.decode()
-		devs := make([]arenaDev, 2+int(r.byte())%4)
+		devs := make([]fleetDev, 2+int(r.byte())%4)
 		for i := range devs {
 			devs[i] = r.cloneFor(i, tbl, dc, role)
 		}
 
-		shared := &Checker{Exact: exact}
-		private := &Checker{DisableArena: true, Exact: exact}
+		pc := &Checker{Exact: exact}
 		trie := rcdc.TrieChecker{Exact: exact}
 		checkAll := func(stage string) {
 			for i := range devs {
@@ -204,17 +202,13 @@ func FuzzArenaDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s dev %d trie: %v", stage, i, err)
 				}
-				gotS, err := shared.CheckDevice(d.tbl, d.dc, d.role)
+				got, err := pc.CheckDevice(d.tbl, d.dc, d.role)
 				if err != nil {
-					t.Fatalf("%s dev %d shared: %v", stage, i, err)
+					t.Fatalf("%s dev %d pec: %v", stage, i, err)
 				}
-				gotP, err := private.CheckDevice(d.tbl, d.dc, d.role)
-				if err != nil {
-					t.Fatalf("%s dev %d private: %v", stage, i, err)
-				}
-				if !reflect.DeepEqual(want, gotS) || !reflect.DeepEqual(want, gotP) {
-					t.Fatalf("%s dev %d diverges (exact=%v)\ntable: %+v\ncontracts: %+v\ntrie:    %v\nshared:  %v\nprivate: %v",
-						stage, i, exact, d.tbl.Entries, d.dc.Contracts, want, gotS, gotP)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s dev %d diverges (exact=%v)\ntable: %+v\ncontracts: %+v\ntrie: %v\npec:  %v",
+						stage, i, exact, d.tbl.Entries, d.dc.Contracts, want, got)
 				}
 			}
 		}
@@ -223,9 +217,9 @@ func FuzzArenaDifferential(f *testing.F) {
 		for round := 1 + int(r.byte())%3; round > 0; round-- {
 			d := &devs[int(r.byte())%len(devs)]
 			switch r.byte() % 3 {
-			case 0: // grow: a new rule changes the shape
+			case 0: // grow: a new rule changes the table
 				d.tbl.Add(fib.Entry{Prefix: r.prefix(), NextHops: r.hopSet()})
-			case 1: // rewire: same structure candidate, different hops
+			case 1: // rewire: same prefixes, different hops
 				if n := len(d.tbl.Entries); n > 0 {
 					d.tbl.Entries[int(r.byte())%n].NextHops = r.hopSet()
 				}
@@ -240,8 +234,8 @@ func FuzzArenaDifferential(f *testing.F) {
 			}
 			if r.byte()%2 == 0 {
 				// Explicit blast-radius invalidation: the mutated device plus
-				// one innocent bystander detach (and may evict / re-attach).
-				shared.Invalidate([]topology.DeviceID{
+				// one innocent bystander.
+				pc.Invalidate([]topology.DeviceID{
 					d.tbl.Device,
 					devs[int(r.byte())%len(devs)].tbl.Device,
 				})

@@ -17,7 +17,7 @@ import (
 type hopSet uint32
 
 // interner maps canonical next-hop sets to dense IDs backed by one shared
-// arena, and memoizes per-pair satisfaction verdicts. It is owned by a
+// slice, and memoizes per-pair satisfaction verdicts. It is owned by a
 // Checker and shared by every device it validates: fleet-wide there are
 // only a handful of distinct ECMP sets (uplink sets, per-cluster downlink
 // sets, per-ToR delivery sets), so the maps stay tiny while the verdict
@@ -25,8 +25,8 @@ type hopSet uint32
 type interner struct {
 	mu    sync.Mutex
 	ids   map[string]hopSet
-	off   []uint32 // set i occupies arena[off[i]:off[i+1]]
-	arena []topology.DeviceID
+	off   []uint32 // set i occupies elems[off[i]:off[i+1]]
+	elems []topology.DeviceID
 	sat   map[uint64]bool // contract<<32|rule -> rule violates contract
 }
 
@@ -55,7 +55,7 @@ func canon(hops []topology.DeviceID, buf []topology.DeviceID) []topology.DeviceI
 	return buf[:n]
 }
 
-// intern returns the ID of a canonical hop set, adding it to the arena on
+// intern returns the ID of a canonical hop set, adding it to elems on
 // first sight. key is reusable scratch for the byte encoding; the
 // map[string] lookup through string(key) does not allocate on hit.
 func (in *interner) intern(canonical []topology.DeviceID, key []byte) (hopSet, []byte) {
@@ -70,17 +70,17 @@ func (in *interner) intern(canonical []topology.DeviceID, key []byte) (hopSet, [
 	if !ok {
 		id = hopSet(len(in.off) - 1)
 		in.ids[string(key)] = id
-		in.arena = append(in.arena, canonical...)
-		in.off = append(in.off, uint32(len(in.arena)))
+		in.elems = append(in.elems, canonical...)
+		in.off = append(in.off, uint32(len(in.elems)))
 	}
 	in.mu.Unlock()
 	return id, key
 }
 
 // setLocked returns the canonical members of an interned set. Caller
-// holds in.mu (the arena backing may move under concurrent interning).
+// holds in.mu (the elems backing may move under concurrent interning).
 func (in *interner) setLocked(id hopSet) []topology.DeviceID {
-	return in.arena[in.off[id]:in.off[id+1]]
+	return in.elems[in.off[id]:in.off[id+1]]
 }
 
 // count returns the number of distinct interned hop sets.

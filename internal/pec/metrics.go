@@ -17,11 +17,6 @@ type Metrics struct {
 	bitsetOps      *obs.Counter    // dcv_pec_bitset_ops_total
 	slowContracts  *obs.Counter    // dcv_pec_slowpath_contracts_total
 	hopSets        *obs.Gauge      // dcv_pec_hop_sets
-	shapes         *obs.Gauge      // dcv_pec_shapes
-	shapeRefs      *obs.Gauge      // dcv_pec_shape_refs
-	shapeOps       *obs.CounterVec // dcv_pec_shape_total{result}
-	detachTotal    *obs.Counter    // dcv_pec_shape_detach_total
-	evictTotal     *obs.Counter    // dcv_pec_shape_evict_total
 }
 
 // NewMetrics registers the PEC metric families in r and returns the
@@ -41,16 +36,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Contracts that required the exact trie-order replay path."),
 		hopSets: r.Gauge("dcv_pec_hop_sets",
 			"Distinct interned ECMP next-hop sets."),
-		shapes: r.Gauge("dcv_pec_shapes",
-			"Live interned shapes in the shared atom arena."),
-		shapeRefs: r.Gauge("dcv_pec_shape_refs",
-			"Devices currently attached to an arena shape."),
-		shapeOps: r.CounterVec("dcv_pec_shape_total",
-			"Cold checks by arena outcome (build, hit, fallback).", "result"),
-		detachTotal: r.Counter("dcv_pec_shape_detach_total",
-			"Devices detached from an arena shape (invalidation or re-shape)."),
-		evictTotal: r.Counter("dcv_pec_shape_evict_total",
-			"Arena shapes evicted after their last holder detached."),
 	}
 }
 
@@ -80,29 +65,4 @@ func (m *Metrics) observeEval(bitsetOps, slowContracts int64, hopSets int) {
 	m.bitsetOps.Add(uint64(bitsetOps))
 	m.slowContracts.Add(uint64(slowContracts))
 	m.hopSets.Set(float64(hopSets))
-}
-
-// observeShape records one cold-check arena outcome plus the gauges'
-// current levels (live shapes, attached devices).
-func (m *Metrics) observeShape(result string, shapes, refs int) {
-	if m == nil {
-		return
-	}
-	m.shapeOps.With(result).Inc()
-	m.shapes.Set(float64(shapes))
-	m.shapeRefs.Set(float64(refs))
-}
-
-func (m *Metrics) observeDetach() {
-	if m == nil {
-		return
-	}
-	m.detachTotal.Inc()
-}
-
-func (m *Metrics) observeEvict() {
-	if m == nil {
-		return
-	}
-	m.evictTotal.Inc()
 }

@@ -8,34 +8,70 @@ import (
 	"testing"
 	"time"
 
+	"dcvalidate/internal/bgp"
 	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/fib"
-	"dcvalidate/internal/ipnet"
+	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/topology"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestPECMetricsGoldenExposition runs a fixed arena scenario — cold fleet
-// sweep, warm re-sweep, one detach/re-attach, one locality fallback —
-// entirely on a virtual clock and compares the registry's Prometheus
-// exposition byte-for-byte against testdata/metrics_golden.prom. The
-// sweep order is the facts order and the clock never advances, so any
-// diff means the engine's recording or the exposition format changed
-// behavior. Regenerate with `go test ./internal/pec -run Golden -update`.
+// tableSource serves pre-pulled tables by device.
+type tableSource map[topology.DeviceID]*fib.Table
+
+// fleetFixture pulls every Figure 3 table once and returns the fleet
+// facts, the tables, and a memoized generator.
+func fleetFixture(tb testing.TB) (*metadata.Facts, tableSource, *contracts.Generator) {
+	tb.Helper()
+	topo := topology.MustNew(topology.Figure3Params())
+	facts := metadata.FromTopology(topo)
+	synth := bgp.NewSynth(topo, nil)
+	src := make(tableSource, len(topo.Devices))
+	for i := range topo.Devices {
+		id := topo.Devices[i].ID
+		tbl, err := synth.Table(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		src[id] = tbl
+	}
+	gen := contracts.NewGenerator(facts)
+	gen.EnableMemo()
+	return facts, src, gen
+}
+
+// sweep checks every device on c in facts order.
+func sweep(tb testing.TB, c *Checker, facts *metadata.Facts, src tableSource, gen *contracts.Generator) {
+	tb.Helper()
+	for i := range facts.Devices {
+		df := &facts.Devices[i]
+		if _, err := c.CheckDevice(src[df.ID], gen.ForDevice(df.ID), df.Role); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestPECMetricsGoldenExposition runs a fixed scenario — cold fleet
+// sweep, warm re-sweep, one invalidated device re-checked — entirely on a
+// virtual clock and compares the registry's Prometheus exposition
+// byte-for-byte against testdata/metrics_golden.prom. The sweep order is
+// the facts order and the clock never advances, so any diff means the
+// engine's recording or the exposition format changed behavior.
+// Regenerate with `go test ./internal/pec -run Golden -update`.
 func TestPECMetricsGoldenExposition(t *testing.T) {
-	facts, src, gen := arenaFixture(t)
+	facts, src, gen := fleetFixture(t)
 	reg := obs.NewRegistry()
 	c := &Checker{
 		Clock:   clock.NewVirtual(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)),
 		Metrics: NewMetrics(reg),
 	}
-	sweep(t, c, facts, src, gen) // cold: shape builds + hits
+	sweep(t, c, facts, src, gen) // cold: every device atomizes
 	sweep(t, c, facts, src, gen) // warm: device-cache hits only
 
-	// Detach one ToR and re-attach it to the surviving shape.
+	// Invalidate one ToR: its next check misses and re-atomizes.
 	var tor topology.DeviceID
 	for i := range facts.Devices {
 		if facts.Devices[i].Role == topology.RoleToR {
@@ -44,24 +80,7 @@ func TestPECMetricsGoldenExposition(t *testing.T) {
 		}
 	}
 	c.Invalidate([]topology.DeviceID{tor})
-	tbl, err := src.Table(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CheckDevice(tbl, gen.ForDevice(tor), topology.RoleToR); err != nil {
-		t.Fatal(err)
-	}
-
-	// One device that fails the locality check: a specific contract over
-	// its own connected prefix forces the private fallback.
-	hosted := ipnet.MustParsePrefix("10.0.0.0/24")
-	ft := fib.NewTable(9001)
-	ft.Add(fib.Entry{Prefix: ipnet.Prefix{}, NextHops: []topology.DeviceID{9002}})
-	ft.Add(fib.Entry{Prefix: hosted, Connected: true})
-	fdc := contracts.DeviceContracts{Device: 9001, Contracts: []contracts.Contract{
-		{Device: 9001, Kind: contracts.Specific, Prefix: hosted, NextHops: []topology.DeviceID{9002}},
-	}}
-	if _, err := c.CheckDevice(ft, fdc, topology.RoleToR); err != nil {
+	if _, err := c.CheckDevice(src[tor], gen.ForDevice(tor), topology.RoleToR); err != nil {
 		t.Fatal(err)
 	}
 

@@ -23,12 +23,6 @@
 // pull, so pointer identity can never prove "unchanged". The blast-radius
 // machinery invalidates dirty devices via Invalidate, making delta
 // sweeps re-atomize only what changed.
-//
-// Cache misses additionally dedupe across the fleet through the shared
-// atom arena (arena.go): near-clone devices canonicalize to the same
-// shape key and share one atomization, cutting cold sweeps from
-// O(devices) atomizations to O(distinct shapes). Set DisableArena to
-// force the pure per-device path.
 package pec
 
 import (
@@ -55,36 +49,26 @@ type Checker struct {
 	// Exact extends the exact-ECMP-set requirement to specific contracts,
 	// mirroring rcdc.TrieChecker.Exact.
 	Exact bool
-	// DisableArena turns off the fleet-level shared atom arena (arena.go),
-	// forcing every cache miss down the per-device atomization path. The
-	// zero value leaves the arena on: near-clone devices then share one
-	// atomization per distinct table shape. Used by the differential
-	// harnesses (E20, FuzzArenaDifferential) that compare the two paths.
-	DisableArena bool
 	// Clock times atomizations; nil falls back to the system clock.
 	Clock clock.Clock
 	// Metrics, when non-nil, receives atomization and cache telemetry.
 	Metrics *Metrics
 
-	mu        sync.Mutex
-	devs      map[topology.DeviceID]*deviceState
-	shapes    map[string]*shape // arena: canonical key -> interned atomization
-	refsTotal int               // summed shape refs (attached devices)
-	in        *interner
-	pool      sync.Pool // *scratch
-	stats     Stats
+	mu    sync.Mutex
+	devs  map[topology.DeviceID]*deviceState
+	in    *interner
+	pool  sync.Pool // *scratch
+	stats Stats
 }
 
 // deviceState is the cached outcome of one device's atomization: the
-// content fingerprints it is valid for, the verdicts, and the class
-// count. Only the latest state per device is kept, so cache memory is
-// O(devices), not O(history).
+// content fingerprints it is valid for and the verdicts. Only the latest
+// state per device is kept, so cache memory is O(devices), not
+// O(history).
 type deviceState struct {
 	tblHash    uint64
 	conHash    uint64
 	violations []rcdc.Violation
-	atoms      int
-	shape      *shape // arena attachment; nil on the private path
 }
 
 // Stats is a point-in-time snapshot of the engine's cache and class
@@ -104,21 +88,12 @@ type Stats struct {
 	// HopSets is the number of distinct interned ECMP sets.
 	HopSets int
 
-	// Shapes is the number of live interned shapes in the arena.
-	Shapes int
-	// ShapeBuilds counts cold checks that atomized a new shape.
-	ShapeBuilds int64
-	// ShapeHits counts cold checks answered by materializing an existing
-	// shape instead of atomizing.
-	ShapeHits int64
-	// ShapeFallbacks counts cold checks that failed the arena's locality
-	// conditions and atomized privately.
+	// ShapeBuilds, ShapeHits and ShapeFallbacks are always zero: the
+	// engine shares no atomizations across devices. They stay only so
+	// existing readers of Stats (the benchmark harness) keep compiling.
+	ShapeBuilds    int64
+	ShapeHits      int64
 	ShapeFallbacks int64
-	// Detaches counts devices released from a shape (invalidation or
-	// re-attachment to a different shape).
-	Detaches int64
-	// Evictions counts shapes dropped after their last holder detached.
-	Evictions int64
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -126,7 +101,6 @@ func (c *Checker) Stats() Stats {
 	c.mu.Lock()
 	st := c.stats
 	st.Devices = len(c.devs)
-	st.Shapes = len(c.shapes)
 	in := c.in
 	c.mu.Unlock()
 	if in != nil {
@@ -136,61 +110,49 @@ func (c *Checker) Stats() Stats {
 }
 
 // Invalidate drops the cached atomizations of the given devices, forcing
-// re-atomization on their next check. The engine and shard layers call
-// this with each blast-radius dirty set, so incremental validation
-// re-atomizes exactly the devices whose converged state may have changed
-// while every other device stays a content-hash cache hit. Shape-attached
-// devices detach from the arena; a shape losing its last holder is
-// evicted, so arena memory tracks the live fleet, not history.
+// re-atomization on their next check. rcdc.Validator.Revalidate calls it
+// with each bounded blast radius, so incremental validation re-atomizes
+// exactly the devices whose converged state may have changed while every
+// other device stays a content-hash cache hit.
 func (c *Checker) Invalidate(devs []topology.DeviceID) {
-	var detaches, evicts int64
 	c.mu.Lock()
 	for _, d := range devs {
-		st := c.devs[d]
-		if st == nil {
-			continue
-		}
 		delete(c.devs, d)
-		if st.shape != nil {
-			detaches++
-			if c.decrefLocked(st.shape) {
-				evicts++
-			}
-		}
 	}
-	c.stats.Detaches += detaches
 	c.mu.Unlock()
-	for ; detaches > 0; detaches-- {
-		c.Metrics.observeDetach()
-	}
-	for ; evicts > 0; evicts-- {
-		c.Metrics.observeEvict()
-	}
 }
 
 // Reset drops all cached state (topology swaps, tests).
 func (c *Checker) Reset() {
 	c.mu.Lock()
 	c.devs = nil
-	c.shapes = nil
-	c.refsTotal = 0
 	c.in = nil
 	c.stats = Stats{}
 	c.mu.Unlock()
 }
 
-// CheckDevice implements rcdc.Checker.
-func (c *Checker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]rcdc.Violation, error) {
-	th := hashTable(tbl)
-	ch := hashContracts(dc, role)
+// acquire returns the checker's interner, created on first use, and a
+// pooled scratch; the caller hands the scratch back with c.pool.Put.
+func (c *Checker) acquire() (*interner, *scratch) {
 	c.mu.Lock()
-	if c.devs == nil {
-		c.devs = make(map[topology.DeviceID]*deviceState)
-	}
 	if c.in == nil {
 		c.in = newInterner()
 	}
 	in := c.in
+	c.mu.Unlock()
+	s, _ := c.pool.Get().(*scratch)
+	if s == nil {
+		s = &scratch{}
+	}
+	return in, s
+}
+
+// CheckDevice implements rcdc.Checker: a content-hash cache hit returns
+// the stored verdicts; a miss atomizes the device and stores them.
+func (c *Checker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]rcdc.Violation, error) {
+	th := hashTable(tbl)
+	ch := hashContracts(dc, role)
+	c.mu.Lock()
 	if st := c.devs[dc.Device]; st != nil && st.tblHash == th && st.conHash == ch {
 		c.stats.CacheHits++
 		c.mu.Unlock()
@@ -200,31 +162,31 @@ func (c *Checker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role
 	c.mu.Unlock()
 	c.Metrics.observeCache(false)
 
-	s, _ := c.pool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{}
+	in, s := c.acquire()
+	start := clock.Or(c.Clock).Now()
+	viols, atoms, slow := c.evaluate(s, in, tbl, dc, role)
+	ops := s.ops
+	c.pool.Put(s)
+	c.Metrics.observeAtomize(clock.Since(c.Clock, start), atoms)
+	c.Metrics.observeEval(ops, int64(slow), in.count())
+
+	c.mu.Lock()
+	c.stats.Atomizations++
+	c.stats.Atoms += int64(atoms)
+	c.stats.SlowPathContracts += int64(slow)
+	if c.devs == nil {
+		c.devs = make(map[topology.DeviceID]*deviceState)
 	}
-	if !c.DisableArena {
-		return c.checkShared(s, in, tbl, dc, role, th, ch)
-	}
-	return c.checkPrivate(s, in, tbl, dc, role, th, ch, false)
+	c.devs[dc.Device] = &deviceState{tblHash: th, conHash: ch, violations: viols}
+	c.mu.Unlock()
+	return viols, nil
 }
 
 // CheckRows implements rcdc.RowChecker: it evaluates a fragment of a device
-// (a row-scoped re-check) on its own — no cache lookup, no arena, and
-// nothing stored, so the device's cached atomization and its shape
-// attachment stay those of its whole table.
+// (a row-scoped re-check) on its own — no cache lookup and nothing stored,
+// so the device's cached atomization stays that of its whole table.
 func (c *Checker) CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]rcdc.Violation, error) {
-	c.mu.Lock()
-	if c.in == nil {
-		c.in = newInterner()
-	}
-	in := c.in
-	c.mu.Unlock()
-	s, _ := c.pool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{}
-	}
+	in, s := c.acquire()
 	viols, _, _ := c.evaluate(s, in, tbl, dc, role)
 	c.pool.Put(s)
 	return viols, nil
@@ -259,7 +221,6 @@ type scratch struct {
 	keyBuf    []byte
 	badBits   map[hopSet][]uint64 // per contract hop set: bad-rule bitset
 	ops       int64               // bitset words touched (metrics)
-	kb        keyScratch          // shape-key construction buffers (arena)
 }
 
 // evaluate atomizes one device and checks every contract, returning the
@@ -635,16 +596,7 @@ type Class struct {
 // set — the counterexample-facing view of the atomization, cross-checked
 // against longest-prefix lookups by the differential fuzzer.
 func (c *Checker) Classes(tbl *fib.Table, dc contracts.DeviceContracts) []Class {
-	c.mu.Lock()
-	if c.in == nil {
-		c.in = newInterner()
-	}
-	in := c.in
-	c.mu.Unlock()
-	s, _ := c.pool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{}
-	}
+	in, s := c.acquire()
 	_, atoms, _ := c.evaluate(s, in, tbl, dc, topology.RoleToR)
 	out := make([]Class, atoms)
 	for a := 0; a < atoms; a++ {

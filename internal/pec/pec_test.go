@@ -188,9 +188,7 @@ func TestPECEdgeCases(t *testing.T) {
 
 // TestPECCacheAndInvalidate locks the content-hash cache behavior: equal
 // content hits regardless of pointer identity, changed content misses,
-// Invalidate forces re-atomization. Runs with the arena disabled so the
-// Atomizations counter reflects the per-device path alone — the arena's
-// own cache semantics are locked by arena_test.go.
+// Invalidate forces re-atomization.
 func TestPECCacheAndInvalidate(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	facts := metadata.FromTopology(topo)
@@ -204,7 +202,7 @@ func TestPECCacheAndInvalidate(t *testing.T) {
 	dc := gen.ForDevice(dev)
 	role := facts.Devices[0].Role
 
-	c := &Checker{DisableArena: true}
+	c := &Checker{}
 	if _, err := c.CheckDevice(tbl, dc, role); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +238,7 @@ func TestPECCacheAndInvalidate(t *testing.T) {
 
 // TestCheckRowsLeavesDeviceStateAlone: a fragment check (what a row-scoped
 // re-check hands the engine) agrees with the trie on the fragment and
-// neither reads nor replaces the device's cached atomization or its arena
-// shape.
+// neither reads nor replaces the device's cached atomization.
 func TestCheckRowsLeavesDeviceStateAlone(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	topo.FailLink(topo.ToRs()[1], topo.ClusterLeaves(0)[0])

@@ -207,8 +207,10 @@ type Checker interface {
 // contracts against just the rows they read, as a row-scoped re-check hands
 // it — which must not pass for the device's state: it returns what
 // CheckDevice would on the same inputs and remembers nothing. Invalidate
-// drops what the checker keeps for the devices of a blast radius; Revalidate
-// calls it before re-checking them.
+// drops what the checker keeps for the given devices; Revalidate calls it
+// with a bounded blast radius before re-checking it (a full sweep calls
+// nothing). For PEC this evicts rather than corrects: its cache is keyed by
+// content, so a stale entry never answers for a changed table.
 type RowChecker interface {
 	Checker
 	CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error)

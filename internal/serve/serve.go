@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 
 	"dcvalidate/internal/engine"
 	"dcvalidate/internal/obs"
@@ -32,7 +33,8 @@ import (
 type Server struct {
 	eng      *engine.Engine
 	mux      *http.ServeMux
-	requests *obs.CounterVec // dcv_serve_requests_total{path,code}
+	routes   map[string]string // mux pattern -> path label
+	requests *obs.CounterVec   // dcv_serve_requests_total{path,code}
 }
 
 // New wires a server over the engine, instrumenting requests into the
@@ -45,15 +47,43 @@ func New(eng *engine.Engine) *Server {
 			"HTTP requests served by path and status code.", "path", "code"),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /summary", s.handleSummary)
-	s.mux.HandleFunc("GET /device", s.handleDevice)
-	s.mux.HandleFunc("GET /reach", s.handleReach)
-	s.mux.HandleFunc("GET /violations", s.handleViolations)
-	s.mux.Handle("GET /metrics", reg.Handler())
-	s.mux.HandleFunc("POST /link", s.handleLink)
-	s.mux.HandleFunc("POST /session", s.handleSession)
+	s.routes = map[string]string{}
+	handle := func(pattern string, h http.Handler) {
+		s.mux.Handle(pattern, h)
+		_, path, _ := strings.Cut(pattern, " ")
+		s.routes[pattern] = path
+	}
+	handle("GET /healthz", http.HandlerFunc(s.handleHealthz))
+	handle("GET /summary", http.HandlerFunc(s.handleSummary))
+	handle("GET /device", http.HandlerFunc(s.handleDevice))
+	handle("GET /reach", http.HandlerFunc(s.handleReach))
+	handle("GET /violations", http.HandlerFunc(s.handleViolations))
+	handle("GET /metrics", reg.Handler())
+	handle("POST /link", http.HandlerFunc(s.handleLink))
+	handle("POST /session", http.HandlerFunc(s.handleSession))
 	return s
+}
+
+// Timeouts of every listener built by NewHTTPServer. A client gets
+// readHeaderTimeout to finish its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so slow or silent clients
+// cannot pin connections forever. There is deliberately no write
+// timeout: a cold fleet sweep behind one query may outlast any fixed
+// bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server every command listens through:
+// handler h on addr, with the fixed header and idle timeouts above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // statusWriter captures the response code for request accounting.
@@ -67,10 +97,18 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// ServeHTTP dispatches through the mux and counts the request under the
+// path of the route that matched — or "other" when none did — so the
+// series stay bounded whatever paths clients send.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h, pattern := s.mux.Handler(r)
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	s.requests.With(r.URL.Path, fmt.Sprintf("%d", sw.code)).Inc()
+	h.ServeHTTP(sw, r)
+	path, ok := s.routes[pattern]
+	if !ok {
+		path = "other"
+	}
+	s.requests.With(path, fmt.Sprintf("%d", sw.code)).Inc()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -106,7 +144,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"generation": s.eng.Topo().Generation(),
-		"shards":     s.eng.Shards(),
 	})
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -99,12 +100,11 @@ func TestServeEndpoints(t *testing.T) {
 	var hz struct {
 		Status     string `json:"status"`
 		Generation uint64 `json:"generation"`
-		Shards     int    `json:"shards"`
 	}
 	if code := get(t, ts.URL+"/healthz", &hz); code != 200 {
 		t.Fatalf("/healthz = %d", code)
 	}
-	if hz.Status != "ok" || hz.Shards != 1 {
+	if hz.Status != "ok" {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
@@ -302,62 +302,81 @@ func TestServeRequestAccounting(t *testing.T) {
 	}
 }
 
-func TestServeSharded(t *testing.T) {
-	topo, err := topology.New(topology.Params{
-		Name: "dc", Clusters: 2, ToRsPerCluster: 4, LeavesPerCluster: 2,
-		SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestServeRequestSeriesBounded: paths no route matches share one
+// "other" series, so clients cannot grow the registry one URL at a time.
+func TestServeRequestSeriesBounded(t *testing.T) {
+	ts, eng := newTestServer(t)
+	reg := eng.Metrics()
+	series := func() int {
+		n := 0
+		for _, s := range reg.Snapshot() {
+			if s.Name == "dcv_serve_requests_total" {
+				n++
+			}
+		}
+		return n
 	}
-	eng := engine.New(topo, nil)
-	eng.Metrics()
-	eng.SetShards(3)
-	ts := httptest.NewServer(New(eng))
-	defer ts.Close()
+	get(t, ts.URL+"/healthz", nil)
+	before := series()
+	for i := 0; i < 500; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/x%d", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if grown := series() - before; grown > 1 {
+		t.Fatalf("500 unknown paths added %d request series, want at most 1", grown)
+	}
+	if n := sample(reg, "dcv_serve_requests_total", "path", "other", "code", "404"); n != 500 {
+		t.Fatalf("requests{other,404} = %v, want 500", n)
+	}
+}
 
-	var hz struct {
-		Shards int `json:"shards"`
+// TestNewHTTPServer: every listener gets the fixed header and idle
+// timeouts and no write timeout.
+func TestNewHTTPServer(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := NewHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server = %+v", srv)
 	}
-	get(t, ts.URL+"/healthz", &hz)
-	if hz.Shards != 3 {
-		t.Fatalf("shards = %d, want 3", hz.Shards)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v", srv.ReadHeaderTimeout)
 	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("a cold sweep must not be cut off: WriteTimeout=%v ReadTimeout=%v", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}
+
+// TestServeFlipRechecksRows: a ToR–leaf flip served over HTTP re-checks
+// rows, not the fleet — fewer contracts than one full sweep holds — and
+// the flipped device's next answer is fresh and non-conformant.
+func TestServeFlipRechecksRows(t *testing.T) {
+	ts, eng := newTestServer(t)
+	reg := eng.Metrics()
 	var sum struct {
-		Devices   int `json:"devices"`
-		Violating int `json:"violating"`
-		Shards    int `json:"shards"`
+		Contracts int `json:"contracts"`
 	}
 	if code := get(t, ts.URL+"/summary", &sum); code != 200 {
 		t.Fatalf("/summary = %d", code)
 	}
-	if sum.Shards != 3 || sum.Violating != 0 || sum.Devices != len(topo.Devices) {
-		t.Fatalf("sharded summary = %+v", sum)
+	if code := post(t, ts.URL+"/link?a=dc-c0-t0-0&b=dc-c0-t1-0&action=fail", nil); code != 200 {
+		t.Fatalf("POST /link = %d", code)
 	}
-	if n := sample(eng.Metrics(), "dcv_serve_sweeps_total", "mode", "sharded"); n != 1 {
-		t.Fatalf("sharded sweeps = %v, want 1", n)
+	var dev struct {
+		Conformant bool `json:"conformant"`
+		Cached     bool `json:"cached"`
 	}
-
-	// A ToR–leaf flip re-checks over the shards exactly the contracts the
-	// unsharded engine re-checks for it: rows, not whole devices.
-	single, singleEng := newTestServer(t)
-	singleEng.Metrics()
-	get(t, single.URL+"/summary", nil)
-	rechecked := func(base string, e *engine.Engine) float64 {
-		if code := post(t, base+"/link?a=dc-c0-t0-0&b=dc-c0-t1-0&action=fail", nil); code != 200 {
-			t.Fatalf("POST /link = %d", code)
-		}
-		var dev struct {
-			Conformant bool `json:"conformant"`
-			Cached     bool `json:"cached"`
-		}
-		if code := get(t, base+"/device?name=dc-c0-t0-0", &dev); code != 200 || dev.Conformant || dev.Cached {
-			t.Fatalf("/device after the flip = %d %+v", code, dev)
-		}
-		return sample(e.Metrics(), "dcv_rcdc_delta_contracts_checked_sum")
+	if code := get(t, ts.URL+"/device?name=dc-c0-t0-0", &dev); code != 200 || dev.Conformant || dev.Cached {
+		t.Fatalf("/device after the flip = %d %+v", code, dev)
 	}
-	got, want := rechecked(ts.URL, eng), rechecked(single.URL, singleEng)
-	if got != want || want == 0 {
-		t.Fatalf("contracts re-checked after a ToR–leaf flip: sharded %v, unsharded %v", got, want)
+	rechecked := sample(reg, "dcv_rcdc_delta_contracts_checked_sum")
+	if rechecked == 0 || rechecked >= float64(sum.Contracts) {
+		t.Fatalf("contracts re-checked after a ToR–leaf flip = %v, fleet holds %d", rechecked, sum.Contracts)
 	}
 }

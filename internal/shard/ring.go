@@ -1,12 +1,11 @@
-// Package shard partitions the validation plane: a Coordinator spreads
-// the fleet across N validator shards by consistent hashing over the
-// Clos pod structure. A shard owns the table cache of its devices; the
-// coordinator routes every FIB pull to the owner, so the one
-// plan→check→splice (rcdc.Validator.Revalidate) runs over it unchanged
-// and its report is byte-identical (modulo timing) to a single-engine
-// sweep — the horizontal-scaling story of the paper's Figure 5
-// deployment, where RCDC instances divide the datacenter between them
-// and each pulls the tables of its own part (§2.4, §2.6.1).
+// Package shard is a standalone oracle for the validation plane: a
+// Coordinator spreads the fleet across N table caches by consistent
+// hashing over the Clos pod structure, routes every FIB pull to the
+// owning cache, and runs the one plan→check→splice
+// (rcdc.Validator.Revalidate) over them. Its report renders
+// byte-identically (modulo timing) to a single-engine sweep, which is
+// what the benchmark and experiment E19 check. No serving path uses it:
+// rcdc.Validator.Workers already parallelises the one plan.
 package shard
 
 import (
@@ -15,10 +14,10 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per shard on the ring. More
-// virtual nodes smooth the partition sizes; 64 keeps the spread within a
-// few percent for the shard counts the serving layer uses.
-const defaultReplicas = 64
+// replicas is the virtual-node count per shard on the ring. More virtual
+// nodes smooth the partition sizes; 64 keeps the spread within a few
+// percent for small shard counts.
+const replicas = 64
 
 // Ring is a consistent-hash ring mapping partition keys to shards.
 // Adding or removing one shard moves only the keys adjacent to its
@@ -34,14 +33,10 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring of n shards with the given virtual-node count
-// per shard (0 means the default).
-func NewRing(n, replicas int) *Ring {
+// NewRing builds a ring of n shards.
+func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
-	}
-	if replicas < 1 {
-		replicas = defaultReplicas
 	}
 	r := &Ring{shards: n, points: make([]ringPoint, 0, n*replicas)}
 	for s := 0; s < n; s++ {

@@ -17,12 +17,6 @@ import (
 
 // Options configures a Coordinator.
 type Options struct {
-	// Workers is the parallelism degree of Sweep (rcdc.Validator.Workers);
-	// 0 means GOMAXPROCS.
-	Workers int
-	// Replicas is the virtual-node count per shard on the hash ring; 0
-	// means the package default.
-	Replicas int
 	// Clock times sweeps; nil means the system clock.
 	Clock clock.Clock
 }
@@ -41,9 +35,8 @@ type shardState struct {
 // locality the per-shard FIB caches exploit. Which shard owns a device
 // decides whose table cache answers for it and nothing else: the
 // coordinator is a FIB source (rcdc.RowSource with RefreshDelta) that
-// routes every pull to the owner, and validation over it is the one
-// rcdc.Validator.Revalidate — the engine hands the coordinator to it in
-// place of its own synth; Sweep drives it standalone.
+// routes every pull to the owner, and Sweep runs the one
+// rcdc.Validator.Revalidate over it.
 //
 // Sweep is safe for concurrent use. The source methods follow bgp.Synth's
 // rule: pulls may run concurrently, RefreshDelta must not overlap them.
@@ -51,7 +44,6 @@ type Coordinator struct {
 	topo  *topology.Topology
 	cfg   map[topology.DeviceID]*bgp.DeviceConfig
 	opts  Options
-	m     *Metrics
 	ring  *Ring
 	facts *metadata.Facts
 	cgen  *contracts.Generator
@@ -64,12 +56,12 @@ type Coordinator struct {
 }
 
 // New builds a coordinator of n shards over the topology and config map.
-// The config map is shared with the caller (the engine mutates it under
-// its own lock; sweeps observe it through the journaled generation).
+// The config map is shared with the caller, whose changes sweeps observe
+// through the journaled generation.
 func New(topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig, n int, opts Options) *Coordinator {
 	c := &Coordinator{
 		topo: topo, cfg: cfg, opts: opts,
-		ring:  NewRing(n, opts.Replicas),
+		ring:  NewRing(n),
 		facts: metadata.FromTopology(topo),
 		owner: make([]*bgp.Synth, len(topo.Devices)),
 	}
@@ -88,19 +80,6 @@ func New(topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig, n
 		c.owner[d.ID] = s.synth
 	}
 	return c
-}
-
-// Instrument points the coordinator's counters at m, publishing the
-// partition sizes there, and every shard's table cache at tables. Either
-// may be nil; a new coordinator records nothing.
-func (c *Coordinator) Instrument(m *Metrics, tables *bgp.Metrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = m
-	for i, s := range c.shards {
-		m.observeAssignment(i, len(s.devices))
-		s.synth.Metrics = tables
-	}
 }
 
 // PartitionKey returns the ring key a device is placed by: its pod for
@@ -153,19 +132,12 @@ func (c *Coordinator) RefreshDelta(ds *delta.Set, since uint64) {
 func (c *Coordinator) Sweep() (*rcdc.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := clock.Or(c.opts.Clock).Now()
 	if c.merged != nil && c.merged.Generation == c.topo.Generation() {
-		c.m.observeSweep("cached", 0)
 		return c.merged, nil
 	}
-	v := rcdc.Validator{Workers: c.opts.Workers, Clock: c.opts.Clock}
-	rep, ds, err := v.Revalidate(c.merged, c.topo, c.facts, c.cgen, c,
+	v := rcdc.Validator{Clock: c.opts.Clock}
+	rep, _, err := v.Revalidate(c.merged, c.topo, c.facts, c.cgen, c,
 		delta.Options{UnboundedConfig: bgp.ConfigUnbounded(c.cfg)})
-	mode := "full"
-	if ds != nil && !ds.Full() {
-		mode = "delta"
-	}
-	c.m.observeSweep(mode, clock.Since(c.opts.Clock, start))
 	if err != nil {
 		return rep, err
 	}

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Serving-plane smoke test (CI: make serve-smoke): boot dcvalidated on a
-# small sharded topology, issue conformance and reachability queries,
-# and fail unless repeat queries land as dcv_serve_cache_hits_total
-# increments without triggering extra revalidation sweeps. Then run the
-# E19 experiment at its quick sweep point, which arms the byte-identity
-# gate (sharded report vs single-engine sweep for N in {1,2,5}), the
-# same-contracts-re-checked gate and the cached-query O(1) gates.
+# small topology, issue conformance and reachability queries, and fail
+# unless repeat queries land as dcv_serve_cache_hits_total increments
+# without triggering extra revalidation sweeps. Then run the E19
+# experiment at its quick sweep point, which arms the shard-coordinator
+# byte-identity gate (coordinator report vs single-engine sweep for N in
+# {1,2,5}) and the cached-query O(1) gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,8 +21,7 @@ cleanup() {
 trap cleanup EXIT
 
 go run ./cmd/dcvalidated -addr "$ADDR" \
-    -clusters 2 -tors 4 -leaves 2 -spines 2 -rs 2 -rslinks 1 \
-    -shards 2 >"$LOG" 2>&1 &
+    -clusters 2 -tors 4 -leaves 2 -spines 2 -rs 2 -rslinks 1 >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for the warm sweep + listener.
@@ -89,8 +88,8 @@ if [ "$S1" -ne "$S0" ]; then
     exit 1
 fi
 
-# A mutation through the API invalidates the cache (one new sweep over
-# the shards), and the violation surfaces in a fresh device answer — new
+# A mutation through the API invalidates the cache (one new sweep), and
+# the violation surfaces in a fresh device answer — new
 # generation, not served from cache; restoring the link heals it the same
 # way.
 generation() { sed -n 's/.*"generation": *\([0-9]*\).*/\1/p' | head -n 1; }
@@ -122,6 +121,6 @@ PID=""
 echo "serve_smoke: HTTP gates ok (hits $H0 -> $H1, sweeps $S0 -> $S2)"
 
 # Byte-identity + cached-latency gates: E19 at the quick sweep point
-# panics on any divergence between sharded and single-engine reports.
+# panics on any divergence between coordinator and single-engine reports.
 go run ./cmd/dcbench -e e19 -quick -metrics-out ""
 echo "serve_smoke: ok"

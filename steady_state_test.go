@@ -64,9 +64,9 @@ func steadyFixture(tb testing.TB) (*metadata.Facts, memSource, *contracts.Genera
 
 // steadyEngines are the engines under the zero-alloc gate. Metrics and
 // Tracer stay nil on the validators: instrumentation is allowed to
-// allocate, the validation path is not. The PEC engine runs twice: with
-// the shared atom arena (its default — warm hits must stay zero-alloc
-// even with shape state live) and with the pure per-device path.
+// allocate, the validation path is not. PEC runs as both checkers the
+// engine keeps: the default one and pec-private, which carries the
+// exact-ECMP-set requirement — each with its own per-device cache.
 func steadyEngines() []struct {
 	name    string
 	checker rcdc.Checker
@@ -77,7 +77,7 @@ func steadyEngines() []struct {
 	}{
 		{"trie", rcdc.TrieChecker{}},
 		{"pec", &pec.Checker{}},
-		{"pec-private", &pec.Checker{DisableArena: true}},
+		{"pec-private", &pec.Checker{Exact: true}},
 	}
 }
 
