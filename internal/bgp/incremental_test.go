@@ -132,9 +132,9 @@ func TestSynthTableCache(t *testing.T) {
 // table cache: over random windows of link and session flips on degrading
 // fleets, with and without ECMP truncation, every cached table after
 // Refresh equals a fresh synthesis entry for entry and in order (rows that
-// appeared or vanished included), Rows returns exactly the overlapping
-// rows plus the default, and tables handed out before the refresh are not
-// written through.
+// appeared or vanished included) and run for run, Rows returns exactly the
+// overlapping rows plus the default, and tables handed out before the
+// refresh are not written through.
 func TestSynthCachePatchMatchesFresh(t *testing.T) {
 	p := topology.Params{
 		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
@@ -194,6 +194,10 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 				want, _ := fresh.Table(d)
 				if got, want := render(held[id].Entries), render(want.Entries); got != want {
 					t.Fatalf("trial %d: device %s: cached table diverges from fresh synthesis\n got %s\nwant %s",
+						trial, topo.Device(d).Name, got, want)
+				}
+				if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+					t.Fatalf("trial %d: device %s: patched runs diverge from fresh synthesis\n got %s\nwant %s",
 						trial, topo.Device(d).Name, got, want)
 				}
 				probe := []ipnet.Prefix{topo.HostedPrefixes()[rng.Intn(len(topo.HostedPrefixes()))].Prefix}

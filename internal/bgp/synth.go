@@ -66,13 +66,12 @@ type Synth struct {
 	// accepted. (Cross-validated against Sim.)
 	fastAccept bool
 
-	// Opt-in per-device table cache keyed by topology generation: Refresh
-	// consumes the change journal and evicts only the blast radius, so
-	// steady-state pulls of unaffected devices are O(copy). Off by default
-	// — a populated cache is a materialized global snapshot, which the
-	// full-sweep paths deliberately avoid.
+	// Opt-in per-device table cache keyed by topology generation, holding
+	// each table as runs: Refresh consumes the change journal and patches
+	// or evicts only the blast radius, so steady-state pulls of unaffected
+	// devices cost a copy of a handful of runs. Off by default.
 	mu       sync.Mutex
-	cache    map[topology.DeviceID]*fib.Table
+	cache    map[topology.DeviceID]*fib.RunTable
 	cacheGen uint64
 
 	// Metrics, when non-nil, counts table-cache hits and misses (cache
@@ -89,18 +88,22 @@ type Synth struct {
 	UnionECMP bool
 }
 
-// EnableTableCache turns on per-device table caching. Cached tables are
+// EnableTableCache turns on per-device table caching. A cached table is
+// kept as runs (fib.RunTable: the connected and default rows, plus maximal
+// stretches of hosted prefixes forwarded alike), which TableRuns serves
+// as they are and Table and Rows expand on demand. Cached tables are
 // brought up to date by Refresh using the topology change journal: inside
 // the blast radius of the changes since the last Refresh, a device with a
-// row scope has exactly those rows re-derived in place and a device dirty
-// as a whole is evicted (everything is, if the radius is unbounded or the
-// journal was truncated). Call only on long-lived sources that serve
-// repeated incremental pulls; memory grows to one table per distinct
-// device pulled.
+// row scope has exactly those rows re-derived in its runs (see patch) and
+// a device dirty as a whole is evicted (everything is, if the radius is
+// unbounded or the journal was truncated). Call only on long-lived sources
+// that serve repeated incremental pulls; memory grows to one table per
+// distinct device pulled, a handful of runs each rather than a row per
+// hosted prefix.
 func (s *Synth) EnableTableCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache = make(map[topology.DeviceID]*fib.Table)
+	s.cache = make(map[topology.DeviceID]*fib.RunTable)
 	s.cacheGen = s.topo.Generation()
 }
 
@@ -250,7 +253,7 @@ func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 	return delta.Since(s.topo, behind, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 }
 
-// syncCache applies a blast radius to the cached tables, after recompute:
+// syncCache applies a blast radius to the cached runs, after recompute:
 // row-scoped devices are patched, whole devices evicted.
 func (s *Synth) syncCache(dirty *delta.Set) {
 	if dirty == nil {
@@ -259,7 +262,7 @@ func (s *Synth) syncCache(dirty *delta.Set) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var patched, evicted int
-	for d, t := range s.cache {
+	for d, rt := range s.cache {
 		sc, ok := dirty.Scope(d)
 		switch {
 		case !ok:
@@ -267,66 +270,75 @@ func (s *Synth) syncCache(dirty *delta.Set) {
 			delete(s.cache, d)
 			evicted++
 		default:
-			s.patch(t, sc.Rows)
+			s.patch(rt, sc.Rows)
 			patched += len(sc.Rows)
 		}
 	}
 	s.Metrics.observeSync(patched, evicted)
 }
 
-// patch re-derives the rows of a cached table at the given prefixes in
-// place. Next-hop slices are replaced, never written, so copies handed out
-// earlier stay intact. Rows are found by binary search: a row scope implies
-// a flat address plan (see package delta).
-func (s *Synth) patch(t *fib.Table, rows []ipnet.Prefix) {
-	d := t.Device
-	def, specifics := s.layout(t)
-	for _, p := range rows {
-		if p.IsDefault() {
-			had := def < specifics
-			setRow(t, def, had, fib.Entry{NextHops: s.defaultNextHops(d)})
-			_, specifics = s.layout(t)
-			continue
+// patch brings a cached device's runs up to date with a row scope. The
+// default row is re-derived when in scope. Each stretch of positions the
+// other scoped rows cover is re-derived by the per-block rule TableRuns
+// uses and spliced in: the runs are split at the stretch's edges and equal
+// neighbours merged back, so the result is what a fresh TableRuns returns,
+// at a cost in the runs the stretch touches. Rows are replaced, never
+// written, so run tables handed out earlier stay intact. Positions are
+// found by binary search: a row scope implies a flat address plan (see
+// package delta).
+func (s *Synth) patch(rt *fib.RunTable, scope []ipnet.Prefix) {
+	d := rt.Device
+	dev := s.topo.Device(d)
+	if len(scope) > 0 && scope[0].IsDefault() { // scopes are ascending: the default row sorts first
+		rt.Rows = s.rows(d, dev)
+		scope = scope[1:]
+	}
+	hopsToward := s.specifics(d, dev)
+	at := func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }
+	var fresh []fib.Run
+	for len(scope) > 0 {
+		lo, hi := ipnet.OverlapRun(len(s.prefixes), at, scope[0])
+		for scope = scope[1:]; len(scope) > 0; scope = scope[1:] {
+			l, h := ipnet.OverlapRun(len(s.prefixes), at, scope[0])
+			if l > hi {
+				break
+			}
+			hi = max(hi, h)
 		}
-		pi, end := ipnet.OverlapRun(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }, p)
-		if pi == end || s.prefixes[pi].Prefix != p || s.prefixes[pi].ToR == d {
-			continue // no such hosted prefix, or d's own (connected, never moves)
+		if lo < hi {
+			fresh = s.appendRuns(fresh[:0], d, dev, hopsToward, lo, hi)
+			rt.Runs = spliceRuns(rt.Runs, lo, hi, fresh)
 		}
-		tail := t.Entries[specifics:]
-		at := specifics + sort.Search(len(tail), func(i int) bool { return tail[i].Prefix.Compare(p) >= 0 })
-		had := at < len(t.Entries) && t.Entries[at].Prefix == p
-		setRow(t, at, had, fib.Entry{Prefix: p, NextHops: s.specificNextHops(d, pi, s.prefixes[pi])})
 	}
 }
 
-// layout returns where a synthesized table keeps its default row and where
-// its specific rows start: connected rows come first, then the default row
-// if there is one (def == specifics if not), then the specifics in prefix
-// order. That order is what lets a row be found, inserted or dropped by
-// position.
-func (s *Synth) layout(t *fib.Table) (def, specifics int) {
-	def = len(s.topo.Device(t.Device).HostedPrefixes)
-	specifics = def
-	if def < len(t.Entries) && t.Entries[def].Prefix.IsDefault() {
-		specifics++
+// spliceRuns replaces what runs say about positions [lo, hi) with fresh,
+// runs inside [lo, hi): the runs straddling an edge keep their part outside
+// it, and equal neighbours merge across both edges.
+func spliceRuns(runs []fib.Run, lo, hi int, fresh []fib.Run) []fib.Run {
+	i := sort.Search(len(runs), func(k int) bool { return runs[k].Hi >= lo })
+	j := sort.Search(len(runs), func(k int) bool { return runs[k].Lo > hi })
+	var mid []fib.Run // only runs[i] can start before lo, only runs[j-1] end after hi
+	if i < j && runs[i].Lo < lo {
+		mid = append(mid, fib.Run{Lo: runs[i].Lo, Hi: min(runs[i].Hi, lo), NextHops: runs[i].NextHops})
 	}
-	return def, specifics
+	for _, r := range fresh {
+		mid = mergeRun(mid, r)
+	}
+	if i < j && runs[j-1].Hi > hi {
+		mid = mergeRun(mid, fib.Run{Lo: max(runs[j-1].Lo, hi), Hi: runs[j-1].Hi, NextHops: runs[j-1].NextHops})
+	}
+	return slices.Replace(runs, i, j, mid...)
 }
 
-// setRow makes position at of the table hold e — or no row, when e has no
-// next hops: a route nobody advertises is absent, not empty. had says
-// whether the row is there now.
-func setRow(t *fib.Table, at int, had bool, e fib.Entry) {
-	switch want := len(e.NextHops) > 0; {
-	case had && want:
-		t.Entries[at] = e
-	case had:
-		t.Entries = append(t.Entries[:at], t.Entries[at+1:]...)
-	case want:
-		t.Entries = append(t.Entries, fib.Entry{})
-		copy(t.Entries[at+1:], t.Entries[at:])
-		t.Entries[at] = e
+// mergeRun appends r, extending the last run instead when r continues it
+// with equal next hops.
+func mergeRun(runs []fib.Run, r fib.Run) []fib.Run {
+	if n := len(runs); n > 0 && runs[n-1].Hi == r.Lo && slices.Equal(runs[n-1].NextHops, r.NextHops) {
+		runs[n-1].Hi = r.Hi
+		return runs
 	}
+	return append(runs, r)
 }
 
 // block is a stretch [lo, hi) of the prefix list with one class and one
@@ -403,50 +415,47 @@ func (s *Synth) truncate(d topology.DeviceID, nhs []topology.DeviceID) []topolog
 	return nhs
 }
 
-// Table computes the converged FIB of one device, implementing fib.Source.
-// With the table cache enabled, a hit returns a fresh Table wrapper over a
-// copied entry slice: callers may reslice entries (the RIB-FIB corruption
-// injector does) without corrupting the cache, but must treat the NextHops
-// slices as immutable, same as contracts.
+// Table computes the converged FIB of one device, implementing fib.Source:
+// its runs (TableRuns), expanded into a fresh table the caller owns. The
+// rows of a run share one next-hop slice — a ToR's ~all rows name the same
+// leaves — so callers must treat the NextHops slices as immutable, same as
+// contracts.
 func (s *Synth) Table(d topology.DeviceID) (*fib.Table, error) {
-	t, cached := s.table(d)
-	if cached {
-		return copyTable(t), nil
-	}
-	return t, nil
+	return s.runTable(d).Expand(s.prefixes), nil
 }
 
-// Rows answers a row query without copying the table: the rows of d's
+// Rows answers a row query without expanding the table: the rows of d's
 // converged FIB whose prefix contains or is contained in one of the given
 // prefixes, plus the default row, in table order. That is everything a
 // contract on one of those prefixes can read (rcdc.RowSource). The entries
 // are copies; their NextHops slices are shared and immutable. Like patch,
-// Rows finds rows by binary search and so requires the flat address plan
-// that every row scope implies.
+// Rows finds positions by binary search and so requires the flat address
+// plan that every row scope implies.
 func (s *Synth) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
-	t, _ := s.table(d)
-	_, specifics := s.layout(t)
+	rt := s.runTable(d)
 	var out []fib.Entry
-	for _, e := range t.Entries[:specifics] { // connected rows and the default
+	for _, e := range rt.Rows { // connected rows and the default
 		if e.Prefix.IsDefault() || overlapsAny(e.Prefix, overlapping) {
 			out = append(out, e)
 		}
 	}
-	tail := t.Entries[specifics:]
-	// Specific rows follow the flat plan: each query is one run. Queries
-	// arrive in any order and may share rows; emit each row once, in
-	// table order.
+	// Queries arrive in any order and may share positions; emit each row
+	// once, in table order.
 	var idx []int
 	for _, q := range overlapping {
-		lo, hi := ipnet.OverlapRun(len(tail), func(i int) ipnet.Prefix { return tail[i].Prefix }, q)
+		lo, hi := ipnet.OverlapRun(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }, q)
 		for i := lo; i < hi; i++ {
 			idx = append(idx, i)
 		}
 	}
 	sort.Ints(idx)
-	for k, i := range idx {
-		if k == 0 || i != idx[k-1] {
-			out = append(out, tail[i])
+	runs := rt.Runs
+	for _, pos := range slices.Compact(idx) {
+		for len(runs) > 0 && runs[0].Hi <= pos {
+			runs = runs[1:]
+		}
+		if len(runs) > 0 && runs[0].Lo <= pos {
+			out = append(out, fib.Entry{Prefix: s.prefixes[pos].Prefix, NextHops: runs[0].NextHops})
 		}
 	}
 	return out, nil
@@ -461,88 +470,102 @@ func overlapsAny(p ipnet.Prefix, qs []ipnet.Prefix) bool {
 	return false
 }
 
-// table returns d's converged table: the cache's own copy (shared — read
-// only) when caching is on, a fresh synthesis the caller owns otherwise.
-func (s *Synth) table(d topology.DeviceID) (t *fib.Table, cached bool) {
+// runTable returns d's converged runs: the cache's own (shared — read only)
+// when caching is on, a fresh synthesis otherwise.
+func (s *Synth) runTable(d topology.DeviceID) fib.RunTable {
+	if rt, ok := s.cached(d); ok {
+		return rt
+	}
+	return s.synthRuns(d, nil)
+}
+
+// cached returns d's cached runs — shared, read only — synthesizing and
+// caching them on a miss; ok is false when caching is off.
+func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
 	s.mu.Lock()
 	caching := s.cache != nil
-	t, hit := s.cache[d]
+	p, hit := s.cache[d]
 	s.mu.Unlock()
 	if !caching {
-		return s.synthesize(d), false
+		return fib.RunTable{}, false
 	}
 	s.Metrics.observeCache(hit)
 	if !hit {
-		t = s.synthesize(d)
+		p = &fib.RunTable{}
+		*p = s.synthRuns(d, nil)
+		p.Runs = slices.Clip(p.Runs)
 		s.mu.Lock()
-		s.cache[d] = t
+		s.cache[d] = p
 		s.mu.Unlock()
 	}
-	return t, true
+	return *p, true
 }
 
-func copyTable(t *fib.Table) *fib.Table {
-	cp := fib.NewTable(t.Device)
-	cp.Entries = append([]fib.Entry(nil), t.Entries...)
-	return cp
-}
-
-// RunPrefixes returns the prefix list TableRuns indexes, the hosted
-// prefixes in ToR order — or nil while the table cache is on: the cache is
-// the table, and a sweep that took runs past it would leave it cold.
-func (s *Synth) RunPrefixes() []topology.HostedPrefix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache != nil {
-		return nil
-	}
-	return s.prefixes
-}
+// RunPrefixes returns the prefix list TableRuns indexes: the hosted
+// prefixes in ToR order.
+func (s *Synth) RunPrefixes() []topology.HostedPrefix { return s.prefixes }
 
 // TableRuns returns d's converged table as runs over RunPrefixes (see
 // fib.RunTable), appending the runs to buf[:0]: Rows holds the connected
 // routes and the default route, and each run is a maximal stretch of
 // hosted prefixes d forwards to one next-hop set. Expanding them gives
-// exactly what Table returns.
+// exactly what Table returns. With the table cache on, the runs are the
+// cached ones (filled on a miss), copied into buf; Rows is shared.
 func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+	if rt, ok := s.cached(d); ok {
+		rt.Runs = append(buf[:0], rt.Runs...)
+		return rt
+	}
+	return s.synthRuns(d, buf)
+}
+
+// synthRuns synthesizes d's runs, appending them to buf[:0].
+func (s *Synth) synthRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 	dev := s.topo.Device(d)
-	rt := fib.RunTable{Device: d, Runs: buf[:0]}
-	rt.Rows = make([]fib.Entry, 0, len(dev.HostedPrefixes)+1)
+	return fib.RunTable{Device: d, Rows: s.rows(d, dev),
+		Runs: s.appendRuns(buf[:0], d, dev, s.specifics(d, dev), 0, len(s.prefixes))}
+}
+
+// rows returns d's rows outside the runs: its connected routes, then its
+// default route if it has one.
+func (s *Synth) rows(d topology.DeviceID, dev *topology.Device) []fib.Entry {
+	rows := make([]fib.Entry, 0, len(dev.HostedPrefixes)+1)
 	for _, p := range dev.HostedPrefixes {
-		rt.Rows = append(rt.Rows, fib.Entry{Prefix: p, Connected: true})
+		rows = append(rows, fib.Entry{Prefix: p, Connected: true})
 	}
 	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
-		rt.Rows = append(rt.Rows, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
+		rows = append(rows, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
 	}
+	return rows
+}
 
-	// Specific routes, in prefix list order. Under fastAccept a block
-	// outside d's own cluster is one set of next hops, derived at its first
-	// prefix; inside it (and with any configuration) they are per prefix.
-	hopsToward := s.specifics(d, dev)
+// appendRuns appends d's runs over positions [lo, hi) of the prefix list
+// to runs, in order. Under fastAccept a block outside d's own cluster is
+// one set of next hops, derived at its first position in the stretch;
+// inside it (and with any configuration) they are per prefix.
+func (s *Synth) appendRuns(runs []fib.Run, d topology.DeviceID, dev *topology.Device,
+	hopsToward func(dst []topology.DeviceID, pi int) []topology.DeviceID, lo, hi int) []fib.Run {
 	local := dev.Role == topology.RoleToR || dev.Role == topology.RoleLeaf
 	var hops []topology.DeviceID
-	for _, b := range s.blocks {
+	for _, b := range s.blocks[sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].hi > lo }):] {
+		if b.lo >= hi {
+			break
+		}
+		blo, bhi := max(b.lo, lo), min(b.hi, hi)
 		if s.fastAccept && !(local && b.cluster == dev.Cluster) {
-			hops = hopsToward(hops[:0], b.lo)
-			rt.Runs = appendRun(rt.Runs, b.lo, b.hi, hops)
+			hops = hopsToward(hops[:0], blo)
+			runs = appendRun(runs, blo, bhi, hops)
 			continue
 		}
-		for pi := b.lo; pi < b.hi; pi++ {
+		for pi := blo; pi < bhi; pi++ {
 			if s.prefixes[pi].ToR == d {
 				continue // connected
 			}
 			hops = hopsToward(hops[:0], pi)
-			rt.Runs = appendRun(rt.Runs, pi, pi+1, hops)
+			runs = appendRun(runs, pi, pi+1, hops)
 		}
 	}
-	return rt
-}
-
-// synthesize computes the converged FIB of one device: its runs, expanded.
-// The rows of a run share one next-hop slice — a ToR's ~all rows name the
-// same leaves — which the NextHops-are-immutable rule of Table covers.
-func (s *Synth) synthesize(d topology.DeviceID) *fib.Table {
-	return s.TableRuns(d, nil).Expand(s.prefixes)
+	return runs
 }
 
 // appendRun adds rows at positions [lo, hi) forwarding to hops: it extends
@@ -572,8 +595,7 @@ func appendRun(runs []fib.Run, lo, hi int, hops []topology.DeviceID) []fib.Run {
 // so every constructed path is accepted and nothing is truncated) what is
 // per-device — which neighbors d has a live session to, and which spines
 // those reach — is worked out once here rather than once per prefix.
-// Otherwise every row goes through specificNextHops, which is also what
-// patch re-derives single rows with.
+// Otherwise every row goes through specificNextHops.
 func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
 	if !s.fastAccept {
 		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {

@@ -94,10 +94,18 @@ type Generator struct {
 	// intent edits invalidate, link-state changes do not (facts never see
 	// them). Off by default — the full-sweep paths generate transiently so
 	// memory stays O(one device); long-lived incremental generators enable
-	// it to amortize repeated ForDevice calls on the same dirty devices.
+	// it to amortize repeated Runs and ForDevice calls on the same dirty
+	// devices.
 	mu      sync.Mutex
-	memo    map[topology.DeviceID]DeviceContracts
+	memo    map[topology.DeviceID]*memoEntry
 	memoGen uint64
+}
+
+// memoEntry is one device's memoized contracts: its runs, and their
+// expansion once a ForDevice caller has asked for it.
+type memoEntry struct {
+	runs DeviceRuns
+	dc   DeviceContracts
 }
 
 // NewGenerator returns a contract generator over the given facts snapshot.
@@ -105,14 +113,38 @@ func NewGenerator(f *metadata.Facts) *Generator {
 	return &Generator{facts: f}
 }
 
-// EnableMemo turns on per-device memoization of ForDevice results. Safe
-// for concurrent ForDevice callers. Memory grows to one contract set per
-// distinct device generated since the last intent change.
+// EnableMemo turns on per-device memoization. Safe for concurrent callers.
+// The memo keeps each device's contracts as runs (see Runs) — a handful
+// per device — and expands a device's set only for a ForDevice caller,
+// which then shares the expansion: a caller that only asks for runs keeps
+// memory at one run list per distinct device generated since the last
+// intent change.
 func (g *Generator) EnableMemo() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.memo = make(map[topology.DeviceID]DeviceContracts)
+	g.memo = make(map[topology.DeviceID]*memoEntry)
 	g.memoGen = g.facts.Generation()
+}
+
+// entry returns id's memo entry, generating its runs on a miss, or nil
+// when memoization is off.
+func (g *Generator) entry(id topology.DeviceID) *memoEntry {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.memo == nil {
+		return nil
+	}
+	if gen := g.facts.Generation(); gen != g.memoGen {
+		g.memo = make(map[topology.DeviceID]*memoEntry)
+		g.memoGen = gen
+	}
+	e, ok := g.memo[id]
+	if !ok {
+		e = &memoEntry{runs: g.runs(id, nil)}
+		e.runs.Runs = slices.Clip(e.runs.Runs)
+		g.memo[id] = e
+	}
+	return e
 }
 
 // ForDevice generates the comprehensive contract set for one device,
@@ -124,24 +156,16 @@ func (g *Generator) EnableMemo() {
 // Contract.NextHops as immutable. With memoization enabled the whole
 // DeviceContracts value is shared across calls under the same invariant.
 func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
-	if g.memo != nil {
-		g.mu.Lock()
-		if gen := g.facts.Generation(); gen != g.memoGen {
-			g.memo = make(map[topology.DeviceID]DeviceContracts)
-			g.memoGen = gen
-		}
-		if dc, ok := g.memo[id]; ok {
-			g.mu.Unlock()
-			return dc
-		}
-		g.mu.Unlock()
-		dc := g.Generate(id, nil)
-		g.mu.Lock()
-		g.memo[id] = dc
-		g.mu.Unlock()
-		return dc
+	e := g.entry(id)
+	if e == nil {
+		return g.Generate(id, nil)
 	}
-	return g.Generate(id, nil)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e.dc.Contracts == nil { // not expanded yet, or nothing to expand
+		e.dc = e.runs.Expand(g.facts.Prefixes, nil)
+	}
+	return e.dc
 }
 
 // Generate derives one device's contracts from the facts, bypassing the
@@ -151,7 +175,7 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 // until buf is reused; their NextHops slices are never reused. It is the
 // expansion of the device's runs (see Runs).
 func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContracts {
-	return g.Runs(id, nil).Expand(g.facts.Prefixes, buf)
+	return g.runs(id, nil).Expand(g.facts.Prefixes, buf)
 }
 
 // Run is a stretch of a device's specific contracts: one contract at each
@@ -207,8 +231,18 @@ func (dr DeviceRuns) Expand(prefixes []metadata.PrefixFacts, buf []Contract) Dev
 // of a stretch of prefixes names one shared next-hop slice — a ToR's
 // uplinks, a leaf's uplinks or the hosting ToR, a spine's leaf in the
 // hosting cluster — so a run is a stretch of one slice, and a ToR's ~all
-// contracts are one or two runs.
+// contracts are one or two runs. A memoizing generator copies the memoized
+// runs into buf.
 func (g *Generator) Runs(id topology.DeviceID, buf []Run) DeviceRuns {
+	if e := g.entry(id); e != nil {
+		dr := e.runs
+		dr.Runs = append(buf[:0], dr.Runs...)
+		return dr
+	}
+	return g.runs(id, buf)
+}
+
+func (g *Generator) runs(id topology.DeviceID, buf []Run) DeviceRuns {
 	df := g.facts.Device(id)
 	ps := g.facts.Prefixes
 	dr := DeviceRuns{Device: id, Runs: buf[:0]}
@@ -302,7 +336,7 @@ func (g *Generator) All() []DeviceContracts {
 func (g *Generator) Count() int {
 	n := 0
 	for i := range g.facts.Devices {
-		n += len(g.ForDevice(g.facts.Devices[i].ID).Contracts)
+		n += g.Runs(g.facts.Devices[i].ID, nil).Len()
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -340,5 +341,59 @@ func TestLintGate(t *testing.T) {
 	e.DisableLintGate()
 	if _, err := e.Lint(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServingCacheHeapCeiling locks what a warmed serving plane keeps live.
+// Its FIB cache and contract memo hold runs, a handful per device, not a
+// row and a contract per (device × prefix). A 520-device engine warmed by a
+// cold query and a handful of ToR–leaf flips, each followed by a query,
+// held 86 B per contract when both were expanded, and 10.8 B as runs. The
+// ceiling is 1.5× that.
+func TestServingCacheHeapCeiling(t *testing.T) {
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	topo := topology.MustNew(topology.Params{
+		Clusters: 10, ToRsPerCluster: 40, LeavesPerCluster: 8, SpinesPerPlane: 4,
+		RegionalSpines: 8, RSLinksPerSpine: 4, PrefixesPerToR: 1,
+	})
+	e := New(topo, nil)
+	name := func(d topology.DeviceID) string { return topo.Device(d).Name }
+	query := func(d topology.DeviceID) {
+		t.Helper()
+		if _, err := e.QueryDevice(name(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query(topo.ToRs()[0])
+	for c := 0; c < 6; c++ {
+		tor, leaf := topo.ClusterToRs(c)[c], topo.ClusterLeaves(c)[c]
+		kind := FailLink
+		if c%2 == 1 {
+			kind = ShutSession
+		}
+		if err := e.Apply(Change{Kind: kind, A: name(tor), B: name(leaf)}); err != nil {
+			t.Fatal(err)
+		}
+		query(tor)
+	}
+	sum, err := e.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Violations == 0 {
+		t.Fatal("the flips moved no verdict; the engine is not warmed by them")
+	}
+	per := float64(live()-before) / float64(sum.Contracts)
+	runtime.KeepAlive(e)
+	t.Logf("%d devices, %d contracts: %.1f live heap bytes per contract", sum.Devices, sum.Contracts, per)
+	if per > 16 {
+		t.Errorf("warmed engine keeps %.1f live heap bytes per contract, ceiling 16", per)
 	}
 }

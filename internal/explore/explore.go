@@ -453,10 +453,19 @@ func ViolationKey(v rcdc.Violation) string {
 // gatedSource wraps the worker's cached FIB source, failing pulls — whole
 // tables and row queries alike — for telemetry-dead devices so the
 // validator's graceful-degradation path (keep the previous verdict,
-// surface the error) models monitoring blindness.
+// surface the error) models monitoring blindness. Runs cannot fail, so
+// while any device is dead the source offers none and the sweep pulls
+// tables and rows.
 type gatedSource struct {
 	*bgp.Synth
 	dead map[topology.DeviceID]bool
+}
+
+func (g *gatedSource) RunPrefixes() []topology.HostedPrefix {
+	if len(g.dead) > 0 {
+		return nil
+	}
+	return g.Synth.RunPrefixes()
 }
 
 func (g *gatedSource) blackout(d topology.DeviceID) error {

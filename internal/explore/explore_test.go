@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dcvalidate/internal/bgp"
@@ -220,5 +223,56 @@ func TestAccountingInvariant(t *testing.T) {
 		if noPrune && res.Pruned != 0 {
 			t.Fatalf("brute force pruned %d scenarios", res.Pruned)
 		}
+	}
+}
+
+// TestBlackoutGatesRuns pins the blackout on a cached source that offers
+// runs: a telemetry-dead device inside a link fault's blast radius — one
+// dirty as a whole, one scoped to the flipped ToR's rows — must fail its
+// pull and keep its baseline verdict, not be validated from runs the
+// wrapper let through.
+func TestBlackoutGatesRuns(t *testing.T) {
+	topo := topology.MustNew(smallParams())
+	w, err := newWorker(&Explorer{Topo: topo, Opts: Options{K: 1, Links: true, Telemetry: true}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.src.Synth.RunPrefixes() == nil {
+		t.Fatal("the worker's cached synth offers no runs; the test checks nothing")
+	}
+	tor, scoped := w.topo.ClusterToRs(0)[0], w.topo.ClusterToRs(1)[0]
+	link, ok := w.topo.LinkBetween(tor, w.topo.ClusterLeaves(0)[0])
+	if !ok {
+		t.Fatal("no ToR–leaf link")
+	}
+	prev := w.base()
+	undo, _ := applyFaults(w.topo, []Fault{{Kind: FaultLink, Link: link.ID}})
+	defer undo()
+	w.src.dead = map[topology.DeviceID]bool{tor: true, scoped: true}
+	rep, ds, err := w.revalidate(prev)
+	if ds.Full() || !ds.Contains(tor) || !ds.Contains(scoped) {
+		t.Fatalf("blast radius full=%v, contains the dead devices: %v %v", ds.Full(), ds.Contains(tor), ds.Contains(scoped))
+	}
+	if sc, _ := ds.Scope(scoped); sc.Whole {
+		t.Fatal("the second dead device is dirty as a whole; want a row scope")
+	}
+	for _, d := range []topology.DeviceID{tor, scoped} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("telemetry blackout on device %d", d)) {
+			t.Fatalf("device %d: blackout error not surfaced: %v", d, err)
+		}
+	}
+	failures := 0
+	for i := range rep.Devices {
+		dr := &rep.Devices[i]
+		if dr.Device == tor || dr.Device == scoped {
+			if !reflect.DeepEqual(*dr, prev.Devices[i]) {
+				t.Errorf("dead device %s was re-validated: %+v, baseline %+v", dr.Name, *dr, prev.Devices[i])
+			}
+			continue
+		}
+		failures += len(dr.Violations)
+	}
+	if failures == 0 {
+		t.Fatal("the link fault moved no other device's verdict; the test checks nothing")
 	}
 }

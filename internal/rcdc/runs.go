@@ -3,6 +3,7 @@ package rcdc
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
@@ -54,24 +55,29 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 }
 
 // checkRuns validates one device by merging its table runs with its
-// contract runs. Each segment where a contract run meets a table run is
-// decided once: clean when hopsOKSorted approves the table run's next hops
-// against the contract run's and no row outside the runs overlaps it. Every
-// other segment — red, or a gap with no table run, or overlapped by such a
-// row — is expanded into its rows and contracts. The trie checker then
-// checks the device's fragment — the rows outside the runs, the expanded
-// rows, the default contract and the expanded contracts — and returns
-// exactly the violations, in contract order, that checking the whole table
-// row by row would: a clean segment's contracts pass the merge-join's fast
-// path there, and everything an expanded contract can read is in the
+// contract runs over spans of the prefix list: the whole list, or — given
+// the device's previous report and a row scope — the positions the scope
+// can have moved verdicts at (see rescoped). Each segment where a
+// contract run meets a table run is decided once: clean when hopsOKSorted
+// approves the table run's next hops against the contract run's and no row
+// outside the runs overlaps it. Every other segment — red, or a gap with no
+// table run, or overlapped by such a row — is expanded into its rows and
+// contracts. The trie checker then checks the device's fragment — the rows
+// outside the runs, the expanded rows, the default contract (when in
+// scope) and the expanded contracts — and returns exactly the violations,
+// in contract order, that checking the same contracts against the whole
+// table row by row would: a clean segment's contracts pass the merge-join's
+// fast path there, and everything an expanded contract can read is in the
 // fragment, because on a flat plan no row at another position contains or
-// is contained in its prefix.
-func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
+// is contained in its prefix. A scoped check splices those violations into
+// prev's (see splice). It returns the report and the number of contracts
+// checked.
+func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
 	rt := s.runs.TableRuns(id, buf.tableRuns)
 	buf.tableRuns = rt.Runs
 	for i, r := range rt.Runs {
 		if r.Lo < 0 || r.Lo >= r.Hi || r.Hi > len(s.prefixes) || i > 0 && rt.Runs[i-1].Hi > r.Lo {
-			return DeviceReport{}, fmt.Errorf("rcdc: device %d: table runs are not ascending and disjoint over the prefix list", id)
+			return DeviceReport{}, 0, fmt.Errorf("rcdc: device %d: table runs are not ascending and disjoint over the prefix list", id)
 		}
 	}
 	cr := s.gen.Runs(id, buf.contractRuns)
@@ -79,10 +85,25 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf) (DeviceReport, er
 	start := clock.Or(s.v.Clock).Now()
 
 	ps := s.prefixes
+	spans, withDefault := append(buf.spans[:0], span{0, len(ps)}), true
+	if prev != nil && prev.Contracts == cr.Len() {
+		var read []ipnet.Prefix
+		read, withDefault = rescoped(scope, prev)
+		spans = spans[:0]
+		for _, p := range read {
+			if lo, hi := s.overlapRun(p); lo < hi {
+				spans = append(spans, span{lo, hi})
+			}
+		}
+		spans = mergeSpans(spans)
+	} else {
+		prev = nil
+	}
+	buf.spans = spans
 	marks := buf.marks[:0]
 	for _, e := range rt.Rows {
 		if !e.Prefix.IsDefault() {
-			if lo, hi := ipnet.OverlapRun(len(ps), func(i int) ipnet.Prefix { return ps[i].Prefix }, e.Prefix); lo < hi {
+			if lo, hi := s.overlapRun(e.Prefix); lo < hi {
 				marks = append(marks, span{lo, hi})
 			}
 		}
@@ -92,49 +113,62 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf) (DeviceReport, er
 
 	rows := append(buf.rows[:0], rt.Rows...)
 	dc := contracts.DeviceContracts{Device: id, Contracts: buf.contracts[:0]}
-	if len(cr.Default) > 0 {
+	if withDefault && len(cr.Default) > 0 {
 		dc.Contracts = append(dc.Contracts, contracts.Contract{Device: id, Kind: contracts.Default, NextHops: cr.Default})
 	}
+	n := len(dc.Contracts)
 	var clean, expanded int
 	tr, m := rt.Runs, 0
 	for _, c := range cr.Runs {
-		for pos := c.Lo; pos < c.Hi; {
-			// The segment from pos: up to the end of the contract run, of
-			// the table run covering pos (or the gap before the next), and
-			// of the marked or unmarked stretch pos is in.
-			for len(tr) > 0 && tr[0].Hi <= pos {
-				tr = tr[1:]
+		for len(spans) > 0 && spans[0].hi <= c.Lo {
+			spans = spans[1:]
+		}
+		for _, sp := range spans {
+			if sp.lo >= c.Hi {
+				break
 			}
-			end, covered := c.Hi, len(tr) > 0 && tr[0].Lo <= pos
-			switch {
-			case covered:
-				end = min(end, tr[0].Hi)
-			case len(tr) > 0:
-				end = min(end, tr[0].Lo)
-			}
-			for m < len(marks) && marks[m].hi <= pos {
-				m++
-			}
-			marked := m < len(marks) && marks[m].lo <= pos
-			switch {
-			case marked:
-				end = min(end, marks[m].hi)
-			case m < len(marks):
-				end = min(end, marks[m].lo)
-			}
-
-			if covered && !marked && len(tr[0].NextHops) > 0 && hopsOKSorted(c.NextHops, tr[0].NextHops, s.exact) {
-				clean++
-				pos = end
-				continue
-			}
-			expanded++
-			for ; pos < end; pos++ {
-				p := ps[pos].Prefix
-				if covered {
-					rows = append(rows, fib.Entry{Prefix: p, NextHops: tr[0].NextHops})
+			hi := min(c.Hi, sp.hi)
+			pos := max(c.Lo, sp.lo)
+			n += hi - pos
+			for pos < hi {
+				// The segment from pos: up to the end of the contract run
+				// within the span, of the table run covering pos (or the gap
+				// before the next), and of the marked or unmarked stretch pos
+				// is in.
+				for len(tr) > 0 && tr[0].Hi <= pos {
+					tr = tr[1:]
 				}
-				dc.Contracts = append(dc.Contracts, contracts.Contract{Device: id, Kind: contracts.Specific, Prefix: p, NextHops: c.NextHops})
+				end, covered := hi, len(tr) > 0 && tr[0].Lo <= pos
+				switch {
+				case covered:
+					end = min(end, tr[0].Hi)
+				case len(tr) > 0:
+					end = min(end, tr[0].Lo)
+				}
+				for m < len(marks) && marks[m].hi <= pos {
+					m++
+				}
+				marked := m < len(marks) && marks[m].lo <= pos
+				switch {
+				case marked:
+					end = min(end, marks[m].hi)
+				case m < len(marks):
+					end = min(end, marks[m].lo)
+				}
+
+				if covered && !marked && len(tr[0].NextHops) > 0 && hopsOKSorted(c.NextHops, tr[0].NextHops, s.exact) {
+					clean++
+					pos = end
+					continue
+				}
+				expanded++
+				for ; pos < end; pos++ {
+					p := ps[pos].Prefix
+					if covered {
+						rows = append(rows, fib.Entry{Prefix: p, NextHops: tr[0].NextHops})
+					}
+					dc.Contracts = append(dc.Contracts, contracts.Contract{Device: id, Kind: contracts.Specific, Prefix: p, NextHops: c.NextHops})
+				}
 			}
 		}
 	}
@@ -142,11 +176,37 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf) (DeviceReport, er
 
 	tbl := fib.NewTable(id)
 	tbl.Entries = rows
-	rep, err := s.v.validateDevice(s.facts, tbl, dc, start, cr.Len())
-	if err == nil {
+	if prev == nil {
+		rep, err := s.v.validateDevice(s.facts, tbl, dc, start, cr.Len())
+		if err != nil {
+			return DeviceReport{}, 0, err
+		}
 		s.v.Metrics.observeRuns(clean, expanded)
+		return rep, n, nil
 	}
-	return rep, err
+	fresh, err := s.v.checker().CheckDevice(tbl, dc, prev.Role)
+	if err != nil {
+		return DeviceReport{}, 0, err
+	}
+	rep := *prev
+	rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
+		if c.Kind == contracts.Default {
+			return withDefault
+		}
+		lo, _ := s.overlapRun(c.Prefix)
+		k := sort.Search(len(buf.spans), func(k int) bool { return buf.spans[k].hi > lo })
+		return k < len(buf.spans) && buf.spans[k].lo <= lo
+	})
+	rep.Elapsed = clock.Since(s.v.Clock, start)
+	s.v.Metrics.observeDevice(&rep)
+	s.v.Metrics.observeRuns(clean, expanded)
+	return rep, n, nil
+}
+
+// overlapRun returns the positions [lo, hi) of the prefix list whose
+// prefix contains or is contained in p.
+func (s *sweep) overlapRun(p ipnet.Prefix) (lo, hi int) {
+	return ipnet.OverlapRun(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }, p)
 }
 
 // span is a stretch [lo, hi) of prefix list positions.

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
@@ -169,7 +171,9 @@ func checkRunsAgainstRows(t testing.TB, facts *metadata.Facts, src RunSource, ex
 // FuzzRunsDifferential is the runs path's oracle: random flat-plan fleets
 // with random link and session faults, whose synthesized runs are then
 // edited into tables no healthy or faulted fleet produces, are validated
-// as runs and row by row, and the two reports must be byte-identical.
+// as runs and row by row, and the two reports must be byte-identical. The
+// fleet then takes random scoped flips through a table-cached synth (see
+// checkScopedFlips).
 func FuzzRunsDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 1, 1, 0, 1, 3, 5, 7, 2, 9, 1, 0, 4, 2, 3, 5, 1, 0, 2, 2, 7, 3, 1})
@@ -198,7 +202,73 @@ func FuzzRunsDifferential(f *testing.F) {
 		exact := r.intn(2) == 1
 		checkRunsAgainstRows(t, facts, synth, exact)
 		checkRunsAgainstRows(t, facts, editRuns(topo, synth, r), exact)
+		checkScopedFlips(t, topo, facts, r, exact)
 	})
+}
+
+// rowQueries hides a source's runs but answers row queries: ValidateScoped
+// re-checks a row-scoped device on the rows the scope names.
+type rowQueries struct{ RowSource }
+
+// checkScopedFlips drives the serving plane's path: random link and session
+// flips, each followed by a journal-driven refresh of a table-cached synth
+// and a scoped re-check. After every flip the patched cached runs must
+// equal freshly synthesized ones, and the scoped runs re-check, the scoped
+// row re-check and a from-scratch row sweep must render the same bytes.
+func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Facts, r *fuzzBytes, exact bool) {
+	t.Helper()
+	cached := bgp.NewSynth(topo, nil)
+	cached.EnableTableCache()
+	gen := contracts.NewGenerator(facts)
+	gen.EnableMemo()
+	v := Validator{Checker: TrieChecker{Exact: exact}, Workers: 1}
+	prevRuns, err := v.ValidateAll(facts, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevRows := prevRuns
+	for k := 1 + r.intn(4); k > 0; k-- {
+		since := topo.Generation()
+		id := topology.LinkID(r.intn(len(topo.Links)))
+		if l := topo.Link(id); r.intn(2) == 0 {
+			topo.SetLinkUp(id, !l.Up)
+		} else {
+			topo.SetSessionUp(id, !l.SessionUp)
+		}
+		changes, ok := topo.ChangesSince(since)
+		if !ok {
+			t.Fatal("journal truncated")
+		}
+		ds := delta.Compute(topo, changes, delta.Options{})
+		cached.RefreshDelta(ds, since)
+		fresh := bgp.NewSynth(topo, nil)
+		for i := range topo.Devices {
+			d := topo.Devices[i].ID
+			if got, want := cached.TableRuns(d, nil), fresh.TableRuns(d, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("device %d: patched runs diverge from a fresh synthesis\n got %v\nwant %v", d, got, want)
+			}
+		}
+		gotRuns, err := v.ValidateScoped(prevRuns, facts, gen, cached, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRows, err := v.ValidateScoped(prevRows, facts, gen, rowQueries{cached}, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.ValidateAll(facts, plainSource{fresh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := renderRunsReport(want)
+		if g := renderRunsReport(gotRuns); !bytes.Equal(g, w) {
+			t.Fatalf("scoped runs re-check diverges from a full sweep (exact=%v)\n--- runs ---\n%s--- full ---\n%s", exact, g, w)
+		}
+		if g := renderRunsReport(gotRows); !bytes.Equal(g, w) {
+			t.Fatalf("scoped row re-check diverges from a full sweep (exact=%v)\n--- rows ---\n%s--- full ---\n%s", exact, g, w)
+		}
+		prevRuns, prevRows = gotRuns, gotRows
+	}
 }
 
 // TestRunsPathDecidesCleanRunsOnce pins that a synthesized fleet is
@@ -221,8 +291,8 @@ func TestRunsPathDecidesCleanRunsOnce(t *testing.T) {
 
 // TestRunsNeedTheTrieAndAFlatPlan pins when a sweep takes the runs path:
 // the default trie checker over a source that offers runs on the
-// generator's own flat prefix list — not a cached synthesizer, not a
-// source without runs, not another checker.
+// generator's own flat prefix list — a synthesizer with or without its
+// table cache, not a source without runs, not another checker.
 func TestRunsNeedTheTrieAndAFlatPlan(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	facts := metadata.FromTopology(topo)
@@ -237,7 +307,7 @@ func TestRunsNeedTheTrieAndAFlatPlan(t *testing.T) {
 	}{
 		{"synth", Validator{}, bgp.NewSynth(topo, nil), true},
 		{"exact trie", Validator{Checker: TrieChecker{Exact: true}}, bgp.NewSynth(topo, nil), true},
-		{"cached synth", Validator{}, cached, false},
+		{"cached synth", Validator{}, cached, true},
 		{"rows only", Validator{}, plainSource{bgp.NewSynth(topo, nil)}, false},
 		{"smt", Validator{Checker: SMTChecker{}}, bgp.NewSynth(topo, nil), false},
 	} {

@@ -15,6 +15,8 @@ import (
 	"dcvalidate/internal/topology"
 )
 
+func sameContract(a, b *contracts.Contract) bool { return a.Kind == b.Kind && a.Prefix == b.Prefix }
+
 // byContract groups violations under the contract they belong to, keeping
 // their order within it.
 func byContract(vs []Violation) map[ipnet.Prefix][]Violation {

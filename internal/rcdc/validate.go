@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -196,6 +197,7 @@ type sweepBuf struct {
 	tableRuns    []fib.Run
 	rows         []fib.Entry
 	marks        []span
+	spans        []span
 }
 
 // checkWhole pulls one device's table and validates it against all its
@@ -204,7 +206,8 @@ type sweepBuf struct {
 // previous device's, unless the generator memoizes.
 func (s *sweep) checkWhole(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
 	if s.runs != nil {
-		return s.checkRuns(id, buf)
+		rep, _, err := s.checkRuns(id, buf, nil, nil)
+		return rep, err
 	}
 	tbl, err := s.source.Table(id)
 	if err != nil {
@@ -368,10 +371,12 @@ func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *cont
 // ValidateScoped revalidates a blast radius and splices the fresh results
 // into prev, carrying everything else forward unchanged. A device dirty as
 // a whole is pulled and checked against all its contracts and its result
-// replaces the previous one. A device with a row scope — when source can
-// answer row queries — has only the contracts re-checked whose verdict can
-// read a row in scope, against only those rows, and the fresh verdicts
-// replace the previous ones contract by contract (see recheck). The
+// replaces the previous one. A device with a row scope has only the
+// contracts re-checked whose verdict can read a row in scope, and the
+// fresh verdicts replace the previous ones contract by contract: as runs,
+// merged over the scope's positions only, when the sweep has runs (see
+// checkRuns), else — when source can answer row queries — against only
+// the rows in scope (see recheck). The
 // spliced report keeps the sorted-by-device order and, per device, contract
 // order, so a delta report over an accurate dirty set is byte-identical to
 // a from-scratch full sweep under a fixed clock — the determinism invariant
@@ -415,14 +420,21 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	sw := v.newSweep(facts, gen, source, true)
 	var checked atomic.Int64
 	fresh, errs := v.validateSet(devs, func(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
-		dc := gen.ForDevice(id)
 		sc, _ := dirty.Scope(id)
-		if i, ok := devicePos(base, id); ok && !sc.Whole && rows != nil && base[i].Contracts == len(dc.Contracts) {
-			rep, n, err := v.recheck(rows, dc, &base[i], sc.Rows)
-			if !errors.Is(err, errOutOfOrder) {
-				checked.Add(int64(n))
-				return rep, err
-			}
+		var prev *DeviceReport
+		if i, ok := devicePos(base, id); ok && !sc.Whole {
+			prev = &base[i]
+		}
+		if sw.runs != nil {
+			rep, n, err := sw.checkRuns(id, buf, prev, sc.Rows)
+			checked.Add(int64(n))
+			return rep, err
+		}
+		dc := gen.ForDevice(id)
+		if prev != nil && rows != nil && prev.Contracts == len(dc.Contracts) {
+			rep, n, err := v.recheck(rows, dc, prev, sc.Rows)
+			checked.Add(int64(n))
+			return rep, err
 		}
 		checked.Add(int64(len(dc.Contracts)))
 		return sw.checkWhole(id, buf)
@@ -494,51 +506,28 @@ func devicePos(devs []DeviceReport, id topology.DeviceID) (int, bool) {
 	return i, i < len(devs) && devs[i].Device == id
 }
 
-// errOutOfOrder reports violations that do not follow contract order, so
-// they cannot be spliced contract by contract; the device is re-checked
-// whole instead.
-var errOutOfOrder = errors.New("rcdc: violations out of contract order")
-
 // recheck re-verifies the part of one device a row scope can have moved
 // and splices the outcome into the device's previous report, returning it
-// with the number of contracts re-checked.
+// with the number of contracts re-checked. It is the scoped check of a
+// sweep without runs — the PEC and SMT checkers, sources that hide their
+// runs — and the runs path's differential oracle.
 //
-// Which contracts: a contract's verdict reads the rows whose prefix
-// contains or is contained in the contract's prefix (the candidate walk of
-// §2.5.2) and nothing else — except that a MissingRoute violation reports
-// the next-hop count of the default row it falls through to, and the
-// default contract reads the default row alone. So the contracts to
-// re-check are those overlapping a scoped prefix, plus, when the default
-// row is in scope, the default contract and every contract that held a
-// MissingRoute violation (it still does: whether the specific rows cover
-// the contract is decided by rows outside the scope, which did not move).
+// Which contracts: see rescoped.
 // Those contracts are checked by the configured Checker against a table of
 // just the rows they can read — through CheckRows if it is a RowChecker, so
 // that the fragment never replaces what the checker knows of the device.
 //
-// The splice walks the contracts in order, taking the fresh violations for
-// a re-checked contract and the previous ones for every other, into a new
-// slice — prev's is shared with earlier reports and never written.
+// The fresh violations replace the previous ones of the re-checked
+// contracts (see splice).
 func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 	prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
 	start := clock.Or(v.Clock).Now()
-	var picked []int                            // indices into dc.Contracts
-	if len(scope) > 0 && scope[0].IsDefault() { // scopes are ascending: the default row sorts first
-		scope = scope[1:]
-		if i, ok := dc.Default(); ok {
-			picked = append(picked, i)
-		}
-		for k := range prev.Violations {
-			if o := &prev.Violations[k]; o.Kind == MissingRoute {
-				for _, i := range dc.Overlapping(nil, o.Contract.Prefix) {
-					if sameContract(&dc.Contracts[i], &o.Contract) {
-						picked = append(picked, i)
-					}
-				}
-			}
-		}
+	read, withDefault := rescoped(scope, prev)
+	var picked []int // indices into dc.Contracts
+	if i, ok := dc.Default(); ok && withDefault {
+		picked = append(picked, i)
 	}
-	for _, p := range scope {
+	for _, p := range read {
 		picked = dc.Overlapping(picked, p)
 	}
 	if len(picked) == 0 {
@@ -546,7 +535,7 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 	}
 	sort.Ints(picked)
 	var sub []contracts.Contract // the contracts to re-check, in contract order
-	var read []ipnet.Prefix      // the prefixes whose rows they read
+	read = read[:0]              // now the prefixes whose rows they read
 	for k, i := range picked {
 		if k > 0 && i == picked[k-1] {
 			continue
@@ -571,35 +560,73 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 	if err != nil {
 		return DeviceReport{}, 0, err
 	}
-	rep, rechecked := *prev, len(sub)
-	if len(prev.Violations) > 0 || len(fresh) > 0 {
-		rep.Violations = make([]Violation, 0, len(prev.Violations)+len(fresh))
-		old := prev.Violations
-		for i := range dc.Contracts {
-			c := &dc.Contracts[i]
-			redone := len(sub) > 0 && sameContract(&sub[0], c)
-			if redone {
-				sub = sub[1:]
-			}
-			for ; len(old) > 0 && sameContract(&old[0].Contract, c); old = old[1:] {
-				if !redone {
-					rep.Violations = append(rep.Violations, old[0])
-				}
-			}
-			for ; redone && len(fresh) > 0 && sameContract(&fresh[0].Contract, c); fresh = fresh[1:] {
-				rep.Violations = append(rep.Violations, fresh[0])
-			}
-		}
-		if len(old) > 0 || len(fresh) > 0 {
-			return DeviceReport{}, 0, errOutOfOrder
-		}
-		if len(rep.Violations) == 0 {
-			rep.Violations = nil
-		}
-	}
+	rep := *prev
+	rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
+		_, ok := slices.BinarySearchFunc(sub, c, func(x contracts.Contract, c *contracts.Contract) int { return contractOrder(&x, c) })
+		return ok
+	})
 	rep.Elapsed = clock.Since(v.Clock, start)
 	v.Metrics.observeDevice(&rep)
-	return rep, rechecked, nil
+	return rep, len(sub), nil
 }
 
-func sameContract(a, b *contracts.Contract) bool { return a.Kind == b.Kind && a.Prefix == b.Prefix }
+// rescoped returns what a row scope can have moved on a device whose
+// previous report is prev: the verdicts of the contracts overlapping the
+// read prefixes, and the default contract's when withDefault. A contract's
+// verdict reads the rows whose prefix contains or is contained in the
+// contract's prefix (the candidate walk of §2.5.2) and nothing else —
+// except that a MissingRoute violation reports the next-hop count of the
+// default row it falls through to, and the default contract reads the
+// default row alone. So the contracts are those overlapping a scoped row,
+// plus, when the default row is in scope, the default contract and every
+// contract that held a MissingRoute violation (it still does: whether the
+// specific rows cover the contract is decided by rows outside the scope,
+// which did not move).
+func rescoped(scope []ipnet.Prefix, prev *DeviceReport) (read []ipnet.Prefix, withDefault bool) {
+	for _, q := range scope {
+		if q.IsDefault() {
+			withDefault = true
+		} else {
+			read = append(read, q)
+		}
+	}
+	if withDefault {
+		for k := range prev.Violations {
+			if v := &prev.Violations[k]; v.Kind == MissingRoute {
+				read = append(read, v.Contract.Prefix)
+			}
+		}
+	}
+	return read, withDefault
+}
+
+// contractOrder orders contracts as a generated set lists them on a flat
+// plan: the default contract first, then the specifics by prefix.
+func contractOrder(a, b *contracts.Contract) int {
+	if a.Kind != b.Kind {
+		return int(b.Kind) - int(a.Kind) // Default sorts before Specific
+	}
+	return a.Prefix.Compare(b.Prefix)
+}
+
+// splice merges fresh — the violations of the contracts redone says were
+// re-checked, in contract order — with old's violations of every other
+// contract, in contract order, into a new slice: old is shared with
+// earlier reports and never written.
+func splice(old, fresh []Violation, redone func(*contracts.Contract) bool) []Violation {
+	out := make([]Violation, 0, len(old)+len(fresh))
+	for k := range old {
+		o := &old[k]
+		if redone(&o.Contract) {
+			continue
+		}
+		for len(fresh) > 0 && contractOrder(&fresh[0].Contract, &o.Contract) < 0 {
+			out, fresh = append(out, fresh[0]), fresh[1:]
+		}
+		out = append(out, *o)
+	}
+	if out = append(out, fresh...); len(out) == 0 {
+		return nil
+	}
+	return out
+}

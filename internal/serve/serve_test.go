@@ -355,15 +355,22 @@ func TestNewHTTPServer(t *testing.T) {
 
 // TestServeFlipRechecksRows: a ToR–leaf flip served over HTTP re-checks
 // rows, not the fleet — fewer contracts than one full sweep holds — and
-// the flipped device's next answer is fresh and non-conformant.
+// the flipped device's next answer is fresh and non-conformant. The cold
+// serving sweep and the scoped re-check both take the runs path: each
+// decides clean run segments.
 func TestServeFlipRechecksRows(t *testing.T) {
 	ts, eng := newTestServer(t)
 	reg := eng.Metrics()
+	clean := func() float64 { return sample(reg, "dcv_rcdc_runs_total", "outcome", "clean") }
 	var sum struct {
 		Contracts int `json:"contracts"`
 	}
 	if code := get(t, ts.URL+"/summary", &sum); code != 200 {
 		t.Fatalf("/summary = %d", code)
+	}
+	cold := clean()
+	if cold == 0 {
+		t.Fatal("the cold serving sweep decided no clean run segment")
 	}
 	if code := post(t, ts.URL+"/link?a=dc-c0-t0-0&b=dc-c0-t1-0&action=fail", nil); code != 200 {
 		t.Fatalf("POST /link = %d", code)
@@ -378,5 +385,11 @@ func TestServeFlipRechecksRows(t *testing.T) {
 	rechecked := sample(reg, "dcv_rcdc_delta_contracts_checked_sum")
 	if rechecked == 0 || rechecked >= float64(sum.Contracts) {
 		t.Fatalf("contracts re-checked after a ToR–leaf flip = %v, fleet holds %d", rechecked, sum.Contracts)
+	}
+	// Every other ToR and the regional spines keep a subset of their
+	// expected next hops toward the flipped ToR's prefix: each decides its
+	// scoped row as one clean segment.
+	if scoped := sample(reg, "dcv_delta_scoped_devices_total"); clean()-cold < scoped/2 {
+		t.Fatalf("the re-check after the flip decided %v clean run segments for %v scoped devices", clean()-cold, scoped)
 	}
 }

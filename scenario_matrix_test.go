@@ -118,9 +118,13 @@ type rowsOnly struct{ inner FIBSource }
 
 func (r rowsOnly) Table(id DeviceID) (*fib.Table, error) { return r.inner.Table(id) }
 
-// runSegments sums dcv_rcdc_runs_total over its outcomes.
+// runSegments sums dcv_rcdc_runs_total over its outcomes (0 without a
+// registry).
 func runSegments(reg *MetricsRegistry) float64 {
 	n := 0.0
+	if reg == nil {
+		return n
+	}
 	for _, s := range reg.Snapshot() {
 		if s.Name == "dcv_rcdc_runs_total" {
 			n += s.Value
@@ -263,21 +267,28 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 					opts.Source = sc.source(t, dc)
 				}
 				var reg *MetricsRegistry
-				if e.name == "trie" {
+				if e.eng == EngineTrie {
 					reg = dc.Metrics()
 				}
 				full, err := dc.Validate(opts)
 				if err != nil {
 					t.Fatalf("%s full: %v", e.name, err)
 				}
-				// The synthesized fleet is checked as runs; a corrupted pull
-				// path offers none.
-				if reg != nil && (runSegments(reg) > 0) != (sc.source == nil) {
-					t.Errorf("%s: %v run segments decided with an overriding source %v", e.name, runSegments(reg), sc.source != nil)
+				// The synthesized fleet is checked as runs — by the full sweep,
+				// and by the delta over the serving plane's table-cached source
+				// whenever the change dirtied something. The rows leg's source
+				// and a corrupted pull path offer none.
+				runs := !e.rows && sc.source == nil
+				if reg != nil && (runSegments(reg) > 0) != runs {
+					t.Errorf("%s: %v run segments decided by the full sweep, want runs: %v", e.name, runSegments(reg), runs)
 				}
+				fullSegments := runSegments(reg)
 				delta, err := dc.ValidateDelta(prev, opts)
 				if err != nil {
 					t.Fatalf("%s delta: %v", e.name, err)
+				}
+				if reg != nil && (runSegments(reg) > fullSegments) != (runs && sc.broken) {
+					t.Errorf("%s: %v run segments decided by the delta, want runs: %v", e.name, runSegments(reg)-fullSegments, runs && sc.broken)
 				}
 
 				if (full.Failures > 0) != sc.broken {
