@@ -52,12 +52,16 @@ bench-solver:
 # PEC engine (the companion test asserts the same via AllocsPerRun). The
 # cold leg locks the other end: a from-scratch sweep stays under its
 # mallocs-per-contract ceiling (TestValidateAllColdAllocCeiling) and
-# BenchmarkValidateAllCold reports allocs/op beside contracts/op.
+# BenchmarkValidateAllCold reports allocs/op beside contracts/op. The link
+# flip leg locks the change-driven sweep: one ToR–leaf flip plus a query on
+# a warmed 2008-device datacenter stays under its mallocs ceiling
+# (TestLinkFlipAllocCeiling) and BenchmarkLinkFlip reports its cost.
 bench-smoke:
 	$(GO) run ./cmd/dcbench -e e16 -quick
-	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling' -count=1 .
+	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .
+	$(GO) test -run xxx -bench BenchmarkLinkFlip -benchmem -benchtime 20x .
 
 # CI gate for the benchmark harness: benchmark/ is a nested module that
 # `go build ./...` and `go test ./...` never enter, yet it calls delta,

@@ -133,8 +133,8 @@ func TestSynthTableCache(t *testing.T) {
 // fleets, with and without ECMP truncation, every cached table after
 // Refresh equals a fresh synthesis entry for entry and in order (rows that
 // appeared or vanished included) and run for run, Rows returns exactly the
-// overlapping rows plus the default, and tables handed out before the
-// refresh are not written through.
+// overlapping rows plus the default, and neither tables nor the cache's
+// own runs handed out before the refresh are written through.
 func TestSynthCachePatchMatchesFresh(t *testing.T) {
 	p := topology.Params{
 		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
@@ -166,12 +166,22 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 			}
 			return out
 		}
-		held := pullAll()
+		// The cache's own runs, shared with every caller that reads them.
+		pullRuns := func() []fib.RunTable {
+			out := make([]fib.RunTable, len(topo.Devices))
+			for id := range topo.Devices {
+				out[id] = cached.runTable(topology.DeviceID(id))
+			}
+			return out
+		}
+		held, heldRuns := pullAll(), pullRuns()
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 60; trial++ {
 			heldBefore := make([]string, len(held))
+			heldRunsBefore := make([]string, len(held))
 			for id := range held {
 				heldBefore[id] = render(held[id].Entries)
+				heldRunsBefore[id] = fmt.Sprint(heldRuns[id])
 			}
 			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 				lid := topology.LinkID(rng.Intn(len(topo.Links)))
@@ -186,9 +196,13 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 				if got := render(held[id].Entries); got != heldBefore[id] {
 					t.Fatalf("trial %d: refresh wrote through a table handed out earlier (device %d)", trial, id)
 				}
+				if got := fmt.Sprint(heldRuns[id]); got != heldRunsBefore[id] {
+					t.Fatalf("trial %d: refresh wrote through runs handed out earlier (device %d)\n got %s\nwant %s",
+						trial, id, got, heldRunsBefore[id])
+				}
 			}
 			fresh := NewSynth(topo, cfg)
-			held = pullAll()
+			held, heldRuns = pullAll(), pullRuns()
 			for id := range topo.Devices {
 				d := topology.DeviceID(id)
 				want, _ := fresh.Table(d)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/topology"
 )
 
@@ -53,10 +55,11 @@ type Synth struct {
 	blocks []block
 	// direct[p*LeavesPerCluster+plane] reports whether the hosting
 	// cluster's leaf on that plane has the direct route to prefix p.
-	direct          []bool
-	spineBase       topology.DeviceID
-	spineHasDefault map[topology.DeviceID]bool
-	leafHasDefault  map[topology.DeviceID]bool
+	direct    []bool
+	spineBase topology.DeviceID
+	// spineHasDefault[d] and leafHasDefault[d]: d has the default route.
+	spineHasDefault []bool
+	leafHasDefault  []bool
 	// leafSpines[leaf] lists the spines (as spineHas positions) of the
 	// leaf's plane that it has a live session to.
 	leafSpines [][]int
@@ -147,6 +150,41 @@ func (s *Synth) recompute() {
 	spp := topo.Params.SpinesPerPlane
 	nSpines := len(topo.Spines())
 
+	s.spineHasDefault = make([]bool, len(topo.Devices))
+	for _, sp := range topo.Spines() {
+		if s.config(sp).RejectDefaultIn {
+			continue
+		}
+		for _, rs := range topo.RegionalSpines() {
+			if s.live(sp, rs) {
+				s.spineHasDefault[sp] = true
+				break
+			}
+		}
+	}
+	// Live plane spines per leaf, read by the prefix loop below.
+	s.leafHasDefault = make([]bool, len(topo.Devices))
+	s.leafSpines = make([][]int, len(topo.Devices))
+	flat := make([]int, 0, len(topo.Leaves())*spp)
+	for _, leaf := range topo.Leaves() {
+		lo := len(flat)
+		for _, sp := range s.planeSpines(leaf) {
+			if s.live(leaf, sp) {
+				flat = append(flat, s.spineIdx(sp))
+			}
+		}
+		s.leafSpines[leaf] = flat[lo:len(flat):len(flat)]
+		if s.config(leaf).RejectDefaultIn {
+			continue
+		}
+		for _, k := range s.leafSpines[leaf] {
+			if s.spineHasDefault[s.spineBase+topology.DeviceID(k)] {
+				s.leafHasDefault[leaf] = true
+				break
+			}
+		}
+	}
+
 	planes := topo.Params.LeavesPerCluster
 	s.direct = make([]bool, len(s.prefixes)*planes)
 	s.class = make([]int32, len(s.prefixes))
@@ -158,16 +196,14 @@ func (s *Synth) recompute() {
 		clear(has)
 		// The hosting cluster's leaf on each plane has the prefix iff its
 		// link to the hosting ToR is live; each spine of that plane has it
-		// iff additionally its link to that leaf is live.
+		// iff additionally its session to that leaf is live.
 		for plane, leaf := range topo.ClusterLeaves(hp.Cluster) {
 			if !s.leafHasDirect(leaf, hp.ToR) {
 				continue
 			}
 			s.direct[pi*planes+plane] = true
-			for k := plane * spp; k < (plane+1)*spp; k++ {
-				if s.live(topo.Spines()[k], leaf) {
-					has[k] = true
-				}
+			for _, k := range s.leafSpines[leaf] {
+				has[k] = true
 			}
 		}
 		// Neighbouring prefixes usually share a class: try the last one
@@ -197,40 +233,6 @@ func (s *Synth) recompute() {
 			s.blocks = append(s.blocks, block{lo: pi, hi: pi + 1, cluster: hp.Cluster})
 		}
 	}
-
-	s.spineHasDefault = make(map[topology.DeviceID]bool)
-	for _, sp := range topo.Spines() {
-		if s.config(sp).RejectDefaultIn {
-			continue
-		}
-		for _, rs := range topo.RegionalSpines() {
-			if s.live(sp, rs) {
-				s.spineHasDefault[sp] = true
-				break
-			}
-		}
-	}
-	s.leafHasDefault = make(map[topology.DeviceID]bool)
-	s.leafSpines = make([][]int, len(topo.Devices))
-	flat := make([]int, 0, len(topo.Leaves())*spp)
-	for _, leaf := range topo.Leaves() {
-		lo := len(flat)
-		for _, sp := range s.planeSpines(leaf) {
-			if s.live(leaf, sp) {
-				flat = append(flat, s.spineIdx(sp))
-			}
-		}
-		s.leafSpines[leaf] = flat[lo:len(flat):len(flat)]
-		if s.config(leaf).RejectDefaultIn {
-			continue
-		}
-		for _, sp := range s.planeSpines(leaf) {
-			if s.live(leaf, sp) && s.spineHasDefault[sp] {
-				s.leafHasDefault[leaf] = true
-				break
-			}
-		}
-	}
 }
 
 // cacheWindow returns the blast radius the table cache is behind by — nil
@@ -254,13 +256,27 @@ func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 }
 
 // syncCache applies a blast radius to the cached runs, after recompute:
-// row-scoped devices are patched, whole devices evicted.
+// whole devices are evicted and row-scoped devices patched, on the worker
+// pool (package par). Devices share scope slices (delta.Scope) — every
+// device a ToR–leaf flip scopes reads one ToR's prefixes — so each
+// distinct scope is planned once, not once per device.
 func (s *Synth) syncCache(dirty *delta.Set) {
 	if dirty == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	type job struct {
+		rt    *fib.RunTable
+		def   bool     // the default row is in scope (scopes are ascending: it sorts first)
+		spans [][2]int // see spans
+	}
+	type scopeKey struct {
+		first *ipnet.Prefix
+		n     int
+	}
+	var jobs []job
+	plans := make(map[scopeKey][][2]int)
 	var patched, evicted int
 	for d, rt := range s.cache {
 		sc, ok := dirty.Scope(d)
@@ -269,33 +285,31 @@ func (s *Synth) syncCache(dirty *delta.Set) {
 		case sc.Whole:
 			delete(s.cache, d)
 			evicted++
-		default:
-			s.patch(rt, sc.Rows)
+		case len(sc.Rows) > 0:
+			k := scopeKey{&sc.Rows[0], len(sc.Rows)}
+			spans, ok := plans[k]
+			if !ok {
+				spans = s.spans(sc.Rows)
+				plans[k] = spans
+			}
+			jobs = append(jobs, job{rt, sc.Rows[0].IsDefault(), spans})
 			patched += len(sc.Rows)
 		}
 	}
+	bufs := make([]runBuf, min(runtime.GOMAXPROCS(0), len(jobs)))
+	par.For(len(jobs), len(bufs), func(w, i int) { s.patch(jobs[i].rt, jobs[i].def, jobs[i].spans, &bufs[w]) })
 	s.Metrics.observeSync(patched, evicted)
 }
 
-// patch brings a cached device's runs up to date with a row scope. The
-// default row is re-derived when in scope. Each stretch of positions the
-// other scoped rows cover is re-derived by the per-block rule TableRuns
-// uses and spliced in: the runs are split at the stretch's edges and equal
-// neighbours merged back, so the result is what a fresh TableRuns returns,
-// at a cost in the runs the stretch touches. Rows are replaced, never
-// written, so run tables handed out earlier stay intact. Positions are
-// found by binary search: a row scope implies a flat address plan (see
-// package delta).
-func (s *Synth) patch(rt *fib.RunTable, scope []ipnet.Prefix) {
-	d := rt.Device
-	dev := s.topo.Device(d)
-	if len(scope) > 0 && scope[0].IsDefault() { // scopes are ascending: the default row sorts first
-		rt.Rows = s.rows(d, dev)
+// spans maps a scope's rows but the default onto the stretches [lo, hi) of
+// positions they cover, ascending and disjoint, by binary search: a row
+// scope implies a flat address plan (see package delta).
+func (s *Synth) spans(scope []ipnet.Prefix) [][2]int {
+	var spans [][2]int
+	if len(scope) > 0 && scope[0].IsDefault() {
 		scope = scope[1:]
 	}
-	hopsToward := s.specifics(d, dev)
 	at := func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }
-	var fresh []fib.Run
 	for len(scope) > 0 {
 		lo, hi := ipnet.OverlapRun(len(s.prefixes), at, scope[0])
 		for scope = scope[1:]; len(scope) > 0; scope = scope[1:] {
@@ -306,29 +320,63 @@ func (s *Synth) patch(rt *fib.RunTable, scope []ipnet.Prefix) {
 			hi = max(hi, h)
 		}
 		if lo < hi {
-			fresh = s.appendRuns(fresh[:0], d, dev, hopsToward, lo, hi)
-			rt.Runs = spliceRuns(rt.Runs, lo, hi, fresh)
+			spans = append(spans, [2]int{lo, hi})
 		}
+	}
+	return spans
+}
+
+// runBuf is one patching worker's scratch, reused from device to device;
+// nothing patched keeps it (spliceRuns copies runs, appendRun clones hops).
+type runBuf struct {
+	runs []fib.Run
+	hops []topology.DeviceID
+}
+
+// patch brings a cached device's runs up to date with a row scope: the
+// default row when def, and the stretches of positions spans lists. Each
+// stretch is re-derived by the per-block rule TableRuns uses and spliced
+// in: the runs are split at the stretch's edges and equal neighbours
+// merged back, so the result is what a fresh TableRuns returns, at a cost
+// in the runs the stretch touches. Rows and runs are replaced, never
+// written, so run tables handed out earlier stay intact.
+func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int, buf *runBuf) {
+	d := rt.Device
+	dev := s.topo.Device(d)
+	if def {
+		rt.Rows = s.rows(d, dev)
+	}
+	if len(spans) == 0 {
+		return
+	}
+	hopsToward := s.specifics(d, dev)
+	for _, sp := range spans {
+		buf.runs = s.appendRuns(buf.runs[:0], &buf.hops, d, dev, hopsToward, sp[0], sp[1])
+		rt.Runs = spliceRuns(rt.Runs, sp[0], sp[1], buf.runs)
 	}
 }
 
-// spliceRuns replaces what runs say about positions [lo, hi) with fresh,
-// runs inside [lo, hi): the runs straddling an edge keep their part outside
-// it, and equal neighbours merge across both edges.
+// spliceRuns returns runs with what they say about positions [lo, hi)
+// replaced by fresh, runs inside [lo, hi): the runs straddling an edge keep
+// their part outside it, and equal neighbours merge across both edges. The
+// result is a new slice and runs is never written, so run tables handed
+// out earlier stay intact.
 func spliceRuns(runs []fib.Run, lo, hi int, fresh []fib.Run) []fib.Run {
 	i := sort.Search(len(runs), func(k int) bool { return runs[k].Hi >= lo })
 	j := sort.Search(len(runs), func(k int) bool { return runs[k].Lo > hi })
-	var mid []fib.Run // only runs[i] can start before lo, only runs[j-1] end after hi
+	// Only runs[i] can start before lo, only runs[j-1] end after hi.
+	out := make([]fib.Run, i, len(runs)-(j-i)+len(fresh)+2)
+	copy(out, runs[:i])
 	if i < j && runs[i].Lo < lo {
-		mid = append(mid, fib.Run{Lo: runs[i].Lo, Hi: min(runs[i].Hi, lo), NextHops: runs[i].NextHops})
+		out = append(out, fib.Run{Lo: runs[i].Lo, Hi: min(runs[i].Hi, lo), NextHops: runs[i].NextHops})
 	}
 	for _, r := range fresh {
-		mid = mergeRun(mid, r)
+		out = mergeRun(out, r)
 	}
 	if i < j && runs[j-1].Hi > hi {
-		mid = mergeRun(mid, fib.Run{Lo: max(runs[j-1].Lo, hi), Hi: runs[j-1].Hi, NextHops: runs[j-1].NextHops})
+		out = mergeRun(out, fib.Run{Lo: max(runs[j-1].Lo, hi), Hi: runs[j-1].Hi, NextHops: runs[j-1].NextHops})
 	}
-	return slices.Replace(runs, i, j, mid...)
+	return append(out, runs[j:]...)
 }
 
 // mergeRun appends r, extending the last run instead when r continues it
@@ -522,8 +570,9 @@ func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 // synthRuns synthesizes d's runs, appending them to buf[:0].
 func (s *Synth) synthRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 	dev := s.topo.Device(d)
+	var hops []topology.DeviceID
 	return fib.RunTable{Device: d, Rows: s.rows(d, dev),
-		Runs: s.appendRuns(buf[:0], d, dev, s.specifics(d, dev), 0, len(s.prefixes))}
+		Runs: s.appendRuns(buf[:0], &hops, d, dev, s.specifics(d, dev), 0, len(s.prefixes))}
 }
 
 // rows returns d's rows outside the runs: its connected routes, then its
@@ -540,13 +589,14 @@ func (s *Synth) rows(d topology.DeviceID, dev *topology.Device) []fib.Entry {
 }
 
 // appendRuns appends d's runs over positions [lo, hi) of the prefix list
-// to runs, in order. Under fastAccept a block outside d's own cluster is
-// one set of next hops, derived at its first position in the stretch;
-// inside it (and with any configuration) they are per prefix.
-func (s *Synth) appendRuns(runs []fib.Run, d topology.DeviceID, dev *topology.Device,
+// to runs, in order, deriving each run's next hops in *hops (scratch, grown
+// as needed). Under fastAccept a block outside d's own cluster is one set
+// of next hops, derived at its first position in the stretch; inside it
+// (and with any configuration) they are per prefix.
+func (s *Synth) appendRuns(runs []fib.Run, hopsBuf *[]topology.DeviceID, d topology.DeviceID, dev *topology.Device,
 	hopsToward func(dst []topology.DeviceID, pi int) []topology.DeviceID, lo, hi int) []fib.Run {
 	local := dev.Role == topology.RoleToR || dev.Role == topology.RoleLeaf
-	var hops []topology.DeviceID
+	hops := *hopsBuf
 	for _, b := range s.blocks[sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].hi > lo }):] {
 		if b.lo >= hi {
 			break
@@ -565,6 +615,7 @@ func (s *Synth) appendRuns(runs []fib.Run, d topology.DeviceID, dev *topology.De
 			runs = appendRun(runs, pi, pi+1, hops)
 		}
 	}
+	*hopsBuf = hops
 	return runs
 }
 

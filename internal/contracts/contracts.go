@@ -261,10 +261,11 @@ func (g *Generator) runs(id topology.DeviceID, buf []Run) DeviceRuns {
 		// Default contract: all neighboring leaves.
 		dr.Default = uplinks
 		// Specific contract for every datacenter prefix not hosted here,
-		// next hops the neighboring leaves.
-		notHosted := func(p *metadata.PrefixFacts) bool { return !slices.Contains(df.HostedPrefixes, p.Prefix) }
+		// next hops the neighboring leaves. A prefix's owner says where it
+		// is hosted: the facts list each hosted prefix once, under its ToR.
+		elsewhere := func(p *metadata.PrefixFacts) bool { return p.ToR != id }
 		for i := 0; i < len(ps); i++ {
-			j := stretch(i, notHosted)
+			j := stretch(i, elsewhere)
 			dr.add(i, j, uplinks)
 			i = j
 		}

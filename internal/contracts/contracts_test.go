@@ -2,6 +2,7 @@ package contracts
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dcvalidate/internal/ipnet"
@@ -221,6 +222,45 @@ func TestOverlappingMatchesWalk(t *testing.T) {
 			}
 			if got := dc.Overlapping(nil, p); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("device %d: Overlapping(%s) = %v, walk says %v", id, p, got, want)
+			}
+		}
+	}
+}
+
+// TestToRContractsSkipHostedPrefixes: a ToR expects its uplinks for every
+// fleet prefix its own HostedPrefixes do not list — the rule the generator
+// decides from each prefix's owner — on fleets hosting several prefixes
+// per ToR, in an ascending plan and in one whose ToRs swapped blocks.
+func TestToRContractsSkipHostedPrefixes(t *testing.T) {
+	for _, swap := range []bool{false, true} {
+		for _, per := range []int{2, 3} {
+			topo := topology.MustNew(topology.Params{
+				Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2, SpinesPerPlane: 2,
+				RegionalSpines: 4, RSLinksPerSpine: 2, PrefixesPerToR: per,
+			})
+			if swap {
+				a, b := topo.Device(topo.ToRs()[0]), topo.Device(topo.ToRs()[4])
+				a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+			}
+			facts := metadata.FromTopology(topo)
+			g := NewGenerator(facts)
+			for _, tor := range topo.ToRs() {
+				df := facts.Device(tor)
+				var want []ipnet.Prefix
+				for _, p := range facts.Prefixes {
+					if !slices.Contains(df.HostedPrefixes, p.Prefix) {
+						want = append(want, p.Prefix)
+					}
+				}
+				var got []ipnet.Prefix
+				for _, c := range g.Generate(tor, nil).Contracts {
+					if c.Kind == Specific {
+						got = append(got, c.Prefix)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("swap=%v per=%d %s: specific contracts on %v, want %v", swap, per, df.Name, got, want)
+				}
 			}
 		}
 	}

@@ -78,28 +78,35 @@ func (f *Facts) NoteIntentChange() { f.gen++ }
 // Link state is deliberately ignored: the metadata service describes the
 // architecture, and contracts must hold across state fluctuations.
 func FromTopology(t *topology.Topology) *Facts {
-	f := &Facts{Datacenter: t.Params.Name}
+	f := &Facts{Datacenter: t.Params.Name, Devices: make([]DeviceFacts, 0, len(t.Devices))}
+	// Every device's neighbors share one array, sized exactly: a link is
+	// two adjacencies. Each list is capped, so appending to one copies it.
+	nbs := make([]Neighbor, 0, 2*len(t.Links))
 	for i := range t.Devices {
 		d := &t.Devices[i]
-		df := DeviceFacts{
+		adjacent := func(up bool) []Neighbor {
+			lo := len(nbs)
+			for _, lid := range t.LinksOf(d.ID) {
+				peer, peerAddr := t.Link(lid).Peer(d.ID)
+				pd := t.Device(peer)
+				if (pd.Role > d.Role) == up { // higher tier value = closer to RS
+					nbs = append(nbs, Neighbor{
+						Device: pd.ID, Name: pd.Name, Role: pd.Role,
+						Cluster: pd.Cluster, ASN: pd.ASN, PeerAddr: peerAddr,
+					})
+				}
+			}
+			if len(nbs) == lo {
+				return nil
+			}
+			return nbs[lo:len(nbs):len(nbs)]
+		}
+		f.Devices = append(f.Devices, DeviceFacts{
 			ID: d.ID, Name: d.Name, Role: d.Role, Cluster: d.Cluster, ASN: d.ASN,
 			HostedPrefixes: append([]ipnet.Prefix(nil), d.HostedPrefixes...),
-		}
-		for _, lid := range t.LinksOf(d.ID) {
-			l := t.Link(lid)
-			peer, peerAddr := l.Peer(d.ID)
-			pd := t.Device(peer)
-			nb := Neighbor{
-				Device: pd.ID, Name: pd.Name, Role: pd.Role,
-				Cluster: pd.Cluster, ASN: pd.ASN, PeerAddr: peerAddr,
-			}
-			if pd.Role > d.Role { // higher tier value = closer to RS
-				df.Uplinks = append(df.Uplinks, nb)
-			} else {
-				df.Downlinks = append(df.Downlinks, nb)
-			}
-		}
-		f.Devices = append(f.Devices, df)
+			Uplinks:        adjacent(true),
+			Downlinks:      adjacent(false),
+		})
 	}
 	for _, hp := range t.HostedPrefixes() {
 		f.Prefixes = append(f.Prefixes, PrefixFacts{Prefix: hp.Prefix, ToR: hp.ToR, Cluster: hp.Cluster})

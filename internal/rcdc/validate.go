@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,6 +16,7 @@ import (
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/topology"
 )
 
@@ -102,7 +102,7 @@ type Validator struct {
 	Contracts *contracts.Generator
 	// Scratch, when non-nil and Workers is 1, switches ValidateAll to a
 	// sequential path that reuses the scratch's backing arrays instead of
-	// spinning up the channel worker pool: allocation-free once warm. The
+	// allocating the worker pool's report slots: allocation-free once warm. The
 	// returned report and its device slice are views into the scratch,
 	// valid only until the next ValidateAll on the same validator.
 	Scratch *Scratch
@@ -221,50 +221,29 @@ func (s *sweep) checkWhole(id topology.DeviceID, buf *sweepBuf) (DeviceReport, e
 	return s.v.ValidateDevice(s.facts, tbl, dc)
 }
 
-// validateSet runs the worker pool over one device set, producing each
-// device's report with check, which is also handed buffers that belong to
-// the worker calling it. It returns the per-device reports in ascending
-// device order together with every per-device error (the two are
-// disjoint: an errored device produces no report).
+// validateSet checks an ascending device list on the worker pool (package
+// par): each device's report comes from check, which is also handed
+// buffers that belong to the worker calling it, and lands in the device's
+// slot. It returns the reports and every per-device error, both in device
+// order (the two are disjoint: an errored device produces no report).
 func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.DeviceID, *sweepBuf) (DeviceReport, error)) ([]DeviceReport, []error) {
-	type result struct {
-		rep DeviceReport
-		err error
-	}
-	ids := make(chan topology.DeviceID)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < v.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf sweepBuf
-			for id := range ids {
-				rep, err := check(id, &buf)
-				results <- result{rep: rep, err: err}
-			}
-		}()
-	}
-	go func() {
-		for _, id := range devs {
-			ids <- id
-		}
-		close(ids)
-		wg.Wait()
-		close(results)
-	}()
-
-	var reps []DeviceReport
-	var errs []error
-	for r := range results {
-		if r.err != nil {
-			errs = append(errs, r.err)
+	reps := make([]DeviceReport, len(devs))
+	errs := make([]error, len(devs))
+	bufs := make([]sweepBuf, min(v.workers(), len(devs)))
+	par.For(len(devs), len(bufs), func(w, i int) {
+		reps[i], errs[i] = check(devs[i], &bufs[w])
+	})
+	n := 0
+	var failed []error
+	for i := range reps {
+		if errs[i] != nil {
+			failed = append(failed, errs[i])
 			continue
 		}
-		reps = append(reps, r.rep)
+		reps[n] = reps[i]
+		n++
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Device < reps[j].Device })
-	return reps, errs
+	return reps[:n], failed
 }
 
 // ValidateAll checks every device, pulling each FIB from the source and
@@ -311,18 +290,16 @@ func (v *Validator) gen(facts *metadata.Facts) *contracts.Generator {
 }
 
 // validateAllSeq is the sequential twin of ValidateAll for Workers==1
-// with a Scratch: no channels, no goroutines, no per-run slices. Device
-// results land directly in scratch order — facts.Devices is ascending by
-// ID, so the report order matches the worker-pool path's sorted order
-// and the two paths stay byte-identical (the sort below only runs for
-// sources that renumber devices).
+// with a Scratch: no goroutines, no per-run slices. Device results land
+// directly in scratch order — facts.Devices is ascending by ID, so the
+// report order matches the worker-pool path's and the two paths stay
+// byte-identical.
 func (v *Validator) validateAllSeq(facts *metadata.Facts, source fib.Source) (*Report, error) {
 	start := clock.Or(v.Clock).Now()
 	gen := v.gen(facts)
 	s := v.Scratch
 	s.reps = s.reps[:0]
 	s.errs = s.errs[:0]
-	sorted := true
 	for i := range facts.Devices {
 		id := facts.Devices[i].ID
 		tbl, err := source.Table(id)
@@ -335,13 +312,7 @@ func (v *Validator) validateAllSeq(facts *metadata.Facts, source fib.Source) (*R
 			s.errs = append(s.errs, err)
 			continue
 		}
-		if n := len(s.reps); n > 0 && s.reps[n-1].Device > dr.Device {
-			sorted = false
-		}
 		s.reps = append(s.reps, dr)
-	}
-	if !sorted {
-		sort.Slice(s.reps, func(i, j int) bool { return s.reps[i].Device < s.reps[j].Device })
 	}
 	rep := &s.rep
 	*rep = Report{Workers: 1, Devices: s.reps}

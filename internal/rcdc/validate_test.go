@@ -13,25 +13,43 @@ import (
 type failingSource struct {
 	inner fib.Source
 	bad   topology.DeviceID
+	// badToo, when set, fails every device it reports true for as well.
+	badToo func(topology.DeviceID) bool
 }
 
 var errPull = errors.New("device unreachable")
 
 func (s failingSource) Table(d topology.DeviceID) (*fib.Table, error) {
-	if d == s.bad {
+	if d == s.bad || s.badToo != nil && s.badToo(d) {
 		return nil, errPull
 	}
 	return s.inner.Table(d)
 }
 
+// TestValidateAllPropagatesSourceErrors: every failed pull is in the
+// joined error, in device order, so the error text and the partial report
+// are the same whatever the worker count.
 func TestValidateAllPropagatesSourceErrors(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	facts := metadata.FromTopology(topo)
-	src := failingSource{inner: bgp.NewSynth(topo, nil), bad: topo.ToRs()[1]}
-	v := Validator{Workers: 4}
-	_, err := v.ValidateAll(facts, src)
-	if err == nil || !errors.Is(err, errPull) {
-		t.Fatalf("err = %v, want wrapped errPull", err)
+	src := failingSource{inner: bgp.NewSynth(topo, nil), bad: topo.ToRs()[1],
+		badToo: func(d topology.DeviceID) bool { return d%3 == 0 }}
+	var want *Report
+	var wantErr string
+	for _, workers := range []int{1, 2, 8} {
+		v := Validator{Workers: workers}
+		rep, err := v.ValidateAll(facts, src)
+		if err == nil || !errors.Is(err, errPull) {
+			t.Fatalf("workers=%d: err = %v, want wrapped errPull", workers, err)
+		}
+		if want == nil {
+			want, wantErr = rep, err.Error()
+			continue
+		}
+		if err.Error() != wantErr {
+			t.Fatalf("workers=%d: error text differs from one worker's:\n got %s\nwant %s", workers, err, wantErr)
+		}
+		reportsEquivalent(t, rep, want)
 	}
 }
 

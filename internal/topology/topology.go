@@ -236,7 +236,6 @@ type Topology struct {
 
 	linksOf [][]LinkID // device -> incident links
 	byName  map[string]DeviceID
-	linkIdx map[uint64]LinkID // (min,max) device pair -> link
 
 	// tier indices
 	tors    []DeviceID // cluster-major order
@@ -320,7 +319,6 @@ func New(p Params) (*Topology, error) {
 	groups := p.RegionalSpines / p.RSLinksPerSpine
 	nLinks := p.Clusters*p.LeavesPerCluster*(p.ToRsPerCluster+p.SpinesPerPlane) + len(t.spines)*p.RSLinksPerSpine
 	t.Links = make([]Link, 0, nLinks)
-	t.linkIdx = make(map[uint64]LinkID, nLinks)
 	addLink := func(a, b DeviceID) {
 		id := LinkID(len(t.Links))
 		base := ipnet.Addr(0x64400000 + 2*uint32(id)) // 100.64.0.0/10 pool
@@ -328,7 +326,6 @@ func New(p Params) (*Topology, error) {
 			ID: id, A: a, B: b, Up: true, SessionUp: true,
 			AddrA: base, AddrB: base + 1,
 		})
-		t.linkIdx[pairKey(a, b)] = id
 	}
 
 	// ToR–leaf: full bipartite within each cluster.
@@ -430,20 +427,39 @@ func (t *Topology) LinksOf(d DeviceID) []LinkID { return t.linksOf[d] }
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) *Link { return &t.Links[id] }
 
-// LinkBetween returns the link connecting a and b, if any, in O(1).
+// LinkBetween returns the link connecting a and b, if any, in O(1): New
+// lays the links out tier by tier in Clos position order, so the ID of the
+// link between two devices is arithmetic on their (cluster, index, plane).
 func (t *Topology) LinkBetween(a, b DeviceID) (*Link, bool) {
-	id, ok := t.linkIdx[pairKey(a, b)]
-	if !ok {
+	if a < 0 || b < 0 || int(a) >= len(t.Devices) || int(b) >= len(t.Devices) {
+		return nil, false
+	}
+	x, y := &t.Devices[a], &t.Devices[b]
+	if x.Role > y.Role {
+		x, y = y, x
+	}
+	p := &t.Params
+	var id int
+	switch {
+	case x.Role == RoleToR && y.Role == RoleLeaf && x.Cluster == y.Cluster:
+		id = (x.Cluster*p.ToRsPerCluster+x.Index)*p.LeavesPerCluster + y.Index
+	case x.Role == RoleLeaf && y.Role == RoleSpine && x.Plane == y.Plane:
+		id = p.Clusters*p.ToRsPerCluster*p.LeavesPerCluster +
+			(x.Cluster*p.LeavesPerCluster+x.Index)*p.SpinesPerPlane + y.Index
+	case x.Role == RoleSpine && y.Role == RoleRegionalSpine:
+		// Spine k links to the regional spines r with r ≡ k mod groups, in
+		// ascending r: r is its (r / groups)'th.
+		groups := p.RegionalSpines / p.RSLinksPerSpine
+		k := x.Plane*p.SpinesPerPlane + x.Index
+		if y.Index%groups != k%groups {
+			return nil, false
+		}
+		id = p.Clusters*p.LeavesPerCluster*(p.ToRsPerCluster+p.SpinesPerPlane) +
+			k*p.RSLinksPerSpine + y.Index/groups
+	default:
 		return nil, false
 	}
 	return &t.Links[id], true
-}
-
-func pairKey(a, b DeviceID) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // Neighbors returns the devices adjacent to d (regardless of link state).

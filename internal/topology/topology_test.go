@@ -185,6 +185,38 @@ func TestLinkStateAndFailures(t *testing.T) {
 	}
 }
 
+// TestLinkBetweenMatchesScan: the arithmetic lookup finds, for every
+// ordered pair of devices (and IDs out of range), exactly the link a scan
+// of Links finds, over shapes that vary every tier count.
+func TestLinkBetweenMatchesScan(t *testing.T) {
+	for _, p := range []Params{
+		Figure3Params(),
+		{Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2, SpinesPerPlane: 3, RegionalSpines: 6, RSLinksPerSpine: 2},
+		{Clusters: 2, ToRsPerCluster: 1, LeavesPerCluster: 3, SpinesPerPlane: 1, RegionalSpines: 3, RSLinksPerSpine: 3},
+		{Clusters: 1, ToRsPerCluster: 5, LeavesPerCluster: 1, SpinesPerPlane: 4, RegionalSpines: 4, RSLinksPerSpine: 1, PrefixesPerToR: 2},
+	} {
+		topo := MustNew(p)
+		want := make(map[[2]DeviceID]LinkID)
+		for _, l := range topo.Links {
+			want[[2]DeviceID{l.A, l.B}] = l.ID
+			want[[2]DeviceID{l.B, l.A}] = l.ID
+		}
+		n := DeviceID(len(topo.Devices))
+		for a := None; a <= n; a++ {
+			for b := None; b <= n; b++ {
+				l, ok := topo.LinkBetween(a, b)
+				id, exists := want[[2]DeviceID{a, b}]
+				switch {
+				case ok != exists:
+					t.Fatalf("%+v: LinkBetween(%d, %d) found=%v, scan found=%v", p, a, b, ok, exists)
+				case ok && l.ID != id:
+					t.Fatalf("%+v: LinkBetween(%d, %d) = link %d, scan says %d", p, a, b, l.ID, id)
+				}
+			}
+		}
+	}
+}
+
 func TestInterfaceAddrs(t *testing.T) {
 	topo := MustNew(Figure3Params())
 	for i := range topo.Links {
