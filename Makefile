@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint conflint test test-short test-race bench bench-solver bench-smoke bench-check solver-smoke metrics-smoke explore-smoke conflint-smoke serve-smoke pec-smoke fuzz experiments experiments-full clean
+.PHONY: all build vet lint conflint test test-short test-race bench bench-solver bench-smoke bench-check solver-smoke metrics-smoke explore-smoke conflint-smoke serve-smoke fuzz experiments experiments-full clean
 
 all: build vet lint test
 
@@ -42,11 +42,10 @@ bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkBlast' -benchmem ./internal/bv/
 	$(GO) test -run xxx -bench 'BenchmarkIncrementalAssumptions' -benchmem ./internal/sat/
 
-# CI gate for incremental validation: runs the E16 experiment at its
-# smallest sweep point (520 devices) with the soundness gate on — any FIB
-# row that changes outside its device's computed scope, or any delta
-# report diverging from a full sweep, panics and fails the target (the
-# gate is armed at every size; -quick only picks the smallest).
+# CI gate for incremental validation: after one leaf–spine failure at the
+# 520- and 2008-device shapes, every FIB row that changed must lie inside
+# its device's computed scope and the revalidated report must render
+# identically to a full sweep (TestLeafSpineFlipSoundAtScale).
 # The -benchmem leg locks the zero-allocation steady state: a warmed
 # sequential ValidateAll must report 0 allocs/op on both the trie and the
 # PEC engine (the companion test asserts the same via AllocsPerRun). The
@@ -57,7 +56,7 @@ bench-solver:
 # a warmed 2008-device datacenter stays under its mallocs ceiling
 # (TestLinkFlipAllocCeiling) and BenchmarkLinkFlip reports its cost.
 bench-smoke:
-	$(GO) run ./cmd/dcbench -e e16 -quick
+	$(GO) test -run TestLeafSpineFlipSoundAtScale -count=1 .
 	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .
@@ -79,39 +78,29 @@ bench-check:
 solver-smoke:
 	$(GO) run ./cmd/dcbench -e e4s -quick
 
-# CI gate for the failure-space explorer: the E17 experiment at its quick
-# width, with all three panic gates armed — the symmetry-pruned k=1 sweep
-# must report the exact violating scenario set of the brute-force sweep,
-# the k=2 pruning ratio must clear its 2x floor, and every minimal
-# failure set must still violate its contract on replay.
+# CI gate for the failure-space explorer: the symmetry-pruned sweep must
+# report the exact violating scenario set of the brute-force sweep, the
+# k=2 pruning ratio on a 2-pod Clos must clear its 2x floor, and every
+# minimal failure set must still violate its contract on replay.
 explore-smoke:
-	$(GO) run ./cmd/dcbench -e e17 -quick
+	$(GO) test -run 'TestPrunedMatchesBrute|TestMinimalSetsReplay|TestPruningRatioFloorK2' -count=1 ./internal/explore
 
-# CI gate for the configuration multichecker: the E18 experiment at its
-# quick sweep point, panic gates armed — zero findings on the clean
-# fleet, 100% detection of every seeded misconfiguration class, a
+# CI gate for the configuration multichecker: zero findings on the clean
+# fleet, detection of every seeded misconfiguration class, a
 # byte-identical report across two runs, and acl-shadow's SMT verdicts
-# agreeing with the exact interval engine.
+# agreeing with the exact interval engine; then the default fleet's
+# findings-free self-check.
 conflint-smoke:
-	$(GO) run ./cmd/dcbench -e e18 -quick
+	$(GO) test -run 'TestCleanFleetHasNoFindings|TestSeededMisconfigs|TestReportByteStable|TestShadowEnginesAgreeOnRandomPolicies' -count=1 ./internal/conflint
+	$(GO) run ./cmd/dcconflint -selfcheck
 
 # CI gate for the serving plane: boot dcvalidated on a small topology,
 # issue conformance + reachability queries over HTTP, require repeat
 # queries to land as dcv_serve_cache_hits_total increments with zero extra
-# sweeps, then run E19 at its quick point with the shard coordinator's
-# byte-identity gate armed (coordinator report vs single-engine sweep for
-# N in {1,2,5}). See scripts/serve_smoke.sh.
+# sweeps, and a link flip to surface as exactly one fresh sweep. See
+# scripts/serve_smoke.sh.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# CI gate for the packet-equivalence-class engine: the E20 experiment at
-# its quick point, panic gates armed — the PEC report must render
-# byte-identically to the trie engine's (cold and warm), agree with the
-# SMT engine on a per-role device sample, and its warm sweep must beat its
-# own cold sweep by 2x (what the cache promises; trie-vs-PEC is a
-# recorded column, not a floor).
-pec-smoke:
-	$(GO) run ./cmd/dcbench -e e20 -quick
 
 # CI gate for the observability layer: run a short fault-free dcmon with
 # -metrics-addr, curl /metrics, and fail on missing series, non-finite
@@ -133,7 +122,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPrefixIndex -fuzztime $(FUZZTIME) ./internal/ipnet/
 	$(GO) test -fuzz FuzzRunsDifferential -fuzztime $(FUZZTIME) ./internal/rcdc/
 
-# Regenerate every paper experiment (see DESIGN.md / EXPERIMENTS.md).
+# Regenerate every paper experiment, E1–E15 (see DESIGN.md / EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/dcbench
 

@@ -178,10 +178,7 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("dcbench-e5", func(t *testing.T) {
-		// -metrics-out defaults to the tracked BENCH_metrics.json in the
-		// cwd; a test run must not rewrite it.
-		out, err := run("./cmd/dcbench", "-e", "e5",
-			"-metrics-out", filepath.Join(dir, "metrics.json"))
+		out, err := run("./cmd/dcbench", "-e", "e5")
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}

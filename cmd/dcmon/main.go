@@ -21,8 +21,7 @@
 // monitoring loop begins.
 //
 // The -engine flag swaps the per-device verification engine — trie
-// (default), smt, or pec (packet equivalence classes) — without changing
-// any verdict.
+// (default) or smt — without changing any verdict.
 //
 // Usage:
 //
@@ -48,7 +47,6 @@ import (
 	"dcvalidate/internal/explore"
 	"dcvalidate/internal/monitor"
 	"dcvalidate/internal/obs"
-	"dcvalidate/internal/pec"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/serve"
 	"dcvalidate/internal/topology"
@@ -74,7 +72,7 @@ func main() {
 		corrupt     = flag.Float64("corrupt", 0, "store-document corruption rate per write (0-1)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9090) and linger after the run until interrupted")
 		exploreK    = flag.Int("explore-k", 0, "before fault injection, certify contracts up to k simultaneous failures (symmetry-pruned failure-space exploration; 0 = off)")
-		engineName  = flag.String("engine", "", "verification engine: trie (default), smt, or pec")
+		engineName  = flag.String("engine", "", "verification engine: trie (default) or smt")
 	)
 	flag.Parse()
 	kind, err := engine.ParseKind(*engineName)
@@ -155,8 +153,6 @@ func main() {
 	switch kind {
 	case engine.KindSMT:
 		in.Checker = rcdc.SMTChecker{}
-	case engine.KindPEC:
-		in.Checker = &pec.Checker{Metrics: pec.NewMetrics(reg)}
 	}
 	tracker := monitor.NewAlertTracker()
 

@@ -6,8 +6,7 @@
 // dcv_serve_cache_hits_total climb on repeats).
 //
 // The -engine flag swaps the verification engine behind every sweep —
-// trie (default), smt, or pec (packet equivalence classes) — without
-// changing any verdict.
+// trie (default) or smt — without changing any verdict.
 //
 // Usage:
 //
@@ -41,7 +40,7 @@ func main() {
 		rs       = flag.Int("rs", 4, "regional spines")
 		rslinks  = flag.Int("rslinks", 2, "RS links per spine")
 		warm     = flag.Bool("warm", true, "run the first fleet sweep at boot so the first query hits the cache")
-		engName  = flag.String("engine", "", "verification engine: trie (default), smt, or pec")
+		engName  = flag.String("engine", "", "verification engine: trie (default) or smt")
 	)
 	flag.Parse()
 	kind, err := engine.ParseKind(*engName)

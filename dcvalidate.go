@@ -281,7 +281,7 @@ func (d *Datacenter) SetDeviceConfig(device string, cfg *DeviceConfig) error {
 // the full conflint analyzer suite before it takes effect, catching
 // misconfigurations milliseconds before they would cost a re-convergence
 // and a contract sweep. Off by default, because the simulator's whole
-// purpose often *is* installing a misconfiguration to study (E3, E18).
+// purpose often *is* installing a misconfiguration to study (E3, E6).
 func (d *Datacenter) EnableLintGate() { d.eng.EnableLintGate() }
 
 // DisableLintGate turns lint-before-apply back off.
@@ -318,7 +318,7 @@ const (
 	// per-device atoms of the destination space with interned hop-set
 	// IDs, contract checks as constant-time class operations, verdicts
 	// byte-identical to EngineTrie (locked by the cross-engine scenario
-	// matrix, the E20 gates, and a differential fuzzer).
+	// matrix and a differential fuzzer). A reference engine only.
 	EnginePEC
 )
 

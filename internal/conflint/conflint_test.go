@@ -21,7 +21,7 @@ func fig3Fleet(t *testing.T) (*topology.Topology, map[string]string) {
 }
 
 // mutate re-writes one device's configuration through parse → edit →
-// canonical Write, the same path E18 uses to seed misconfigurations.
+// canonical Write, the path every seeded misconfiguration takes.
 func mutate(t *testing.T, configs map[string]string, host string, fn func(*devconf.Spec)) {
 	t.Helper()
 	spec, err := devconf.Parse(strings.NewReader(configs[host]))

@@ -40,7 +40,9 @@ func (k Kind) String() string {
 }
 
 // ParseKind parses an -engine flag value. The empty string means
-// KindDefault so binaries can pass flags through untouched.
+// KindDefault so binaries can pass flags through untouched. KindPEC has
+// no flag value: it is a reference engine for tests and benchmarks, not
+// one a binary serves.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "":
@@ -49,10 +51,8 @@ func ParseKind(s string) (Kind, error) {
 		return KindTrie, nil
 	case "smt":
 		return KindSMT, nil
-	case "pec":
-		return KindPEC, nil
 	}
-	return KindDefault, fmt.Errorf("dcvalidate: unknown engine %q (want trie, smt, or pec)", s)
+	return KindDefault, fmt.Errorf("dcvalidate: unknown engine %q (want trie or smt)", s)
 }
 
 // SetDefaultEngine sets the checker used by runs that don't name one

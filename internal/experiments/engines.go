@@ -73,9 +73,8 @@ func e4Point(n int) E4Row {
 	}
 	dc := gen.ForDevice(tor)
 
-	sm := solverMetrics()
 	start := now()
-	smtViol, err := (rcdc.SMTChecker{Workers: 1, Metrics: sm, Clock: Clock}).CheckDevice(tbl, dc, topology.RoleToR)
+	smtViol, err := (rcdc.SMTChecker{Workers: 1}).CheckDevice(tbl, dc, topology.RoleToR)
 	if err != nil {
 		panic(err)
 	}
@@ -83,7 +82,7 @@ func e4Point(n int) E4Row {
 
 	workers := runtime.GOMAXPROCS(0)
 	start = now()
-	parViol, err := (rcdc.SMTChecker{Workers: workers, Metrics: sm, Clock: Clock}).CheckDevice(tbl, dc, topology.RoleToR)
+	parViol, err := (rcdc.SMTChecker{Workers: workers}).CheckDevice(tbl, dc, topology.RoleToR)
 	if err != nil {
 		panic(err)
 	}
@@ -173,7 +172,7 @@ func E5Figure3() Result {
 	topo.FailLink(tor2, leavesA[1])
 
 	facts := metadata.FromTopology(topo)
-	v := rcdc.Validator{Workers: 1, Metrics: validatorMetrics()}
+	v := rcdc.Validator{Workers: 1}
 	rep, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
 	if err != nil {
 		panic(err)
@@ -337,7 +336,7 @@ func E14Claim1(trials int) Result {
 		}
 		facts := metadata.FromTopology(topo)
 		src := bgp.NewSynth(topo, nil)
-		v := rcdc.Validator{Workers: 1, Metrics: validatorMetrics()}
+		v := rcdc.Validator{Workers: 1}
 		rep, err := v.ValidateAll(facts, src)
 		if err != nil {
 			panic(err)

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness for every
 // quantitative table, figure, and claim in the paper's evaluation (see
-// DESIGN.md's experiment index E1–E14). Each experiment returns both a
+// DESIGN.md's experiment index E1–E15). Each experiment returns both a
 // machine-readable result and a formatted paper-style text block; the
 // dcbench command prints them and the root bench_test.go benchmarks wrap
 // the measured kernels.
@@ -75,7 +75,7 @@ func E1PerDevice(prefixCounts []int, sample int) Result {
 		facts := metadata.FromTopology(topo)
 		gen := contracts.NewGenerator(facts)
 		src := bgp.NewSynth(topo, nil)
-		v := rcdc.Validator{Workers: 1, Metrics: validatorMetrics()}
+		v := rcdc.Validator{Workers: 1}
 
 		// Sample ToRs spread across clusters (ToRs carry the big tables).
 		tors := topo.ToRs()
@@ -146,7 +146,7 @@ func E2Sweep(deviceCounts []int) Result {
 		facts := metadata.FromTopology(topo)
 		src := bgp.NewSynth(topo, nil)
 
-		v := rcdc.Validator{Workers: 1, Metrics: validatorMetrics()}
+		v := rcdc.Validator{Workers: 1}
 		start := now()
 		rep, err := v.ValidateAll(facts, src)
 		if err != nil {
@@ -199,7 +199,7 @@ func E3LocalVsGlobal(deviceCounts []int) Result {
 		facts := metadata.FromTopology(topo)
 		src := bgp.NewSynth(topo, nil)
 
-		v := rcdc.Validator{Workers: 1, Metrics: validatorMetrics()}
+		v := rcdc.Validator{Workers: 1}
 		start := now()
 		if _, err := v.ValidateAll(facts, src); err != nil {
 			panic(err)

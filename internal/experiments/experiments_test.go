@@ -60,26 +60,6 @@ func TestE4SolverGateSmoke(t *testing.T) {
 	checkResult(t, E4SolverGate(100, time.Second), "E4s")
 }
 
-// E20's rows feed BENCH_pec.json and the pec-smoke CI gate: the point
-// itself panics unless PEC renders byte-identically to the trie engine
-// and agrees with the SMT sample, so a clean return already certifies
-// equivalence. The speedup floor is only asserted at the full E20 sizes,
-// not at this smoke scale.
-func TestE20Smoke(t *testing.T) {
-	res, rows := E20PEC([]int{200})
-	checkResult(t, res, "E20")
-	if len(rows) != 1 {
-		t.Fatalf("rows = %+v, want one point", rows)
-	}
-	r := rows[0]
-	if !r.Identical || !r.SMTAgree {
-		t.Errorf("equivalence flags false: %+v", r)
-	}
-	if r.AtomsPerDevice <= 1 || r.HopSets < 1 || r.PECWarmNS <= 0 {
-		t.Errorf("implausible row: %+v", r)
-	}
-}
-
 func TestE5DetectsPaperViolationSet(t *testing.T) {
 	r := E5Figure3()
 	// The §2.4.4 headline facts must appear in the table.
@@ -124,31 +104,4 @@ func TestSizedParams(t *testing.T) {
 
 func TestE15Smoke(t *testing.T) { checkResult(t, E15Region(), "E15") }
 
-// E17 carries three panic gates (brute-vs-pruned divergence, k=2
-// pruning-ratio floor, minimal-set replay); running it at the smallest
-// 2-pod width exercises all of them.
-func TestE17Smoke(t *testing.T) {
-	res, rows := E17Explore(2)
-	checkResult(t, res, "E17")
-	if len(rows) != 3 {
-		t.Fatalf("rows = %+v, want brute-k1, pruned-k1, pruned-k2", rows)
-	}
-	if rows[0].Total != rows[1].Total {
-		t.Errorf("k=1 totals diverge: %d vs %d", rows[0].Total, rows[1].Total)
-	}
-	if rows[2].Generators > 0 && rows[2].PruningRatio <= 2 {
-		t.Errorf("k=2 pruning ratio %.2fx <= 2x", rows[2].PruningRatio)
-	}
-}
-
 func TestE13bSmoke(t *testing.T) { checkResult(t, E13bIncremental(150), "E13b") }
-
-// The soundness gate runs here: a row changed outside its scope or a
-// delta report diverging from the full sweep panics.
-func TestE16Smoke(t *testing.T) {
-	res, rows := E16Incremental([]int{150})
-	checkResult(t, res, "E16")
-	if len(rows) != 1 || !rows[0].Verified || rows[0].Dirty == 0 || rows[0].DirtyRows == 0 {
-		t.Fatalf("rows = %+v, want one verified row with a nonempty, row-scoped blast radius", rows)
-	}
-}

@@ -43,7 +43,7 @@ func E15Region() Result {
 			}
 		}
 		facts := metadata.FromTopology(dc1)
-		v := rcdc.Validator{Workers: 2, Metrics: validatorMetrics()}
+		v := rcdc.Validator{Workers: 2}
 		rep, err := v.ValidateAll(facts, r.Source(1))
 		if err != nil {
 			panic(err)

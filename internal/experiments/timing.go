@@ -3,95 +3,11 @@ package experiments
 import (
 	"time"
 
-	"dcvalidate/internal/bgp"
-	"dcvalidate/internal/bv"
 	"dcvalidate/internal/clock"
-	"dcvalidate/internal/conflint"
-	"dcvalidate/internal/explore"
-	"dcvalidate/internal/obs"
-	"dcvalidate/internal/pec"
-	"dcvalidate/internal/rcdc"
 )
 
-// Clock is the time source every experiment measures with. It defaults
-// to the system clock (the tables report real engine performance);
-// tests substitute a clock.Virtual so experiment output is reproducible
-// and the wallclock analyzer can verify no experiment reads real time
-// directly.
-var Clock clock.Clock = clock.System{}
+// now and since time experiments on the system clock: the tables report
+// real engine performance.
+func now() time.Time { return clock.System{}.Now() }
 
-// Metrics, when non-nil, makes every experiment record subsystem
-// metrics (validator latencies and run counters, synth cache hit rates,
-// per-experiment wall time) into the registry. dcbench sets it and
-// snapshots the registry between experiments for its JSON output; nil
-// (the default) keeps experiments instrumentation-free.
-var Metrics *obs.Registry
-
-func now() time.Time { return clock.Or(Clock).Now() }
-
-func since(t time.Time) time.Duration { return clock.Since(Clock, t) }
-
-// Phase runs one experiment, timing it on the experiment clock and
-// recording dcv_experiment_seconds{id} when Metrics is set.
-func Phase(id string, fn func() Result) Result {
-	start := now()
-	res := fn()
-	if Metrics != nil {
-		Metrics.GaugeVec("dcv_experiment_seconds",
-			"Wall time of one dcbench experiment.", "id").With(id).Set(since(start).Seconds())
-	}
-	return res
-}
-
-// validatorMetrics returns the rcdc bundle bound to Metrics (nil when
-// instrumentation is off). Registration is idempotent, so calling it per
-// experiment hands back the same underlying series.
-func validatorMetrics() *rcdc.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return rcdc.NewMetrics(Metrics)
-}
-
-// solverMetrics is the bv counterpart of validatorMetrics: the solver
-// bundle is atomic-add based, so one bundle serves every SMT worker.
-func solverMetrics() *bv.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return bv.NewMetrics(Metrics)
-}
-
-// synthMetrics is the bgp counterpart of validatorMetrics.
-func synthMetrics() *bgp.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return bgp.NewMetrics(Metrics)
-}
-
-// conflintMetrics is the configuration-lint counterpart of
-// validatorMetrics.
-func conflintMetrics() *conflint.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return conflint.NewMetrics(Metrics)
-}
-
-// exploreMetrics is the failure-explorer counterpart of validatorMetrics.
-func exploreMetrics() *explore.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return explore.NewMetrics(Metrics)
-}
-
-// pecMetrics is the packet-equivalence-class counterpart of
-// validatorMetrics.
-func pecMetrics() *pec.Metrics {
-	if Metrics == nil {
-		return nil
-	}
-	return pec.NewMetrics(Metrics)
-}
+func since(t time.Time) time.Duration { return now().Sub(t) }

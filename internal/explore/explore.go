@@ -420,29 +420,6 @@ func (e *Explorer) Run() (*Result, error) {
 	return res, nil
 }
 
-// Replayer re-evaluates fault sets against a fresh clone of the
-// explorer's world — the independent check harnesses use to confirm that
-// reported minimal failure sets really violate their contracts.
-type Replayer struct {
-	w *worker
-}
-
-// NewReplayer builds a replayer with its own clone and healthy baseline.
-func (e *Explorer) NewReplayer() (*Replayer, error) {
-	w, err := newWorker(e, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Replayer{w: w}, nil
-}
-
-// ViolationKeys applies the fault set, revalidates, restores, and returns
-// the set of contract keys newly violated relative to the healthy
-// baseline. Results are memoized per fault set.
-func (r *Replayer) ViolationKeys(faults []Fault) (map[string]bool, error) {
-	return r.w.violationKeys(faults)
-}
-
 // ViolationKey identifies a violated contract instance as
 // "device|kind|prefix|violation-kind" — the same identity E4 uses to
 // compare engine verdicts.

@@ -276,3 +276,26 @@ func TestBlackoutGatesRuns(t *testing.T) {
 		t.Fatal("the link fault moved no other device's verdict; the test checks nothing")
 	}
 }
+
+// TestPruningRatioFloorK2 is the acceptance floor for symmetry pruning
+// being worth its overhead: on a healthy 2-pod Clos the k=2 sweep must
+// find verified automorphisms and explore fewer than half as many
+// classes as there are scenarios.
+func TestPruningRatioFloorK2(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Name: "x", Clusters: 2, ToRsPerCluster: 2, LeavesPerCluster: 4,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+	})
+	res, err := (&Explorer{Topo: topo, Opts: Options{K: 2, OnlyK: true, Workers: 2}}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generators == 0 {
+		t.Fatal("healthy symmetric Clos verified no automorphisms")
+	}
+	if r := res.PruningRatio(); r <= 2 {
+		t.Fatalf("k=2 pruning ratio %.2fx <= 2x (%d classes for %d scenarios)", r, res.Explored, res.Total)
+	}
+	t.Logf("k=2: %d scenarios, %d classes, %d generators, ratio %.1fx",
+		res.Total, res.Explored, res.Generators, res.PruningRatio())
+}

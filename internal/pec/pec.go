@@ -11,7 +11,7 @@
 //
 // The engine is differential by construction: its verdicts are
 // byte-identical to the trie engine's, which the scenario matrix, the
-// E20 panic gates, and FuzzPECDifferential all lock. Where a contract's
+// benchmark's oracle legs and FuzzPECDifferential all lock. Where a contract's
 // classes are provably equivalent to the trie walk's outcome the engine
 // answers from class state alone; the rare remainder (shadowed rules
 // inside a failing span, degenerate /0 contracts) replays the walk in
@@ -72,7 +72,7 @@ type deviceState struct {
 }
 
 // Stats is a point-in-time snapshot of the engine's cache and class
-// counters, used by E20 and the smoke gates.
+// counters, read by the benchmark's pec rows.
 type Stats struct {
 	// Devices currently holding cached atomization state.
 	Devices int

@@ -4,7 +4,7 @@
 // owning cache, and runs the one plan→check→splice
 // (rcdc.Validator.Revalidate) over them. Its report renders
 // byte-identically (modulo timing) to a single-engine sweep, which is
-// what the benchmark and experiment E19 check. No serving path uses it:
+// what the benchmark checks. No serving path uses it:
 // rcdc.Validator.Workers already parallelises the one plan.
 package shard
 

@@ -23,8 +23,8 @@ import (
 // a second, row-scoped delta into the report that already holds the first
 // one's violations.
 
-// renderMatrixReport is the timing-free byte surface of a report, the
-// same shape the E19/E20 identity gates pin.
+// renderMatrixReport is the timing-free byte surface of a report: every
+// device's name, role, contract count and violations.
 func renderMatrixReport(rep *Report) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "checked=%d failures=%d\n", rep.Checked, rep.Failures)
