@@ -8,10 +8,10 @@
 //	dcbench -quick       # smaller parameter sweeps (CI-friendly)
 //	dcbench -full        # include the 10^4-device E2 point (minutes)
 //
-// E4 additionally writes its machine-readable rows to BENCH_solver.json
-// in the current directory; e4s is the CI solver-perf smoke (panics when
-// the SMT engine regresses past a generous per-contract ceiling or
-// disagrees with the trie engine).
+// A full-size E4 run (no -quick) additionally writes its machine-readable
+// rows, under a run header, to BENCH_solver.json in the current directory;
+// e4s is the CI solver-perf smoke (panics when the SMT engine regresses
+// past a generous per-contract ceiling or disagrees with the trie engine).
 package main
 
 import (
@@ -25,6 +25,15 @@ import (
 
 	"dcvalidate/internal/experiments"
 )
+
+// runHeader says what host and toolchain a BENCH_*.json was measured on,
+// so ledger entries from different runs compare.
+type runHeader struct {
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUs       int    `json:"cpus"`
+	Sizes      string `json:"sizes"` // "full": the default sweep sizes (-quick runs write no ledger)
+}
 
 // writeJSON serializes an experiment's machine-readable rows next to the
 // human tables; dcbench exits non-zero when the artifact can't be
@@ -99,7 +108,14 @@ func main() {
 		{"e3", func() experiments.Result { return experiments.E3LocalVsGlobal(e3Sizes) }},
 		{"e4", func() experiments.Result {
 			res, rows := experiments.E4SMTVsTrie(e4Sizes)
-			writeJSON("BENCH_solver.json", rows)
+			if *quick {
+				fmt.Fprintln(os.Stderr, "dcbench: -quick: BENCH_solver.json left as is (only full-size E4 runs write it)")
+				return res
+			}
+			writeJSON("BENCH_solver.json", struct {
+				Run  runHeader           `json:"run"`
+				Rows []experiments.E4Row `json:"rows"`
+			}{runHeader{runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU(), "full"}, rows})
 			return res
 		}},
 		{"e4s", func() experiments.Result {

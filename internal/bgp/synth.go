@@ -31,8 +31,9 @@ func ConfigUnbounded(cfg map[topology.DeviceID]*DeviceConfig) bool {
 // the plane-structured Clos topology: a spine learns each prefix from
 // exactly one leaf (the hosting cluster's leaf on the spine's plane), so
 // best-path selection collapses to reachability along the hierarchy. FIBs
-// are produced lazily per device in O(prefixes + degree) time and memory —
-// the property that lets RCDC-style local validation run on 10^4-device
+// are produced lazily per device, as runs, in time set by the runs emitted
+// and the reachability classes seen rather than the prefix count — the
+// property that lets RCDC-style local validation run on 10^4-device
 // datacenters without a global snapshot.
 //
 // Synth honors the same DeviceConfig knobs as Sim and is cross-validated
@@ -48,10 +49,17 @@ type Synth struct {
 	// fleet has a single class, and each fault splits off a few more.
 	class   []int32
 	classes [][]bool
-	// blocks cuts the prefix list into maximal stretches of one class and
-	// one hosting cluster. Outside its own cluster a device forwards every
-	// prefix of a block alike, which is what lets runs derive next hops
-	// once per block instead of once per prefix.
+	// classRuns cuts the prefix list into maximal stretches of one class.
+	// Outside its own cluster a ToR, a leaf or a regional spine forwards a
+	// prefix by its class alone, so runs derive those next hops once per
+	// class a device sees and emit one run per class run, whatever the
+	// number of clusters or prefixes.
+	classRuns []block
+	// blocks cuts the prefix list into maximal stretches of one class, one
+	// hosting cluster and one direct pattern (which planes' hosting leaf has
+	// the direct route). A spine forwards every prefix of a block alike, and
+	// so does a ToR or a leaf inside its own cluster, ToR by ToR: runs
+	// derive those next hops once per block, never per prefix.
 	blocks []block
 	// direct[p*LeavesPerCluster+plane] reports whether the hosting
 	// cluster's leaf on that plane has the direct route to prefix p.
@@ -68,6 +76,11 @@ type Synth struct {
 	// propagation rules never self-loop, so every constructed path is
 	// accepted. (Cross-validated against Sim.)
 	fastAccept bool
+	// ident[d] is d: a one-hop next-hop set — a leaf's toward a ToR, a
+	// spine's toward a leaf — is the shared slice ident[d:d+1] (see one).
+	ident []topology.DeviceID
+	// bufs pools the scratch synthRuns derives a device's runs in.
+	bufs sync.Pool
 
 	// Opt-in per-device table cache keyed by topology generation, holding
 	// each table as runs: Refresh consumes the change journal and patches
@@ -119,6 +132,11 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 	if len(topo.Spines()) > 0 {
 		s.spineBase = topo.Spines()[0]
 	}
+	s.ident = make([]topology.DeviceID, len(topo.Devices))
+	for i := range s.ident {
+		s.ident[i] = topology.DeviceID(i)
+	}
+	s.bufs.New = func() any { return new(runBuf) }
 	s.Refresh()
 	return s
 }
@@ -188,7 +206,7 @@ func (s *Synth) recompute() {
 	planes := topo.Params.LeavesPerCluster
 	s.direct = make([]bool, len(s.prefixes)*planes)
 	s.class = make([]int32, len(s.prefixes))
-	s.classes, s.blocks = nil, nil
+	s.classes, s.classRuns, s.blocks = nil, s.classRuns[:0], s.blocks[:0]
 	intern := make(map[string]int32)
 	has := make([]bool, nSpines)
 	key := make([]byte, nSpines)
@@ -227,10 +245,16 @@ func (s *Synth) recompute() {
 			}
 		}
 		s.class[pi] = c
-		if n := len(s.blocks); n > 0 && s.class[pi-1] == c && s.prefixes[pi-1].Cluster == hp.Cluster {
+		if n := len(s.classRuns); n > 0 && s.classRuns[n-1].class == c {
+			s.classRuns[n-1].hi++
+		} else {
+			s.classRuns = append(s.classRuns, block{lo: pi, hi: pi + 1, class: c})
+		}
+		if n := len(s.blocks); n > 0 && s.blocks[n-1].class == c && s.prefixes[pi-1].Cluster == hp.Cluster &&
+			slices.Equal(s.direct[(pi-1)*planes:pi*planes], s.direct[pi*planes:(pi+1)*planes]) {
 			s.blocks[n-1].hi++
 		} else {
-			s.blocks = append(s.blocks, block{lo: pi, hi: pi + 1, cluster: hp.Cluster})
+			s.blocks = append(s.blocks, block{lo: pi, hi: pi + 1, class: c, cluster: hp.Cluster})
 		}
 	}
 }
@@ -326,20 +350,13 @@ func (s *Synth) spans(scope []ipnet.Prefix) [][2]int {
 	return spans
 }
 
-// runBuf is one patching worker's scratch, reused from device to device;
-// nothing patched keeps it (spliceRuns copies runs, appendRun clones hops).
-type runBuf struct {
-	runs []fib.Run
-	hops []topology.DeviceID
-}
-
 // patch brings a cached device's runs up to date with a row scope: the
 // default row when def, and the stretches of positions spans lists. Each
-// stretch is re-derived by the per-block rule TableRuns uses and spliced
-// in: the runs are split at the stretch's edges and equal neighbours
-// merged back, so the result is what a fresh TableRuns returns, at a cost
-// in the runs the stretch touches. Rows and runs are replaced, never
-// written, so run tables handed out earlier stay intact.
+// stretch is re-derived by the rule TableRuns uses and spliced in: the runs
+// are split at the stretch's edges and equal neighbours merged back, so the
+// result is what a fresh TableRuns returns, at a cost in the runs the
+// stretch touches. Rows and runs are replaced, never written, so run tables
+// handed out earlier stay intact.
 func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int, buf *runBuf) {
 	d := rt.Device
 	dev := s.topo.Device(d)
@@ -349,9 +366,9 @@ func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int, buf *runBuf) {
 	if len(spans) == 0 {
 		return
 	}
-	hopsToward := s.specifics(d, dev)
+	s.begin(buf, d, dev)
 	for _, sp := range spans {
-		buf.runs = s.appendRuns(buf.runs[:0], &buf.hops, d, dev, hopsToward, sp[0], sp[1])
+		buf.runs = s.appendRuns(buf.runs[:0], buf, d, dev, sp[0], sp[1])
 		rt.Runs = spliceRuns(rt.Runs, sp[0], sp[1], buf.runs)
 	}
 }
@@ -389,12 +406,19 @@ func mergeRun(runs []fib.Run, r fib.Run) []fib.Run {
 	return append(runs, r)
 }
 
-// block is a stretch [lo, hi) of the prefix list with one class and one
-// hosting cluster.
-type block struct{ lo, hi, cluster int }
+// block is a stretch [lo, hi) of the prefix list with one class — and, in
+// blocks, one hosting cluster and direct pattern.
+type block struct {
+	lo, hi  int
+	class   int32
+	cluster int
+}
 
 // spineHas returns, for hosted prefix pi, whether each spine has a route.
 func (s *Synth) spineHas(pi int) []bool { return s.classes[s.class[pi]] }
+
+// one returns the next-hop set {d}, shared.
+func (s *Synth) one(d topology.DeviceID) []topology.DeviceID { return s.ident[d : d+1 : d+1] }
 
 func (s *Synth) spineIdx(sp topology.DeviceID) int { return int(sp - s.spineBase) }
 
@@ -567,12 +591,16 @@ func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 	return s.synthRuns(d, buf)
 }
 
-// synthRuns synthesizes d's runs, appending them to buf[:0].
+// synthRuns synthesizes d's runs, appending them to buf[:0], in scratch
+// from the synth's pool.
 func (s *Synth) synthRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 	dev := s.topo.Device(d)
-	var hops []topology.DeviceID
-	return fib.RunTable{Device: d, Rows: s.rows(d, dev),
-		Runs: s.appendRuns(buf[:0], &hops, d, dev, s.specifics(d, dev), 0, len(s.prefixes))}
+	scratch := s.bufs.Get().(*runBuf)
+	s.begin(scratch, d, dev)
+	rt := fib.RunTable{Device: d, Rows: s.rows(d, dev),
+		Runs: s.appendRuns(buf[:0], scratch, d, dev, 0, len(s.prefixes))}
+	s.bufs.Put(scratch)
+	return rt
 }
 
 // rows returns d's rows outside the runs: its connected routes, then its
@@ -588,148 +616,227 @@ func (s *Synth) rows(d topology.DeviceID, dev *topology.Device) []fib.Entry {
 	return rows
 }
 
-// appendRuns appends d's runs over positions [lo, hi) of the prefix list
-// to runs, in order, deriving each run's next hops in *hops (scratch, grown
-// as needed). Under fastAccept a block outside d's own cluster is one set
-// of next hops, derived at its first position in the stretch; inside it
-// (and with any configuration) they are per prefix.
-func (s *Synth) appendRuns(runs []fib.Run, hopsBuf *[]topology.DeviceID, d topology.DeviceID, dev *topology.Device,
-	hopsToward func(dst []topology.DeviceID, pi int) []topology.DeviceID, lo, hi int) []fib.Run {
-	local := dev.Role == topology.RoleToR || dev.Role == topology.RoleLeaf
-	hops := *hopsBuf
-	for _, b := range s.blocks[sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].hi > lo }):] {
-		if b.lo >= hi {
-			break
-		}
-		blo, bhi := max(b.lo, lo), min(b.hi, hi)
-		if s.fastAccept && !(local && b.cluster == dev.Cluster) {
-			hops = hopsToward(hops[:0], blo)
-			runs = appendRun(runs, blo, bhi, hops)
-			continue
-		}
-		for pi := blo; pi < bhi; pi++ {
-			if s.prefixes[pi].ToR == d {
-				continue // connected
+// runBuf is the scratch one device's runs are derived in — a patching
+// worker's, or one from the synth's pool — reused from device to device:
+// nothing derived keeps it (next hops are cloned out of hops, and patch
+// splices copies of runs).
+type runBuf struct {
+	runs []fib.Run
+	hops []topology.DeviceID
+	// memo[c] holds the device's next hops toward a prefix of class c
+	// outside its own cluster, nil until derived (see remote).
+	memo [][]topology.DeviceID
+	// What begin works out once per device: a ToR's live leaves and the
+	// stretch of its own prefixes, a regional spine's live spines.
+	leaves       []liveLeaf
+	spines       []int
+	ownLo, ownHi int
+}
+
+// liveLeaf is a leaf a ToR has a live session to, with the spines (as
+// spineHas positions) the leaf has a live session to.
+type liveLeaf struct {
+	id     topology.DeviceID
+	plane  int
+	spines []int
+}
+
+// begin readies buf for deriving d's runs: nothing memoized yet, and what is
+// per device worked out once rather than once per class or block.
+func (s *Synth) begin(buf *runBuf, d topology.DeviceID, dev *topology.Device) {
+	buf.memo = slices.Grow(buf.memo[:0], len(s.classes))[:len(s.classes)]
+	clear(buf.memo)
+	buf.leaves, buf.spines = buf.leaves[:0], buf.spines[:0]
+	switch dev.Role {
+	case topology.RoleToR:
+		for _, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
+			if s.live(d, leaf) {
+				buf.leaves = append(buf.leaves, liveLeaf{id: leaf, plane: s.topo.Device(leaf).Plane, spines: s.leafSpines[leaf]})
 			}
-			hops = hopsToward(hops[:0], pi)
-			runs = appendRun(runs, pi, pi+1, hops)
+		}
+		lo, hi := s.clusterSpan(dev.Cluster)
+		buf.ownLo = lo + sort.Search(hi-lo, func(i int) bool { return s.prefixes[lo+i].ToR >= d })
+		buf.ownHi = s.torEnd(buf.ownLo, hi, d)
+	case topology.RoleRegionalSpine:
+		for _, sp := range s.topo.Spines() {
+			if s.live(d, sp) {
+				buf.spines = append(buf.spines, s.spineIdx(sp))
+			}
 		}
 	}
-	*hopsBuf = hops
-	return runs
 }
 
-// appendRun adds rows at positions [lo, hi) forwarding to hops: it extends
-// the last run when that ends at lo with the same next hops, and otherwise
-// starts a new one — sharing the last run's next-hop slice when equal (a
-// ToR's own prefix splits its "via all my leaves" run in two), else with
-// its own copy of hops. A route nobody advertises is absent, so empty hops
-// add nothing.
-func appendRun(runs []fib.Run, lo, hi int, hops []topology.DeviceID) []fib.Run {
-	if len(hops) == 0 {
-		return runs
-	}
-	n := len(runs)
-	if n > 0 && slices.Equal(runs[n-1].NextHops, hops) {
-		if runs[n-1].Hi == lo {
-			runs[n-1].Hi = hi
-			return runs
-		}
-		return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: runs[n-1].NextHops})
-	}
-	return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: slices.Clone(hops)})
+// clusterSpan returns the positions [lo, hi) of cluster c's prefixes: the
+// prefix list runs ToR by ToR, cluster by cluster (topology.HostedPrefixes).
+func (s *Synth) clusterSpan(c int) (lo, hi int) {
+	lo = sort.Search(len(s.prefixes), func(i int) bool { return s.prefixes[i].Cluster >= c })
+	hi = lo + sort.Search(len(s.prefixes)-lo, func(i int) bool { return s.prefixes[lo+i].Cluster > c })
+	return lo, hi
 }
 
-// specifics returns the function TableRuns derives d's specific rows with: it
-// appends d's next hops toward hosted prefix pi to dst, ascending.
-// Under the default ASN allocation (fastAccept: no device configuration,
-// so every constructed path is accepted and nothing is truncated) what is
-// per-device — which neighbors d has a live session to, and which spines
-// those reach — is worked out once here rather than once per prefix.
-// Otherwise every row goes through specificNextHops.
-func (s *Synth) specifics(d topology.DeviceID, dev *topology.Device) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
+// torEnd returns where, from position pi and before hi, the prefixes of
+// ToR tor end.
+func (s *Synth) torEnd(pi, hi int, tor topology.DeviceID) int {
+	return pi + sort.Search(hi-pi, func(i int) bool { return s.prefixes[pi+i].ToR > tor })
+}
+
+// within returns the part of bs — ascending, disjoint stretches — that
+// overlaps positions [lo, hi).
+func within(bs []block, lo, hi int) []block {
+	if lo >= hi {
+		return nil
+	}
+	i := sort.Search(len(bs), func(i int) bool { return bs[i].hi > lo })
+	j := i + sort.Search(len(bs)-i, func(k int) bool { return bs[i+k].lo >= hi })
+	return bs[i:j]
+}
+
+// appendRuns appends d's runs over positions [lo, hi) of the prefix list to
+// runs, in order, deriving them in buf (readied by begin). Under fastAccept
+// no next hop is derived per prefix: outside its own cluster a ToR, a leaf
+// or a regional spine derives its next hops once per class (remote) and
+// emits them once per class run; a spine derives its one next hop per
+// block, and a ToR or leaf inside its own cluster once per block — a ToR
+// cutting its own prefixes out, a leaf emitting one run per ToR. With any
+// configuration each row goes through specificNextHops.
+func (s *Synth) appendRuns(runs []fib.Run, buf *runBuf, d topology.DeviceID, dev *topology.Device, lo, hi int) []fib.Run {
 	if !s.fastAccept {
-		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			return append(dst, s.specificNextHops(d, pi, s.prefixes[pi])...)
-		}
-	}
-	planes := s.topo.Params.LeavesPerCluster
-	viaSpines := func(spines []int) func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			has := s.spineHas(pi)
-			for _, k := range spines {
-				if has[k] {
-					dst = append(dst, s.spineBase+topology.DeviceID(k))
-				}
+		for pi := lo; pi < hi; pi++ {
+			if s.prefixes[pi].ToR != d { // else connected
+				runs = appendRun(runs, pi, pi+1, s.specificNextHops(d, pi, s.prefixes[pi]))
 			}
-			return dst
 		}
+		return runs
 	}
 	switch dev.Role {
 	case topology.RoleRegionalSpine:
-		var spines []int
-		for _, sp := range s.topo.Spines() {
-			if s.live(d, sp) {
-				spines = append(spines, s.spineIdx(sp))
-			}
-		}
-		return viaSpines(spines)
+		return s.appendRemote(runs, buf, dev, lo, hi)
 	case topology.RoleSpine:
-		// spineHas already holds "the hosting cluster's leaf on my plane
-		// has the direct route and my link to it is live".
+		// A spine has a prefix's route iff its class says so; the next hop
+		// is the hosting cluster's leaf on the spine's plane.
 		k := s.spineIdx(d)
-		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			if s.spineHas(pi)[k] {
-				dst = append(dst, s.hostLeaf(s.prefixes[pi].Cluster, dev.Plane))
+		for _, b := range within(s.blocks, lo, hi) {
+			if s.classes[b.class][k] {
+				runs = appendRun(runs, max(b.lo, lo), min(b.hi, hi), s.one(s.hostLeaf(b.cluster, dev.Plane)))
 			}
-			return dst
 		}
-	case topology.RoleLeaf:
-		remote := viaSpines(s.leafSpines[d])
-		return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-			hp := &s.prefixes[pi]
-			if hp.Cluster != dev.Cluster {
-				return remote(dst, pi)
-			}
-			if s.direct[pi*planes+dev.Plane] {
-				dst = append(dst, hp.ToR)
-			}
-			return dst
-		}
+		return runs
 	}
-	// ToR: via each live leaf that has the route — the direct one inside
-	// the cluster, one through any of its live plane spines outside it.
-	type leafState struct {
-		id     topology.DeviceID
-		plane  int
-		spines []int
-	}
-	live := make([]leafState, 0, len(s.topo.ClusterLeaves(dev.Cluster)))
-	for _, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
-		if s.live(d, leaf) {
-			live = append(live, leafState{id: leaf, plane: s.topo.Device(leaf).Plane, spines: s.leafSpines[leaf]})
-		}
-	}
-	return func(dst []topology.DeviceID, pi int) []topology.DeviceID {
-		hp := &s.prefixes[pi]
-		has := s.spineHas(pi)
-		for i := range live {
-			ls := &live[i]
-			if hp.Cluster == dev.Cluster {
-				if s.direct[pi*planes+ls.plane] {
-					dst = append(dst, ls.id)
-				}
+	clo, chi := s.clusterSpan(dev.Cluster)
+	runs = s.appendRemote(runs, buf, dev, lo, min(hi, clo))
+	planes := s.topo.Params.LeavesPerCluster
+	for _, b := range within(s.blocks, max(lo, clo), min(hi, chi)) {
+		blo, bhi := max(b.lo, lo), min(b.hi, hi)
+		direct := s.direct[b.lo*planes : (b.lo+1)*planes]
+		if dev.Role == topology.RoleLeaf {
+			// Straight to the hosting ToR, if the link to it is live.
+			if !direct[dev.Plane] {
 				continue
 			}
+			for pi := blo; pi < bhi; {
+				tor := s.prefixes[pi].ToR
+				end := s.torEnd(pi, bhi, tor)
+				runs = appendRun(runs, pi, end, s.one(tor))
+				pi = end
+			}
+			continue
+		}
+		// ToR: via each live leaf with the direct route, except toward its
+		// own prefixes, which are connected.
+		if buf.ownLo <= blo && bhi <= buf.ownHi {
+			continue
+		}
+		hops := buf.hops[:0]
+		for _, ls := range buf.leaves {
+			if direct[ls.plane] {
+				hops = append(hops, ls.id)
+			}
+		}
+		buf.hops = hops
+		nhs := owned(runs, hops)
+		runs = appendRun(runs, blo, min(bhi, buf.ownLo), nhs)
+		runs = appendRun(runs, max(blo, buf.ownHi), bhi, nhs)
+	}
+	return s.appendRemote(runs, buf, dev, max(lo, chi), hi)
+}
+
+// appendRemote appends the runs of a ToR, leaf or regional spine over
+// positions [lo, hi) outside its own cluster: one per class run.
+func (s *Synth) appendRemote(runs []fib.Run, buf *runBuf, dev *topology.Device, lo, hi int) []fib.Run {
+	for _, b := range within(s.classRuns, lo, hi) {
+		runs = appendRun(runs, max(b.lo, lo), min(b.hi, hi), s.remote(runs, buf, dev, b.class))
+	}
+	return runs
+}
+
+// remote returns the device's next hops toward a prefix of class c outside
+// its own cluster, derived on first use and memoized in buf: a regional
+// spine's live spines that have the route, a leaf's live plane spines that
+// have it, a ToR's live leaves with such a spine.
+func (s *Synth) remote(runs []fib.Run, buf *runBuf, dev *topology.Device, c int32) []topology.DeviceID {
+	if nhs := buf.memo[c]; nhs != nil {
+		return nhs
+	}
+	has := s.classes[c]
+	hops := buf.hops[:0]
+	switch dev.Role {
+	case topology.RoleRegionalSpine:
+		for _, k := range buf.spines {
+			if has[k] {
+				hops = append(hops, s.spineBase+topology.DeviceID(k))
+			}
+		}
+	case topology.RoleLeaf:
+		for _, k := range s.leafSpines[dev.ID] {
+			if has[k] {
+				hops = append(hops, s.spineBase+topology.DeviceID(k))
+			}
+		}
+	case topology.RoleToR:
+		for _, ls := range buf.leaves {
 			for _, k := range ls.spines {
 				if has[k] {
-					dst = append(dst, ls.id)
+					hops = append(hops, ls.id)
 					break
 				}
 			}
 		}
-		return dst
 	}
+	buf.hops = hops
+	nhs := owned(runs, hops)
+	buf.memo[c] = nhs
+	return nhs
+}
+
+// noHops is the derived, empty next-hop set: no route.
+var noHops = []topology.DeviceID{}
+
+// owned returns a next-hop set equal to hops (scratch) that runs may keep:
+// the last run's when equal — a ToR's own prefixes split its "via all my
+// leaves" run in two — else a copy.
+func owned(runs []fib.Run, hops []topology.DeviceID) []topology.DeviceID {
+	if len(hops) == 0 {
+		return noHops
+	}
+	if n := len(runs); n > 0 && slices.Equal(runs[n-1].NextHops, hops) {
+		return runs[n-1].NextHops
+	}
+	return slices.Clone(hops)
+}
+
+// appendRun adds rows at positions [lo, hi) forwarding to hops, which the
+// runs keep: it extends the last run when that ends at lo with the same
+// next hops, and otherwise starts a new one. A route nobody advertises is
+// absent, so empty hops (or an empty stretch) add nothing.
+func appendRun(runs []fib.Run, lo, hi int, hops []topology.DeviceID) []fib.Run {
+	if len(hops) == 0 || lo >= hi {
+		return runs
+	}
+	if n := len(runs); n > 0 && runs[n-1].Hi == lo && slices.Equal(runs[n-1].NextHops, hops) {
+		runs[n-1].Hi = hi
+		return runs
+	}
+	return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: hops})
 }
 
 func (s *Synth) defaultNextHops(d topology.DeviceID) []topology.DeviceID {

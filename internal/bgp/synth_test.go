@@ -90,8 +90,8 @@ func TestSynthMatchesSimRandom(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		p := topology.Params{
 			Name:             fmt.Sprintf("rnd%d", iter),
-			Clusters:         1 + rng.Intn(3),
-			ToRsPerCluster:   1 + rng.Intn(4),
+			Clusters:         1 + rng.Intn(4),
+			ToRsPerCluster:   1 + rng.Intn(6),
 			LeavesPerCluster: 1 + rng.Intn(4),
 			SpinesPerPlane:   1 + rng.Intn(2),
 			RegionalSpines:   2,
@@ -143,6 +143,109 @@ func TestSynthMatchesSimRandom(t *testing.T) {
 		}
 		checkAllTables(t, topo, cfg, fmt.Sprintf("random iter %d (%+v)", iter, p))
 	}
+}
+
+// TestSynthMatchesSimDirectPattern covers prefixes of one spine class whose
+// hosting leaves differ in who has the direct route. A leaf with every
+// plane-spine session shut adds nothing to any class, so a ToR–leaf link of
+// its going down changes only the direct pattern of that ToR's prefixes:
+// runs derived once per block are right only if blocks split there too.
+func TestSynthMatchesSimDirectPattern(t *testing.T) {
+	for _, tor := range []int{0, 2, 3} {
+		topo := topology.MustNew(topology.Params{
+			Clusters: 2, ToRsPerCluster: 4, LeavesPerCluster: 3,
+			SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 1,
+			PrefixesPerToR: 2,
+		})
+		leaf := topo.ClusterLeaves(0)[1]
+		spp := topo.Params.SpinesPerPlane
+		for _, sp := range topo.Spines()[spp : 2*spp] {
+			topo.ShutSession(leaf, sp)
+		}
+		topo.FailLink(topo.ClusterToRs(0)[tor], leaf)
+
+		s := NewSynth(topo, nil)
+		lo, hi := s.clusterSpan(0)
+		for pi := lo; pi < hi; pi++ {
+			if s.class[pi] != s.class[lo] {
+				t.Fatalf("tor %d: cluster 0 spans classes %v, want one", tor, s.class[lo:hi])
+			}
+		}
+		planes := topo.Params.LeavesPerCluster
+		cut, other := lo+2*tor, lo+2*((tor+1)%4)
+		if s.direct[cut*planes+1] || !s.direct[other*planes+1] {
+			t.Fatalf("tor %d: the fault did not split the direct pattern of cluster 0", tor)
+		}
+		checkAllTables(t, topo, nil, fmt.Sprintf("leaf without spines, ToR %d cut from it", tor))
+	}
+}
+
+// FuzzSynthMatchesSim is TestSynthMatchesSimRandom under the fuzzer: a
+// small Clos fabric shaped by shape, with the link failures and session
+// shuts faults lists (a link index and a kind per byte pair) and the config
+// knobs knobs lists (a device index and a knob per pair; bit 11 of shape
+// adds the migration ASN clash). Every device's Synth table must equal the
+// Sim oracle's, and its runs must be maximal.
+func FuzzSynthMatchesSim(f *testing.F) {
+	f.Add(uint32(0), []byte{}, []byte{})
+	f.Add(uint32(3|5<<2|3<<5|1<<7|1<<8|1<<9), []byte{4, 0, 17, 1, 40, 0}, []byte{})
+	f.Add(uint32(3|5<<2|3<<5|1<<11), []byte{2, 1, 9, 0}, []byte{5, 0, 12, 1, 30, 3})
+	// TestSynthMatchesSimDirectPattern's fabric: leaf 1 of cluster 0 shut
+	// from both its spines (links 26, 27), ToR 2's link to it down (7).
+	f.Add(uint32(1|3<<2|2<<5|1<<7|1<<9), []byte{26, 1, 27, 1, 7, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, shape uint32, faults, knobs []byte) {
+		p := topology.Params{
+			Name:             "fuzz",
+			Clusters:         1 + int(shape%4),
+			ToRsPerCluster:   1 + int(shape>>2%8)%6,
+			LeavesPerCluster: 1 + int(shape>>5%4),
+			SpinesPerPlane:   1 + int(shape>>7%2),
+			RegionalSpines:   2,
+			RSLinksPerSpine:  1 + int(shape>>8%2),
+			PrefixesPerToR:   1 + int(shape>>9%2),
+		}
+		topo := topology.MustNew(p)
+		for i := 0; i+1 < len(faults) && i < 64; i += 2 {
+			l := topology.LinkID(int(faults[i]) % len(topo.Links))
+			switch faults[i+1] % 3 {
+			case 0:
+				topo.SetLinkUp(l, false)
+			case 1:
+				topo.SetSessionUp(l, false)
+			}
+		}
+		checkAllTables(t, topo, nil, fmt.Sprintf("%+v, no config", p))
+
+		cfg := map[topology.DeviceID]*DeviceConfig{}
+		for i := 0; i+1 < len(knobs) && i < 32; i += 2 {
+			d := topology.DeviceID(int(knobs[i]) % len(topo.Devices))
+			c := cfg[d]
+			if c == nil {
+				c = &DeviceConfig{}
+				cfg[d] = c
+			}
+			switch knobs[i+1] % 4 {
+			case 0:
+				c.RejectDefaultIn = true
+			case 1, 2:
+				c.MaxECMPPaths = int(knobs[i+1] % 4)
+			case 3:
+				c.SessionsDisabled = true
+			}
+		}
+		if p.Clusters >= 2 && shape>>11&1 == 1 {
+			asn := topo.Device(topo.ClusterLeaves(0)[0]).ASN
+			for _, leaf := range topo.ClusterLeaves(1) {
+				if cfg[leaf] == nil {
+					cfg[leaf] = &DeviceConfig{}
+				}
+				cfg[leaf].ASNOverride = asn
+			}
+		}
+		if len(cfg) > 0 {
+			checkAllTables(t, topo, cfg, fmt.Sprintf("%+v, config", p))
+		}
+	})
 }
 
 func TestSynthScalesLazily(t *testing.T) {

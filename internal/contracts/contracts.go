@@ -21,7 +21,9 @@
 package contracts
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
 	"dcvalidate/internal/ipnet"
@@ -99,6 +101,11 @@ type Generator struct {
 	mu      sync.Mutex
 	memo    map[topology.DeviceID]*memoEntry
 	memoGen uint64
+
+	// lay locates the facts' prefixes by owner for the intent generation
+	// layGen (see layout).
+	lay    *layout
+	layGen uint64
 }
 
 // memoEntry is one device's memoized contracts: its runs, and their
@@ -126,13 +133,15 @@ func (g *Generator) EnableMemo() {
 	g.memoGen = g.facts.Generation()
 }
 
-// entry returns id's memo entry, generating its runs on a miss, or nil
-// when memoization is off.
-func (g *Generator) entry(id topology.DeviceID) *memoEntry {
+// entry returns id's memo entry, generating its runs on a miss — nil when
+// memoization is off — and the prefix layout of the current intent
+// generation.
+func (g *Generator) entry(id topology.DeviceID) (*memoEntry, *layout) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	l := g.layout()
 	if g.memo == nil {
-		return nil
+		return nil, l
 	}
 	if gen := g.facts.Generation(); gen != g.memoGen {
 		g.memo = make(map[topology.DeviceID]*memoEntry)
@@ -140,11 +149,20 @@ func (g *Generator) entry(id topology.DeviceID) *memoEntry {
 	}
 	e, ok := g.memo[id]
 	if !ok {
-		e = &memoEntry{runs: g.runs(id, nil)}
+		e = &memoEntry{runs: g.runs(l, id, nil)}
 		e.runs.Runs = slices.Clip(e.runs.Runs)
 		g.memo[id] = e
 	}
-	return e
+	return e, l
+}
+
+// layout returns the prefix layout of the current intent generation,
+// building it on first use; g.mu is held.
+func (g *Generator) layout() *layout {
+	if gen := g.facts.Generation(); g.lay == nil || gen != g.layGen {
+		g.lay, g.layGen = newLayout(g.facts), gen
+	}
+	return g.lay
 }
 
 // ForDevice generates the comprehensive contract set for one device,
@@ -156,9 +174,9 @@ func (g *Generator) entry(id topology.DeviceID) *memoEntry {
 // Contract.NextHops as immutable. With memoization enabled the whole
 // DeviceContracts value is shared across calls under the same invariant.
 func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
-	e := g.entry(id)
+	e, l := g.entry(id)
 	if e == nil {
-		return g.Generate(id, nil)
+		return g.runs(l, id, nil).Expand(g.facts.Prefixes, nil)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -175,7 +193,10 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 // until buf is reused; their NextHops slices are never reused. It is the
 // expansion of the device's runs (see Runs).
 func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContracts {
-	return g.runs(id, nil).Expand(g.facts.Prefixes, buf)
+	g.mu.Lock()
+	l := g.layout()
+	g.mu.Unlock()
+	return g.runs(l, id, nil).Expand(g.facts.Prefixes, buf)
 }
 
 // Run is a stretch of a device's specific contracts: one contract at each
@@ -234,27 +255,23 @@ func (dr DeviceRuns) Expand(prefixes []metadata.PrefixFacts, buf []Contract) Dev
 // contracts are one or two runs. A memoizing generator copies the memoized
 // runs into buf.
 func (g *Generator) Runs(id topology.DeviceID, buf []Run) DeviceRuns {
-	if e := g.entry(id); e != nil {
+	e, l := g.entry(id)
+	if e != nil {
 		dr := e.runs
 		dr.Runs = append(buf[:0], dr.Runs...)
 		return dr
 	}
-	return g.runs(id, buf)
+	return g.runs(l, id, buf)
 }
 
-func (g *Generator) runs(id topology.DeviceID, buf []Run) DeviceRuns {
+// runs derives one device's runs from the facts, with l locating its
+// prefixes: no role reads every prefix position. A ToR finds its own
+// prefixes and a leaf its own cluster's by search; a spine walks the
+// cluster stretches.
+func (g *Generator) runs(l *layout, id topology.DeviceID, buf []Run) DeviceRuns {
 	df := g.facts.Device(id)
-	ps := g.facts.Prefixes
+	n := len(g.facts.Prefixes)
 	dr := DeviceRuns{Device: id, Runs: buf[:0]}
-	// stretch returns where the stretch of positions from i that same
-	// holds for ends.
-	stretch := func(i int, same func(p *metadata.PrefixFacts) bool) int {
-		for i < len(ps) && same(&ps[i]) {
-			i++
-		}
-		return i
-	}
-
 	uplinks := devIDs(df.Uplinks)
 	switch df.Role {
 	case topology.RoleToR:
@@ -263,49 +280,48 @@ func (g *Generator) runs(id topology.DeviceID, buf []Run) DeviceRuns {
 		// Specific contract for every datacenter prefix not hosted here,
 		// next hops the neighboring leaves. A prefix's owner says where it
 		// is hosted: the facts list each hosted prefix once, under its ToR.
-		elsewhere := func(p *metadata.PrefixFacts) bool { return p.ToR != id }
-		for i := 0; i < len(ps); i++ {
-			j := stretch(i, elsewhere)
-			dr.add(i, j, uplinks)
-			i = j
+		at := 0
+		for _, own := range keyed(l.byToR, int(id)) {
+			dr.add(at, own.lo, uplinks)
+			at = own.hi
 		}
+		dr.add(at, n, uplinks)
 
 	case topology.RoleLeaf:
 		// Default contract: the neighboring spines.
 		dr.Default = uplinks
 		// Specific contracts: same-cluster prefixes go straight to the
-		// hosting ToR — one slice per ToR, shared by its prefixes —
-		// everything else goes to the spines.
-		for i := 0; i < len(ps); {
-			c, tor := ps[i].Cluster, ps[i].ToR
-			if c != df.Cluster {
-				j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster != df.Cluster })
-				dr.add(i, j, uplinks)
-				i = j
-				continue
+		// hosting ToR — one shared slice per ToR — everything else goes to
+		// the spines.
+		at := 0
+		for _, c := range keyed(l.byCluster, df.Cluster) {
+			dr.add(at, c.lo, uplinks)
+			for _, t := range within(l.tors, c.lo, c.hi) {
+				dr.add(t.lo, t.hi, l.one(topology.DeviceID(t.key)))
 			}
-			j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster == c && p.ToR == tor })
-			dr.add(i, j, []topology.DeviceID{tor})
-			i = j
+			at = c.hi
 		}
+		dr.add(at, n, uplinks)
 
 	case topology.RoleSpine:
 		// Default contract: the neighboring regional spines.
 		dr.Default = uplinks
 		// Specific contracts: the neighboring leaves of the hosting
 		// cluster (with the plane structure, exactly one per cluster).
-		downByCluster := make(map[int][]topology.DeviceID)
-		for _, n := range df.Downlinks {
-			downByCluster[n.Cluster] = append(downByCluster[n.Cluster], n.Device)
+		down := df.Downlinks
+		if !slices.IsSortedFunc(down, byClusterDevice) {
+			down = slices.Clone(down)
+			slices.SortFunc(down, byClusterDevice)
 		}
-		for c, hops := range downByCluster {
-			downByCluster[c] = sortedCopy(hops)
-		}
-		for i := 0; i < len(ps); {
-			c := ps[i].Cluster
-			j := stretch(i, func(p *metadata.PrefixFacts) bool { return p.Cluster == c })
-			dr.add(i, j, downByCluster[c])
-			i = j
+		for _, c := range l.clusters {
+			lo := sort.Search(len(down), func(i int) bool { return down[i].Cluster >= c.key })
+			hi := lo + sort.Search(len(down)-lo, func(i int) bool { return down[lo+i].Cluster > c.key })
+			switch {
+			case hi-lo == 1:
+				dr.add(c.lo, c.hi, l.one(down[lo].Device))
+			case hi > lo:
+				dr.add(c.lo, c.hi, devIDs(down[lo:hi]))
+			}
 		}
 
 	case topology.RoleRegionalSpine:
@@ -313,9 +329,79 @@ func (g *Generator) runs(id topology.DeviceID, buf []Run) DeviceRuns {
 		// the regional network, outside the datacenter model. Specific
 		// contracts expect every neighboring spine, since each spine
 		// reaches every cluster through its plane leaf.
-		dr.add(0, len(ps), devIDs(df.Downlinks))
+		dr.add(0, n, devIDs(df.Downlinks))
 	}
 	return dr
+}
+
+// layout locates the facts' prefixes by owner, whatever order the facts
+// list them in: built once per intent generation in O(prefixes), it lets
+// a device's runs be found by search instead of by a scan of every prefix.
+type layout struct {
+	// tors cuts the prefix list into maximal stretches of one hosting ToR
+	// and cluster (key: the ToR), clusters into maximal stretches of one
+	// hosting cluster (key: the cluster); both in position order.
+	tors, clusters []stretch
+	// byToR and byCluster are the same stretches ordered by key, then
+	// position.
+	byToR, byCluster []stretch
+	// ident[d] is d: the one-hop next-hop sets are its one-element
+	// slices, shared by every device and run that expects them.
+	ident []topology.DeviceID
+}
+
+// stretch is the positions [lo, hi) of the prefix list, all with one key.
+type stretch struct{ lo, hi, key int }
+
+func newLayout(f *metadata.Facts) *layout {
+	l := &layout{ident: make([]topology.DeviceID, len(f.Devices))}
+	for i := range l.ident {
+		l.ident[i] = topology.DeviceID(i)
+	}
+	for i, p := range f.Prefixes {
+		if n := len(l.tors); n > 0 && l.tors[n-1].key == int(p.ToR) && f.Prefixes[i-1].Cluster == p.Cluster {
+			l.tors[n-1].hi++
+		} else {
+			l.tors = append(l.tors, stretch{i, i + 1, int(p.ToR)})
+		}
+		if n := len(l.clusters); n > 0 && l.clusters[n-1].key == p.Cluster {
+			l.clusters[n-1].hi++
+		} else {
+			l.clusters = append(l.clusters, stretch{i, i + 1, p.Cluster})
+		}
+	}
+	byKey := func(a, b stretch) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.lo, b.lo)) }
+	l.byToR, l.byCluster = slices.Clone(l.tors), slices.Clone(l.clusters)
+	slices.SortFunc(l.byToR, byKey)
+	slices.SortFunc(l.byCluster, byKey)
+	return l
+}
+
+// one returns the next-hop set {d}, shared when d is a device of the facts.
+func (l *layout) one(d topology.DeviceID) []topology.DeviceID {
+	if d < 0 || int(d) >= len(l.ident) {
+		return []topology.DeviceID{d}
+	}
+	return l.ident[d : d+1 : d+1]
+}
+
+// keyed returns the stretches of sorted — ordered by key — with key k.
+func keyed(sorted []stretch, k int) []stretch {
+	lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= k })
+	hi := lo + sort.Search(len(sorted)-lo, func(i int) bool { return sorted[lo+i].key > k })
+	return sorted[lo:hi]
+}
+
+// within returns the stretches of st — in position order — that lie inside
+// positions [lo, hi), whose edges are edges of st's stretches too.
+func within(st []stretch, lo, hi int) []stretch {
+	i := sort.Search(len(st), func(i int) bool { return st[i].lo >= lo })
+	j := i + sort.Search(len(st)-i, func(k int) bool { return st[i+k].lo >= hi })
+	return st[i:j]
+}
+
+func byClusterDevice(a, b metadata.Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.Device, b.Device))
 }
 
 // Prefixes returns the prefix list Runs indexes: the facts' hosted
@@ -359,12 +445,6 @@ func (dr *DeviceRuns) add(lo, hi int, hops []topology.DeviceID) {
 
 // sameSlice reports whether two non-empty slices are the same slice.
 func sameSlice(a, b []topology.DeviceID) bool { return len(a) == len(b) && &a[0] == &b[0] }
-
-func sortedCopy(hops []topology.DeviceID) []topology.DeviceID {
-	out := slices.Clone(hops)
-	slices.Sort(out)
-	return out
-}
 
 func devIDs(ns []metadata.Neighbor) []topology.DeviceID {
 	out := make([]topology.DeviceID, len(ns))

@@ -2,6 +2,7 @@ package contracts
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -310,6 +311,65 @@ func TestRunsAreMaximalAndShared(t *testing.T) {
 			}
 			if len(byToR) != 4 {
 				t.Fatalf("%s: in-cluster contracts toward %d ToRs, want 4", d.Name, len(byToR))
+			}
+		}
+	}
+}
+
+// TestRunsMatchPerPrefixRule checks the located runs against §2.4's rule
+// applied prefix by prefix, on facts in topology order and on facts whose
+// prefix list (and a spine's downlinks) were shuffled, so that a ToR's
+// prefixes and a cluster's are scattered in several stretches.
+func TestRunsMatchPerPrefixRule(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2, SpinesPerPlane: 2,
+		RegionalSpines: 2, RSLinksPerSpine: 1, PrefixesPerToR: 2,
+	})
+	rng := rand.New(rand.NewSource(5))
+	for _, shuffle := range []bool{false, true} {
+		facts := metadata.FromTopology(topo)
+		if shuffle {
+			rng.Shuffle(len(facts.Prefixes), func(i, j int) { facts.Prefixes[i], facts.Prefixes[j] = facts.Prefixes[j], facts.Prefixes[i] })
+			down := slices.Clone(facts.Device(topo.Spines()[0]).Downlinks)
+			slices.Reverse(down)
+			facts.Device(topo.Spines()[0]).Downlinks = down
+		}
+		g := NewGenerator(facts)
+		for _, d := range topo.Devices {
+			df := facts.Device(d.ID)
+			var want []Contract
+			for _, p := range facts.Prefixes {
+				var hops []topology.DeviceID
+				switch d.Role {
+				case topology.RoleToR:
+					if p.ToR != d.ID {
+						hops = devIDs(df.Uplinks)
+					}
+				case topology.RoleLeaf:
+					hops = devIDs(df.Uplinks)
+					if p.Cluster == df.Cluster {
+						hops = []topology.DeviceID{p.ToR}
+					}
+				case topology.RoleSpine:
+					for _, n := range df.Downlinks {
+						if n.Cluster == p.Cluster {
+							hops = append(hops, n.Device)
+						}
+					}
+					slices.Sort(hops)
+				case topology.RoleRegionalSpine:
+					hops = devIDs(df.Downlinks)
+				}
+				if len(hops) > 0 {
+					want = append(want, Contract{Device: d.ID, Kind: Specific, Prefix: p.Prefix, NextHops: hops})
+				}
+			}
+			got := g.Generate(d.ID, nil).Contracts
+			if _, ok := g.Generate(d.ID, nil).Default(); ok {
+				got = got[1:]
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("shuffle=%v %s: contracts\n%v\nwant\n%v", shuffle, d.Name, got, want)
 			}
 		}
 	}
