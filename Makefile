@@ -54,10 +54,13 @@ bench-solver:
 # BenchmarkValidateAllCold reports allocs/op beside contracts/op. The link
 # flip leg locks the change-driven sweep: one ToR–leaf flip plus a query on
 # a warmed 2008-device datacenter stays under its mallocs ceiling
-# (TestLinkFlipAllocCeiling) and BenchmarkLinkFlip reports its cost.
+# (TestLinkFlipAllocCeiling), a leaf–spine flip's mallocs grow with its
+# dirty devices rather than the fleet from 520 to 2008 devices
+# (TestLeafSpineFlipAllocsScaleWithDirty), and BenchmarkLinkFlip reports
+# its cost.
 bench-smoke:
 	$(GO) test -run TestLeafSpineFlipSoundAtScale -count=1 .
-	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling' -count=1 .
+	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench BenchmarkLinkFlip -benchmem -benchtime 20x .

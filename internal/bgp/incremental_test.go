@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/obs"
@@ -245,4 +246,106 @@ func metricValue(reg *obs.Registry, name string) float64 {
 		}
 	}
 	return 0
+}
+
+// TestPendingPatchConcurrentPulls is the race gate for patches left pending
+// by RefreshDelta: after one refresh over a ToR–leaf flip and a leaf–spine
+// flip, goroutines pull the same devices at once — each device several
+// times, the fleet in parallel — and every pull, whichever applied the
+// patch, must equal a fresh synthesis. Small enough to run under -race
+// -short.
+func TestPendingPatchConcurrentPulls(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 2,
+	})
+	cached := NewSynth(topo, nil)
+	cached.EnableTableCache()
+	for trial := 0; trial < 4; trial++ {
+		for id := range topo.Devices { // warm: every device cached
+			cached.TableRuns(topology.DeviceID(id), nil)
+		}
+		tor, leaf := topo.ClusterToRs(trial % 3)[trial], topo.ClusterLeaves(trial % 3)[trial%2]
+		since := topo.Generation()
+		if trial%2 == 0 {
+			topo.FailLink(tor, leaf)
+			topo.FailLink(topo.ClusterLeaves(1)[0], topo.Spines()[0])
+		} else {
+			topo.RestoreAll()
+		}
+		changes, ok := topo.ChangesSince(since)
+		if !ok {
+			t.Fatal("journal truncated")
+		}
+		cached.RefreshDelta(delta.Compute(topo, changes, delta.Options{}), since)
+		fresh := NewSynth(topo, nil)
+		want := make([]string, len(topo.Devices))
+		for id := range topo.Devices {
+			want[id] = fmt.Sprint(fresh.TableRuns(topology.DeviceID(id), nil))
+		}
+		const pullers = 4
+		errs := make(chan error, pullers)
+		for w := 0; w < pullers; w++ {
+			go func(w int) {
+				for k := range topo.Devices {
+					id := (k + w*len(topo.Devices)/pullers) % len(topo.Devices)
+					for rep := 0; rep < 2; rep++ {
+						if got := fmt.Sprint(cached.TableRuns(topology.DeviceID(id), nil)); got != want[id] {
+							errs <- fmt.Errorf("trial %d: puller %d: device %s: got %s, want %s", trial, w, topo.Devices[id].Name, got, want[id])
+							return
+						}
+					}
+				}
+				errs <- nil
+			}(w)
+		}
+		for w := 0; w < pullers; w++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPendingPatchesAccumulate: patches left pending by several refreshes
+// with no pull in between widen one another, and the pull that finally
+// applies them must equal a fresh synthesis — the default row and every
+// stretch any of the windows scoped, spliced in one pass.
+func TestPendingPatchesAccumulate(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 2,
+	})
+	cached := NewSynth(topo, nil)
+	cached.EnableTableCache()
+	reg := obs.NewRegistry()
+	cached.Metrics = NewMetrics(reg)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		for id := range topo.Devices {
+			cached.TableRuns(topology.DeviceID(id), nil)
+		}
+		for refresh := 0; refresh < 1+rng.Intn(4); refresh++ {
+			lid := topology.LinkID(rng.Intn(len(topo.Links)))
+			if rng.Intn(2) == 0 {
+				topo.SetLinkUp(lid, rng.Intn(2) == 0)
+			} else {
+				topo.SetSessionUp(lid, rng.Intn(2) == 0)
+			}
+			cached.Refresh()
+		}
+		fresh := NewSynth(topo, nil)
+		for id := range topo.Devices {
+			d := topology.DeviceID(id)
+			if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+				t.Fatalf("trial %d: device %s: runs after pending patches diverge from fresh synthesis\n got %s\nwant %s",
+					trial, topo.Device(d).Name, got, want)
+			}
+		}
+	}
+	if metricValue(reg, "dcv_bgp_synth_rows_patched_total") == 0 {
+		t.Fatal("no row was patched: the trials exercised nothing")
+	}
 }

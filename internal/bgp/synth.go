@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
-	"dcvalidate/internal/par"
 	"dcvalidate/internal/topology"
 )
 
@@ -79,15 +77,22 @@ type Synth struct {
 	// ident[d] is d: a one-hop next-hop set — a leaf's toward a ToR, a
 	// spine's toward a leaf — is the shared slice ident[d:d+1] (see one).
 	ident []topology.DeviceID
-	// bufs pools the scratch synthRuns derives a device's runs in.
+	// clusterAt[c] is where cluster c's prefixes start in the prefix list
+	// (clusterAt[Clusters] is its end), and own[tor] the stretch of a ToR's
+	// own prefixes: the list runs ToR by ToR, cluster by cluster
+	// (topology.HostedPrefixes), and never changes.
+	clusterAt []int
+	own       [][2]int
+	// bufs pools the scratch a device's runs are derived or patched in.
 	bufs sync.Pool
 
 	// Opt-in per-device table cache keyed by topology generation, holding
-	// each table as runs: Refresh consumes the change journal and patches
-	// or evicts only the blast radius, so steady-state pulls of unaffected
-	// devices cost a copy of a handful of runs. Off by default.
-	mu       sync.Mutex
-	cache    map[topology.DeviceID]*fib.RunTable
+	// each table as runs, one slot per device ID (nil: off): RefreshDelta
+	// consumes the change journal, evicts the devices dirty as a whole and
+	// leaves a patch pending on the row-scoped ones, which their next pull
+	// applies. Steady-state pulls of unaffected devices read the cached runs
+	// in place. Off by default.
+	cache    []slot
 	cacheGen uint64
 
 	// Metrics, when non-nil, counts table-cache hits and misses (cache
@@ -110,18 +115,34 @@ type Synth struct {
 // as they are and Table and Rows expand on demand. Cached tables are
 // brought up to date by Refresh using the topology change journal: inside
 // the blast radius of the changes since the last Refresh, a device with a
-// row scope has exactly those rows re-derived in its runs (see patch) and
-// a device dirty as a whole is evicted (everything is, if the radius is
-// unbounded or the journal was truncated). Call only on long-lived sources
-// that serve repeated incremental pulls; memory grows to one table per
-// distinct device pulled, a handful of runs each rather than a row per
-// hosted prefix.
+// row scope has exactly those rows re-derived in its runs — on its next
+// pull, by whichever worker pulls it (see slot) — and a device dirty as a
+// whole is evicted (everything is, if the radius is unbounded or the
+// journal was truncated). Call only on long-lived sources that serve
+// repeated incremental pulls, before the first pull; memory grows to one
+// table per distinct device pulled, a handful of runs each rather than a
+// row per hosted prefix.
 func (s *Synth) EnableTableCache() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache = make(map[topology.DeviceID]*fib.RunTable)
+	s.cache = make([]slot, len(s.topo.Devices))
 	s.cacheGen = s.topo.Generation()
 }
+
+// slot is one device's place in the table cache: its runs once pulled,
+// and the patch RefreshDelta left pending on them — the default row when
+// def, and the position stretches spans lists (see spans). The device's
+// next pull applies the patch under the slot's lock (see cached), so
+// concurrent pulls of one device patch it once and pulls of distinct
+// devices never wait on each other.
+type slot struct {
+	mu    sync.Mutex
+	ok    bool
+	rt    fib.RunTable
+	def   bool
+	spans [][2]int
+}
+
+// evict drops the slot's runs and any patch pending on them.
+func (sl *slot) evict() { sl.ok, sl.rt, sl.def, sl.spans = false, fib.RunTable{}, false, nil }
 
 // NewSynth precomputes the tier reachability sets. Precomputation is
 // O(prefixes × spinesPerPlane + links), after which Table is cheap. The
@@ -136,7 +157,19 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 	for i := range s.ident {
 		s.ident[i] = topology.DeviceID(i)
 	}
-	s.bufs.New = func() any { return new(runBuf) }
+	s.clusterAt = make([]int, topo.Params.Clusters+1)
+	s.own = make([][2]int, len(topo.Devices))
+	for pi, hp := range s.prefixes {
+		if pi == 0 || s.prefixes[pi-1].ToR != hp.ToR {
+			s.own[hp.ToR][0] = pi
+		}
+		s.own[hp.ToR][1] = pi + 1
+		s.clusterAt[hp.Cluster+1] = pi + 1
+	}
+	for c := 1; c < len(s.clusterAt); c++ {
+		s.clusterAt[c] = max(s.clusterAt[c], s.clusterAt[c-1])
+	}
+	s.bufs.New = newRunBuf
 	s.Refresh()
 	return s
 }
@@ -155,7 +188,7 @@ func (s *Synth) Refresh() { s.RefreshDelta(nil, 0) }
 // table cache is synchronized from ds instead of computing the radius a
 // second time. A ds whose window starts after the cache's last
 // synchronization (or a nil ds) is ignored and the cache reads the
-// journal itself.
+// journal itself. Like Refresh, it must not run concurrently with pulls.
 func (s *Synth) RefreshDelta(ds *delta.Set, since uint64) {
 	dirty := s.cacheWindow(ds, since)
 	s.recompute()
@@ -265,8 +298,6 @@ func (s *Synth) recompute() {
 // truncation, device-level changes, acceptance-altering configs) come
 // back as a full set.
 func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	gen := s.topo.Generation()
 	if s.cache == nil || gen == s.cacheGen {
 		return nil
@@ -279,50 +310,78 @@ func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 	return delta.Since(s.topo, behind, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 }
 
-// syncCache applies a blast radius to the cached runs, after recompute:
-// whole devices are evicted and row-scoped devices patched, on the worker
-// pool (package par). Devices share scope slices (delta.Scope) — every
-// device a ToR–leaf flip scopes reads one ToR's prefixes — so each
-// distinct scope is planned once, not once per device.
+// syncCache applies a blast radius to the cache, after recompute: it evicts
+// the cached devices dirty as a whole and leaves a patch pending on the
+// row-scoped ones, widening any patch already pending, in time set by the
+// dirty devices. Devices share scope slices (delta.Scope) — every device a
+// ToR–leaf flip scopes reads one ToR's prefixes — so each distinct scope is
+// planned once, not once per device.
 func (s *Synth) syncCache(dirty *delta.Set) {
 	if dirty == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	type job struct {
-		rt    *fib.RunTable
-		def   bool     // the default row is in scope (scopes are ascending: it sorts first)
-		spans [][2]int // see spans
+	var patched, evicted int
+	if dirty.Full() {
+		for d := range s.cache {
+			if sl := &s.cache[d]; sl.ok {
+				sl.evict()
+				evicted++
+			}
+		}
+		s.Metrics.observeSync(patched, evicted)
+		return
 	}
-	type scopeKey struct {
+	type plan struct {
 		first *ipnet.Prefix
 		n     int
+		spans [][2]int
 	}
-	var jobs []job
-	plans := make(map[scopeKey][][2]int)
-	var patched, evicted int
-	for d, rt := range s.cache {
-		sc, ok := dirty.Scope(d)
-		switch {
-		case !ok:
-		case sc.Whole:
-			delete(s.cache, d)
-			evicted++
-		case len(sc.Rows) > 0:
-			k := scopeKey{&sc.Rows[0], len(sc.Rows)}
-			spans, ok := plans[k]
-			if !ok {
-				spans = s.spans(sc.Rows)
-				plans[k] = spans
-			}
-			jobs = append(jobs, job{rt, sc.Rows[0].IsDefault(), spans})
-			patched += len(sc.Rows)
+	var plans []plan
+	for _, d := range dirty.Devices() {
+		sl := &s.cache[d]
+		if !sl.ok {
+			continue
 		}
+		sc, _ := dirty.Scope(d)
+		if sc.Whole {
+			sl.evict()
+			evicted++
+			continue
+		}
+		k := slices.IndexFunc(plans, func(p plan) bool { return p.first == &sc.Rows[0] && p.n == len(sc.Rows) })
+		if k < 0 {
+			k = len(plans)
+			plans = append(plans, plan{&sc.Rows[0], len(sc.Rows), s.spans(sc.Rows)})
+		}
+		sl.def = sl.def || sc.Rows[0].IsDefault()
+		sl.spans = unionSpans(sl.spans, plans[k].spans)
+		patched += len(sc.Rows)
 	}
-	bufs := make([]runBuf, min(runtime.GOMAXPROCS(0), len(jobs)))
-	par.For(len(jobs), len(bufs), func(w, i int) { s.patch(jobs[i].rt, jobs[i].def, jobs[i].spans, &bufs[w]) })
 	s.Metrics.observeSync(patched, evicted)
+}
+
+// unionSpans returns the union of two ascending, disjoint span lists: b
+// itself when a is empty — plans are shared, never written — else a new
+// list.
+func unionSpans(a, b [][2]int) [][2]int {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([][2]int, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var next [2]int
+		if len(b) == 0 || len(a) > 0 && a[0][0] <= b[0][0] {
+			next, a = a[0], a[1:]
+		} else {
+			next, b = b[0], b[1:]
+		}
+		if n := len(out); n > 0 && out[n-1][1] >= next[0] {
+			out[n-1][1] = max(out[n-1][1], next[1])
+			continue
+		}
+		out = append(out, next)
+	}
+	return out
 }
 
 // spans maps a scope's rows but the default onto the stretches [lo, hi) of
@@ -351,13 +410,13 @@ func (s *Synth) spans(scope []ipnet.Prefix) [][2]int {
 }
 
 // patch brings a cached device's runs up to date with a row scope: the
-// default row when def, and the stretches of positions spans lists. Each
-// stretch is re-derived by the rule TableRuns uses and spliced in: the runs
-// are split at the stretch's edges and equal neighbours merged back, so the
-// result is what a fresh TableRuns returns, at a cost in the runs the
-// stretch touches. Rows and runs are replaced, never written, so run tables
-// handed out earlier stay intact.
-func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int, buf *runBuf) {
+// default row when def, and the stretches of positions spans lists. The
+// stretches are re-derived by the rule TableRuns uses and spliced in: the
+// runs are split at the stretches' edges and equal neighbours merged back,
+// so the result is what a fresh TableRuns returns, at a cost in the runs
+// of the device. Rows and runs are replaced, never written: the spliced
+// runs are one new slice, so run tables handed out earlier stay intact.
+func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int) {
 	d := rt.Device
 	dev := s.topo.Device(d)
 	if def {
@@ -366,34 +425,52 @@ func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int, buf *runBuf) {
 	if len(spans) == 0 {
 		return
 	}
+	buf := s.bufs.Get().(*runBuf)
 	s.begin(buf, d, dev)
+	buf.runs = buf.runs[:0]
 	for _, sp := range spans {
-		buf.runs = s.appendRuns(buf.runs[:0], buf, d, dev, sp[0], sp[1])
-		rt.Runs = spliceRuns(rt.Runs, sp[0], sp[1], buf.runs)
+		buf.runs = s.appendRuns(buf.runs, buf, d, dev, sp[0], sp[1])
 	}
+	out := make([]fib.Run, 0, len(rt.Runs)+len(buf.runs)+len(spans))
+	rt.Runs = spliceRuns(out, rt.Runs, spans, buf.runs)
+	s.bufs.Put(buf)
 }
 
-// spliceRuns returns runs with what they say about positions [lo, hi)
-// replaced by fresh, runs inside [lo, hi): the runs straddling an edge keep
-// their part outside it, and equal neighbours merge across both edges. The
-// result is a new slice and runs is never written, so run tables handed
-// out earlier stay intact.
-func spliceRuns(runs []fib.Run, lo, hi int, fresh []fib.Run) []fib.Run {
-	i := sort.Search(len(runs), func(k int) bool { return runs[k].Hi >= lo })
-	j := sort.Search(len(runs), func(k int) bool { return runs[k].Lo > hi })
-	// Only runs[i] can start before lo, only runs[j-1] end after hi.
-	out := make([]fib.Run, i, len(runs)-(j-i)+len(fresh)+2)
-	copy(out, runs[:i])
-	if i < j && runs[i].Lo < lo {
-		out = append(out, fib.Run{Lo: runs[i].Lo, Hi: min(runs[i].Hi, lo), NextHops: runs[i].NextHops})
+// spliceRuns appends to out runs with what they say about the positions in
+// spans — ascending, disjoint stretches — replaced by fresh, the runs
+// inside them, ascending: a run straddling a stretch's edge keeps its part
+// outside it, and equal neighbours merge across every edge. It appends at
+// most len(runs)+len(fresh)+len(spans) runs and never writes runs, so run
+// tables handed out earlier stay intact.
+func spliceRuns(out, runs []fib.Run, spans [][2]int, fresh []fib.Run) []fib.Run {
+	i, at := 0, 0 // runs[i:] are still to be emitted, runs[i] from position at on
+	for _, sp := range spans {
+		for ; i < len(runs); i++ {
+			r := runs[i]
+			r.Lo = max(r.Lo, at)
+			if r.Lo >= sp[0] {
+				break
+			}
+			if r.Hi > sp[0] {
+				out = mergeRun(out, fib.Run{Lo: r.Lo, Hi: sp[0], NextHops: r.NextHops})
+				break
+			}
+			out = mergeRun(out, r)
+		}
+		for ; len(fresh) > 0 && fresh[0].Lo < sp[1]; fresh = fresh[1:] {
+			out = mergeRun(out, fresh[0])
+		}
+		for i < len(runs) && runs[i].Hi <= sp[1] {
+			i++
+		}
+		at = sp[1]
 	}
-	for _, r := range fresh {
+	for ; i < len(runs); i++ {
+		r := runs[i]
+		r.Lo = max(r.Lo, at)
 		out = mergeRun(out, r)
 	}
-	if i < j && runs[j-1].Hi > hi {
-		out = mergeRun(out, fib.Run{Lo: max(runs[j-1].Lo, hi), Hi: runs[j-1].Hi, NextHops: runs[j-1].NextHops})
-	}
-	return append(out, runs[j:]...)
+	return out
 }
 
 // mergeRun appends r, extending the last run instead when r continues it
@@ -552,25 +629,26 @@ func (s *Synth) runTable(d topology.DeviceID) fib.RunTable {
 }
 
 // cached returns d's cached runs — shared, read only — synthesizing and
-// caching them on a miss; ok is false when caching is off.
+// caching them on a miss and applying the patch pending on a hit, under the
+// slot's lock; ok is false when caching is off.
 func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
-	s.mu.Lock()
-	caching := s.cache != nil
-	p, hit := s.cache[d]
-	s.mu.Unlock()
-	if !caching {
+	if s.cache == nil {
 		return fib.RunTable{}, false
 	}
-	s.Metrics.observeCache(hit)
-	if !hit {
-		p = &fib.RunTable{}
-		*p = s.synthRuns(d, nil)
-		p.Runs = slices.Clip(p.Runs)
-		s.mu.Lock()
-		s.cache[d] = p
-		s.mu.Unlock()
+	sl := &s.cache[d]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	s.Metrics.observeCache(sl.ok)
+	switch {
+	case !sl.ok:
+		sl.rt = s.synthRuns(d, nil)
+		sl.rt.Runs = slices.Clip(sl.rt.Runs)
+		sl.ok = true
+	case sl.def || len(sl.spans) > 0:
+		s.patch(&sl.rt, sl.def, sl.spans)
+		sl.def, sl.spans = false, nil
 	}
-	return *p, true
+	return sl.rt, true
 }
 
 // RunPrefixes returns the prefix list TableRuns indexes: the hosted
@@ -582,10 +660,10 @@ func (s *Synth) RunPrefixes() []topology.HostedPrefix { return s.prefixes }
 // routes and the default route, and each run is a maximal stretch of
 // hosted prefixes d forwards to one next-hop set. Expanding them gives
 // exactly what Table returns. With the table cache on, the runs are the
-// cached ones (filled on a miss), copied into buf; Rows is shared.
+// cached ones (filled on a miss, patched if a patch is pending), shared —
+// read only — and buf is left alone.
 func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 	if rt, ok := s.cached(d); ok {
-		rt.Runs = append(buf[:0], rt.Runs...)
 		return rt
 	}
 	return s.synthRuns(d, buf)
@@ -616,10 +694,9 @@ func (s *Synth) rows(d topology.DeviceID, dev *topology.Device) []fib.Entry {
 	return rows
 }
 
-// runBuf is the scratch one device's runs are derived in — a patching
-// worker's, or one from the synth's pool — reused from device to device:
-// nothing derived keeps it (next hops are cloned out of hops, and patch
-// splices copies of runs).
+// runBuf is the scratch one device's runs are derived or patched in, from
+// the synth's pool, reused from device to device: nothing derived keeps it
+// (next hops are cloned out of hops, and patch splices copies of runs).
 type runBuf struct {
 	runs []fib.Run
 	hops []topology.DeviceID
@@ -631,32 +708,42 @@ type runBuf struct {
 	leaves       []liveLeaf
 	spines       []int
 	ownLo, ownHi int
+	// recent holds the next-hop sets owned copied lately, oldest at next
+	// once full: shared, immutable.
+	recent [][]topology.DeviceID
+	next   int
 }
 
-// liveLeaf is a leaf a ToR has a live session to, with the spines (as
-// spineHas positions) the leaf has a live session to.
+// recentSets is how many next-hop sets a runBuf remembers (see owned).
+const recentSets = 8
+
+func newRunBuf() any { return &runBuf{recent: make([][]topology.DeviceID, 0, recentSets)} }
+
+// liveLeaf is a leaf a ToR has a live session to, and its plane. It holds
+// no pointer, so readying a buffer writes none.
 type liveLeaf struct {
-	id     topology.DeviceID
-	plane  int
-	spines []int
+	id    topology.DeviceID
+	plane int
 }
 
 // begin readies buf for deriving d's runs: nothing memoized yet, and what is
-// per device worked out once rather than once per class or block.
+// per device worked out once rather than once per class or block. A ToR's
+// own stretch comes from the table NewSynth built, and its live leaves from
+// the direct pattern recompute derived for its own first prefix — the
+// plane-p leaf has the direct route to it iff the link to the ToR is live.
 func (s *Synth) begin(buf *runBuf, d topology.DeviceID, dev *topology.Device) {
 	buf.memo = slices.Grow(buf.memo[:0], len(s.classes))[:len(s.classes)]
 	clear(buf.memo)
 	buf.leaves, buf.spines = buf.leaves[:0], buf.spines[:0]
 	switch dev.Role {
 	case topology.RoleToR:
-		for _, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
-			if s.live(d, leaf) {
-				buf.leaves = append(buf.leaves, liveLeaf{id: leaf, plane: s.topo.Device(leaf).Plane, spines: s.leafSpines[leaf]})
+		buf.ownLo, buf.ownHi = s.own[d][0], s.own[d][1]
+		planes := s.topo.Params.LeavesPerCluster
+		for plane, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
+			if buf.ownLo < buf.ownHi && s.direct[buf.ownLo*planes+plane] || buf.ownLo == buf.ownHi && s.live(d, leaf) {
+				buf.leaves = append(buf.leaves, liveLeaf{id: leaf, plane: plane})
 			}
 		}
-		lo, hi := s.clusterSpan(dev.Cluster)
-		buf.ownLo = lo + sort.Search(hi-lo, func(i int) bool { return s.prefixes[lo+i].ToR >= d })
-		buf.ownHi = s.torEnd(buf.ownLo, hi, d)
 	case topology.RoleRegionalSpine:
 		for _, sp := range s.topo.Spines() {
 			if s.live(d, sp) {
@@ -666,19 +753,8 @@ func (s *Synth) begin(buf *runBuf, d topology.DeviceID, dev *topology.Device) {
 	}
 }
 
-// clusterSpan returns the positions [lo, hi) of cluster c's prefixes: the
-// prefix list runs ToR by ToR, cluster by cluster (topology.HostedPrefixes).
-func (s *Synth) clusterSpan(c int) (lo, hi int) {
-	lo = sort.Search(len(s.prefixes), func(i int) bool { return s.prefixes[i].Cluster >= c })
-	hi = lo + sort.Search(len(s.prefixes)-lo, func(i int) bool { return s.prefixes[lo+i].Cluster > c })
-	return lo, hi
-}
-
-// torEnd returns where, from position pi and before hi, the prefixes of
-// ToR tor end.
-func (s *Synth) torEnd(pi, hi int, tor topology.DeviceID) int {
-	return pi + sort.Search(hi-pi, func(i int) bool { return s.prefixes[pi+i].ToR > tor })
-}
+// clusterSpan returns the positions [lo, hi) of cluster c's prefixes.
+func (s *Synth) clusterSpan(c int) (lo, hi int) { return s.clusterAt[c], s.clusterAt[c+1] }
 
 // within returns the part of bs — ascending, disjoint stretches — that
 // overlaps positions [lo, hi).
@@ -735,7 +811,7 @@ func (s *Synth) appendRuns(runs []fib.Run, buf *runBuf, d topology.DeviceID, dev
 			}
 			for pi := blo; pi < bhi; {
 				tor := s.prefixes[pi].ToR
-				end := s.torEnd(pi, bhi, tor)
+				end := min(s.own[tor][1], bhi)
 				runs = appendRun(runs, pi, end, s.one(tor))
 				pi = end
 			}
@@ -753,7 +829,7 @@ func (s *Synth) appendRuns(runs []fib.Run, buf *runBuf, d topology.DeviceID, dev
 			}
 		}
 		buf.hops = hops
-		nhs := owned(runs, hops)
+		nhs := buf.owned(runs, hops)
 		runs = appendRun(runs, blo, min(bhi, buf.ownLo), nhs)
 		runs = appendRun(runs, max(blo, buf.ownHi), bhi, nhs)
 	}
@@ -794,7 +870,7 @@ func (s *Synth) remote(runs []fib.Run, buf *runBuf, dev *topology.Device, c int3
 		}
 	case topology.RoleToR:
 		for _, ls := range buf.leaves {
-			for _, k := range ls.spines {
+			for _, k := range s.leafSpines[ls.id] {
 				if has[k] {
 					hops = append(hops, ls.id)
 					break
@@ -803,7 +879,7 @@ func (s *Synth) remote(runs []fib.Run, buf *runBuf, dev *topology.Device, c int3
 		}
 	}
 	buf.hops = hops
-	nhs := owned(runs, hops)
+	nhs := buf.owned(runs, hops)
 	buf.memo[c] = nhs
 	return nhs
 }
@@ -813,15 +889,31 @@ var noHops = []topology.DeviceID{}
 
 // owned returns a next-hop set equal to hops (scratch) that runs may keep:
 // the last run's when equal — a ToR's own prefixes split its "via all my
-// leaves" run in two — else a copy.
-func owned(runs []fib.Run, hops []topology.DeviceID) []topology.DeviceID {
+// leaves" run in two — else one of the sets buf handed out lately, else a
+// copy, which buf then remembers. Devices worked one after the other share
+// most sets (a cluster's ToRs their leaves, a plane's leaves their spines),
+// so deriving a fleet's runs or patches copies a set about once per
+// cluster or plane and worker, not once per device.
+func (buf *runBuf) owned(runs []fib.Run, hops []topology.DeviceID) []topology.DeviceID {
 	if len(hops) == 0 {
 		return noHops
 	}
 	if n := len(runs); n > 0 && slices.Equal(runs[n-1].NextHops, hops) {
 		return runs[n-1].NextHops
 	}
-	return slices.Clone(hops)
+	for _, h := range buf.recent {
+		if slices.Equal(h, hops) {
+			return h
+		}
+	}
+	h := slices.Clone(hops)
+	if len(buf.recent) < cap(buf.recent) {
+		buf.recent = append(buf.recent, h)
+	} else {
+		buf.recent[buf.next] = h
+		buf.next = (buf.next + 1) % len(buf.recent)
+	}
+	return h
 }
 
 // appendRun adds rows at positions [lo, hi) forwarding to hops, which the

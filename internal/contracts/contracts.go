@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
@@ -98,20 +99,27 @@ type Generator struct {
 	// memory stays O(one device); long-lived incremental generators enable
 	// it to amortize repeated Runs and ForDevice calls on the same dirty
 	// devices.
-	mu      sync.Mutex
-	memo    map[topology.DeviceID]*memoEntry
-	memoGen uint64
+	memo bool
 
-	// lay locates the facts' prefixes by owner for the intent generation
-	// layGen (see layout).
-	lay    *layout
-	layGen uint64
+	// mu serializes building the state of a new intent generation.
+	mu    sync.Mutex
+	state atomic.Pointer[genState]
+}
+
+// genState is what a generator knows of one intent generation: where the
+// facts' prefixes lie (see layout) and, with memoization on, each device's
+// memo slot, indexed by device ID and filled on first use.
+type genState struct {
+	gen  uint64
+	lay  *layout
+	memo []atomic.Pointer[memoEntry]
 }
 
 // memoEntry is one device's memoized contracts: its runs, and their
 // expansion once a ForDevice caller has asked for it.
 type memoEntry struct {
 	runs DeviceRuns
+	once sync.Once
 	dc   DeviceContracts
 }
 
@@ -129,40 +137,48 @@ func NewGenerator(f *metadata.Facts) *Generator {
 func (g *Generator) EnableMemo() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.memo = make(map[topology.DeviceID]*memoEntry)
-	g.memoGen = g.facts.Generation()
+	g.memo = true
+	g.state.Store(nil)
+}
+
+// current returns the state of the facts' current intent generation,
+// building it on first use.
+func (g *Generator) current() *genState {
+	gen := g.facts.Generation()
+	if st := g.state.Load(); st != nil && st.gen == gen {
+		return st
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if st := g.state.Load(); st != nil && st.gen == gen {
+		return st
+	}
+	st := &genState{gen: gen, lay: newLayout(g.facts)}
+	if g.memo {
+		st.memo = make([]atomic.Pointer[memoEntry], len(g.facts.Devices))
+	}
+	g.state.Store(st)
+	return st
 }
 
 // entry returns id's memo entry, generating its runs on a miss — nil when
 // memoization is off — and the prefix layout of the current intent
 // generation.
 func (g *Generator) entry(id topology.DeviceID) (*memoEntry, *layout) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	l := g.layout()
-	if g.memo == nil {
-		return nil, l
+	st := g.current()
+	if id < 0 || int(id) >= len(st.memo) {
+		return nil, st.lay
 	}
-	if gen := g.facts.Generation(); gen != g.memoGen {
-		g.memo = make(map[topology.DeviceID]*memoEntry)
-		g.memoGen = gen
+	slot := &st.memo[id]
+	if e := slot.Load(); e != nil {
+		return e, st.lay
 	}
-	e, ok := g.memo[id]
-	if !ok {
-		e = &memoEntry{runs: g.runs(l, id, nil)}
-		e.runs.Runs = slices.Clip(e.runs.Runs)
-		g.memo[id] = e
+	e := &memoEntry{runs: g.runs(st.lay, id, nil)}
+	e.runs.Runs = slices.Clip(e.runs.Runs)
+	if !slot.CompareAndSwap(nil, e) {
+		e = slot.Load()
 	}
-	return e, l
-}
-
-// layout returns the prefix layout of the current intent generation,
-// building it on first use; g.mu is held.
-func (g *Generator) layout() *layout {
-	if gen := g.facts.Generation(); g.lay == nil || gen != g.layGen {
-		g.lay, g.layGen = newLayout(g.facts), gen
-	}
-	return g.lay
+	return e, st.lay
 }
 
 // ForDevice generates the comprehensive contract set for one device,
@@ -178,11 +194,7 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 	if e == nil {
 		return g.runs(l, id, nil).Expand(g.facts.Prefixes, nil)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e.dc.Contracts == nil { // not expanded yet, or nothing to expand
-		e.dc = e.runs.Expand(g.facts.Prefixes, nil)
-	}
+	e.once.Do(func() { e.dc = e.runs.Expand(g.facts.Prefixes, nil) })
 	return e.dc
 }
 
@@ -193,10 +205,7 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 // until buf is reused; their NextHops slices are never reused. It is the
 // expansion of the device's runs (see Runs).
 func (g *Generator) Generate(id topology.DeviceID, buf []Contract) DeviceContracts {
-	g.mu.Lock()
-	l := g.layout()
-	g.mu.Unlock()
-	return g.runs(l, id, nil).Expand(g.facts.Prefixes, buf)
+	return g.runs(g.current().lay, id, nil).Expand(g.facts.Prefixes, buf)
 }
 
 // Run is a stretch of a device's specific contracts: one contract at each
@@ -252,14 +261,12 @@ func (dr DeviceRuns) Expand(prefixes []metadata.PrefixFacts, buf []Contract) Dev
 // of a stretch of prefixes names one shared next-hop slice — a ToR's
 // uplinks, a leaf's uplinks or the hosting ToR, a spine's leaf in the
 // hosting cluster — so a run is a stretch of one slice, and a ToR's ~all
-// contracts are one or two runs. A memoizing generator copies the memoized
-// runs into buf.
+// contracts are one or two runs. A memoizing generator returns the memoized
+// runs themselves, shared — read only — and leaves buf alone.
 func (g *Generator) Runs(id topology.DeviceID, buf []Run) DeviceRuns {
 	e, l := g.entry(id)
 	if e != nil {
-		dr := e.runs
-		dr.Runs = append(buf[:0], dr.Runs...)
-		return dr
+		return e.runs
 	}
 	return g.runs(l, id, buf)
 }

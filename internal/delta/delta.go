@@ -59,7 +59,7 @@
 package delta
 
 import (
-	"sort"
+	"slices"
 
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
@@ -79,17 +79,27 @@ type Scope struct {
 var defaultRow = []ipnet.Prefix{{}}
 
 // Set is a blast-radius dirty set: either an explicit set of devices, each
-// with its row scope, or the conservative whole-datacenter fallback.
+// with its row scope, or the conservative whole-datacenter fallback. It is
+// dense: scopes is indexed by device ID (the zero Scope is a clean device)
+// and dirty lists the dirty devices in ascending order, so a lookup is an
+// index and the device list is already built.
 type Set struct {
-	full bool
-	devs map[topology.DeviceID]Scope
+	full   bool
+	scopes []Scope
+	dirty  []topology.DeviceID
 	// wholeOnly turns every row scope into Whole: the address plan is not
 	// flat, so rows cannot be addressed on their own.
 	wholeOnly bool
 }
 
 // NewSet returns an empty dirty set.
-func NewSet() *Set { return &Set{devs: make(map[topology.DeviceID]Scope)} }
+func NewSet() *Set { return &Set{} }
+
+// newSized returns an empty dirty set over devices [0, n), with room for
+// all of them in the dirty list.
+func newSized(n int) *Set {
+	return &Set{scopes: make([]Scope, n), dirty: make([]topology.DeviceID, 0, n)}
+}
 
 // Full reports whether the set degenerated to the whole datacenter.
 func (s *Set) Full() bool { return s.full }
@@ -100,7 +110,7 @@ func (s *Set) MarkFull() { s.full = true }
 // Add inserts one device with every row in scope.
 func (s *Set) Add(d topology.DeviceID) {
 	if !s.full {
-		s.devs[d] = Scope{Whole: true}
+		s.put(d, Scope{Whole: true})
 	}
 }
 
@@ -109,6 +119,25 @@ func (s *Set) AddAll(ds []topology.DeviceID) {
 	for _, d := range ds {
 		s.Add(d)
 	}
+}
+
+// put sets d's scope, entering d in the dirty list if it was clean: at the
+// end when it sorts last — the blast rules add devices in ID order where
+// they can — else at its place.
+func (s *Set) put(d topology.DeviceID, sc Scope) {
+	if int(d) >= len(s.scopes) {
+		s.scopes = append(s.scopes, make([]Scope, int(d)+1-len(s.scopes))...)
+	}
+	cur := &s.scopes[int(d)]
+	if !cur.dirty() {
+		if n := len(s.dirty); n == 0 || s.dirty[n-1] < d {
+			s.dirty = append(s.dirty, d)
+		} else {
+			i, _ := slices.BinarySearch(s.dirty, d)
+			s.dirty = slices.Insert(s.dirty, i, d)
+		}
+	}
+	*cur = sc
 }
 
 // addRows inserts one device with the given rows in scope, widening any
@@ -124,14 +153,14 @@ func (s *Set) addRows(d topology.DeviceID, rows []ipnet.Prefix) {
 		s.Add(d)
 		return
 	}
-	cur, dirty := s.devs[d]
+	cur, dirty := s.Scope(d)
 	if cur.Whole {
 		return
 	}
 	if dirty {
 		rows = mergeRows(cur.Rows, rows)
 	}
-	s.devs[d] = Scope{Rows: rows}
+	s.put(d, Scope{Rows: rows})
 }
 
 func (s *Set) addRowsAll(ds []topology.DeviceID, rows []ipnet.Prefix) {
@@ -167,6 +196,9 @@ func mergeRows(a, b []ipnet.Prefix) []ipnet.Prefix {
 	return append(out, a[i:]...)
 }
 
+// dirty reports whether the scope puts any row in scope.
+func (sc Scope) dirty() bool { return sc.Whole || len(sc.Rows) > 0 }
+
 // Scope returns the rows of d the change window can have moved. ok is
 // false for a device outside the blast radius; a full set puts every
 // device in scope whole.
@@ -174,17 +206,17 @@ func (s *Set) Scope(d topology.DeviceID) (sc Scope, ok bool) {
 	if s.full {
 		return Scope{Whole: true}, true
 	}
-	sc, ok = s.devs[d]
-	return sc, ok
+	if d < 0 || int(d) >= len(s.scopes) {
+		return Scope{}, false
+	}
+	sc = s.scopes[int(d)]
+	return sc, sc.dirty()
 }
 
 // Contains reports whether the device is dirty. A full set contains
 // every device.
 func (s *Set) Contains(d topology.DeviceID) bool {
-	if s.full {
-		return true
-	}
-	_, ok := s.devs[d]
+	_, ok := s.Scope(d)
 	return ok
 }
 
@@ -194,21 +226,16 @@ func (s *Set) Count() int {
 	if s.full {
 		return 0
 	}
-	return len(s.devs)
+	return len(s.dirty)
 }
 
 // Devices returns the dirty devices in ascending ID order, or nil for a
-// full set.
+// full set. The slice is the set's own: read only.
 func (s *Set) Devices() []topology.DeviceID {
 	if s.full {
 		return nil
 	}
-	out := make([]topology.DeviceID, 0, len(s.devs))
-	for d := range s.devs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.dirty
 }
 
 // Options tunes the blast-radius computation.
@@ -239,7 +266,7 @@ type scope struct {
 // the topology's *current* (post-change) state. The result is a superset
 // of the devices whose converged tables differ from before the sequence.
 func Compute(t *topology.Topology, changes []topology.Change, opts Options) *Set {
-	s := NewSet()
+	s := newSized(len(t.Devices))
 	defer func() { opts.Metrics.observeSet(s) }()
 	sc := scope{t: t, changed: make(map[topology.LinkID]bool, len(changes))}
 	for _, c := range changes {
@@ -296,13 +323,16 @@ func (sc scope) blastLink(l *topology.Link, s *Set) {
 // blastToRLeaf handles a ToR–leaf link change: the ToR's prefixes are
 // (un)injected into the leaf's whole plane, so every ToR in the DC and the
 // regional spines adjust their ECMP sets for them — and for nothing else.
-// The ToR itself loses or gains the leaf in every row.
+// The ToR itself loses or gains the leaf in every row. Devices go in by
+// ID: each cluster's ToRs, then its plane-j leaf, then the spines.
 func (sc scope) blastToRLeaf(tor, leaf *topology.Device, s *Set) {
 	t := sc.t
 	rows := tor.HostedPrefixes
 	s.Add(tor.ID)
-	s.addRowsAll(t.ToRs(), rows)
-	s.addRowsAll(planeLeaves(t, leaf.Plane), rows)
+	for c := 0; c < t.Params.Clusters; c++ {
+		s.addRowsAll(t.ClusterToRs(c), rows)
+		s.addRows(t.ClusterLeaves(c)[leaf.Plane], rows)
+	}
 	s.addRowsAll(planeSpines(t, leaf.Plane), rows)
 	s.addRowsAll(t.RegionalSpines(), rows)
 }

@@ -41,15 +41,15 @@ func (m *Metrics) observeSet(s *Set) {
 		return
 	}
 	var scoped, whole, rows int
-	for _, sc := range s.devs {
-		if sc.Whole {
+	for _, d := range s.dirty {
+		if sc := s.scopes[d]; sc.Whole {
 			whole++
 			continue
 		}
 		scoped++
-		rows += len(sc.Rows)
+		rows += len(s.scopes[d].Rows)
 	}
-	m.dirty.Observe(float64(len(s.devs)))
+	m.dirty.Observe(float64(len(s.dirty)))
 	m.rows.Observe(float64(rows))
 	m.scoped.Add(uint64(scoped))
 	m.whole.Add(uint64(whole))

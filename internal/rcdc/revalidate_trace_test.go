@@ -1,0 +1,208 @@
+package rcdc
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/clock"
+	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/delta"
+	"dcvalidate/internal/fib"
+	"dcvalidate/internal/metadata"
+	"dcvalidate/internal/obs"
+	"dcvalidate/internal/topology"
+)
+
+// clockedSynth is a cached synthesizer on a virtual clock that a refresh
+// advances by 3 ms and every pull of runs by 1 µs, so each stage of a
+// traced Revalidate takes a known, nonzero time.
+type clockedSynth struct {
+	*bgp.Synth
+	vc *clock.Virtual
+}
+
+func (c clockedSynth) RefreshDelta(ds *delta.Set, since uint64) {
+	c.vc.Advance(3 * time.Millisecond)
+	c.Synth.RefreshDelta(ds, since)
+}
+
+func (c clockedSynth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+	c.vc.Advance(time.Microsecond)
+	return c.Synth.TableRuns(d, buf)
+}
+
+// TestRevalidateTraceStagesNest: a traced Revalidate records one
+// rcdc.Revalidate span whose children — window, refresh and check, in that
+// order — nest inside it, follow one another and sum to no more than it;
+// refresh and check take the time their stages advanced the clock by.
+func TestRevalidateTraceStagesNest(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 1,
+	})
+	facts := metadata.FromTopology(topo)
+	vc := clock.NewVirtual(time.Unix(1000, 0))
+	synth := bgp.NewSynth(topo, nil)
+	synth.EnableTableCache()
+	src := clockedSynth{Synth: synth, vc: vc}
+	tr := obs.NewTracer(vc, 64)
+	v := Validator{Workers: 1, Clock: vc, Tracer: tr}
+	prev, _, err := v.Revalidate(nil, topo, facts, nil, src, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.FailLink(topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0])
+	_, ds, err := v.Revalidate(prev, topo, facts, nil, src, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tr.Spans()
+	root := -1
+	for i := range spans {
+		if spans[i].Name == "rcdc.Revalidate" {
+			root = i
+		}
+	}
+	if root < 0 {
+		t.Fatalf("no rcdc.Revalidate span among %d", len(spans))
+	}
+	parent := spans[root]
+	var stages []obs.SpanData
+	for _, sp := range spans {
+		if sp.Parent == parent.ID {
+			stages = append(stages, sp)
+		}
+	}
+	slices.SortFunc(stages, func(a, b obs.SpanData) int { return a.Start.Compare(b.Start) })
+	var names []string
+	var sum time.Duration
+	for i, sp := range stages {
+		names = append(names, sp.Name)
+		sum += sp.Duration()
+		if sp.Start.Before(parent.Start) || sp.End.After(parent.End) {
+			t.Errorf("stage %s [%v, %v] outside its parent [%v, %v]", sp.Name, sp.Start, sp.End, parent.Start, parent.End)
+		}
+		if i > 0 && sp.Start.Before(stages[i-1].End) {
+			t.Errorf("stage %s starts before %s ends", sp.Name, stages[i-1].Name)
+		}
+	}
+	if got := fmt.Sprint(names); got != "[window refresh check]" {
+		t.Fatalf("stages %s, want [window refresh check]", got)
+	}
+	if sum > parent.Duration() {
+		t.Errorf("stages sum to %v, over their parent's %v", sum, parent.Duration())
+	}
+	if got := stages[1].Duration(); got != 3*time.Millisecond {
+		t.Errorf("refresh took %v, want the 3ms it advanced the clock by", got)
+	}
+	if got, want := stages[2].Duration(), time.Duration(ds.Count())*time.Microsecond; got != want {
+		t.Errorf("check took %v, want %v: one pull per dirty device", got, want)
+	}
+}
+
+// TestRevalidateUntracedSpansAllocateNothing: without a tracer, the spans
+// Revalidate opens are nil and cost no allocation.
+func TestRevalidateUntracedSpansAllocateNothing(t *testing.T) {
+	var v Validator
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := v.Tracer.Start("rcdc.Revalidate")
+		for _, name := range []string{"window", "refresh", "check"} {
+			sp.Child(name).End()
+		}
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced spans make %v allocations, want 0", allocs)
+	}
+}
+
+// TestScopedCheckLeavesSharedRunsIntact is the gate that makes reading runs
+// in place safe: every cached run table the synthesizer hands out and every
+// memoized contract run list the generator hands out is deep-copied before
+// a change and its scoped check, and after them every slice handed out
+// earlier must read exactly as its copy. Patches, evictions and the check
+// replace runs; none may write through them.
+func TestScopedCheckLeavesSharedRunsIntact(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 2,
+	})
+	facts := metadata.FromTopology(topo)
+	synth := bgp.NewSynth(topo, nil)
+	synth.EnableTableCache()
+	gen := contracts.NewGenerator(facts)
+	gen.EnableMemo()
+	v := Validator{Workers: 2}
+	rep, _, err := v.Revalidate(nil, topo, facts, gen, synth, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tor, leaf := topo.ClusterToRs(0)[1], topo.ClusterLeaves(0)[0]
+	spine, rs := topo.Spines()[0], topo.RegionalSpines()[0]
+	changes := []func(){
+		func() { topo.FailLink(tor, leaf) },
+		func() { topo.FailLink(leaf, spine) },
+		func() { topo.RestoreLink(tor, leaf) },
+		func() { topo.ShutSession(spine, rs); topo.FailLink(topo.ClusterToRs(2)[3], topo.ClusterLeaves(2)[1]) },
+		func() { topo.RestoreAll() },
+	}
+	var held []fib.RunTable
+	var heldRuns []contracts.DeviceRuns
+	var want []string
+	for step, change := range changes {
+		// Hand out every device's runs, and copy them.
+		held, heldRuns, want = held[:0], heldRuns[:0], want[:0]
+		for i := range topo.Devices {
+			d := topo.Devices[i].ID
+			rt, cr := synth.TableRuns(d, nil), gen.Runs(d, nil)
+			held, heldRuns = append(held, rt), append(heldRuns, cr)
+			want = append(want, fmt.Sprint(deepRunTable(rt), deepDeviceRuns(cr)))
+		}
+		change()
+		if rep, _, err = v.Revalidate(rep, topo, facts, gen, synth, delta.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.ValidateAll(facts, synth); err != nil {
+			t.Fatal(err)
+		}
+		changed := false
+		for i := range held {
+			if got := fmt.Sprint(held[i], heldRuns[i]); got != want[i] {
+				t.Fatalf("step %d: device %s: runs handed out before the change now read\n%s\nwant\n%s",
+					step, topo.Devices[i].Name, got, want[i])
+			}
+			changed = changed || fmt.Sprint(synth.TableRuns(held[i].Device, nil)) != fmt.Sprint(held[i])
+		}
+		if !changed {
+			t.Fatalf("step %d: no device's runs moved; the change exercised nothing", step)
+		}
+	}
+}
+
+// deepRunTable copies rt down to its next-hop slices.
+func deepRunTable(rt fib.RunTable) fib.RunTable {
+	out := fib.RunTable{Device: rt.Device, Rows: slices.Clone(rt.Rows), Runs: slices.Clone(rt.Runs)}
+	for i := range out.Rows {
+		out.Rows[i].NextHops = slices.Clone(out.Rows[i].NextHops)
+	}
+	for i := range out.Runs {
+		out.Runs[i].NextHops = slices.Clone(out.Runs[i].NextHops)
+	}
+	return out
+}
+
+// deepDeviceRuns copies dr down to its next-hop slices.
+func deepDeviceRuns(dr contracts.DeviceRuns) contracts.DeviceRuns {
+	out := contracts.DeviceRuns{Device: dr.Device, Default: slices.Clone(dr.Default), Runs: slices.Clone(dr.Runs)}
+	for i := range out.Runs {
+		out.Runs[i].NextHops = slices.Clone(out.Runs[i].NextHops)
+	}
+	return out
+}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
@@ -23,7 +22,10 @@ type RunSource interface {
 	// RunPrefixes returns the list runs index, or nil when the source
 	// offers no runs.
 	RunPrefixes() []topology.HostedPrefix
-	// TableRuns returns a device's table as runs, appended to buf[:0].
+	// TableRuns returns a device's table as runs: appended to buf[:0], or
+	// the source's own runs, shared and read only, leaving buf alone. A
+	// source does one or the other for every device, so a caller may hand
+	// what it got back in as the next buf.
 	TableRuns(dev topology.DeviceID, buf []fib.Run) fib.RunTable
 }
 
@@ -69,40 +71,40 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 // table row by row would: a clean segment's contracts pass the merge-join's
 // fast path there, and everything an expanded contract can read is in the
 // fragment, because on a flat plan no row at another position contains or
-// is contained in its prefix. A scoped check splices those violations into
-// prev's (see splice). It returns the report and the number of contracts
+// is contained in its prefix. A fragment without contracts is not checked.
+// A scoped check splices those violations into prev's (see splice). Both
+// kinds of runs are read in place: the source's and the generator's own,
+// when they keep them. It returns the report and the number of contracts
 // checked.
 func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
+	start := buf.start(s.v.Clock)
 	rt := s.runs.TableRuns(id, buf.tableRuns)
 	buf.tableRuns = rt.Runs
-	for i, r := range rt.Runs {
-		if r.Lo < 0 || r.Lo >= r.Hi || r.Hi > len(s.prefixes) || i > 0 && rt.Runs[i-1].Hi > r.Lo {
-			return DeviceReport{}, 0, fmt.Errorf("rcdc: device %d: table runs are not ascending and disjoint over the prefix list", id)
-		}
-	}
 	cr := s.gen.Runs(id, buf.contractRuns)
 	buf.contractRuns = cr.Runs
-	start := clock.Or(s.v.Clock).Now()
 
 	ps := s.prefixes
 	spans, withDefault := append(buf.spans[:0], span{0, len(ps)}), true
 	if prev != nil && prev.Contracts == cr.Len() {
-		var read []ipnet.Prefix
-		read, withDefault = rescoped(scope, prev)
-		spans = spans[:0]
-		for _, p := range read {
-			if lo, hi := s.overlapRun(p); lo < hi {
-				spans = append(spans, span{lo, hi})
-			}
-		}
-		spans = mergeSpans(spans)
+		spans, withDefault = s.scoped(buf, scope, prev)
 	} else {
 		prev = nil
+		buf.spans = spans
 	}
-	buf.spans = spans
+	tr, err := window(rt.Runs, spans, len(ps))
+	if err != nil {
+		return DeviceReport{}, 0, fmt.Errorf("rcdc: device %d: %w", id, err)
+	}
+	// Rows outside the runs mark the positions they overlap, which only
+	// matters inside the spans: a row wholly outside their addresses is
+	// not searched for.
 	marks := buf.marks[:0]
-	for _, e := range rt.Rows {
-		if !e.Prefix.IsDefault() {
+	if len(spans) > 0 {
+		first, last := ps[spans[0].lo].Prefix.First(), ps[spans[len(spans)-1].hi-1].Prefix.Last()
+		for _, e := range rt.Rows {
+			if e.Prefix.IsDefault() || e.Prefix.Last() < first || e.Prefix.First() > last {
+				continue
+			}
 			if lo, hi := s.overlapRun(e.Prefix); lo < hi {
 				marks = append(marks, span{lo, hi})
 			}
@@ -118,7 +120,7 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 	}
 	n := len(dc.Contracts)
 	var clean, expanded int
-	tr, m := rt.Runs, 0
+	m := 0
 	for _, c := range cr.Runs {
 		for len(spans) > 0 && spans[0].hi <= c.Lo {
 			spans = spans[1:]
@@ -174,33 +176,84 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 	}
 	buf.rows, buf.contracts = rows, dc.Contracts
 
-	tbl := fib.NewTable(id)
-	tbl.Entries = rows
-	if prev == nil {
-		rep, err := s.v.validateDevice(s.facts, tbl, dc, start, cr.Len())
-		if err != nil {
+	var rep DeviceReport
+	if prev != nil {
+		rep = *prev
+	} else {
+		df := s.facts.Device(id)
+		rep = DeviceReport{Device: id, Name: df.Name, Role: df.Role, Contracts: cr.Len()}
+	}
+	var fresh []Violation
+	if len(dc.Contracts) > 0 {
+		tbl := fib.NewTable(id)
+		tbl.Entries = rows
+		if fresh, err = s.v.checker().CheckDevice(tbl, dc, rep.Role); err != nil {
 			return DeviceReport{}, 0, err
 		}
-		s.v.Metrics.observeRuns(clean, expanded)
-		return rep, n, nil
 	}
-	fresh, err := s.v.checker().CheckDevice(tbl, dc, prev.Role)
-	if err != nil {
-		return DeviceReport{}, 0, err
+	rep.Violations = fresh
+	if prev != nil {
+		rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
+			if c.Kind == contracts.Default {
+				return withDefault
+			}
+			lo, _ := s.overlapRun(c.Prefix)
+			k := sort.Search(len(buf.spans), func(k int) bool { return buf.spans[k].hi > lo })
+			return k < len(buf.spans) && buf.spans[k].lo <= lo
+		})
 	}
-	rep := *prev
-	rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
-		if c.Kind == contracts.Default {
-			return withDefault
-		}
-		lo, _ := s.overlapRun(c.Prefix)
-		k := sort.Search(len(buf.spans), func(k int) bool { return buf.spans[k].hi > lo })
-		return k < len(buf.spans) && buf.spans[k].lo <= lo
-	})
-	rep.Elapsed = clock.Since(s.v.Clock, start)
+	rep.Elapsed = buf.end(s.v.Clock, start)
 	s.v.Metrics.observeDevice(&rep)
 	s.v.Metrics.observeRuns(clean, expanded)
 	return rep, n, nil
+}
+
+// scoped returns the spans of positions a row scope can have moved verdicts
+// at on a device whose previous report is prev, and whether it can have
+// moved the default contract's (see rescoped), leaving the spans in
+// buf.spans. Devices share scope slices (delta.Scope), so a worker maps the
+// last scope without the default row it met once, not once per device.
+func (s *sweep) scoped(buf *sweepBuf, scope []ipnet.Prefix, prev *DeviceReport) ([]span, bool) {
+	shared := len(scope) > 0 && !scope[0].IsDefault()
+	if shared && buf.scope.first == &scope[0] && buf.scope.n == len(scope) {
+		buf.spans = append(buf.spans[:0], buf.scope.spans...)
+		return buf.spans, false
+	}
+	var withDefault bool
+	buf.read, withDefault = rescoped(buf.read[:0], scope, prev)
+	spans := buf.spans[:0]
+	for _, p := range buf.read {
+		if lo, hi := s.overlapRun(p); lo < hi {
+			spans = append(spans, span{lo, hi})
+		}
+	}
+	spans = mergeSpans(spans)
+	buf.spans = spans
+	if shared {
+		buf.scope.first, buf.scope.n = &scope[0], len(scope)
+		buf.scope.spans = append(buf.scope.spans[:0], spans...)
+	}
+	return spans, withDefault
+}
+
+// window returns the table runs a merge over spans reads: from the first
+// that ends after the first span starts, up to the last that starts before
+// the last span ends — checked to be ascending and disjoint over a prefix
+// list of n positions, and to start after the run before them ends. A
+// scoped check reads and checks only the runs at its spans.
+func window(runs []fib.Run, spans []span, n int) ([]fib.Run, error) {
+	if len(spans) == 0 {
+		return nil, nil
+	}
+	lo, hi := spans[0].lo, spans[len(spans)-1].hi
+	i := sort.Search(len(runs), func(k int) bool { return runs[k].Hi > lo })
+	j := i
+	for ; j < len(runs) && runs[j].Lo < hi; j++ {
+		if r := runs[j]; r.Lo < 0 || r.Lo >= r.Hi || r.Hi > n || j > 0 && runs[j-1].Hi > r.Lo {
+			return nil, fmt.Errorf("table runs are not ascending and disjoint over the prefix list")
+		}
+	}
+	return runs[i:j], nil
 }
 
 // overlapRun returns the positions [lo, hi) of the prefix list whose

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,12 +126,7 @@ func (v *Validator) checker() Checker {
 
 // ValidateDevice checks one device's table against its contracts.
 func (v *Validator) ValidateDevice(facts *metadata.Facts, tbl *fib.Table, dc contracts.DeviceContracts) (DeviceReport, error) {
-	return v.validateDevice(facts, tbl, dc, clock.Or(v.Clock).Now(), len(dc.Contracts))
-}
-
-// validateDevice is ValidateDevice for a check that began at start and
-// stands for n contracts: dc may be the part of them left to check.
-func (v *Validator) validateDevice(facts *metadata.Facts, tbl *fib.Table, dc contracts.DeviceContracts, start time.Time, n int) (DeviceReport, error) {
+	start := clock.Or(v.Clock).Now()
 	df := facts.Device(dc.Device)
 	viols, err := v.checker().CheckDevice(tbl, dc, df.Role)
 	if err != nil {
@@ -138,7 +134,7 @@ func (v *Validator) validateDevice(facts *metadata.Facts, tbl *fib.Table, dc con
 	}
 	rep := DeviceReport{
 		Device: dc.Device, Name: df.Name, Role: df.Role,
-		Contracts: n, Violations: viols,
+		Contracts: len(dc.Contracts), Violations: viols,
 		Elapsed: clock.Since(v.Clock, start),
 	}
 	v.Metrics.observeDevice(&rep)
@@ -198,6 +194,34 @@ type sweepBuf struct {
 	rows         []fib.Entry
 	marks        []span
 	spans        []span
+	read         []ipnet.Prefix
+	// scope is the last scope without the default row the worker mapped
+	// to spans (see sweep.scoped).
+	scope struct {
+		first *ipnet.Prefix
+		n     int
+		spans []span
+	}
+	// mark is when the worker's last device check ended, zero before its
+	// first: the next check starts there, so timing a device reads the
+	// clock once.
+	mark time.Time
+	busy time.Duration // the Elapsed of the devices ValidateScoped checked
+}
+
+// start returns when the worker's next device check starts.
+func (b *sweepBuf) start(c clock.Clock) time.Time {
+	if b.mark.IsZero() {
+		b.mark = clock.Or(c).Now()
+	}
+	return b.mark
+}
+
+// end ends the worker's device check begun at start, returning its
+// elapsed time.
+func (b *sweepBuf) end(c clock.Clock, start time.Time) time.Duration {
+	b.mark = clock.Or(c).Now()
+	return b.mark.Sub(start)
 }
 
 // checkWhole pulls one device's table and validates it against all its
@@ -381,7 +405,8 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 		}
 	}
 	// The splice base: prev's device reports, ascending by device so that
-	// devicePos can search them. Nothing writes it until the checks are done.
+	// devicePos can search them. Each dirty device's check replaces its own
+	// slot, and nothing else reads it.
 	base := append([]DeviceReport(nil), prev.Devices...)
 	byDevice := func(i, j int) bool { return base[i].Device < base[j].Device }
 	if !sort.SliceIsSorted(base, byDevice) {
@@ -389,37 +414,53 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	}
 	rows, _ := source.(RowSource)
 	sw := v.newSweep(facts, gen, source, true)
-	var checked atomic.Int64
-	fresh, errs := v.validateSet(devs, func(id topology.DeviceID, buf *sweepBuf) (DeviceReport, error) {
-		sc, _ := dirty.Scope(id)
-		var prev *DeviceReport
-		if i, ok := devicePos(base, id); ok && !sc.Whole {
-			prev = &base[i]
-		}
+	check := func(id topology.DeviceID, prev *DeviceReport, sc delta.Scope, buf *sweepBuf) (DeviceReport, int, error) {
 		if sw.runs != nil {
-			rep, n, err := sw.checkRuns(id, buf, prev, sc.Rows)
-			checked.Add(int64(n))
-			return rep, err
+			return sw.checkRuns(id, buf, prev, sc.Rows)
 		}
 		dc := gen.ForDevice(id)
 		if prev != nil && rows != nil && prev.Contracts == len(dc.Contracts) {
-			rep, n, err := v.recheck(rows, dc, prev, sc.Rows)
-			checked.Add(int64(n))
-			return rep, err
+			return v.recheck(rows, dc, prev, sc.Rows)
 		}
-		checked.Add(int64(len(dc.Contracts)))
-		return sw.checkWhole(id, buf)
+		rep, err := sw.checkWhole(id, buf)
+		return rep, len(dc.Contracts), err
+	}
+	var (
+		checked atomic.Int64
+		mu      sync.Mutex
+		extra   []DeviceReport // devices prev lacks
+		failed  []indexedErr
+	)
+	bufs := make([]sweepBuf, min(v.workers(), len(devs)))
+	par.For(len(devs), len(bufs), func(w, k int) {
+		id := devs[k]
+		sc, _ := dirty.Scope(id)
+		i, ok := devicePos(base, id)
+		var prev *DeviceReport
+		if ok && !sc.Whole {
+			prev = &base[i]
+		}
+		rep, n, err := check(id, prev, sc, &bufs[w])
+		checked.Add(int64(n))
+		switch {
+		case err != nil:
+			mu.Lock()
+			failed = append(failed, indexedErr{k, err})
+			mu.Unlock()
+			return
+		case ok:
+			base[i] = rep
+		default:
+			mu.Lock()
+			extra = append(extra, rep)
+			mu.Unlock()
+		}
+		bufs[w].busy += rep.Elapsed
 	})
 
 	rep := &Report{Workers: v.workers(), Devices: base}
-	for _, fr := range fresh {
-		if i, ok := devicePos(base, fr.Device); ok {
-			rep.Devices[i] = fr
-		} else {
-			rep.Devices = append(rep.Devices, fr)
-		}
-	}
-	if len(rep.Devices) > len(base) {
+	if len(extra) > 0 {
+		rep.Devices = append(rep.Devices, extra...)
 		sort.Slice(rep.Devices, func(i, j int) bool { return rep.Devices[i].Device < rep.Devices[j].Device })
 	}
 	for i := range rep.Devices {
@@ -427,9 +468,25 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 		rep.Failures += len(rep.Devices[i].Violations)
 	}
 	rep.Elapsed = clock.Since(v.Clock, start)
-	v.Metrics.observeRun("delta", rep, len(devs), busyTime(fresh))
+	var busy time.Duration
+	for i := range bufs {
+		busy += bufs[i].busy
+	}
+	v.Metrics.observeRun("delta", rep, len(devs), busy)
 	v.Metrics.observeRecheck(int(checked.Load()))
+	slices.SortFunc(failed, func(a, b indexedErr) int { return a.at - b.at })
+	errs := make([]error, len(failed))
+	for i, f := range failed {
+		errs[i] = f.err
+	}
 	return rep, errors.Join(errs...)
+}
+
+// indexedErr is a device check's error with the device's place in the
+// checked list, which orders the errors returned.
+type indexedErr struct {
+	at  int
+	err error
 }
 
 // Revalidate is the change-driven sweep every layer shares: it brings prev
@@ -442,19 +499,29 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 // the fleet, when there is no prev, the journal no longer reaches back to
 // it, or the radius is unbounded. The report is stamped with the generation
 // read before anything is pulled, ready to be fed back in. gen is passed on
-// to ValidateScoped.
+// to ValidateScoped. With a Tracer, it records an rcdc.Revalidate span with
+// one child per stage: window (the blast radius), refresh (the source's
+// RefreshDelta) and check (the sweep, splice included).
 func (v *Validator) Revalidate(prev *Report, topo *topology.Topology, facts *metadata.Facts, gen *contracts.Generator,
 	source fib.Source, opts delta.Options) (*Report, *delta.Set, error) {
+	sp := v.Tracer.Start("rcdc.Revalidate")
+	defer sp.End()
 	stamp := topo.Generation()
 	var ds *delta.Set
 	var since uint64
+	stage := sp.Child("window")
 	if prev != nil {
 		since = prev.Generation
 		ds = delta.Since(topo, since, opts)
 	}
+	stage.End()
+	stage = sp.Child("refresh")
 	if live, ok := source.(Refresher); ok {
 		live.RefreshDelta(ds, since)
 	}
+	stage.End()
+	stage = sp.Child("check")
+	defer stage.End()
 	var rep *Report
 	var err error
 	if ds == nil || ds.Full() {
@@ -471,8 +538,12 @@ func (v *Validator) Revalidate(prev *Report, topo *topology.Topology, facts *met
 	return rep, ds, err
 }
 
-// devicePos finds a device in an ascending-by-device report slice.
+// devicePos finds a device in an ascending-by-device report slice: at its
+// ID, in a report over every device of a fleet, else by search.
 func devicePos(devs []DeviceReport, id topology.DeviceID) (int, bool) {
+	if id >= 0 && int(id) < len(devs) && devs[id].Device == id {
+		return int(id), true
+	}
 	i := sort.Search(len(devs), func(i int) bool { return devs[i].Device >= id })
 	return i, i < len(devs) && devs[i].Device == id
 }
@@ -493,7 +564,7 @@ func devicePos(devs []DeviceReport, id topology.DeviceID) (int, bool) {
 func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 	prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
 	start := clock.Or(v.Clock).Now()
-	read, withDefault := rescoped(scope, prev)
+	read, withDefault := rescoped(nil, scope, prev)
 	var picked []int // indices into dc.Contracts
 	if i, ok := dc.Default(); ok && withDefault {
 		picked = append(picked, i)
@@ -543,7 +614,8 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 
 // rescoped returns what a row scope can have moved on a device whose
 // previous report is prev: the verdicts of the contracts overlapping the
-// read prefixes, and the default contract's when withDefault. A contract's
+// read prefixes, appended to dst, and the default contract's when
+// withDefault. A contract's
 // verdict reads the rows whose prefix contains or is contained in the
 // contract's prefix (the candidate walk of §2.5.2) and nothing else —
 // except that a MissingRoute violation reports the next-hop count of the
@@ -553,7 +625,8 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 // contract that held a MissingRoute violation (it still does: whether the
 // specific rows cover the contract is decided by rows outside the scope,
 // which did not move).
-func rescoped(scope []ipnet.Prefix, prev *DeviceReport) (read []ipnet.Prefix, withDefault bool) {
+func rescoped(dst, scope []ipnet.Prefix, prev *DeviceReport) (read []ipnet.Prefix, withDefault bool) {
+	read = dst
 	for _, q := range scope {
 		if q.IsDefault() {
 			withDefault = true

@@ -3,6 +3,7 @@ package dcvalidate
 import (
 	"testing"
 
+	"dcvalidate/internal/delta"
 	"dcvalidate/internal/experiments"
 )
 
@@ -12,25 +13,30 @@ import (
 // cache's run patch and the scoped re-check. BenchmarkLinkFlip times it
 // with -benchmem; TestLinkFlipAllocCeiling locks its allocations.
 
-// linkFlipper builds the datacenter, warms it with a cold query and returns
-// op, which fails the link on even i and restores it on odd i, then asks
-// for the leaf's verdict.
-func linkFlipper(tb testing.TB) (op func(i int)) {
+// linkFlipper builds a datacenter of about n devices, warms it with a cold
+// query and returns it with op, which fails a link of the first cluster's
+// plane-0 leaf — to the first ToR, or with leafSpine to the first spine —
+// on even i and restores it on odd i, then asks for the leaf's verdict.
+func linkFlipper(tb testing.TB, n int, leafSpine bool) (*Datacenter, func(i int)) {
 	tb.Helper()
-	dc, err := NewDatacenter(experiments.SizedParams("flip", 2008))
+	dc, err := NewDatacenter(experiments.SizedParams("flip", n))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tor, leaf := dc.Topo.Device(dc.Topo.ToRs()[0]).Name, dc.Topo.Device(dc.Topo.ClusterLeaves(0)[0]).Name
+	leafID := dc.Topo.ClusterLeaves(0)[0]
+	a, leaf := dc.Topo.Device(dc.Topo.ToRs()[0]).Name, dc.Topo.Device(leafID).Name
+	if leafSpine {
+		a = dc.Topo.Device(dc.Topo.Spines()[0]).Name
+	}
 	if _, err := dc.QueryDevice(leaf); err != nil {
 		tb.Fatal(err)
 	}
-	return func(i int) {
+	return dc, func(i int) {
 		flip := dc.FailLink
 		if i%2 == 1 {
 			flip = dc.RestoreLink
 		}
-		if err := flip(tor, leaf); err != nil {
+		if err := flip(a, leaf); err != nil {
 			tb.Fatal(err)
 		}
 		ans, err := dc.QueryDevice(leaf)
@@ -44,7 +50,7 @@ func linkFlipper(tb testing.TB) (op func(i int)) {
 }
 
 func BenchmarkLinkFlip(b *testing.B) {
-	op := linkFlipper(b)
+	_, op := linkFlipper(b, 2008, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,25 +58,61 @@ func BenchmarkLinkFlip(b *testing.B) {
 	}
 }
 
-// TestLinkFlipAllocCeiling: one flip plus its query made ~10.4 k mallocs
-// when written (~23.7 k before the sweep checked devices on an
-// index-addressed pool, patched runs on it with reused buffers and skipped
-// the index of an empty fragment). The ceiling is 1.5× that.
+// flipAllocs returns the mallocs of one flip plus its query, after a few
+// to warm worker buffers and memoized contracts, and the devices a flip
+// dirties.
+func flipAllocs(t *testing.T, n int, leafSpine bool) (allocs float64, dirty int) {
+	dc, op := linkFlipper(t, n, leafSpine)
+	i := 0
+	for ; i < 4; i++ {
+		op(i)
+	}
+	gen := dc.Topo.Generation()
+	op(i)
+	i++
+	dirty = delta.Since(dc.Topo, gen, delta.Options{}).Count()
+	return testing.AllocsPerRun(10, func() {
+		op(i)
+		i++
+	}), dirty
+}
+
+// TestLinkFlipAllocCeiling: one ToR–leaf flip plus its query made ~1.92 k
+// mallocs when written (~6.96 k before patches were left pending for the
+// scoped check to apply, runs read in place, hop sets shared between
+// devices and the blast radius made dense; ~23.7 k before the sweep
+// checked devices on an index-addressed pool). The ceiling is 1.5× that.
 func TestLinkFlipAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2008-device datacenter")
 	}
-	op := linkFlipper(t)
-	i := 0
-	for ; i < 4; i++ { // warm worker buffers and memoized contracts
-		op(i)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		op(i)
-		i++
-	})
+	allocs, _ := flipAllocs(t, 2008, false)
 	t.Logf("%.0f mallocs per flip + query", allocs)
-	if allocs > 15600 {
-		t.Errorf("a flip + query makes %.0f mallocs, ceiling 15600", allocs)
+	if allocs > 2880 {
+		t.Errorf("a flip + query makes %.0f mallocs, ceiling 2880", allocs)
+	}
+}
+
+// TestLeafSpineFlipAllocsScaleWithDirty is the O(dirty devices) claim as a
+// test. A leaf–spine flip dirties 15 devices at 520 devices and 46 at 2008
+// — the leaf whole, the rest in one cluster's rows — while the fleet grows
+// by ~1490 devices. A patched device owes one malloc, the new slice of its
+// copy-on-write runs, so from the one fleet to the other a flip plus its
+// query may add at most 1.25 mallocs per extra dirty device and none per
+// extra clean one: work that walks or hashes the fleet, or allocates per
+// device beyond the splice, fails it.
+func TestLeafSpineFlipAllocsScaleWithDirty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2008-device datacenter")
+	}
+	small, smallDirty := flipAllocs(t, 520, true)
+	large, largeDirty := flipAllocs(t, 2008, true)
+	t.Logf("mallocs per leaf–spine flip + query: %.0f at 520 devices (%d dirty), %.0f at 2008 (%d dirty)",
+		small, smallDirty, large, largeDirty)
+	if largeDirty <= smallDirty {
+		t.Fatalf("%d dirty devices at 2008, %d at 520: the larger fleet must dirty more", largeDirty, smallDirty)
+	}
+	if per := (large - small) / float64(largeDirty-smallDirty); per > 1.25 {
+		t.Errorf("a leaf–spine flip + query adds %.2f mallocs per extra dirty device from 520 to 2008 devices, ceiling 1.25", per)
 	}
 }
