@@ -42,10 +42,11 @@ bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkBlast' -benchmem ./internal/bv/
 	$(GO) test -run xxx -bench 'BenchmarkIncrementalAssumptions' -benchmem ./internal/sat/
 
-# CI gate for incremental validation: after one leaf–spine failure at the
-# 520- and 2008-device shapes, every FIB row that changed must lie inside
-# its device's computed scope and the revalidated report must render
-# identically to a full sweep (TestLeafSpineFlipSoundAtScale).
+# CI gate for incremental validation: after one leaf–spine or one ToR–leaf
+# failure at the 520-, 2008- and 10024-device shapes, every (device ×
+# prefix) whose derived next hops moved must lie inside its device's
+# computed scope and the revalidated report must render identically to a
+# full sweep (TestLeafSpineFlipSoundAtScale, TestToRLeafFlipSoundAtScale).
 # The -benchmem leg locks the zero-allocation steady state: a warmed
 # sequential ValidateAll must report 0 allocs/op on both the trie and the
 # PEC engine (the companion test asserts the same via AllocsPerRun). The
@@ -59,7 +60,7 @@ bench-solver:
 # (TestLeafSpineFlipAllocsScaleWithDirty), and BenchmarkLinkFlip reports
 # its cost.
 bench-smoke:
-	$(GO) test -run TestLeafSpineFlipSoundAtScale -count=1 .
+	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale' -count=1 .
 	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPrefixIndex -fuzztime $(FUZZTIME) ./internal/ipnet/
 	$(GO) test -fuzz FuzzRunsDifferential -fuzztime $(FUZZTIME) ./internal/rcdc/
 	$(GO) test -fuzz FuzzSynthMatchesSim -fuzztime $(FUZZTIME) ./internal/bgp/
+	$(GO) test -fuzz FuzzSynthStateMatchesFresh -fuzztime $(FUZZTIME) ./internal/bgp/
 
 # Regenerate every paper experiment, E1–E15 (see DESIGN.md / EXPERIMENTS.md).
 experiments:

@@ -131,18 +131,22 @@ func TestSynthTableCache(t *testing.T) {
 
 // TestSynthCachePatchMatchesFresh drives the row-patching half of the
 // table cache: over random windows of link and session flips on degrading
-// fleets, with and without ECMP truncation, every cached table after
-// Refresh equals a fresh synthesis entry for entry and in order (rows that
-// appeared or vanished included) and run for run, Rows returns exactly the
-// overlapping rows plus the default, and neither tables nor the cache's
-// own runs handed out before the refresh are written through.
+// fleets, with and without ECMP truncation, refreshed by Refresh or — as
+// rcdc.Revalidate does — by RefreshDelta with the window's blast radius,
+// every cached table equals a fresh synthesis entry for entry and in order
+// (rows that appeared or vanished included) and run for run, Rows returns
+// exactly the overlapping rows plus the default, and neither tables nor
+// the cache's own runs handed out before the refresh are written through.
+// A last window of more than the journal holds must evict everything and
+// derive the state afresh.
 func TestSynthCachePatchMatchesFresh(t *testing.T) {
 	p := topology.Params{
 		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
 		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
 		PrefixesPerToR: 2,
 	}
-	for _, truncate := range []bool{false, true} {
+	for leg := 0; leg < 4; leg++ {
+		truncate, viaDelta := leg%2 == 1, leg >= 2
 		topo := topology.MustNew(p)
 		var cfg map[topology.DeviceID]*DeviceConfig
 		if truncate {
@@ -177,14 +181,30 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 		}
 		held, heldRuns := pullAll(), pullRuns()
 		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 60; trial++ {
+		since := topo.Generation()
+		refresh := func() {
+			if viaDelta {
+				refreshFromJournal(cached, since)
+			} else {
+				cached.Refresh()
+			}
+			since = topo.Generation()
+		}
+		for trial := 0; trial <= 60; trial++ {
 			heldBefore := make([]string, len(held))
 			heldRunsBefore := make([]string, len(held))
 			for id := range held {
 				heldBefore[id] = render(held[id].Entries)
 				heldRunsBefore[id] = fmt.Sprint(heldRuns[id])
 			}
-			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+			n := 1 + rng.Intn(3)
+			if trial == 60 { // past the journal: the cache cannot tell what moved
+				lid := topology.LinkID(rng.Intn(len(topo.Links)))
+				for i := 0; i < 4200; i++ {
+					topo.SetLinkUp(lid, !topo.Link(lid).Up)
+				}
+			}
+			for i := 0; i < n; i++ {
 				lid := topology.LinkID(rng.Intn(len(topo.Links)))
 				if rng.Intn(2) == 0 {
 					topo.SetLinkUp(lid, rng.Intn(2) == 0)
@@ -192,7 +212,14 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 					topo.SetSessionUp(lid, rng.Intn(2) == 0)
 				}
 			}
-			cached.Refresh()
+			evictedBefore := metricValue(reg, "dcv_bgp_synth_tables_evicted_total")
+			refresh()
+			if err := stateMatchesFresh(cached); err != nil {
+				t.Fatalf("leg %d trial %d: %v", leg, trial, err)
+			}
+			if evicted := metricValue(reg, "dcv_bgp_synth_tables_evicted_total") - evictedBefore; trial == 60 && int(evicted) != len(topo.Devices) {
+				t.Fatalf("leg %d: a truncated journal evicted %v of %d tables", leg, evicted, len(topo.Devices))
+			}
 			for id := range held {
 				if got := render(held[id].Entries); got != heldBefore[id] {
 					t.Fatalf("trial %d: refresh wrote through a table handed out earlier (device %d)", trial, id)
@@ -234,7 +261,7 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 		patched := metricValue(reg, "dcv_bgp_synth_rows_patched_total")
 		evicted := metricValue(reg, "dcv_bgp_synth_tables_evicted_total")
 		if patched == 0 || evicted == 0 {
-			t.Fatalf("truncate=%v: %v rows patched, %v tables evicted — want both paths exercised", truncate, patched, evicted)
+			t.Fatalf("truncate=%v viaDelta=%v: %v rows patched, %v tables evicted — want both paths exercised", truncate, viaDelta, patched, evicted)
 		}
 	}
 }

@@ -41,12 +41,37 @@ type Synth struct {
 	cfg  map[topology.DeviceID]*DeviceConfig
 
 	prefixes []topology.HostedPrefix
-	// classes[class[p]][k] reports whether the k'th spine (position in
-	// topo.Spines(), a contiguous ID block) has a route for prefix p
-	// (spineHas). Prefixes whose rows are equal share one class: a healthy
-	// fleet has a single class, and each fault splits off a few more.
-	class   []int32
-	classes [][]bool
+
+	// The synthesis state: what a device's runs are derived from. It
+	// reflects the topology at generation stateGen, and RefreshDelta keeps it
+	// up to date from the change journal (see advance): a link flip updates
+	// what it touched and re-cuts classRuns and blocks around the prefixes
+	// whose class or direct pattern moved, never the whole fleet.
+	//
+	// direct[tor*planes+plane] reports whether the ToR's link to its
+	// cluster's leaf on that plane is live, that is whether the leaf has the
+	// direct route to the ToR's prefixes: the ToR's direct mask.
+	direct []bool
+	// leafSpines[leaf] lists the spines (as spineHas positions) of the
+	// leaf's plane that it has a live session to, each in a window of the
+	// plane's width: the spine set of the leaf's (cluster, plane).
+	leafSpines [][]int
+	// torClass[tor] is the class of the ToR's prefixes, and
+	// classes[c][k] reports whether the k'th spine (position in
+	// topo.Spines(), a contiguous ID block) has a route for a prefix of
+	// class c (spineHas). That row is the union of the spine sets of the
+	// planes in the ToR's direct mask, so it depends on the hosting
+	// cluster's spine sets and the mask alone. Rows are interned under an
+	// integer key (classIdx, see find): prefixes with equal rows share one
+	// class — a healthy fleet has a single class, and each fault splits
+	// off a few more. classRefs counts each class's ToRs; classLive is how
+	// many classes have one, and compact drops the rest once they
+	// outnumber the live ones.
+	torClass  []int32
+	classes   [][]bool
+	classRefs []int32
+	classLive int
+	classIdx  map[uint64]int32
 	// classRuns cuts the prefix list into maximal stretches of one class.
 	// Outside its own cluster a ToR, a leaf or a regional spine forwards a
 	// prefix by its class alone, so runs derive those next hops once per
@@ -58,17 +83,18 @@ type Synth struct {
 	// the direct route). A spine forwards every prefix of a block alike, and
 	// so does a ToR or a leaf inside its own cluster, ToR by ToR: runs
 	// derive those next hops once per block, never per prefix.
-	blocks []block
-	// direct[p*LeavesPerCluster+plane] reports whether the hosting
-	// cluster's leaf on that plane has the direct route to prefix p.
-	direct    []bool
+	blocks    []block
 	spineBase topology.DeviceID
 	// spineHasDefault[d] and leafHasDefault[d]: d has the default route.
 	spineHasDefault []bool
 	leafHasDefault  []bool
-	// leafSpines[leaf] lists the spines (as spineHas positions) of the
-	// leaf's plane that it has a live session to.
-	leafSpines [][]int
+	// stateGen is the generation the state reflects, and stateUnbounded
+	// whether a configuration altering acceptance or liveness was in force
+	// when it was derived (configuration edits leave no journal trace).
+	stateGen       uint64
+	stateUnbounded bool
+	// upd is advance's scratch, reused from refresh to refresh.
+	upd stateScratch
 	// fastAccept short-circuits AS-path acceptance checks when no device
 	// configuration overrides exist: under the default ASN allocation the
 	// propagation rules never self-loop, so every constructed path is
@@ -144,21 +170,22 @@ type slot struct {
 // evict drops the slot's runs and any patch pending on them.
 func (sl *slot) evict() { sl.ok, sl.rt, sl.def, sl.spans = false, fib.RunTable{}, false, nil }
 
-// NewSynth precomputes the tier reachability sets. Precomputation is
-// O(prefixes × spinesPerPlane + links), after which Table is cheap. The
-// sets snapshot the topology state at construction; call Refresh after
-// mutating link state to bring them up to date.
+// NewSynth derives the synthesis state from the topology and configuration
+// as they stand — in O(devices + prefixes + links), after which Table is
+// cheap — and keeps it: call Refresh or RefreshDelta after mutating link
+// state to bring it up to date.
 func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) *Synth {
 	s := &Synth{topo: topo, cfg: cfg, prefixes: topo.HostedPrefixes()}
 	if len(topo.Spines()) > 0 {
 		s.spineBase = topo.Spines()[0]
 	}
-	s.ident = make([]topology.DeviceID, len(topo.Devices))
+	n := len(topo.Devices)
+	s.ident = make([]topology.DeviceID, n)
 	for i := range s.ident {
 		s.ident[i] = topology.DeviceID(i)
 	}
 	s.clusterAt = make([]int, topo.Params.Clusters+1)
-	s.own = make([][2]int, len(topo.Devices))
+	s.own = make([][2]int, n)
 	for pi, hp := range s.prefixes {
 		if pi == 0 || s.prefixes[pi-1].ToR != hp.ToR {
 			s.own[hp.ToR][0] = pi
@@ -169,127 +196,402 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 	for c := 1; c < len(s.clusterAt); c++ {
 		s.clusterAt[c] = max(s.clusterAt[c], s.clusterAt[c-1])
 	}
+	spp := topo.Params.SpinesPerPlane
+	s.direct = make([]bool, n*topo.Params.LeavesPerCluster)
+	s.leafSpines = make([][]int, n)
+	flat := make([]int, len(topo.Leaves())*spp)
+	for i, leaf := range topo.Leaves() {
+		s.leafSpines[leaf] = flat[i*spp : i*spp : (i+1)*spp]
+	}
+	s.spineHasDefault = make([]bool, n)
+	s.leafHasDefault = make([]bool, n)
+	s.torClass = make([]int32, n)
+	s.classIdx = make(map[uint64]int32)
 	s.bufs.New = newRunBuf
 	s.Refresh()
 	return s
 }
 
-// Refresh recomputes the precomputed reachability sets from the current
-// topology and configuration state. The monitoring loop calls this at the
-// start of every pull cycle so synthesized FIBs track live state. The
-// derived sets are always rebuilt (they are cheap, and direct config-map
-// edits leave no journal trace); only the opt-in table cache is brought
-// up to date selectively via the change journal. Refresh must not run
-// concurrently with pulls.
+// Refresh brings the synthesis state and the opt-in table cache up to
+// date with the current topology and configuration. The monitoring loop
+// calls this at the start of every pull cycle so synthesized FIBs track
+// live state. It knows no blast radius, so the state is derived afresh for
+// every cluster (direct config-map edits leave no journal trace); only the
+// table cache is brought up to date selectively, via the change journal.
+// Refresh must not run concurrently with pulls.
 func (s *Synth) Refresh() { s.RefreshDelta(nil, 0) }
 
-// RefreshDelta is Refresh for a caller that already holds ds, the blast
-// radius of every change journaled after generation since up to now: the
-// table cache is synchronized from ds instead of computing the radius a
-// second time. A ds whose window starts after the cache's last
-// synchronization (or a nil ds) is ignored and the cache reads the
-// journal itself. Like Refresh, it must not run concurrently with pulls.
+// RefreshDelta is Refresh for a caller that holds ds, the blast radius of
+// every change journaled after generation since up to now. The synthesis
+// state is updated from the journal: a window of link and session flips
+// updates only what they touched — a ToR–leaf flip one ToR's direct mask
+// and the classes of its prefixes, a leaf–spine flip one leaf's spine set
+// and its cluster's classes, a spine–regional-spine flip the default
+// routes of one plane — while a nil or full ds, a truncated journal, a
+// device-level change or an acceptance-altering configuration derives it
+// afresh for every cluster, by the same update. The table cache is
+// synchronized from ds instead of computing the radius a second time; a ds
+// whose window starts after the cache's last synchronization (or a nil
+// ds) is ignored and the cache reads the journal itself. Like Refresh, it
+// must not run concurrently with pulls.
 func (s *Synth) RefreshDelta(ds *delta.Set, since uint64) {
 	dirty := s.cacheWindow(ds, since)
-	s.recompute()
+	s.advance(ds)
 	s.syncCache(dirty)
 }
 
-func (s *Synth) recompute() {
+// stateScratch is the scratch advance and update work in.
+type stateScratch struct {
+	tors, leaves, spines []topology.DeviceID
+	moved                []topology.DeviceID // ToRs whose direct mask changed
+	clusters             []int               // clusters whose spine sets changed
+	planes               []bool              // planes whose spines' default changed
+	spans                [][2]int            // positions re-classed
+	set                  []int               // a leaf's spine set being derived
+	row                  []bool              // a class row being derived
+	cut                  []block             // recut's fresh stretches
+	remap                []int32             // compact's renumbering
+}
+
+// advance brings the synthesis state up to the topology's generation: the
+// links the journal window since stateGen flipped name the ToRs, leaves and
+// spines to update. Anything the journal cannot bound — no ds or a full
+// one, a truncated journal, a device-level change, an acceptance-altering
+// configuration now or when the state was derived — updates them all.
+func (s *Synth) advance(ds *delta.Set) {
 	topo := s.topo
 	s.fastAccept = len(s.cfg) == 0
-	spp := topo.Params.SpinesPerPlane
-	nSpines := len(topo.Spines())
-
-	s.spineHasDefault = make([]bool, len(topo.Devices))
-	for _, sp := range topo.Spines() {
-		if s.config(sp).RejectDefaultIn {
-			continue
+	unbounded := ConfigUnbounded(s.cfg)
+	changes, ok := topo.ChangesSince(s.stateGen)
+	full := ds == nil || ds.Full() || !ok || unbounded || s.stateUnbounded
+	s.stateGen, s.stateUnbounded = topo.Generation(), unbounded
+	u := &s.upd
+	u.tors, u.leaves, u.spines = u.tors[:0], u.leaves[:0], u.spines[:0]
+	for _, c := range changes {
+		if full || c.Kind == topology.ChangeDevice {
+			full = true
+			break
 		}
-		for _, rs := range topo.RegionalSpines() {
-			if s.live(sp, rs) {
-				s.spineHasDefault[sp] = true
-				break
-			}
+		l := topo.Link(c.Link)
+		a, b := topo.Device(l.A), topo.Device(l.B)
+		if a.Role > b.Role {
+			a, b = b, a
 		}
-	}
-	// Live plane spines per leaf, read by the prefix loop below.
-	s.leafHasDefault = make([]bool, len(topo.Devices))
-	s.leafSpines = make([][]int, len(topo.Devices))
-	flat := make([]int, 0, len(topo.Leaves())*spp)
-	for _, leaf := range topo.Leaves() {
-		lo := len(flat)
-		for _, sp := range s.planeSpines(leaf) {
-			if s.live(leaf, sp) {
-				flat = append(flat, s.spineIdx(sp))
-			}
-		}
-		s.leafSpines[leaf] = flat[lo:len(flat):len(flat)]
-		if s.config(leaf).RejectDefaultIn {
-			continue
-		}
-		for _, k := range s.leafSpines[leaf] {
-			if s.spineHasDefault[s.spineBase+topology.DeviceID(k)] {
-				s.leafHasDefault[leaf] = true
-				break
-			}
+		switch {
+		case a.Role == topology.RoleToR && b.Role == topology.RoleLeaf:
+			u.tors = append(u.tors, a.ID)
+		case a.Role == topology.RoleLeaf && b.Role == topology.RoleSpine:
+			u.leaves = append(u.leaves, a.ID)
+		case a.Role == topology.RoleSpine && b.Role == topology.RoleRegionalSpine:
+			u.spines = append(u.spines, a.ID)
+		default:
+			full = true
 		}
 	}
+	if full {
+		s.update(topo.Spines(), topo.Leaves(), topo.ToRs(), true)
+		return
+	}
+	slices.Sort(u.tors)
+	slices.Sort(u.leaves)
+	slices.Sort(u.spines)
+	s.update(slices.Compact(u.spines), slices.Compact(u.leaves), slices.Compact(u.tors), false)
+}
 
-	planes := topo.Params.LeavesPerCluster
-	s.direct = make([]bool, len(s.prefixes)*planes)
-	s.class = make([]int32, len(s.prefixes))
-	s.classes, s.classRuns, s.blocks = nil, s.classRuns[:0], s.blocks[:0]
-	intern := make(map[string]int32)
-	has := make([]bool, nSpines)
-	key := make([]byte, nSpines)
-	for pi, hp := range s.prefixes {
-		clear(has)
-		// The hosting cluster's leaf on each plane has the prefix iff its
-		// link to the hosting ToR is live; each spine of that plane has it
-		// iff additionally its session to that leaf is live.
-		for plane, leaf := range topo.ClusterLeaves(hp.Cluster) {
-			if !s.leafHasDirect(leaf, hp.ToR) {
-				continue
-			}
-			s.direct[pi*planes+plane] = true
-			for _, k := range s.leafSpines[leaf] {
-				has[k] = true
-			}
+// update re-derives the state of the given spines, leaves and ToRs, each
+// list ascending, and what depends on it: a spine's default route, then a
+// leaf's spine set and default route (every leaf of a plane whose spine's
+// default flipped), then a ToR's direct mask; the classes of every ToR of a
+// cluster whose spine set changed, and of each ToR whose mask changed; and
+// the cut of classRuns and blocks around their prefixes. With all, the
+// lists are the whole fleet and the class table starts empty: the cold
+// build is this update applied to every cluster.
+func (s *Synth) update(spines, leaves, tors []topology.DeviceID, all bool) {
+	topo := s.topo
+	u := &s.upd
+	u.planes = slices.Grow(u.planes[:0], topo.Params.LeavesPerCluster)[:topo.Params.LeavesPerCluster]
+	clear(u.planes)
+	for _, sp := range spines {
+		if had := s.spineHasDefault[sp]; had != s.spineDefault(sp) {
+			s.spineHasDefault[sp] = !had
+			u.planes[topo.Device(sp).Plane] = true
 		}
-		// Neighbouring prefixes usually share a class: try the last one
-		// before the intern table.
-		c, ok := int32(0), false
-		if pi > 0 {
-			c = s.class[pi-1]
-			ok = slices.Equal(has, s.classes[c])
+	}
+	u.clusters = u.clusters[:0]
+	for _, leaf := range leaves {
+		if s.deriveLeafSpines(leaf) || all {
+			u.clusters = append(u.clusters, topo.Device(leaf).Cluster)
 		}
-		if !ok {
-			for k, h := range has {
-				key[k] = 0
-				if h {
-					key[k] = 1
+		s.leafHasDefault[leaf] = s.leafDefault(leaf)
+	}
+	for plane, flipped := range u.planes {
+		for c := 0; flipped && !all && c < topo.Params.Clusters; c++ {
+			leaf := topo.ClusterLeaves(c)[plane]
+			s.leafHasDefault[leaf] = s.leafDefault(leaf)
+		}
+	}
+	u.moved = u.moved[:0]
+	for _, tor := range tors {
+		if s.deriveDirect(tor) && !all {
+			u.moved = append(u.moved, tor)
+		}
+	}
+
+	if all {
+		s.classes, s.classRefs, s.classLive = s.classes[:0], s.classRefs[:0], 0
+		clear(s.classIdx)
+		for _, tor := range tors {
+			s.torClass[tor] = -1
+		}
+	}
+	u.clusters = slices.Compact(u.clusters)
+	u.spans = u.spans[:0]
+	for _, c := range u.clusters {
+		s.reclass(topo.ClusterToRs(c))
+		lo, hi := s.clusterSpan(c)
+		u.spans = append(u.spans, [2]int{lo, hi})
+	}
+	for _, tor := range u.moved {
+		if _, done := slices.BinarySearch(u.clusters, topo.Device(tor).Cluster); !done {
+			s.reclass(s.one(tor))
+			u.spans = append(u.spans, s.own[tor])
+		}
+	}
+	slices.SortFunc(u.spans, func(a, b [2]int) int { return a[0] - b[0] })
+	for i := 0; i < len(u.spans); {
+		lo, hi := u.spans[i][0], u.spans[i][1]
+		for i++; i < len(u.spans) && u.spans[i][0] <= hi; i++ {
+			hi = max(hi, u.spans[i][1])
+		}
+		if lo < hi || all {
+			s.classRuns = s.recut(s.classRuns, lo, hi, false)
+			s.blocks = s.recut(s.blocks, lo, hi, true)
+		}
+	}
+	s.compact()
+}
+
+// spineDefault derives whether spine sp has the default route: from any
+// live regional spine, unless it rejects defaults.
+func (s *Synth) spineDefault(sp topology.DeviceID) bool {
+	if s.config(sp).RejectDefaultIn {
+		return false
+	}
+	for _, rs := range s.topo.RegionalSpines() {
+		if s.live(sp, rs) {
+			return true
+		}
+	}
+	return false
+}
+
+// leafDefault derives whether a leaf has the default route: from any live
+// plane spine that has it, unless it rejects defaults. It reads the leaf's
+// spine set and the spines' defaults, so update derives those first.
+func (s *Synth) leafDefault(leaf topology.DeviceID) bool {
+	if s.config(leaf).RejectDefaultIn {
+		return false
+	}
+	for _, k := range s.leafSpines[leaf] {
+		if s.spineHasDefault[s.spineBase+topology.DeviceID(k)] {
+			return true
+		}
+	}
+	return false
+}
+
+// deriveLeafSpines derives a leaf's spine set — its live plane spines —
+// in place, and reports whether it changed.
+func (s *Synth) deriveLeafSpines(leaf topology.DeviceID) bool {
+	ks := s.upd.set[:0]
+	for _, sp := range s.planeSpines(leaf) {
+		if s.live(leaf, sp) {
+			ks = append(ks, s.spineIdx(sp))
+		}
+	}
+	s.upd.set = ks
+	changed := !slices.Equal(s.leafSpines[leaf], ks)
+	s.leafSpines[leaf] = append(s.leafSpines[leaf][:0], ks...)
+	return changed
+}
+
+// deriveDirect derives a ToR's direct mask in place — the plane-p leaf has
+// the direct route to its prefixes iff the link between them is live —
+// and reports whether it changed.
+func (s *Synth) deriveDirect(tor topology.DeviceID) bool {
+	m := s.mask(tor)
+	changed := false
+	for plane, leaf := range s.topo.ClusterLeaves(s.topo.Device(tor).Cluster) {
+		live := s.live(leaf, tor)
+		changed = changed || m[plane] != live
+		m[plane] = live
+	}
+	return changed
+}
+
+// mask returns a ToR's direct mask, one entry per plane.
+func (s *Synth) mask(tor topology.DeviceID) []bool {
+	planes := s.topo.Params.LeavesPerCluster
+	return s.direct[int(tor)*planes : (int(tor)+1)*planes]
+}
+
+// reclass derives the class of each of tors, ToRs of one cluster in
+// order: a ToR whose mask equals the one before's shares its class.
+func (s *Synth) reclass(tors []topology.DeviceID) {
+	for i, tor := range tors {
+		if i > 0 && slices.Equal(s.mask(tors[i-1]), s.mask(tor)) {
+			s.setClass(tor, s.torClass[tors[i-1]])
+			continue
+		}
+		row := slices.Grow(s.upd.row[:0], len(s.topo.Spines()))[:len(s.topo.Spines())]
+		clear(row)
+		for plane, leaf := range s.topo.ClusterLeaves(s.topo.Device(tor).Cluster) {
+			if s.mask(tor)[plane] {
+				for _, k := range s.leafSpines[leaf] {
+					row[k] = true
 				}
 			}
-			if c, ok = intern[string(key)]; !ok {
-				c = int32(len(s.classes))
-				s.classes = append(s.classes, slices.Clone(has))
-				intern[string(key)] = c
-			}
 		}
-		s.class[pi] = c
-		if n := len(s.classRuns); n > 0 && s.classRuns[n-1].class == c {
-			s.classRuns[n-1].hi++
-		} else {
-			s.classRuns = append(s.classRuns, block{lo: pi, hi: pi + 1, class: c})
-		}
-		if n := len(s.blocks); n > 0 && s.blocks[n-1].class == c && s.prefixes[pi-1].Cluster == hp.Cluster &&
-			slices.Equal(s.direct[(pi-1)*planes:pi*planes], s.direct[pi*planes:(pi+1)*planes]) {
-			s.blocks[n-1].hi++
-		} else {
-			s.blocks = append(s.blocks, block{lo: pi, hi: pi + 1, class: c, cluster: hp.Cluster})
+		s.upd.row = row
+		s.setClass(tor, s.intern(row))
+	}
+}
+
+// setClass moves a ToR to class c, keeping the reference counts.
+func (s *Synth) setClass(tor topology.DeviceID, c int32) {
+	old := s.torClass[tor]
+	if old == c {
+		return
+	}
+	if old >= 0 {
+		if s.classRefs[old]--; s.classRefs[old] == 0 {
+			s.classLive--
 		}
 	}
+	if s.classRefs[c] == 0 {
+		s.classLive++
+	}
+	s.classRefs[c]++
+	s.torClass[tor] = c
+}
+
+// intern returns the class of a spine-reachability row (scratch), adding
+// it if new.
+func (s *Synth) intern(row []bool) int32 {
+	h, c, ok := s.find(row)
+	if ok {
+		return c
+	}
+	c = int32(len(s.classes))
+	s.classes = append(s.classes, slices.Clone(row))
+	s.classRefs = append(s.classRefs, 0)
+	s.classIdx[h] = c
+	return c
+}
+
+// find looks a row up in classIdx by open addressing over its integer
+// key: a hash of the row, then the keys after it, until the class with
+// that row (ok) or a free key, where it belongs.
+func (s *Synth) find(row []bool) (h uint64, c int32, ok bool) {
+	h = 14695981039346656037 // FNV-1a over the row's spines
+	for k, has := range row {
+		if has {
+			h = (h ^ uint64(k)) * 1099511628211
+		}
+	}
+	for ; ; h++ {
+		c, ok = s.classIdx[h]
+		if !ok || slices.Equal(s.classes[c], row) {
+			return h, c, ok
+		}
+	}
+}
+
+// classSlack is how many dead classes compact tolerates beyond the live
+// count: the table stays within 2 × live + classSlack entries.
+const classSlack = 4
+
+// compact drops the classes no ToR holds once they outnumber the live ones
+// by more than classSlack, renumbering the rest in order — every runBuf
+// clears a memo entry per class for each device it derives, so a table
+// that only grew would turn into per-device cost.
+func (s *Synth) compact() {
+	if len(s.classes)-s.classLive <= s.classLive+classSlack {
+		return
+	}
+	remap := slices.Grow(s.upd.remap[:0], len(s.classes))[:len(s.classes)]
+	s.upd.remap = remap
+	clear(s.classIdx)
+	n := int32(0)
+	for c := range s.classes {
+		remap[c] = -1
+		if s.classRefs[c] == 0 {
+			continue
+		}
+		remap[c] = n
+		s.classes[n], s.classRefs[n] = s.classes[c], s.classRefs[c]
+		h, _, _ := s.find(s.classes[n])
+		s.classIdx[h] = n
+		n++
+	}
+	clear(s.classes[n:])
+	s.classes, s.classRefs = s.classes[:n], s.classRefs[:n]
+	for _, tor := range s.topo.ToRs() {
+		s.torClass[tor] = remap[s.torClass[tor]]
+	}
+	for _, bs := range [][]block{s.classRuns, s.blocks} {
+		for i := range bs {
+			bs[i].class = remap[bs[i].class]
+		}
+	}
+}
+
+// recut returns bs — the prefix list cut into class runs, or into blocks
+// when byBlock — cut afresh around positions [lo, hi), whose class or
+// direct pattern may have moved: the cut elsewhere stands, and the
+// stretches holding positions lo-1 and hi are re-cut with them, so equal
+// neighbours merge across both edges. With lo 0 and hi the prefix count
+// it cuts the whole list, whatever bs held.
+func (s *Synth) recut(bs []block, lo, hi int, byBlock bool) []block {
+	n := len(s.prefixes)
+	i := sort.Search(len(bs), func(k int) bool { return bs[k].hi >= lo })
+	j, start, end := len(bs), lo, n
+	if lo > 0 {
+		start = bs[i].lo
+	}
+	if hi < n {
+		j = i + sort.Search(len(bs)-i, func(k int) bool { return bs[i+k].hi > hi })
+		end = bs[j].hi
+		j++
+	}
+	cut, at := s.upd.cut[:0], start
+	for pi := max(lo, 1); pi <= min(hi, n-1); pi++ {
+		if s.splits(pi, byBlock) {
+			cut = append(cut, s.block(at, pi))
+			at = pi
+		}
+	}
+	if at < end {
+		cut = append(cut, s.block(at, end))
+	}
+	s.upd.cut = cut
+	return slices.Replace(bs, i, j, cut...)
+}
+
+// splits reports whether position pi starts a new class run, or block when
+// byBlock, after pi-1.
+func (s *Synth) splits(pi int, byBlock bool) bool {
+	a, b := s.prefixes[pi-1], s.prefixes[pi]
+	if s.torClass[a.ToR] != s.torClass[b.ToR] {
+		return true
+	}
+	return byBlock && (a.Cluster != b.Cluster || a.ToR != b.ToR && !slices.Equal(s.mask(a.ToR), s.mask(b.ToR)))
+}
+
+// block returns the stretch [lo, hi) with the class and cluster of lo.
+func (s *Synth) block(lo, hi int) block {
+	hp := s.prefixes[lo]
+	return block{lo: lo, hi: hi, class: s.torClass[hp.ToR], cluster: hp.Cluster}
 }
 
 // cacheWindow returns the blast radius the table cache is behind by — nil
@@ -492,7 +794,7 @@ type block struct {
 }
 
 // spineHas returns, for hosted prefix pi, whether each spine has a route.
-func (s *Synth) spineHas(pi int) []bool { return s.classes[s.class[pi]] }
+func (s *Synth) spineHas(pi int) []bool { return s.classes[s.torClass[s.prefixes[pi].ToR]] }
 
 // one returns the next-hop set {d}, shared.
 func (s *Synth) one(d topology.DeviceID) []topology.DeviceID { return s.ident[d : d+1 : d+1] }
@@ -729,8 +1031,8 @@ type liveLeaf struct {
 // begin readies buf for deriving d's runs: nothing memoized yet, and what is
 // per device worked out once rather than once per class or block. A ToR's
 // own stretch comes from the table NewSynth built, and its live leaves from
-// the direct pattern recompute derived for its own first prefix — the
-// plane-p leaf has the direct route to it iff the link to the ToR is live.
+// its direct mask — the plane-p leaf has the direct route to its prefixes
+// iff the link to the ToR is live.
 func (s *Synth) begin(buf *runBuf, d topology.DeviceID, dev *topology.Device) {
 	buf.memo = slices.Grow(buf.memo[:0], len(s.classes))[:len(s.classes)]
 	clear(buf.memo)
@@ -738,9 +1040,8 @@ func (s *Synth) begin(buf *runBuf, d topology.DeviceID, dev *topology.Device) {
 	switch dev.Role {
 	case topology.RoleToR:
 		buf.ownLo, buf.ownHi = s.own[d][0], s.own[d][1]
-		planes := s.topo.Params.LeavesPerCluster
 		for plane, leaf := range s.topo.ClusterLeaves(dev.Cluster) {
-			if buf.ownLo < buf.ownHi && s.direct[buf.ownLo*planes+plane] || buf.ownLo == buf.ownHi && s.live(d, leaf) {
+			if s.mask(d)[plane] {
 				buf.leaves = append(buf.leaves, liveLeaf{id: leaf, plane: plane})
 			}
 		}
@@ -800,10 +1101,9 @@ func (s *Synth) appendRuns(runs []fib.Run, buf *runBuf, d topology.DeviceID, dev
 	}
 	clo, chi := s.clusterSpan(dev.Cluster)
 	runs = s.appendRemote(runs, buf, dev, lo, min(hi, clo))
-	planes := s.topo.Params.LeavesPerCluster
 	for _, b := range within(s.blocks, max(lo, clo), min(hi, chi)) {
 		blo, bhi := max(b.lo, lo), min(b.hi, hi)
-		direct := s.direct[b.lo*planes : (b.lo+1)*planes]
+		direct := s.mask(s.prefixes[b.lo].ToR)
 		if dev.Role == topology.RoleLeaf {
 			// Straight to the hosting ToR, if the link to it is live.
 			if !direct[dev.Plane] {

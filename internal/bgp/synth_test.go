@@ -167,13 +167,12 @@ func TestSynthMatchesSimDirectPattern(t *testing.T) {
 		s := NewSynth(topo, nil)
 		lo, hi := s.clusterSpan(0)
 		for pi := lo; pi < hi; pi++ {
-			if s.class[pi] != s.class[lo] {
-				t.Fatalf("tor %d: cluster 0 spans classes %v, want one", tor, s.class[lo:hi])
+			if got, want := s.torClass[s.prefixes[pi].ToR], s.torClass[s.prefixes[lo].ToR]; got != want {
+				t.Fatalf("tor %d: cluster 0 spans classes %d and %d, want one", tor, want, got)
 			}
 		}
-		planes := topo.Params.LeavesPerCluster
-		cut, other := lo+2*tor, lo+2*((tor+1)%4)
-		if s.direct[cut*planes+1] || !s.direct[other*planes+1] {
+		cut, other := topo.ClusterToRs(0)[tor], topo.ClusterToRs(0)[(tor+1)%4]
+		if s.mask(cut)[1] || !s.mask(other)[1] {
 			t.Fatalf("tor %d: the fault did not split the direct pattern of cluster 0", tor)
 		}
 		checkAllTables(t, topo, nil, fmt.Sprintf("leaf without spines, ToR %d cut from it", tor))

@@ -93,8 +93,10 @@ type Engine struct {
 	pecExact    *pec.Checker
 
 	// Observability: nil — and every call site a no-op — until Metrics()
-	// is first called.
+	// is first called. tracer records each change-driven sweep's
+	// rcdc.Revalidate span and its window, refresh and check stages.
 	reg       *obs.Registry
+	tracer    *obs.Tracer
 	rcdcM     *rcdc.Metrics
 	bvM       *bv.Metrics
 	bgpM      *bgp.Metrics
@@ -124,12 +126,15 @@ func (e *Engine) Topo() *topology.Topology { return e.topo }
 // must mutate it through Apply (SetConfig), never directly.
 func (e *Engine) Config() map[topology.DeviceID]*bgp.DeviceConfig { return e.cfg }
 
-// SetClock injects the time source used for query-latency observation;
-// nil (the default) means the system clock.
+// SetClock injects the time source used for query-latency observation
+// and sweep tracing; nil (the default) means the system clock.
 func (e *Engine) SetClock(c clock.Clock) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.clk = c
+	if e.tracer != nil {
+		e.tracer = obs.NewTracer(c, 256)
+	}
 }
 
 // Facts returns the metadata snapshot, generated on first call and then
@@ -151,8 +156,9 @@ func (e *Engine) factsLocked() *metadata.Facts {
 
 // Metrics returns the engine's metric registry, creating it — and wiring
 // the per-subsystem instrumentation bundles into every validator, solver,
-// FIB source, and blast-radius computation the engine builds — on first
-// call. Until then instrumentation is off and costs nothing.
+// FIB source, and blast-radius computation the engine builds, and a tracer
+// (on the engine clock) whose ring holds the most recent sweeps' spans —
+// on first call. Until then instrumentation is off and costs nothing.
 func (e *Engine) Metrics() *obs.Registry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -166,6 +172,7 @@ func (e *Engine) Metrics() *obs.Registry {
 		e.conflintM = conflint.NewMetrics(e.reg)
 		e.pecM = pec.NewMetrics(e.reg)
 		e.serveM = NewMetrics(e.reg)
+		e.tracer = obs.NewTracer(e.clk, 256)
 		if e.synth != nil {
 			e.synth.Metrics = e.bgpM
 		}
@@ -443,7 +450,7 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 		e.cgen = contracts.NewGenerator(e.factsLocked())
 		e.cgen.EnableMemo()
 	}
-	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
+	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM, Tracer: e.tracer}
 	rep, _, err := v.Revalidate(prev, e.topo, e.factsLocked(), e.cgen, opts.Source, delta.Options{
 		UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
 		Metrics:         e.deltaM,

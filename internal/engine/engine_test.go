@@ -397,3 +397,53 @@ func TestServingCacheHeapCeiling(t *testing.T) {
 		t.Errorf("warmed engine keeps %.1f live heap bytes per contract, ceiling 16", per)
 	}
 }
+
+// TestServingPlaneTracesRevalidate: once Metrics() has been called, the
+// serving plane's change-driven sweep is traced. On a 2008-device engine,
+// one ToR–leaf Apply plus the QueryDevice that revalidates it records one
+// rcdc.Revalidate span whose children are its window, refresh and check
+// stages, in that order.
+func TestServingPlaneTracesRevalidate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2008-device datacenter")
+	}
+	p := topology.Params{
+		ToRsPerCluster: 40, LeavesPerCluster: 8, SpinesPerPlane: 4,
+		RegionalSpines: 8, RSLinksPerSpine: 4, PrefixesPerToR: 1,
+	}
+	p.Clusters = (2008 - 40 + 47) / 48
+	topo := topology.MustNew(p)
+	e := New(topo, nil)
+	e.Metrics()
+	name := func(d topology.DeviceID) string { return topo.Device(d).Name }
+	leaf := topo.ClusterLeaves(0)[0]
+	if _, err := e.QueryDevice(name(leaf)); err != nil { // the cold sweep
+		t.Fatal(err)
+	}
+	seen := len(e.tracer.Spans())
+	if err := e.Apply(Change{Kind: FailLink, A: name(topo.ToRs()[0]), B: name(leaf)}); err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := e.QueryDevice(name(leaf)); err != nil || ans.Cached {
+		t.Fatalf("query after the flip: %+v, %v; want a fresh verdict", ans, err)
+	}
+	spans := e.tracer.Spans()[seen:]
+	var roots []obs.SpanData
+	for _, sp := range spans {
+		if sp.Name == "rcdc.Revalidate" {
+			roots = append(roots, sp)
+		}
+	}
+	if len(roots) != 1 {
+		t.Fatalf("%d rcdc.Revalidate spans for one flip, want 1 (spans %v)", len(roots), spans)
+	}
+	var stages []string
+	for _, sp := range spans {
+		if sp.Parent == roots[0].ID {
+			stages = append(stages, sp.Name)
+		}
+	}
+	if got := fmt.Sprint(stages); got != "[window refresh check]" {
+		t.Fatalf("stages %s, want [window refresh check]", got)
+	}
+}

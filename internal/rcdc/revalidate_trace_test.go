@@ -206,3 +206,76 @@ func deepDeviceRuns(dr contracts.DeviceRuns) contracts.DeviceRuns {
 	}
 	return out
 }
+
+// BenchmarkRevalidateStages times one event of each class on a warmed,
+// table-cached 2008-device fleet (the benchmarks' shape: 40 ToRs and 8
+// leaves per cluster, 8 planes of 4 spines, 8 regional spines) through a
+// traced Revalidate on the system clock, and reports the median of each
+// stage — window (the blast radius), refresh (the source's RefreshDelta)
+// and check (the scoped sweep and splice) — in µs. The event fails the
+// class's link (or shuts its session) on even iterations and restores it
+// on odd ones.
+func BenchmarkRevalidateStages(b *testing.B) {
+	p := topology.Params{
+		Name: "stages", ToRsPerCluster: 40, LeavesPerCluster: 8, SpinesPerPlane: 4,
+		RegionalSpines: 8, RSLinksPerSpine: 4, PrefixesPerToR: 1,
+	}
+	p.Clusters = (2008 - 40 + 47) / 48
+	for _, ev := range []struct {
+		name    string
+		a, b    func(*topology.Topology) topology.DeviceID
+		session bool
+	}{
+		{"tor-leaf", func(t *topology.Topology) topology.DeviceID { return t.ToRs()[0] }, leaf0, false},
+		{"leaf-spine", leaf0, func(t *topology.Topology) topology.DeviceID { return t.Spines()[0] }, false},
+		{"rs-spine", func(t *topology.Topology) topology.DeviceID { return t.Spines()[0] },
+			func(t *topology.Topology) topology.DeviceID { return t.RegionalSpines()[0] }, false},
+		{"tor-leaf-session", func(t *topology.Topology) topology.DeviceID { return t.ToRs()[0] }, leaf0, true},
+	} {
+		b.Run(ev.name, func(b *testing.B) {
+			topo := topology.MustNew(p)
+			facts := metadata.FromTopology(topo)
+			synth := bgp.NewSynth(topo, nil)
+			synth.EnableTableCache()
+			gen := contracts.NewGenerator(facts)
+			gen.EnableMemo()
+			tr := obs.NewTracer(nil, 8)
+			v := Validator{Workers: 2, Tracer: tr}
+			rep, _, err := v.Revalidate(nil, topo, facts, gen, synth, delta.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, ok := topo.LinkBetween(ev.a(topo), ev.b(topo))
+			if !ok {
+				b.Fatal("no such link")
+			}
+			stages := map[string][]time.Duration{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ev.session {
+					topo.SetSessionUp(l.ID, i%2 == 1)
+				} else {
+					topo.SetLinkUp(l.ID, i%2 == 1)
+				}
+				if rep, _, err = v.Revalidate(rep, topo, facts, gen, synth, delta.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				spans := tr.Spans()
+				for _, sp := range spans {
+					if sp.Parent == spans[len(spans)-1].ID {
+						stages[sp.Name] = append(stages[sp.Name], sp.Duration())
+					}
+				}
+				b.StartTimer()
+			}
+			for _, name := range []string{"window", "refresh", "check"} {
+				d := stages[name]
+				slices.Sort(d)
+				b.ReportMetric(float64(d[len(d)/2].Nanoseconds())/1e3, name+"-µs")
+			}
+		})
+	}
+}
+
+func leaf0(t *topology.Topology) topology.DeviceID { return t.ClusterLeaves(0)[0] }

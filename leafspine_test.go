@@ -21,19 +21,52 @@ import (
 // gate at the fleet sizes the benchmarks measure, not only at the small
 // fleets of TestBlastRadiusIsSuperset and TestIncrementalEquivalence.
 // After one leaf–spine failure on a warmed, table-cached validator, every
-// FIB row that differs from a from-scratch synthesis of the healthy
-// fleet — changed, appeared or vanished, the default row included — lies
-// inside its device's scope, and the revalidated report renders
-// identically to a from-scratch sweep of the failed fleet.
+// (device × prefix) whose derived next hops moved lies inside its device's
+// scope, and the revalidated report renders identically to a from-scratch
+// sweep of the failed fleet (see flipSound). The 10 k-device leg is
+// skipped under -short.
 func TestLeafSpineFlipSoundAtScale(t *testing.T) {
-	for _, n := range []int{520, 2008} {
+	flipSoundAtScale(t, func(topo *topology.Topology) (topology.DeviceID, topology.DeviceID) {
+		leaf := topo.ClusterLeaves(0)[0]
+		for _, nb := range topo.Neighbors(leaf) {
+			if topo.Device(nb).Role == topology.RoleSpine {
+				return leaf, nb
+			}
+		}
+		return leaf, -1
+	})
+}
+
+// TestToRLeafFlipSoundAtScale is TestLeafSpineFlipSoundAtScale for the
+// operator's common event, one ToR–leaf failure.
+func TestToRLeafFlipSoundAtScale(t *testing.T) {
+	flipSoundAtScale(t, func(topo *topology.Topology) (topology.DeviceID, topology.DeviceID) {
+		return topo.ClusterToRs(1)[3], topo.ClusterLeaves(1)[2]
+	})
+}
+
+func flipSoundAtScale(t *testing.T, link func(*topology.Topology) (topology.DeviceID, topology.DeviceID)) {
+	for _, n := range []int{520, 2008, 10000} {
 		t.Run(fmt.Sprintf("devices=%d", n), func(t *testing.T) {
-			leafSpineFlipSound(t, experiments.SizedParams("sound", n))
+			if n > 2008 && testing.Short() {
+				t.Skip("builds a 10 k-device datacenter")
+			}
+			flipSound(t, experiments.SizedParams("sound", n), link)
 		})
 	}
 }
 
-func leafSpineFlipSound(t *testing.T, p topology.Params) {
+// flipSound fails the link between the two devices link picks on a
+// warmed, table-cached validator and checks the blast radius the sweep
+// planned from against the derivation, which reaches the same facts
+// independently: the runs and rows outside the runs each device derives
+// before and after the failure — its next hops per class run, block and
+// prefix stretch — must differ only at prefixes inside the device's row
+// scope (sound). That costs the runs each device emits, so it runs at
+// every size. Up to 2008 devices the expanded FIB rows are compared too,
+// row by row. Then the revalidated report must render identically to a
+// from-scratch sweep of the failed fleet.
+func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (topology.DeviceID, topology.DeviceID)) {
 	topo := topology.MustNew(p)
 	facts := metadata.FromTopology(topo)
 	v := rcdc.Validator{Workers: 2}
@@ -48,15 +81,7 @@ func leafSpineFlipSound(t *testing.T, p topology.Params) {
 	prev.Generation = topo.Generation()
 	healthy := topo.Clone()
 
-	leaf := topo.ClusterLeaves(0)[0]
-	spine := topology.DeviceID(-1)
-	for _, nb := range topo.Neighbors(leaf) {
-		if topo.Device(nb).Role == topology.RoleSpine {
-			spine = nb
-			break
-		}
-	}
-	if !topo.FailLink(leaf, spine) {
+	if a, b := link(topo); !topo.FailLink(a, b) {
 		t.Fatal("FailLink failed")
 	}
 	rep, ds, err := v.Revalidate(prev, topo, facts, gen, cached, delta.Options{})
@@ -64,11 +89,13 @@ func leafSpineFlipSound(t *testing.T, p topology.Params) {
 		t.Fatal(err)
 	}
 	if ds.Full() {
-		t.Fatal("one leaf–spine failure planned a full sweep")
+		t.Fatal("one link failure planned a full sweep")
 	}
 
 	was, is := bgp.NewSynth(healthy, nil), bgp.NewSynth(topo, nil)
-	scoped := 0
+	prefixes := is.RunPrefixes()
+	tables := len(topo.Devices) <= 2008
+	scoped, moved := 0, 0
 	for id := range topo.Devices {
 		d := topology.DeviceID(id)
 		sc, dirty := ds.Scope(d)
@@ -78,24 +105,41 @@ func leafSpineFlipSound(t *testing.T, p topology.Params) {
 		if dirty {
 			scoped++
 		}
-		a, err := was.Table(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := is.Table(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range changedRows(a, b) {
+		inScope := func(r ipnet.Prefix, what string) {
+			t.Helper()
 			if _, in := slices.BinarySearchFunc(sc.Rows, r, ipnet.Prefix.Compare); !in {
-				t.Fatalf("device %s row %s changed outside its scope (dirty=%v, %d rows in scope)",
-					topo.Device(d).Name, r, dirty, len(sc.Rows))
+				t.Fatalf("device %s: %s %s moved outside its scope (dirty=%v, %d rows in scope)",
+					topo.Device(d).Name, what, r, dirty, len(sc.Rows))
 			}
+		}
+		a, b := was.TableRuns(d, nil), is.TableRuns(d, nil)
+		for _, st := range movedRuns(a.Runs, b.Runs) {
+			for pi := st[0]; pi < st[1]; pi++ {
+				inScope(prefixes[pi].Prefix, "run row")
+				moved++
+			}
+		}
+		for _, r := range changedRows(&fib.Table{Entries: a.Rows}, &fib.Table{Entries: b.Rows}) {
+			inScope(r, "row")
+		}
+		if !tables {
+			continue
+		}
+		ta, err := was.Table(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := is.Table(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range changedRows(ta, tb) {
+			inScope(r, "FIB row")
 		}
 	}
 
-	if scoped == 0 {
-		t.Fatalf("no device of the %d dirty is scoped to rows", ds.Count())
+	if scoped == 0 || moved == 0 {
+		t.Fatalf("%d devices of the %d dirty scoped to rows, %d (device × prefix) moved: the failure exercised nothing", scoped, ds.Count(), moved)
 	}
 
 	full, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
@@ -105,8 +149,47 @@ func leafSpineFlipSound(t *testing.T, p topology.Params) {
 	if got, want := renderReport(rep), renderReport(full); !bytes.Equal(got, want) {
 		t.Fatalf("revalidated report diverges from a full sweep:\n--- revalidated\n%s--- full\n%s", got, want)
 	}
-	t.Logf("%d devices: %d dirty after one leaf–spine failure (%d scoped to rows), %d violations",
-		len(topo.Devices), ds.Count(), scoped, rep.Failures)
+	t.Logf("%d devices: %d dirty after one link failure (%d scoped to rows), %d (device × prefix) moved, %d violations",
+		len(topo.Devices), ds.Count(), scoped, moved, rep.Failures)
+}
+
+// movedRuns returns the stretches of positions, ascending and disjoint,
+// where two run lists over one prefix list disagree: a position in a run
+// of one and not the other, or in runs of both with different next hops.
+func movedRuns(a, b []fib.Run) [][2]int {
+	var cuts []int
+	for _, rs := range [][]fib.Run{a, b} {
+		for _, r := range rs {
+			cuts = append(cuts, r.Lo, r.Hi)
+		}
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	// hops returns the next hops at position pi, advancing *rs past the
+	// runs that end before it; ok is false outside every run.
+	hops := func(rs *[]fib.Run, pi int) ([]topology.DeviceID, bool) {
+		for len(*rs) > 0 && (*rs)[0].Hi <= pi {
+			*rs = (*rs)[1:]
+		}
+		if len(*rs) > 0 && (*rs)[0].Lo <= pi {
+			return (*rs)[0].NextHops, true
+		}
+		return nil, false
+	}
+	var out [][2]int
+	for i := 0; i+1 < len(cuts); i++ {
+		x, okx := hops(&a, cuts[i])
+		y, oky := hops(&b, cuts[i])
+		if okx == oky && slices.Equal(x, y) {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1][1] == cuts[i] {
+			out[n-1][1] = cuts[i+1]
+		} else {
+			out = append(out, [2]int{cuts[i], cuts[i+1]})
+		}
+	}
+	return out
 }
 
 // changedRows lists the prefixes whose row differs between two tables of
