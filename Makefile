@@ -45,8 +45,14 @@ bench-solver:
 # CI gate for incremental validation: after one leaf–spine or one ToR–leaf
 # failure at the 520-, 2008- and 10024-device shapes, every (device ×
 # prefix) whose derived next hops moved must lie inside its device's
-# computed scope and the revalidated report must render identically to a
-# full sweep (TestLeafSpineFlipSoundAtScale, TestToRLeafFlipSoundAtScale).
+# computed scope, the devices the scoped check puts in one class must agree
+# on everything their verdicts read (the class-soundness gate), and the
+# revalidated report must render identically to a full sweep
+# (TestLeafSpineFlipSoundAtScale, TestToRLeafFlipSoundAtScale). The class
+# key must tell apart devices that differ in any one ingredient
+# (TestRunClassKeysEachIngredient), and 300 ToR–leaf flips with no whole
+# pull must leave every cache slot at most one pending patch, with flat
+# mallocs per flip (TestPendingPatchesBounded).
 # The -benchmem leg locks the zero-allocation steady state: a warmed
 # sequential ValidateAll must report 0 allocs/op on both the trie and the
 # PEC engine (the companion test asserts the same via AllocsPerRun). The
@@ -61,6 +67,7 @@ bench-solver:
 # its cost.
 bench-smoke:
 	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale' -count=1 .
+	$(GO) test -run 'TestRunClass|TestPendingPatchesBounded' -count=1 ./internal/bgp
 	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .

@@ -3,6 +3,8 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dcvalidate/internal/delta"
@@ -335,10 +337,10 @@ func TestPendingPatchConcurrentPulls(t *testing.T) {
 	}
 }
 
-// TestPendingPatchesAccumulate: patches left pending by several refreshes
-// with no pull in between widen one another, and the pull that finally
-// applies them must equal a fresh synthesis — the default row and every
-// stretch any of the windows scoped, spliced in one pass.
+// TestPendingPatchesAccumulate: refreshes with no pull in between leave a
+// patch pending on a device and then evict it — a second patch is never
+// stacked on an unapplied one — and whichever the last refresh left, the
+// pull that finally comes must equal a fresh synthesis.
 func TestPendingPatchesAccumulate(t *testing.T) {
 	topo := topology.MustNew(topology.Params{
 		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
@@ -374,5 +376,90 @@ func TestPendingPatchesAccumulate(t *testing.T) {
 	}
 	if metricValue(reg, "dcv_bgp_synth_rows_patched_total") == 0 {
 		t.Fatal("no row was patched: the trials exercised nothing")
+	}
+}
+
+// TestPendingPatchesBounded: a scoped check pulls one device per class and
+// leaves the other devices' patches pending, so 300 ToR–leaf flips, each
+// on a ToR not flipped before, come with no pull of the whole fleet. An
+// unpulled slot must stay bounded — never more than one pending patch, a
+// ToR's prefixes — and so must the refresh: the mallocs of a flip, its blast
+// radius and the refresh over the last 100 flips within 1.25× those over
+// the first 100. The full pull
+// that follows must equal a fresh synthesis.
+func TestPendingPatchesBounded(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 10, ToRsPerCluster: 32, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 2,
+		PrefixesPerToR: 1,
+	})
+	cached := NewSynth(topo, nil)
+	cached.EnableTableCache()
+	reg := obs.NewRegistry()
+	cached.Metrics = NewMetrics(reg)
+	for id := range topo.Devices {
+		cached.TableRuns(topology.DeviceID(id), nil)
+	}
+	tors := topo.ToRs()
+	const flips = 300
+	// pullAsChecked pulls what a one-worker scoped check pulls: every dirty
+	// device RunClass does not cover for its scope's stretch, and the first
+	// of each class.
+	pullAsChecked := func(ds *delta.Set) {
+		var seen []fib.RunClass
+		for _, d := range ds.Devices() {
+			sc, _ := ds.Scope(d)
+			if !sc.Whole && !sc.Rows[0].IsDefault() {
+				sp := cached.spans(sc.Rows)
+				if c, ok := cached.RunClass(d, sp[0][0], sp[len(sp)-1][1]); ok {
+					if slices.Contains(seen, c) {
+						continue
+					}
+					seen = append(seen, c)
+				}
+			}
+			cached.TableRuns(d, nil)
+		}
+	}
+	var ms runtime.MemStats
+	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
+	var first, last uint64
+	for k := 0; k < flips; k++ {
+		if k == 0 || k == flips-100 {
+			runtime.GC()
+		}
+		before := mallocs()
+		since := topo.Generation()
+		tor := tors[k]
+		topo.FailLink(tor, topo.ClusterLeaves(topo.Device(tor).Cluster)[k%2])
+		ds := delta.Since(topo, since, delta.Options{})
+		cached.RefreshDelta(ds, since)
+		switch spent := mallocs() - before; {
+		case k < 100:
+			first += spent
+		case k >= flips-100:
+			last += spent
+		}
+		pullAsChecked(ds)
+		for d := range cached.cache {
+			if sl := &cached.cache[d]; sl.def || len(sl.spans) > 1 {
+				t.Fatalf("flip %d: device %s holds a pending patch of %d stretches (default row: %v), want at most one ToR's",
+					k, topo.Devices[d].Name, len(sl.spans), sl.def)
+			}
+		}
+	}
+	t.Logf("mallocs per flip and refresh: %.1f over the first 100 flips, %.1f over the last 100", float64(first)/100, float64(last)/100)
+	if float64(last) > 1.25*float64(first) {
+		t.Errorf("mallocs per flip and refresh grew from %d over the first 100 flips to %d over the last 100: unpulled slots are not bounded", first, last)
+	}
+	if metricValue(reg, "dcv_bgp_synth_tables_evicted_total") == 0 {
+		t.Fatal("no pending patch was evicted: the flips exercised nothing")
+	}
+	fresh := NewSynth(topo, nil)
+	for id := range topo.Devices {
+		d := topology.DeviceID(id)
+		if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+			t.Fatalf("device %s: runs after 300 flips diverge from fresh synthesis\n got %s\nwant %s", topo.Device(d).Name, got, want)
+		}
 	}
 }

@@ -143,11 +143,11 @@ type Synth struct {
 // the blast radius of the changes since the last Refresh, a device with a
 // row scope has exactly those rows re-derived in its runs — on its next
 // pull, by whichever worker pulls it (see slot) — and a device dirty as a
-// whole is evicted (everything is, if the radius is unbounded or the
-// journal was truncated). Call only on long-lived sources that serve
-// repeated incremental pulls, before the first pull; memory grows to one
-// table per distinct device pulled, a handful of runs each rather than a
-// row per hosted prefix.
+// whole, or still holding a patch no pull applied, is evicted (everything
+// is, if the radius is unbounded or the journal was truncated). Call only
+// on long-lived sources that serve repeated incremental pulls, before the
+// first pull; memory grows to one table per distinct device pulled, a
+// handful of runs each rather than a row per hosted prefix.
 func (s *Synth) EnableTableCache() {
 	s.cache = make([]slot, len(s.topo.Devices))
 	s.cacheGen = s.topo.Generation()
@@ -169,6 +169,9 @@ type slot struct {
 
 // evict drops the slot's runs and any patch pending on them.
 func (sl *slot) evict() { sl.ok, sl.rt, sl.def, sl.spans = false, fib.RunTable{}, false, nil }
+
+// pending reports whether a patch is pending on the slot's runs.
+func (sl *slot) pending() bool { return sl.def || len(sl.spans) > 0 }
 
 // NewSynth derives the synthesis state from the topology and configuration
 // as they stand — in O(devices + prefixes + links), after which Table is
@@ -612,12 +615,17 @@ func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
 	return delta.Since(s.topo, behind, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 }
 
-// syncCache applies a blast radius to the cache, after recompute: it evicts
+// syncCache applies a blast radius to the cache, after advance: it evicts
 // the cached devices dirty as a whole and leaves a patch pending on the
-// row-scoped ones, widening any patch already pending, in time set by the
-// dirty devices. Devices share scope slices (delta.Scope) — every device a
-// ToR–leaf flip scopes reads one ToR's prefixes — so each distinct scope is
-// planned once, not once per device.
+// row-scoped ones, in time set by the dirty devices. A row-scoped device
+// that still has a patch pending was not pulled since the last refresh —
+// a scoped check took its class's verdict instead (see rcdc.ClassSource) —
+// and is evicted rather than given a wider patch: an unpulled slot then
+// holds at most one patch, shared with the other devices of its scope, and
+// costs no allocation per refresh. Its next pull synthesizes it afresh.
+// Devices share scope slices (delta.Scope) — every device a ToR–leaf flip
+// scopes reads one ToR's prefixes — so each distinct scope is planned once,
+// not once per device.
 func (s *Synth) syncCache(dirty *delta.Set) {
 	if dirty == nil {
 		return
@@ -645,7 +653,7 @@ func (s *Synth) syncCache(dirty *delta.Set) {
 			continue
 		}
 		sc, _ := dirty.Scope(d)
-		if sc.Whole {
+		if sc.Whole || sl.pending() {
 			sl.evict()
 			evicted++
 			continue
@@ -655,35 +663,10 @@ func (s *Synth) syncCache(dirty *delta.Set) {
 			k = len(plans)
 			plans = append(plans, plan{&sc.Rows[0], len(sc.Rows), s.spans(sc.Rows)})
 		}
-		sl.def = sl.def || sc.Rows[0].IsDefault()
-		sl.spans = unionSpans(sl.spans, plans[k].spans)
+		sl.def, sl.spans = sc.Rows[0].IsDefault(), plans[k].spans
 		patched += len(sc.Rows)
 	}
 	s.Metrics.observeSync(patched, evicted)
-}
-
-// unionSpans returns the union of two ascending, disjoint span lists: b
-// itself when a is empty — plans are shared, never written — else a new
-// list.
-func unionSpans(a, b [][2]int) [][2]int {
-	if len(a) == 0 {
-		return b
-	}
-	out := make([][2]int, 0, len(a)+len(b))
-	for len(a) > 0 || len(b) > 0 {
-		var next [2]int
-		if len(b) == 0 || len(a) > 0 && a[0][0] <= b[0][0] {
-			next, a = a[0], a[1:]
-		} else {
-			next, b = b[0], b[1:]
-		}
-		if n := len(out); n > 0 && out[n-1][1] >= next[0] {
-			out[n-1][1] = max(out[n-1][1], next[1])
-			continue
-		}
-		out = append(out, next)
-	}
-	return out
 }
 
 // spans maps a scope's rows but the default onto the stretches [lo, hi) of
@@ -946,7 +929,7 @@ func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
 		sl.rt = s.synthRuns(d, nil)
 		sl.rt.Runs = slices.Clip(sl.rt.Runs)
 		sl.ok = true
-	case sl.def || len(sl.spans) > 0:
+	case sl.pending():
 		s.patch(&sl.rt, sl.def, sl.spans)
 		sl.def, sl.spans = false, nil
 	}
@@ -969,6 +952,54 @@ func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
 		return rt
 	}
 	return s.synthRuns(d, buf)
+}
+
+// RunClass returns the class of device d over positions [lo, hi) of
+// RunPrefixes (see fib.RunClass), read from the synthesis state in time
+// independent of the fleet: for a ToR whose own cluster's prefixes lie
+// outside the stretch, its cluster and direct mask (Bits: the planes whose
+// leaf it has a live session to); for such a leaf, its plane and live
+// spine set (Bits: the spines, by place within the plane). Outside its own
+// cluster a ToR forwards by its live leaves and their spine sets, which its
+// cluster and mask fix, and a leaf by its live spines; their default rows
+// follow from the same, and a ToR's connected rows lie in its own cluster.
+// So devices of one class have equal runs over the stretch, no other row
+// there and equal default rows — the same next-hop devices, not devices in
+// the same position. ok is false for spines and regional spines, for a
+// stretch that touches the device's own cluster, under any configuration
+// (rows are then derived one by one) and for a mask or set wider than
+// Bits.
+func (s *Synth) RunClass(d topology.DeviceID, lo, hi int) (c fib.RunClass, ok bool) {
+	dev := s.topo.Device(d)
+	if !s.fastAccept || lo >= hi || dev.Role != topology.RoleToR && dev.Role != topology.RoleLeaf {
+		return c, false
+	}
+	if clo, chi := s.clusterSpan(dev.Cluster); lo < chi && clo < hi {
+		return c, false
+	}
+	c.Role = dev.Role
+	if dev.Role == topology.RoleToR {
+		m := s.mask(d)
+		if len(m) > 64 {
+			return c, false
+		}
+		c.Group = dev.Cluster
+		for plane, live := range m {
+			if live {
+				c.Bits |= 1 << plane
+			}
+		}
+		return c, true
+	}
+	spp := s.topo.Params.SpinesPerPlane
+	if spp > 64 {
+		return c, false
+	}
+	c.Group = dev.Plane
+	for _, k := range s.leafSpines[d] {
+		c.Bits |= 1 << (k - dev.Plane*spp)
+	}
+	return c, true
 }
 
 // synthRuns synthesizes d's runs, appending them to buf[:0], in scratch

@@ -38,3 +38,16 @@ func (rt RunTable) Expand(prefixes []topology.HostedPrefix) *Table {
 	}
 	return t
 }
+
+// RunClass names the devices a source derives alike over a stretch of its
+// prefix list: in one state of the source, two devices of one class have
+// the same runs over the stretch, no other row there, and the same default
+// row — so checked against equal contracts there, they yield the same
+// violations but for the device they name. Group and Bits mean what the
+// source says they mean (see bgp.Synth.RunClass); Role keeps the roles
+// apart.
+type RunClass struct {
+	Role  topology.Role
+	Group int
+	Bits  uint64
+}

@@ -336,3 +336,49 @@ func TestRevalidate(t *testing.T) {
 		t.Fatalf("truncated journal: full=%v failures=%d", ds.Full(), rep.Failures)
 	}
 }
+
+// TestClassMembersKeepTheirOwnContracts: the class a synthesizer answers
+// says how devices forward, not what the metadata expects of them. A ToR
+// whose expected uplinks were edited shares its cluster-mates' class but
+// not their contracts, so after a ToR–leaf flip elsewhere it must be
+// checked on its own — its report equal to a from-scratch sweep's, not its
+// representative's verdict relabeled — while its cluster-mates still take
+// the representative's.
+func TestClassMembersKeepTheirOwnContracts(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2,
+		PrefixesPerToR: 1,
+	})
+	facts := metadata.FromTopology(topo)
+	edited := facts.Device(topo.ClusterToRs(1)[2])
+	other := topo.ClusterLeaves(0)[1]
+	edited.Uplinks[1] = metadata.Neighbor{Device: other, Name: topo.Device(other).Name, Role: topology.RoleLeaf}
+	facts.NoteIntentChange()
+	gen := contracts.NewGenerator(facts)
+	gen.EnableMemo()
+	synth := bgp.NewSynth(topo, nil)
+	synth.EnableTableCache()
+	reg := obs.NewRegistry()
+	v := Validator{Workers: 1, Metrics: NewMetrics(reg)}
+	prev, _, err := v.Revalidate(nil, topo, facts, gen, synth, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.FailLink(topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0])
+	got, ds, err := v.Revalidate(prev, topo, facts, gen, synth, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&Validator{Workers: 1}).ValidateAll(facts, bgp.NewSynth(topo, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEquivalent(t, got, want)
+	// Cluster 1's ToRs are one class less the edited one, cluster 2's one
+	// class, the plane-0 leaves outside cluster 0 one class: 2 + 3 + 1
+	// members, with the edited ToR merged on its own.
+	if members := ds.Count() - int(v.Metrics.merged.Sum()); members != 6 {
+		t.Fatalf("%d of %d dirty devices took a class verdict, want 6", members, ds.Count())
+	}
+}

@@ -19,6 +19,7 @@ type Metrics struct {
 	runs          *obs.CounterVec // dcv_rcdc_validate_runs_total{mode}
 	dirty         *obs.Histogram  // dcv_rcdc_delta_dirty_devices
 	rechecked     *obs.Histogram  // dcv_rcdc_delta_contracts_checked
+	merged        *obs.Histogram  // dcv_rcdc_delta_classes
 	utilization   *obs.Gauge      // dcv_rcdc_worker_utilization_ratio
 	runsClean     *obs.Counter    // dcv_rcdc_runs_total{outcome="clean"}
 	runsExpanded  *obs.Counter    // dcv_rcdc_runs_total{outcome="expanded"}
@@ -45,6 +46,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Dirty-set size per delta validation run.", obs.SizeBuckets),
 		rechecked: r.Histogram("dcv_rcdc_delta_contracts_checked",
 			"Contracts re-checked per delta validation run.", obs.SizeBuckets),
+		merged: r.Histogram("dcv_rcdc_delta_classes",
+			"Dirty devices merged on their own per delta validation run: a representative per device class and worker, and each device no class covers.", obs.SizeBuckets),
 		utilization: r.Gauge("dcv_rcdc_worker_utilization_ratio",
 			"Sum of per-device check time over workers x run wall time, last run."),
 	}
@@ -81,13 +84,16 @@ func (m *Metrics) observeRun(mode string, rep *Report, dirty int, busy time.Dura
 	m.utilization.Set(util)
 }
 
-// observeRecheck records how many contracts a delta run actually
-// re-checked: all of a whole device's, the scoped few of a row-scoped one.
-func (m *Metrics) observeRecheck(contracts int) {
+// observeDelta records how many contracts a delta run re-checked — all of
+// a whole device's, the scoped few of a row-scoped one, a representative's
+// again for each device taking its verdict — and how many dirty devices it
+// checked on their own rather than by class.
+func (m *Metrics) observeDelta(contracts, merged int) {
 	if m == nil {
 		return
 	}
 	m.rechecked.Observe(float64(contracts))
+	m.merged.Observe(float64(merged))
 }
 
 // observeRuns records the segments of one device's runs check.

@@ -37,7 +37,10 @@ func (c clockedSynth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable
 // TestRevalidateTraceStagesNest: a traced Revalidate records one
 // rcdc.Revalidate span whose children — window, refresh and check, in that
 // order — nest inside it, follow one another and sum to no more than it;
-// refresh and check take the time their stages advanced the clock by.
+// refresh and check take the time their stages advanced the clock by. The
+// check pulls the devices it merges on its own (see checkRuns) — one per
+// class of ToRs or leaves outside the flipped ToR's cluster, and every
+// other dirty device — and no other.
 func TestRevalidateTraceStagesNest(t *testing.T) {
 	topo := topology.MustNew(topology.Params{
 		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
@@ -100,8 +103,19 @@ func TestRevalidateTraceStagesNest(t *testing.T) {
 	if got := stages[1].Duration(); got != 3*time.Millisecond {
 		t.Errorf("refresh took %v, want the 3ms it advanced the clock by", got)
 	}
-	if got, want := stages[2].Duration(), time.Duration(ds.Count())*time.Microsecond; got != want {
-		t.Errorf("check took %v, want %v: one pull per dirty device", got, want)
+	// The flip dirties the ToR whole and every other ToR, the plane-0
+	// leaves, the plane-0 spines and the regional spines in the ToR's rows.
+	// Outside cluster 0 a cluster's ToRs, all healthy, are one class, and
+	// so are the plane-0 leaves: their spine sets are whole.
+	p := topo.Params
+	others := p.Clusters - 1
+	classes := others + 1
+	unclassed := p.ToRsPerCluster + 1 + p.SpinesPerPlane + p.RegionalSpines // cluster 0's ToRs and leaf, spines, regional spines
+	if dirty := others*(p.ToRsPerCluster+1) + unclassed; ds.Count() != dirty {
+		t.Fatalf("%d dirty devices, want %d", ds.Count(), dirty)
+	}
+	if got, want := stages[2].Duration(), time.Duration(classes+unclassed)*time.Microsecond; got != want {
+		t.Errorf("check took %v, want %v: one pull per class and per unclassed device", got, want)
 	}
 }
 
@@ -214,7 +228,10 @@ func deepDeviceRuns(dr contracts.DeviceRuns) contracts.DeviceRuns {
 // stage — window (the blast radius), refresh (the source's RefreshDelta)
 // and check (the scoped sweep and splice) — in µs. The event fails the
 // class's link (or shuts its session) on even iterations and restores it
-// on odd ones.
+// on odd ones. Two more events, untimed and on a validator with metrics,
+// give the devices an event dirties (dirty) and those its check merges on
+// their own (classes: a representative per device class and worker, and
+// every device no class covers; the rest take a representative's verdict).
 func BenchmarkRevalidateStages(b *testing.B) {
 	p := topology.Params{
 		Name: "stages", ToRsPerCluster: 40, LeavesPerCluster: 8, SpinesPerPlane: 4,
@@ -249,17 +266,22 @@ func BenchmarkRevalidateStages(b *testing.B) {
 			if !ok {
 				b.Fatal("no such link")
 			}
-			stages := map[string][]time.Duration{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			event := func(i int) *delta.Set {
 				if ev.session {
 					topo.SetSessionUp(l.ID, i%2 == 1)
 				} else {
 					topo.SetLinkUp(l.ID, i%2 == 1)
 				}
-				if rep, _, err = v.Revalidate(rep, topo, facts, gen, synth, delta.Options{}); err != nil {
+				var ds *delta.Set
+				if rep, ds, err = v.Revalidate(rep, topo, facts, gen, synth, delta.Options{}); err != nil {
 					b.Fatal(err)
 				}
+				return ds
+			}
+			stages := map[string][]time.Duration{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				event(i)
 				b.StopTimer()
 				spans := tr.Spans()
 				for _, sp := range spans {
@@ -269,11 +291,16 @@ func BenchmarkRevalidateStages(b *testing.B) {
 				}
 				b.StartTimer()
 			}
+			b.StopTimer()
 			for _, name := range []string{"window", "refresh", "check"} {
 				d := stages[name]
 				slices.Sort(d)
 				b.ReportMetric(float64(d[len(d)/2].Nanoseconds())/1e3, name+"-µs")
 			}
+			v.Metrics = NewMetrics(obs.NewRegistry())
+			dirty := event(b.N).Count() + event(b.N+1).Count()
+			b.ReportMetric(float64(dirty)/2, "dirty")
+			b.ReportMetric(v.Metrics.merged.Sum()/2, "classes")
 		})
 	}
 }

@@ -29,6 +29,18 @@ type RunSource interface {
 	TableRuns(dev topology.DeviceID, buf []fib.Run) fib.RunTable
 }
 
+// ClassSource is a RunSource that can also name the devices it derives
+// alike over a stretch of its prefix list (fib.RunClass): a scoped check
+// merges the runs of one device per class and scope on each worker, the
+// class's representative, and hands the others its verdict (see
+// checkRuns). RunClass must answer from the state TableRuns derives from
+// and in time independent of the fleet; ok is false for a device or
+// stretch it cannot vouch for, which is then checked on its own.
+type ClassSource interface {
+	RunSource
+	RunClass(dev topology.DeviceID, lo, hi int) (c fib.RunClass, ok bool)
+}
+
 // newSweep sets up a sweep, with runs when the source offers them, the
 // checker is the trie checker and the runs' prefix list is a flat address
 // plan (ascending, pairwise disjoint: no row at one position can read
@@ -53,6 +65,7 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 		}
 	}
 	s.runs, s.prefixes, s.exact = rs, ps, trie.Exact
+	s.classes, _ = source.(ClassSource)
 	return s
 }
 
@@ -76,10 +89,19 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 // kinds of runs are read in place: the source's and the generator's own,
 // when they keep them. It returns the report and the number of contracts
 // checked.
+//
+// A scoped check without the default row on a ClassSource goes by class:
+// the first device of a (class, scope) on the worker is merged as above,
+// and its fresh violations are kept (see sweepBuf.classes); a later device
+// of the same class and scope whose contract runs over the scope's stretch
+// equal the representative's is not pulled at all — its verdicts are the
+// representative's, relabeled to it, spliced into its own previous report.
+// Those are the violations its own merge would find: the class fixes the
+// table runs, the other rows and the default row it reads, the contract
+// runs are compared, and a violation says nothing else of its device. Such
+// a member reads no clock: its Elapsed is zero.
 func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
 	start := buf.start(s.v.Clock)
-	rt := s.runs.TableRuns(id, buf.tableRuns)
-	buf.tableRuns = rt.Runs
 	cr := s.gen.Runs(id, buf.contractRuns)
 	buf.contractRuns = cr.Runs
 
@@ -91,6 +113,23 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 		prev = nil
 		buf.spans = spans
 	}
+	var class fib.RunClass
+	var stretch span // from the scope's first position to its last
+	classed := false
+	if prev != nil && !withDefault && len(spans) > 0 && s.classes != nil {
+		stretch = span{spans[0].lo, spans[len(spans)-1].hi}
+		if class, classed = s.classes.RunClass(id, stretch.lo, stretch.hi); classed {
+			if cv, ok := buf.class(class, scope); ok {
+				if sameRunsIn(cv.contractRuns, cr.Runs, stretch) {
+					return s.member(id, buf, prev, cv), cv.checked, nil
+				}
+				classed = false // a contract differs: checked on its own, not kept
+			}
+		}
+	}
+
+	rt := s.runs.TableRuns(id, buf.tableRuns)
+	buf.tableRuns = rt.Runs
 	tr, err := window(rt.Runs, spans, len(ps))
 	if err != nil {
 		return DeviceReport{}, 0, fmt.Errorf("rcdc: device %d: %w", id, err)
@@ -193,19 +232,102 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 	}
 	rep.Violations = fresh
 	if prev != nil {
-		rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
-			if c.Kind == contracts.Default {
-				return withDefault
-			}
-			lo, _ := s.overlapRun(c.Prefix)
-			k := sort.Search(len(buf.spans), func(k int) bool { return buf.spans[k].hi > lo })
-			return k < len(buf.spans) && buf.spans[k].lo <= lo
-		})
+		rep.Violations = splice(prev.Violations, fresh, id, s.redone(buf.spans, withDefault))
+	}
+	if classed {
+		buf.keep(classVerdict{class: class, scope: &scope[0], n: len(scope), fresh: fresh,
+			checked: n, clean: clean, expanded: expanded}, runsIn(cr.Runs, stretch))
 	}
 	rep.Elapsed = buf.end(s.v.Clock, start)
 	s.v.Metrics.observeDevice(&rep)
 	s.v.Metrics.observeRuns(clean, expanded)
 	return rep, n, nil
+}
+
+// member returns the report of a device that takes the verdict cv of its
+// class's representative: prev with the violations of the contracts in
+// the scope's spans replaced by cv's, relabeled to the device.
+func (s *sweep) member(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, cv *classVerdict) DeviceReport {
+	buf.members++
+	rep := *prev
+	rep.Violations = splice(prev.Violations, cv.fresh, id, s.redone(buf.spans, false))
+	rep.Elapsed = 0
+	s.v.Metrics.observeDevice(&rep)
+	s.v.Metrics.observeRuns(cv.clean, cv.expanded)
+	return rep
+}
+
+// redone returns whether a scoped check over spans, and the default
+// contract when withDefault, re-checked a contract.
+func (s *sweep) redone(spans []span, withDefault bool) func(*contracts.Contract) bool {
+	return func(c *contracts.Contract) bool {
+		if c.Kind == contracts.Default {
+			return withDefault
+		}
+		lo, _ := s.overlapRun(c.Prefix)
+		k := sort.Search(len(spans), func(k int) bool { return spans[k].hi > lo })
+		return k < len(spans) && spans[k].lo <= lo
+	}
+}
+
+// classVerdict is what a class representative's scoped check found (see
+// checkRuns): the class, the scope by its first row and length (devices
+// share scope slices), the representative's contract runs over the scope's
+// stretch, its fresh violations in contract order, and the contracts and
+// segments its merge checked.
+type classVerdict struct {
+	class                    fib.RunClass
+	scope                    *ipnet.Prefix
+	n                        int
+	contractRuns             []contracts.Run
+	fresh                    []Violation
+	checked, clean, expanded int
+}
+
+// class returns the worker's verdict for a class and scope, if it has one.
+// A worker meets a class's devices mostly one after the other, so the
+// verdict found last is tried first.
+func (buf *sweepBuf) class(c fib.RunClass, scope []ipnet.Prefix) (*classVerdict, bool) {
+	match := func(cv *classVerdict) bool { return cv.class == c && cv.scope == &scope[0] && cv.n == len(scope) }
+	if buf.lastClass < len(buf.classes) && match(&buf.classes[buf.lastClass]) {
+		return &buf.classes[buf.lastClass], true
+	}
+	for i := range buf.classes {
+		if match(&buf.classes[i]) {
+			buf.lastClass = i
+			return &buf.classes[i], true
+		}
+	}
+	return nil, false
+}
+
+// keep adds a representative's verdict, copying its contract runs: a
+// generator that does not memoize hands them out in the worker's buffer.
+func (buf *sweepBuf) keep(cv classVerdict, contractRuns []contracts.Run) {
+	at := len(buf.classRuns)
+	buf.classRuns = append(buf.classRuns, contractRuns...)
+	cv.contractRuns = buf.classRuns[at:]
+	buf.lastClass = len(buf.classes)
+	buf.classes = append(buf.classes, cv)
+}
+
+// runsIn returns the runs of an ascending, disjoint list that overlap the
+// positions of st.
+func runsIn(runs []contracts.Run, st span) []contracts.Run {
+	i := sort.Search(len(runs), func(k int) bool { return runs[k].Hi > st.lo })
+	j := i
+	for j < len(runs) && runs[j].Lo < st.hi {
+		j++
+	}
+	return runs[i:j]
+}
+
+// sameRunsIn reports whether two devices' contract runs — a kept over st,
+// b whole — expect the same next hops at every position of st.
+func sameRunsIn(a, b []contracts.Run, st span) bool {
+	return slices.EqualFunc(a, runsIn(b, st), func(x, y contracts.Run) bool {
+		return max(x.Lo, st.lo) == max(y.Lo, st.lo) && min(x.Hi, st.hi) == min(y.Hi, st.hi) && slices.Equal(x.NextHops, y.NextHops)
+	})
 }
 
 // scoped returns the spans of positions a row scope can have moved verdicts

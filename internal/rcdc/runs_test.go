@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/classcheck"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
@@ -175,35 +176,64 @@ func checkRunsAgainstRows(t testing.TB, facts *metadata.Facts, src RunSource, ex
 // fleet then takes random scoped flips through a table-cached synth (see
 // checkScopedFlips).
 func FuzzRunsDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 1, 1, 0, 1, 3, 5, 7, 2, 9, 1, 0, 4, 2, 3, 5, 1, 0, 2, 2, 7, 3, 1})
-	f.Add([]byte{2, 3, 2, 1, 1, 2, 6, 0, 0, 1, 3, 1, 4, 2, 2, 0, 17, 3, 3, 9, 4, 5, 0, 5, 1, 2, 1, 0, 3, 2, 200, 6, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &fuzzBytes{data: data}
-		rs := 1 + r.intn(2)
-		topo, err := topology.New(topology.Params{
-			Clusters: 1 + r.intn(3), ToRsPerCluster: 1 + r.intn(4), LeavesPerCluster: 1 + r.intn(3),
-			SpinesPerPlane: 1 + r.intn(2), RegionalSpines: rs, RSLinksPerSpine: rs,
-			PrefixesPerToR: 1 + r.intn(2),
-		})
-		if err != nil {
-			t.Skip(err)
-		}
-		facts := metadata.FromTopology(topo)
-		for k := r.intn(5); k > 0; k-- {
-			id := topology.LinkID(r.intn(len(topo.Links)))
-			if r.intn(2) == 0 {
-				topo.SetLinkUp(id, false)
-			} else {
-				topo.SetSessionUp(id, false)
-			}
-		}
-		synth := bgp.NewSynth(topo, nil)
-		exact := r.intn(2) == 1
-		checkRunsAgainstRows(t, facts, synth, exact)
-		checkRunsAgainstRows(t, facts, editRuns(topo, synth, r), exact)
-		checkScopedFlips(t, topo, facts, r, exact)
+	for _, seed := range runsSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runsDifferential(t, data) })
+}
+
+// runsSeeds are FuzzRunsDifferential's committed seeds. The last builds
+// three clusters of four ToRs over two planes and flips a ToR–leaf link, so
+// its scoped check hands class verdicts to the ToRs and leaves of the other
+// clusters (TestRunsSeedsTakeMemberPath).
+var runsSeeds = [][]byte{
+	{},
+	{1, 2, 1, 1, 0, 1, 3, 5, 7, 2, 9, 1, 0, 4, 2, 3, 5, 1, 0, 2, 2, 7, 3, 1},
+	{2, 3, 2, 1, 1, 2, 6, 0, 0, 1, 3, 1, 4, 2, 2, 0, 17, 3, 3, 9, 4, 5, 0, 5, 1, 2, 1, 0, 3, 2, 200, 6, 1},
+	{1, 2, 3, 1, 1, 0, 175, 189, 109, 220, 8, 15, 29, 253},
+}
+
+// runsDifferential is one FuzzRunsDifferential input, returning how many
+// devices its scoped checks handed a class verdict.
+func runsDifferential(t *testing.T, data []byte) (members int) {
+	r := &fuzzBytes{data: data}
+	rs := 1 + r.intn(2)
+	topo, err := topology.New(topology.Params{
+		Clusters: 1 + r.intn(3), ToRsPerCluster: 1 + r.intn(4), LeavesPerCluster: 1 + r.intn(3),
+		SpinesPerPlane: 1 + r.intn(2), RegionalSpines: rs, RSLinksPerSpine: rs,
+		PrefixesPerToR: 1 + r.intn(2),
 	})
+	if err != nil {
+		t.Skip(err)
+	}
+	facts := metadata.FromTopology(topo)
+	for k := r.intn(5); k > 0; k-- {
+		id := topology.LinkID(r.intn(len(topo.Links)))
+		if r.intn(2) == 0 {
+			topo.SetLinkUp(id, false)
+		} else {
+			topo.SetSessionUp(id, false)
+		}
+	}
+	synth := bgp.NewSynth(topo, nil)
+	exact := r.intn(2) == 1
+	checkRunsAgainstRows(t, facts, synth, exact)
+	checkRunsAgainstRows(t, facts, editRuns(topo, synth, r), exact)
+	return checkScopedFlips(t, topo, facts, r, exact)
+}
+
+// TestRunsSeedsTakeMemberPath: FuzzRunsDifferential's committed seeds, and
+// so its CI run, reach the scoped check's member path — a device taking
+// its class representative's verdict — at least once.
+func TestRunsSeedsTakeMemberPath(t *testing.T) {
+	members := 0
+	for i, seed := range runsSeeds {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { members += runsDifferential(t, seed) })
+	}
+	if members == 0 {
+		t.Fatal("no seed's scoped checks handed a device its class's verdict")
+	}
+	t.Logf("%d devices took a class verdict", members)
 }
 
 // rowQueries hides a source's runs but answers row queries: ValidateScoped
@@ -213,15 +243,18 @@ type rowQueries struct{ RowSource }
 // checkScopedFlips drives the serving plane's path: random link and session
 // flips, each followed by a journal-driven refresh of a table-cached synth
 // and a scoped re-check. After every flip the patched cached runs must
-// equal freshly synthesized ones, and the scoped runs re-check, the scoped
-// row re-check and a from-scratch row sweep must render the same bytes.
-func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Facts, r *fuzzBytes, exact bool) {
+// equal freshly synthesized ones, the devices the synth puts in one class
+// for their scope must agree on everything their verdicts read
+// (classcheck.Check), and the scoped runs re-check, the scoped row
+// re-check and a from-scratch row sweep must render the same bytes. It
+// returns how many devices the runs re-checks handed a class verdict.
+func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Facts, r *fuzzBytes, exact bool) (members int) {
 	t.Helper()
 	cached := bgp.NewSynth(topo, nil)
 	cached.EnableTableCache()
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
-	v := Validator{Checker: TrieChecker{Exact: exact}, Workers: 1}
+	v := Validator{Checker: TrieChecker{Exact: exact}, Workers: 1, Metrics: NewMetrics(obs.NewRegistry())}
 	prevRuns, err := v.ValidateAll(facts, cached)
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +281,15 @@ func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Fac
 				t.Fatalf("device %d: patched runs diverge from a fresh synthesis\n got %v\nwant %v", d, got, want)
 			}
 		}
+		if _, _, err := classcheck.Check(topo, cached, fresh, gen, ds); err != nil {
+			t.Fatalf("class soundness: %v", err)
+		}
+		dirty, merged := v.Metrics.dirty.Sum(), v.Metrics.merged.Sum()
 		gotRuns, err := v.ValidateScoped(prevRuns, facts, gen, cached, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
+		members += int((v.Metrics.dirty.Sum() - dirty) - (v.Metrics.merged.Sum() - merged))
 		gotRows, err := v.ValidateScoped(prevRows, facts, gen, rowQueries{cached}, ds)
 		if err != nil {
 			t.Fatal(err)
@@ -269,6 +307,7 @@ func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Fac
 		}
 		prevRuns, prevRows = gotRuns, gotRows
 	}
+	return members
 }
 
 // TestRunsPathDecidesCleanRunsOnce pins that a synthesized fleet is

@@ -183,6 +183,7 @@ type sweep struct {
 	runs     RunSource               // nil: check tables row by row
 	prefixes []topology.HostedPrefix // the list runs index
 	exact    bool                    // the trie checker's Exact
+	classes  ClassSource             // nil: every scoped device merged on its own
 }
 
 // sweepBuf is one worker's buffers, reused from device to device: nothing
@@ -202,6 +203,14 @@ type sweepBuf struct {
 		n     int
 		spans []span
 	}
+	// classes holds the verdicts of the class representatives the worker
+	// merged (see checkRuns), classes[lastClass] the one found last;
+	// classRuns backs their contract runs, and members counts the devices
+	// that took a verdict.
+	classes   []classVerdict
+	classRuns []contracts.Run
+	lastClass int
+	members   int
 	// mark is when the worker's last device check ended, zero before its
 	// first: the next check starts there, so timing a device reads the
 	// clock once.
@@ -469,11 +478,13 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	}
 	rep.Elapsed = clock.Since(v.Clock, start)
 	var busy time.Duration
+	members := 0
 	for i := range bufs {
 		busy += bufs[i].busy
+		members += bufs[i].members
 	}
 	v.Metrics.observeRun("delta", rep, len(devs), busy)
-	v.Metrics.observeRecheck(int(checked.Load()))
+	v.Metrics.observeDelta(int(checked.Load()), len(devs)-members)
 	slices.SortFunc(failed, func(a, b indexedErr) int { return a.at - b.at })
 	errs := make([]error, len(failed))
 	for i, f := range failed {
@@ -603,7 +614,7 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 		return DeviceReport{}, 0, err
 	}
 	rep := *prev
-	rep.Violations = splice(prev.Violations, fresh, func(c *contracts.Contract) bool {
+	rep.Violations = splice(prev.Violations, fresh, dc.Device, func(c *contracts.Contract) bool {
 		_, ok := slices.BinarySearchFunc(sub, c, func(x contracts.Contract, c *contracts.Contract) int { return contractOrder(&x, c) })
 		return ok
 	})
@@ -655,21 +666,30 @@ func contractOrder(a, b *contracts.Contract) int {
 
 // splice merges fresh — the violations of the contracts redone says were
 // re-checked, in contract order — with old's violations of every other
-// contract, in contract order, into a new slice: old is shared with
-// earlier reports and never written.
-func splice(old, fresh []Violation, redone func(*contracts.Contract) bool) []Violation {
+// contract, in contract order, into a new slice, relabeling the fresh ones
+// to device dev (they may be a class representative's, see checkRuns): old
+// and fresh are shared with other reports and never written.
+func splice(old, fresh []Violation, dev topology.DeviceID, redone func(*contracts.Contract) bool) []Violation {
 	out := make([]Violation, 0, len(old)+len(fresh))
+	add := func(v Violation) {
+		v.Device, v.Contract.Device = dev, dev
+		out = append(out, v)
+	}
 	for k := range old {
 		o := &old[k]
 		if redone(&o.Contract) {
 			continue
 		}
 		for len(fresh) > 0 && contractOrder(&fresh[0].Contract, &o.Contract) < 0 {
-			out, fresh = append(out, fresh[0]), fresh[1:]
+			add(fresh[0])
+			fresh = fresh[1:]
 		}
 		out = append(out, *o)
 	}
-	if out = append(out, fresh...); len(out) == 0 {
+	for _, v := range fresh {
+		add(v)
+	}
+	if len(out) == 0 {
 		return nil
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/classcheck"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/experiments"
@@ -23,8 +24,9 @@ import (
 // After one leaf–spine failure on a warmed, table-cached validator, every
 // (device × prefix) whose derived next hops moved lies inside its device's
 // scope, and the revalidated report renders identically to a from-scratch
-// sweep of the failed fleet (see flipSound). The 10 k-device leg is
-// skipped under -short.
+// sweep of the failed fleet (see flipSound), and the devices that share a
+// class for their scope agree on everything their verdicts read. The
+// 10 k-device leg is skipped under -short.
 func TestLeafSpineFlipSoundAtScale(t *testing.T) {
 	flipSoundAtScale(t, func(topo *topology.Topology) (topology.DeviceID, topology.DeviceID) {
 		leaf := topo.ClusterLeaves(0)[0]
@@ -64,8 +66,11 @@ func flipSoundAtScale(t *testing.T, link func(*topology.Topology) (topology.Devi
 // prefix stretch — must differ only at prefixes inside the device's row
 // scope (sound). That costs the runs each device emits, so it runs at
 // every size. Up to 2008 devices the expanded FIB rows are compared too,
-// row by row. Then the revalidated report must render identically to a
-// from-scratch sweep of the failed fleet.
+// row by row. The devices the cached synthesizer puts in one class for
+// their scope's stretch — whose verdicts the scoped check hands from one to
+// the other — must have equal content keys there (classcheck.Check), by a
+// fresh synthesis. Then the revalidated report must render identically to
+// a from-scratch sweep of the failed fleet.
 func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (topology.DeviceID, topology.DeviceID)) {
 	topo := topology.MustNew(p)
 	facts := metadata.FromTopology(topo)
@@ -141,6 +146,13 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if scoped == 0 || moved == 0 {
 		t.Fatalf("%d devices of the %d dirty scoped to rows, %d (device × prefix) moved: the failure exercised nothing", scoped, ds.Count(), moved)
 	}
+	classes, members, err := classcheck.Check(topo, cached, is, gen, ds)
+	if err != nil {
+		t.Fatalf("class soundness: %v", err)
+	}
+	if members == 0 {
+		t.Fatalf("no device of the %d dirty shares a class with another: the class gate exercised nothing", ds.Count())
+	}
 
 	full, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
 	if err != nil {
@@ -149,8 +161,8 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if got, want := renderReport(rep), renderReport(full); !bytes.Equal(got, want) {
 		t.Fatalf("revalidated report diverges from a full sweep:\n--- revalidated\n%s--- full\n%s", got, want)
 	}
-	t.Logf("%d devices: %d dirty after one link failure (%d scoped to rows), %d (device × prefix) moved, %d violations",
-		len(topo.Devices), ds.Count(), scoped, moved, rep.Failures)
+	t.Logf("%d devices: %d dirty after one link failure (%d scoped to rows, %d of them in %d classes), %d (device × prefix) moved, %d violations",
+		len(topo.Devices), ds.Count(), scoped, classes+members, classes, moved, rep.Failures)
 }
 
 // movedRuns returns the stretches of positions, ascending and disjoint,
