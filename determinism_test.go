@@ -9,9 +9,12 @@ import (
 
 	"dcvalidate/internal/acl"
 	"dcvalidate/internal/clock"
+	"dcvalidate/internal/faulty"
 	"dcvalidate/internal/ipnet"
+	"dcvalidate/internal/monitor"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/secguru"
+	"dcvalidate/internal/topology"
 )
 
 // TestReportDeterminism locks the invariant DESIGN.md's "Determinism
@@ -22,14 +25,65 @@ import (
 // datacenter and asserts the rendered reports are byte-identical. Map
 // iteration order leaking into any of these (the class of bug the
 // mapiter analyzer flags, e.g. the RIB-In delivery order in the BGP
-// simulator) shows up here as a flaky diff.
+// simulator) shows up here as a flaky diff. The monitoring leg runs a
+// faulted monitor instance twice at four workers and once at one: its
+// analytics stream and per-cycle errors must not depend on goroutine
+// scheduling.
 func TestReportDeterminism(t *testing.T) {
-	first := renderFullRun(t)
-	second := renderFullRun(t)
+	sameBytes(t, "reports", renderFullRun(t), renderFullRun(t))
+	par := renderMonitorRun(t, 4)
+	sameBytes(t, "monitor runs at 4 workers", par, renderMonitorRun(t, 4))
+	sameBytes(t, "monitor runs at 4 and 1 workers", par, renderMonitorRun(t, 1))
+}
+
+func sameBytes(t *testing.T, what string, first, second []byte) {
+	t.Helper()
 	if !bytes.Equal(first, second) {
-		t.Fatalf("reports differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s",
-			firstDiffWindow(first, second), firstDiffWindow(second, first))
+		t.Fatalf("%s differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s",
+			what, firstDiffWindow(first, second), firstDiffWindow(second, first))
 	}
+}
+
+// renderMonitorRun runs three monitoring cycles over a 4-cluster
+// datacenter with a failed link, transient pull failures, one dead device
+// and corrupt table documents, on a virtual clock, and renders each
+// cycle's counts and errors, then the analytics stream, in order.
+func renderMonitorRun(t *testing.T, workers int) []byte {
+	t.Helper()
+	topo := topology.MustNew(topology.Params{
+		Name: "det", Clusters: 4, ToRsPerCluster: 4, LeavesPerCluster: 4,
+		SpinesPerPlane: 1, RegionalSpines: 2, RSLinksPerSpine: 1,
+	})
+	topo.FailLink(topo.ToRs()[0], topo.ClusterLeaves(0)[0])
+	dc := monitor.NewDatacenter("det", topo, nil)
+	fs := &faulty.Source{Inner: dc.Source, Seed: 7, TransientRate: 0.2, CorruptRate: 0.1}
+	fs.KillDevice(topo.ToRs()[5])
+	dc.Source = fs
+	in := monitor.NewInstance("det", dc)
+	in.Workers = workers
+	in.SkipUnchanged = true
+	in.Clock = clock.NewVirtual(time.Date(2019, 8, 19, 0, 0, 0, 0, time.UTC))
+
+	var buf bytes.Buffer
+	for c := 0; c < 3; c++ {
+		st, err := in.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "== cycle %d: %d devices, %d violations, %d skipped, %d pull failures, %d stale, %d unmonitored ==\n",
+			st.Cycle, st.Devices, st.Violations, st.Skipped, st.PullFailures, st.StaleDevices, st.Unmonitored)
+		for _, err := range st.Errs {
+			fmt.Fprintf(&buf, "error %v\n", err)
+		}
+	}
+	for _, r := range in.Analytics.Query(func(*monitor.Record) bool { return true }) {
+		fmt.Fprintf(&buf, "record cycle %d %s/%d %s stale=%v unmonitored=%v\n",
+			r.Cycle, r.Datacenter, r.Device, r.Name, r.Stale, r.Unmonitored)
+		for _, v := range r.Violations {
+			fmt.Fprintf(&buf, "  %s\n", v)
+		}
+	}
+	return buf.Bytes()
 }
 
 // renderFullRun builds a Figure 3 datacenter with a failed link and a

@@ -14,6 +14,7 @@ import (
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/monitor"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/topology"
 )
@@ -50,7 +51,8 @@ type Options struct {
 	// Exact extends the exact-ECMP-set requirement to specific contracts.
 	Exact bool
 	// Workers is the number of parallel scenario workers, each with its
-	// own topology clone and FIB source (0 = GOMAXPROCS).
+	// own topology clone and FIB source (0 = GOMAXPROCS); no more are
+	// built than there are class representatives.
 	Workers int
 	// Clock times the run; nil means the system clock.
 	Clock clock.Clock
@@ -282,47 +284,12 @@ func (e *Explorer) Run() (*Result, error) {
 		}
 	}
 
-	nw := o.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-
-	workers := make([]*worker, nw)
-	for i := range workers {
-		w, err := newWorker(e, blasts)
-		if err != nil {
-			return nil, err
-		}
-		workers[i] = w
-	}
-
-	jobs := make(chan job, nw)
-	outs := make(chan outcome, nw)
-	done := make(chan struct{})
-	var outcomes []outcome
-	go func() {
-		for out := range outs {
-			outcomes = append(outcomes, out)
-		}
-		close(done)
-	}()
-	idle := make(chan struct{}, nw)
-	for _, w := range workers {
-		w := w
-		go func() {
-			for j := range jobs {
-				outs <- w.process(j)
-			}
-			idle <- struct{}{}
-		}()
-	}
-
 	// Enumerate k-subsets in lexicographic order. The first-encountered
 	// member of each orbit is therefore the lexicographically minimal one;
 	// it becomes the class representative and the rest of the orbit is
 	// marked seen and skipped.
+	var jobs []job
 	seen := make(map[string]bool)
-	explored := 0
 	var pruned uint64
 	sel := make([]Fault, 0, k)
 	var enumerate func(fromIdx, size int)
@@ -342,8 +309,7 @@ func (e *Explorer) Run() (*Result, error) {
 				pruned += uint64(weight - 1)
 				o.Metrics.observePruned(weight - 1)
 			}
-			explored++
-			jobs <- job{faults: append([]Fault(nil), sel...), weight: weight}
+			jobs = append(jobs, job{faults: append([]Fault(nil), sel...), weight: weight})
 			return
 		}
 		for i := fromIdx; i <= len(universe)-size; i++ {
@@ -355,19 +321,29 @@ func (e *Explorer) Run() (*Result, error) {
 	for s := lo; s <= k; s++ {
 		enumerate(0, s)
 	}
-	close(jobs)
-	for i := 0; i < nw; i++ {
-		<-idle
-	}
-	close(outs)
-	<-done
-
-	res.Explored = explored
+	res.Explored = len(jobs)
 	res.Pruned = pruned
-	if got := uint64(explored) + pruned; got != res.Total {
+	if got := uint64(len(jobs)) + pruned; got != res.Total {
 		return nil, fmt.Errorf("explore: class accounting diverged: %d explored + %d pruned != %d total",
-			explored, pruned, res.Total)
+			len(jobs), pruned, res.Total)
 	}
+
+	nw := o.Workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	workers := make([]*worker, min(nw, len(jobs)))
+	for i := range workers {
+		w, err := newWorker(e, blasts)
+		if err != nil {
+			return nil, err
+		}
+		workers[i] = w
+	}
+	outcomes := make([]outcome, len(jobs))
+	par.For(len(jobs), len(workers), func(w, i int) {
+		outcomes[i] = workers[w].process(jobs[i])
+	})
 
 	seenMin := make(map[string]bool)
 	var traces *TraceStats

@@ -207,6 +207,18 @@ func TestOrderedPOR(t *testing.T) {
 	if res.Traces.Canonical >= res.Explored*2 {
 		t.Fatalf("POR reduced nothing: %d canonical for %d classes", res.Traces.Canonical, res.Explored)
 	}
+
+	// One worker explores the same classes into the same Result.
+	seq := &Explorer{Topo: topo, Opts: ex.Opts}
+	seq.Opts.Workers = 1
+	one, err := seq.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Elapsed, res.Elapsed = 0, 0
+	if !reflect.DeepEqual(one, res) {
+		t.Fatalf("Workers 1 and 4 disagree:\n%+v\n%+v", one, res)
+	}
 }
 
 func TestAccountingInvariant(t *testing.T) {

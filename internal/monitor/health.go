@@ -43,20 +43,58 @@ func (e DeviceError) Error() string {
 
 func (e DeviceError) Unwrap() error { return e.Err }
 
+// deviceKey indexes a device's state: datacenter name and device ID.
+type deviceKey struct {
+	dc  string
+	dev topology.DeviceID
+}
+
+// deviceState is one device's monitoring state across cycles: its health
+// and, once it has validated, its last fresh result with the hash of the
+// documents that result was computed from.
+type deviceState struct {
+	health    DeviceHealth
+	last      Record
+	hash      uint64
+	validated bool
+}
+
+// state returns the device's state, creating it on first observation.
+func (in *Instance) state(dc string, dev topology.DeviceID) *deviceState {
+	k := deviceKey{dc, dev}
+	d := in.devices[k]
+	if d == nil {
+		if in.devices == nil {
+			in.devices = make(map[deviceKey]*deviceState)
+		}
+		d = &deviceState{}
+		in.devices[k] = d
+	}
+	return d
+}
+
+// carry re-ingests the device's last fresh result re-stamped at this
+// cycle, flagged stale when this cycle's observation failed, and returns
+// its violation count. It is the one carry-forward: a SkipUnchanged hit, a
+// device outside an incremental cycle's plan, and a failed device within
+// its staleness bound all take it.
+func (in *Instance) carry(d *deviceState, stale bool) int {
+	rec := d.last
+	rec.Cycle = in.cycle
+	rec.Stale = stale
+	in.Analytics.Ingest(rec)
+	return len(rec.Violations)
+}
+
 // noteFailure records one failed device observation: it advances the
 // consecutive-failure count, carries the last-known-good result forward
 // (flagged stale) while within the staleness bound, and past the failure
 // threshold marks the device Unmonitored and emits the telemetry-loss
-// record the alert tracker and triage escalate. Callers hold the
-// validator's stats lock.
+// record the alert tracker and triage escalate.
 func (in *Instance) noteFailure(vs *ValidateStats, dcName string, dev topology.DeviceID, err error) {
 	vs.Errs = append(vs.Errs, err)
-	key := memoKey(dcName, int32(dev))
-	h := in.health[key]
-	if h == nil {
-		h = &DeviceHealth{}
-		in.health[key] = h
-	}
+	d := in.state(dcName, dev)
+	h := &d.health
 	h.ConsecutiveFailures++
 	h.LastErr = err
 	if h.ConsecutiveFailures >= in.maxConsecutive() {
@@ -69,41 +107,28 @@ func (in *Instance) noteFailure(vs *ValidateStats, dcName string, dev topology.D
 		})
 		return
 	}
-	if prev, ok := in.memo[key]; ok && h.LastGoodCycle > 0 && in.cycle-h.LastGoodCycle <= in.staleBound() {
-		rec := prev.record
-		rec.Cycle = in.cycle
-		rec.Stale = true
+	if d.validated && h.LastGoodCycle > 0 && in.cycle-h.LastGoodCycle <= in.staleBound() {
 		vs.Devices++
 		vs.Stale++
-		vs.Violations += len(rec.Violations)
-		in.Analytics.Ingest(rec)
+		vs.Violations += in.carry(d, true)
 	}
 }
 
 // noteSuccess resets a device's health after a successful observation
-// (fresh validation or an unchanged-document skip). Callers hold the
-// validator's stats lock.
-func (in *Instance) noteSuccess(key string) {
-	h := in.health[key]
-	if h == nil {
-		h = &DeviceHealth{}
-		in.health[key] = h
-	}
-	h.ConsecutiveFailures = 0
-	h.LastGoodCycle = in.cycle
-	h.Unmonitored = false
-	h.LastErr = nil
+// (fresh validation, an unchanged-document skip, or a carry-forward).
+func (in *Instance) noteSuccess(d *deviceState) {
+	d.health = DeviceHealth{LastGoodCycle: in.cycle}
 }
 
 // Health returns a snapshot of a device's health record. The zero value
 // (and ok=false) means the device has never been observed failing or
 // succeeding. Call between cycles; not synchronized with a running one.
 func (in *Instance) Health(dc string, dev topology.DeviceID) (DeviceHealth, bool) {
-	h, ok := in.health[memoKey(dc, int32(dev))]
+	d, ok := in.devices[deviceKey{dc, dev}]
 	if !ok {
 		return DeviceHealth{}, false
 	}
-	return *h, true
+	return d.health, true
 }
 
 // UnmonitoredDevices lists the devices currently past the failure
@@ -113,8 +138,8 @@ func (in *Instance) UnmonitoredDevices() []DeviceError {
 	for _, dc := range in.Datacenters {
 		for i := range dc.Facts.Devices {
 			dev := dc.Facts.Devices[i].ID
-			if h, ok := in.health[memoKey(dc.Name, int32(dev))]; ok && h.Unmonitored {
-				out = append(out, DeviceError{Datacenter: dc.Name, Device: dev, Err: h.LastErr})
+			if d, ok := in.devices[deviceKey{dc.Name, dev}]; ok && d.health.Unmonitored {
+				out = append(out, DeviceError{Datacenter: dc.Name, Device: dev, Err: d.health.LastErr})
 			}
 		}
 	}

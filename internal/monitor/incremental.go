@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
+
+	"dcvalidate/internal/par"
 )
 
 // Incremental validation: most devices' routing tables are identical from
@@ -13,14 +14,6 @@ import (
 // the previous result forward. This is the monitoring-loop analogue of the
 // incremental techniques the paper cites ([21], [50]) — cheap because the
 // store already holds the serialized documents.
-
-type deviceMemo struct {
-	hash   uint64
-	record Record
-}
-
-// memoKey identifies a device across cycles.
-func memoKey(dc string, dev int32) string { return contractsKey(dc, dev) }
 
 func hashDocs(docs ...[]byte) uint64 {
 	h := fnv.New64a()
@@ -64,15 +57,9 @@ func instName(i int) string { return fmt.Sprintf("instance-%d", i) }
 func (s *Service) RunCycle() ([]CycleStats, error) {
 	stats := make([]CycleStats, len(s.Instances))
 	errs := make([]error, len(s.Instances))
-	var wg sync.WaitGroup
-	for i, in := range s.Instances {
-		wg.Add(1)
-		go func(i int, in *Instance) {
-			defer wg.Done()
-			stats[i], errs[i] = in.RunCycle()
-		}(i, in)
-	}
-	wg.Wait()
+	par.For(len(s.Instances), len(s.Instances), func(_, i int) {
+		stats[i], errs[i] = s.Instances[i].RunCycle()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return stats, err

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
 	"dcvalidate/internal/bgp"
@@ -18,6 +19,7 @@ import (
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/topology"
 )
@@ -118,16 +120,14 @@ type Instance struct {
 
 	rng        *rand.Rand
 	cycle      int
-	memo       map[string]deviceMemo    // incremental-validation cache
-	health     map[string]*DeviceHealth // per-device liveness tracking
-	pullFailed []DeviceError            // latest pull pass's casualties
+	devices    map[deviceKey]*deviceState // per-device health and last result
+	pullFailed []DeviceError              // latest pull pass's casualties
 
 	// Incremental-cycle bookkeeping (see cyclePlan / carryForward).
 	lastGen        map[string]uint64 // per-DC topology generation at the last cycle's pull
 	lastFullSweep  int               // cycle number of the last full sweep
 	lastFactsGen   uint64            // summed facts generation at the last contract push
 	contractsTotal int               // contract count from the last push
-	observed       map[string]bool   // devices attempted (pulled) this cycle
 }
 
 // NewInstance creates a service instance with the §2.6.1 default latency
@@ -296,78 +296,61 @@ type PullStats struct {
 // failed after retries (also listed in PullStats.Failed); the pass itself
 // always completes.
 func (in *Instance) PullTables() (PullStats, error) {
-	return in.pullDevices(nil)
+	return in.pullDevices(in.fleet())
 }
 
-// pullDevices runs one pull pass over the planned device set (per-DC
-// device lists keyed by datacenter name; nil means every device of every
-// datacenter). Sources are always refreshed — derived converged state is
-// cheap to recompute and must reflect the live topology even for devices
-// outside the plan.
-func (in *Instance) pullDevices(plan map[string][]topology.DeviceID) (PullStats, error) {
+// target is one device a pass works on. Passes take their targets in
+// dispatch order: datacenter, then ascending device.
+type target struct {
+	dc  *Datacenter
+	dev topology.DeviceID
+}
+
+// fleet lists every device of every datacenter in dispatch order.
+func (in *Instance) fleet() []target {
+	var out []target
+	for _, dc := range in.Datacenters {
+		for i := range dc.Facts.Devices {
+			out = append(out, target{dc, dc.Facts.Devices[i].ID})
+		}
+	}
+	return out
+}
+
+// pullDevices runs one pull pass over targets. Sources are always
+// refreshed — derived converged state is cheap to recompute and must
+// reflect the live topology even for devices outside the pass.
+func (in *Instance) pullDevices(targets []target) (PullStats, error) {
 	for _, dc := range in.Datacenters {
 		if r, ok := dc.Source.(refresher); ok {
 			r.Refresh()
 		}
 	}
-	type job struct {
-		dc  *Datacenter
-		dev topology.DeviceID
-		rng *rand.Rand
-	}
-	var list []job
-	for _, dc := range in.Datacenters {
-		if plan != nil {
-			for _, dev := range plan[dc.Name] {
-				list = append(list, job{dc: dc, dev: dev})
-			}
-			continue
-		}
-		for i := range dc.Facts.Devices {
-			list = append(list, job{dc: dc, dev: dc.Facts.Devices[i].ID})
-		}
-	}
-	if in.observed != nil {
-		for _, j := range list {
-			in.observed[memoKey(j.dc.Name, int32(j.dev))] = true
-		}
-	}
-	// Pre-seed a per-job RNG in dispatch order: every latency and jitter
+	// Pre-seed a per-device RNG in dispatch order: every latency and jitter
 	// draw is then independent of worker scheduling, so ModeledPullTime is
 	// deterministic across runs for identical seeds.
-	for i := range list {
-		list[i].rng = rand.New(rand.NewSource(in.rng.Int63()))
+	rngs := make([]*rand.Rand, len(targets))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(in.rng.Int63()))
 	}
-	times := make([]time.Duration, len(list))
-	retries := make([]int, len(list))
-	fails := make([]error, len(list))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < in.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				j := list[idx]
-				times[idx], retries[idx], fails[idx] = in.pullOne(j.dc, j.dev, j.rng)
-			}
-		}()
-	}
-	for i := range list {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	times := make([]time.Duration, len(targets))
+	retries := make([]int, len(targets))
+	fails := make([]error, len(targets))
+	par.For(len(targets), in.workers(), func(_, i int) {
+		times[i], retries[i], fails[i] = in.pullOne(targets[i].dc, targets[i].dev, rngs[i])
+	})
 
 	var ps PullStats
 	var errs []error
-	for i, j := range list {
+	for i, t := range targets {
 		ps.Retries += retries[i]
 		if fails[i] != nil {
-			de := DeviceError{Datacenter: j.dc.Name, Device: j.dev, Err: fails[i]}
+			de := DeviceError{Datacenter: t.dc.Name, Device: t.dev, Err: fails[i]}
 			ps.Failed = append(ps.Failed, de)
 			errs = append(errs, de)
+			continue
 		}
+		in.Queue.Push(fmt.Sprintf("%s/%d", t.dc.Name, t.dev))
 	}
 	// The modeled wall time is the makespan of the per-device pull times
 	// over the worker pool (greedy least-loaded assignment in dispatch
@@ -393,8 +376,9 @@ func (in *Instance) pullDevices(plan map[string][]topology.DeviceID) (PullStats,
 
 // pullOne fetches one device's table under the virtual latency model,
 // retrying with exponential backoff + jitter, and stores the document on
-// success. It returns the modeled time spent (every attempt and backoff
-// counts, succeeded or not) and the retry count.
+// success (pullDevices posts the notification, in dispatch order). It
+// returns the modeled time spent (every attempt and backoff counts,
+// succeeded or not) and the retry count.
 func (in *Instance) pullOne(dc *Datacenter, dev topology.DeviceID, rng *rand.Rand) (spent time.Duration, retried int, err error) {
 	for attempt := 0; ; attempt++ {
 		lat := in.PullLatencyMin
@@ -432,8 +416,7 @@ func (in *Instance) pullOne(dc *Datacenter, dev topology.DeviceID, rng *rand.Ran
 	}
 }
 
-// storeTable serializes a pulled table into the store and notifies the
-// validator queue.
+// storeTable serializes a pulled table into the store.
 func (in *Instance) storeTable(dc *Datacenter, dev topology.DeviceID, tbl *fib.Table) error {
 	doc := tableDoc{}
 	for _, e := range tbl.Entries {
@@ -451,7 +434,6 @@ func (in *Instance) storeTable(dc *Datacenter, dev topology.DeviceID, tbl *fib.T
 		}
 	}
 	in.Store.Put("tables", tableKey(dc.Name, int32(dev)), raw)
-	in.Queue.Push(fmt.Sprintf("%s/%d", dc.Name, dev))
 	return nil
 }
 
@@ -470,26 +452,23 @@ type ValidateStats struct {
 // ValidateQueued is the routing table validator micro-service: it drains
 // the notification queue completely, loads each device's table and
 // contracts from the store, validates them, and pushes the results to the
-// analytics stream. Malformed messages and per-device failures (missing or
-// corrupt documents) are recorded and the rest keeps validating; failed
-// devices fall back to their last-known-good result (flagged stale) and
-// are escalated as Unmonitored once persistently failing. With
-// SkipUnchanged set, devices whose documents hash identically to their
-// last validated state are skipped and the previous result carried
-// forward (re-ingested under the current cycle). Devices reported failed
-// by the preceding PullTables pass are accounted here too, so they never
-// silently vanish from the cycle.
+// analytics stream in dispatch order (datacenter, then ascending device),
+// whatever order the notifications arrived in. Malformed messages and
+// per-device failures (missing or corrupt documents) are recorded and the
+// rest keeps validating; failed devices fall back to their last-known-good
+// result (flagged stale) and are escalated as Unmonitored once persistently
+// failing. With SkipUnchanged set, devices whose documents hash
+// identically to their last validated state are skipped and the previous
+// result carried forward (re-ingested under the current cycle). Devices
+// reported failed by the preceding PullTables pass are accounted here too,
+// so they never silently vanish from the cycle.
 func (in *Instance) ValidateQueued() (ValidateStats, error) {
-	dcByName := make(map[string]*Datacenter, len(in.Datacenters))
-	for _, dc := range in.Datacenters {
-		dcByName[dc.Name] = dc
-	}
-	type msgT struct {
-		dc  *Datacenter
-		dev topology.DeviceID
+	dcIndex := make(map[string]int, len(in.Datacenters))
+	for i, dc := range in.Datacenters {
+		dcIndex[dc.Name] = i
 	}
 	var vs ValidateStats
-	var msgs []msgT
+	var msgs []target
 	// Drain the queue fully even past malformed messages: a partial drain
 	// would leak messages into the next cycle and double-count devices.
 	for {
@@ -497,7 +476,7 @@ func (in *Instance) ValidateQueued() (ValidateStats, error) {
 		if !ok {
 			break
 		}
-		i := lastSlash(m)
+		i := strings.LastIndexByte(m, '/')
 		if i < 0 {
 			vs.Errs = append(vs.Errs, fmt.Errorf("monitor: bad message %q", m))
 			continue
@@ -507,86 +486,83 @@ func (in *Instance) ValidateQueued() (ValidateStats, error) {
 			vs.Errs = append(vs.Errs, fmt.Errorf("monitor: bad message %q", m))
 			continue
 		}
-		dc, ok := dcByName[m[:i]]
+		di, ok := dcIndex[m[:i]]
 		if !ok {
 			vs.Errs = append(vs.Errs, fmt.Errorf("monitor: unknown datacenter %q", m[:i]))
 			continue
 		}
-		msgs = append(msgs, msgT{dc, topology.DeviceID(dev)})
+		msgs = append(msgs, target{in.Datacenters[di], topology.DeviceID(dev)})
 	}
+	sort.SliceStable(msgs, func(a, b int) bool {
+		if da, db := dcIndex[msgs[a].dc.Name], dcIndex[msgs[b].dc.Name]; da != db {
+			return da < db
+		}
+		return msgs[a].dev < msgs[b].dev
+	})
 
-	if in.memo == nil {
-		in.memo = make(map[string]deviceMemo)
+	// Checks only read instance state, so they run in parallel; their
+	// effects (health, analytics, the last result) apply below, in order.
+	out := make([]checked, len(msgs))
+	par.For(len(msgs), in.workers(), func(_, i int) {
+		out[i] = in.check(msgs[i])
+	})
+	for i, m := range msgs {
+		c := &out[i]
+		if c.err != nil {
+			in.noteFailure(&vs, m.dc.Name, m.dev, c.err)
+			continue
+		}
+		d := in.state(m.dc.Name, m.dev)
+		vs.Devices++
+		if c.skip {
+			vs.Skipped++
+			vs.Violations += in.carry(d, false)
+		} else {
+			vs.Violations += len(c.rec.Violations)
+			in.Analytics.Ingest(c.rec)
+			d.last, d.hash, d.validated = c.rec, c.hash, true
+		}
+		in.noteSuccess(d)
 	}
-	if in.health == nil {
-		in.health = make(map[string]*DeviceHealth)
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, in.workers())
-	for _, m := range msgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(m msgT) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rawT, okT := in.Store.Get("tables", tableKey(m.dc.Name, int32(m.dev)))
-			rawC, okC := in.Store.Get("contracts", contractsKey(m.dc.Name, int32(m.dev)))
-			if !okT || !okC {
-				mu.Lock()
-				in.noteFailure(&vs, m.dc.Name, m.dev,
-					fmt.Errorf("monitor: missing documents for %s/%d", m.dc.Name, m.dev))
-				mu.Unlock()
-				return
-			}
-			key := memoKey(m.dc.Name, int32(m.dev))
-			h := hashDocs(rawT, rawC)
-			if in.SkipUnchanged {
-				mu.Lock()
-				prev, ok := in.memo[key]
-				mu.Unlock()
-				if ok && prev.hash == h {
-					rec := prev.record
-					rec.Cycle = in.cycle
-					mu.Lock()
-					vs.Devices++
-					vs.Skipped++
-					vs.Violations += len(rec.Violations)
-					in.Analytics.Ingest(rec)
-					in.noteSuccess(key)
-					mu.Unlock()
-					return
-				}
-			}
-			rep, verr := in.validateDocs(m.dc, m.dev, rawT, rawC)
-			mu.Lock()
-			defer mu.Unlock()
-			if verr != nil {
-				in.noteFailure(&vs, m.dc.Name, m.dev,
-					fmt.Errorf("monitor: validate %s/%d: %w", m.dc.Name, m.dev, verr))
-				return
-			}
-			rec := Record{
-				Cycle: in.cycle, Datacenter: m.dc.Name, Device: m.dev,
-				Name: rep.Name, Role: rep.Role, Violations: rep.Violations,
-			}
-			vs.Devices++
-			vs.Violations += len(rep.Violations)
-			in.Analytics.Ingest(rec)
-			in.memo[key] = deviceMemo{hash: h, record: rec}
-			in.noteSuccess(key)
-		}(m)
-	}
-	wg.Wait()
 	// Devices whose pull failed were never queued: account them here so
 	// they don't silently drop out of the cycle.
-	mu.Lock()
 	for _, f := range in.pullFailed {
 		in.noteFailure(&vs, f.Datacenter, f.Device, f)
 	}
 	in.pullFailed = nil
-	mu.Unlock()
 	return vs, errors.Join(vs.Errs...)
+}
+
+// checked is one device's outcome of a validate pass: a fresh record and
+// the hash of the documents it read, a skip (its last result still
+// holds), or the error that failed it.
+type checked struct {
+	rec  Record
+	hash uint64
+	skip bool
+	err  error
+}
+
+// check loads one device's documents from the store and validates them,
+// unless SkipUnchanged finds them hashing equal to its last result's.
+func (in *Instance) check(t target) checked {
+	rawT, okT := in.Store.Get("tables", tableKey(t.dc.Name, int32(t.dev)))
+	rawC, okC := in.Store.Get("contracts", contractsKey(t.dc.Name, int32(t.dev)))
+	if !okT || !okC {
+		return checked{err: fmt.Errorf("monitor: missing documents for %s/%d", t.dc.Name, t.dev)}
+	}
+	h := hashDocs(rawT, rawC)
+	if d := in.devices[deviceKey{t.dc.Name, t.dev}]; in.SkipUnchanged && d != nil && d.validated && d.hash == h {
+		return checked{skip: true}
+	}
+	rep, err := in.validateDocs(t.dc, t.dev, rawT, rawC)
+	if err != nil {
+		return checked{err: fmt.Errorf("monitor: validate %s/%d: %w", t.dc.Name, t.dev, err)}
+	}
+	return checked{hash: h, rec: Record{
+		Cycle: in.cycle, Datacenter: t.dc.Name, Device: t.dev,
+		Name: rep.Name, Role: rep.Role, Violations: rep.Violations,
+	}}
 }
 
 func (in *Instance) validateDocs(dc *Datacenter, dev topology.DeviceID, rawT, rawC []byte) (rcdc.DeviceReport, error) {
@@ -661,7 +637,6 @@ func (in *Instance) RunCycle() (CycleStats, error) {
 	for _, dc := range in.Datacenters {
 		gens[dc.Name] = dc.Topo.Generation()
 	}
-	in.observed = make(map[string]bool)
 	pullSp := sp.Child("monitor.pull")
 	ps, _ := in.pullDevices(plan)
 	pullSp.End()
@@ -678,11 +653,10 @@ func (in *Instance) RunCycle() (CycleStats, error) {
 	stats.StaleDevices = vs.Stale
 	stats.Unmonitored = vs.Unmonitored
 	stats.Errs = vs.Errs
-	stats.DirtyDevices = len(in.observed)
+	stats.DirtyDevices = len(plan)
 	if !full {
-		in.carryForward(&stats)
+		in.carryForward(&stats, plan)
 	}
-	in.observed = nil
 	stats.ValidateTime = clock.Since(in.Clock, start)
 	in.lastGen = gens
 	if full {
@@ -690,13 +664,4 @@ func (in *Instance) RunCycle() (CycleStats, error) {
 	}
 	in.Metrics.observeCycle(&stats, clock.Since(in.Clock, cycleStart))
 	return stats, nil
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -44,6 +44,10 @@ type SMTChecker struct {
 	// sequential path up to counterexample witness choice, which the
 	// trie-vs-SMT differential oracle is insensitive to. Semantics
 	// mirror Validator.Workers: 0 means GOMAXPROCS, 1 pins sequential.
+	// This is the one fan-out not on par.For, on purpose: a witness
+	// depends on which contracts share a solver session, so chunks
+	// claimed dynamically would make witnesses depend on scheduling; the
+	// contiguous per-worker split fixes each session's contracts.
 	Workers int
 	// Metrics, when non-nil, instruments every solver this checker
 	// creates (per-query conflicts/decisions/propagations and solve
