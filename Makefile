@@ -46,10 +46,16 @@ bench-solver:
 # failure at the 520-, 2008- and 10024-device shapes, every (device ×
 # prefix) whose derived next hops moved must lie inside its device's
 # computed scope, the devices the scoped check puts in one class must agree
-# on everything their verdicts read (the class-soundness gate), and the
-# revalidated report must render identically to a full sweep
-# (TestLeafSpineFlipSoundAtScale, TestToRLeafFlipSoundAtScale). The class
-# key must tell apart devices that differ in any one ingredient
+# on everything their verdicts read (the class-soundness gate), so must the
+# devices a full sweep of the failed fleet puts in one class around their
+# home (the gate's full-check mode), and the revalidated report must render
+# identically to a full sweep (TestLeafSpineFlipSoundAtScale,
+# TestToRLeafFlipSoundAtScale). The full-check gate is also armed on the
+# fleet_sweep benchmark's fleet with its 12 seeded faults, whose
+# class-collapsed sweep must render the bytes of one without classes
+# (TestSeededFaultSweepClassesSound), and must fail on classes that drop
+# one plane from a ToR's mask (internal/classcheck's mutation check). The
+# class key must tell apart devices that differ in any one ingredient
 # (TestRunClassKeysEachIngredient), and 300 ToR–leaf flips with no whole
 # pull must leave every cache slot at most one pending patch, with flat
 # mallocs per flip (TestPendingPatchesBounded).
@@ -66,7 +72,8 @@ bench-solver:
 # (TestLeafSpineFlipAllocsScaleWithDirty), and BenchmarkLinkFlip reports
 # its cost.
 bench-smoke:
-	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale' -count=1 .
+	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale|TestSeededFaultSweepClassesSound' -count=1 .
+	$(GO) test -count=1 ./internal/classcheck
 	$(GO) test -run 'TestRunClass|TestPendingPatchesBounded' -count=1 ./internal/bgp
 	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .

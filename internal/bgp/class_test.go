@@ -102,6 +102,29 @@ func TestRunClassCovers(t *testing.T) {
 	}
 }
 
+// TestHomeIsTheToRsCluster: a full check classes a ToR outside its own
+// cluster, whose stretch RunClass vouches for on both sides, and merges
+// every other role whole.
+func TestHomeIsTheToRsCluster(t *testing.T) {
+	topo := classFleet()
+	s := NewSynth(topo, nil)
+	d := tor(1, 2)(topo)
+	lo, hi, ok := s.Home(d)
+	if clo, chi := s.clusterSpan(1); !ok || lo != clo || hi != chi {
+		t.Fatalf("ToR of cluster 1: home [%d,%d) ok=%v, want its cluster [%d,%d)", lo, hi, ok, clo, chi)
+	}
+	for _, st := range [][2]int{{0, lo}, {hi, len(s.RunPrefixes())}} {
+		if _, ok := s.RunClass(d, st[0], st[1]); !ok {
+			t.Errorf("ToR of cluster 1: no class over [%d,%d), outside its home", st[0], st[1])
+		}
+	}
+	for _, d := range []topology.DeviceID{leaf(1, 0)(topo), topo.Spines()[0], topo.RegionalSpines()[0]} {
+		if _, _, ok := s.Home(d); ok {
+			t.Errorf("%s: has a home, want it merged whole", topo.Device(d).Name)
+		}
+	}
+}
+
 func tor(c, i int) func(*topology.Topology) topology.DeviceID {
 	return func(t *topology.Topology) topology.DeviceID { return t.ClusterToRs(c)[i] }
 }

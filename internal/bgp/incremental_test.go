@@ -240,7 +240,7 @@ func TestSynthCachePatchMatchesFresh(t *testing.T) {
 					t.Fatalf("trial %d: device %s: cached table diverges from fresh synthesis\n got %s\nwant %s",
 						trial, topo.Device(d).Name, got, want)
 				}
-				if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+				if got, want := fmt.Sprint(allRuns(cached, d)), fmt.Sprint(allRuns(fresh, d)); got != want {
 					t.Fatalf("trial %d: device %s: patched runs diverge from fresh synthesis\n got %s\nwant %s",
 						trial, topo.Device(d).Name, got, want)
 				}
@@ -293,7 +293,7 @@ func TestPendingPatchConcurrentPulls(t *testing.T) {
 	cached.EnableTableCache()
 	for trial := 0; trial < 4; trial++ {
 		for id := range topo.Devices { // warm: every device cached
-			cached.TableRuns(topology.DeviceID(id), nil)
+			allRuns(cached, topology.DeviceID(id))
 		}
 		tor, leaf := topo.ClusterToRs(trial % 3)[trial], topo.ClusterLeaves(trial % 3)[trial%2]
 		since := topo.Generation()
@@ -311,7 +311,7 @@ func TestPendingPatchConcurrentPulls(t *testing.T) {
 		fresh := NewSynth(topo, nil)
 		want := make([]string, len(topo.Devices))
 		for id := range topo.Devices {
-			want[id] = fmt.Sprint(fresh.TableRuns(topology.DeviceID(id), nil))
+			want[id] = fmt.Sprint(allRuns(fresh, topology.DeviceID(id)))
 		}
 		const pullers = 4
 		errs := make(chan error, pullers)
@@ -320,7 +320,7 @@ func TestPendingPatchConcurrentPulls(t *testing.T) {
 				for k := range topo.Devices {
 					id := (k + w*len(topo.Devices)/pullers) % len(topo.Devices)
 					for rep := 0; rep < 2; rep++ {
-						if got := fmt.Sprint(cached.TableRuns(topology.DeviceID(id), nil)); got != want[id] {
+						if got := fmt.Sprint(allRuns(cached, topology.DeviceID(id))); got != want[id] {
 							errs <- fmt.Errorf("trial %d: puller %d: device %s: got %s, want %s", trial, w, topo.Devices[id].Name, got, want[id])
 							return
 						}
@@ -354,7 +354,7 @@ func TestPendingPatchesAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		for id := range topo.Devices {
-			cached.TableRuns(topology.DeviceID(id), nil)
+			allRuns(cached, topology.DeviceID(id))
 		}
 		for refresh := 0; refresh < 1+rng.Intn(4); refresh++ {
 			lid := topology.LinkID(rng.Intn(len(topo.Links)))
@@ -368,7 +368,7 @@ func TestPendingPatchesAccumulate(t *testing.T) {
 		fresh := NewSynth(topo, nil)
 		for id := range topo.Devices {
 			d := topology.DeviceID(id)
-			if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+			if got, want := fmt.Sprint(allRuns(cached, d)), fmt.Sprint(allRuns(fresh, d)); got != want {
 				t.Fatalf("trial %d: device %s: runs after pending patches diverge from fresh synthesis\n got %s\nwant %s",
 					trial, topo.Device(d).Name, got, want)
 			}
@@ -398,7 +398,7 @@ func TestPendingPatchesBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	cached.Metrics = NewMetrics(reg)
 	for id := range topo.Devices {
-		cached.TableRuns(topology.DeviceID(id), nil)
+		allRuns(cached, topology.DeviceID(id))
 	}
 	tors := topo.ToRs()
 	const flips = 300
@@ -418,7 +418,7 @@ func TestPendingPatchesBounded(t *testing.T) {
 					seen = append(seen, c)
 				}
 			}
-			cached.TableRuns(d, nil)
+			allRuns(cached, d)
 		}
 	}
 	var ms runtime.MemStats
@@ -458,7 +458,7 @@ func TestPendingPatchesBounded(t *testing.T) {
 	fresh := NewSynth(topo, nil)
 	for id := range topo.Devices {
 		d := topology.DeviceID(id)
-		if got, want := fmt.Sprint(cached.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+		if got, want := fmt.Sprint(allRuns(cached, d)), fmt.Sprint(allRuns(fresh, d)); got != want {
 			t.Fatalf("device %s: runs after 300 flips diverge from fresh synthesis\n got %s\nwant %s", topo.Device(d).Name, got, want)
 		}
 	}

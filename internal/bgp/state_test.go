@@ -182,7 +182,7 @@ func FuzzSynthStateMatchesFresh(f *testing.F) {
 				fresh := NewSynth(topo, cfg)
 				for id := 0; traced && id < len(topo.Devices); id++ {
 					d := topology.DeviceID(id)
-					if got, want := fmt.Sprint(s.TableRuns(d, nil)), fmt.Sprint(fresh.TableRuns(d, nil)); got != want {
+					if got, want := fmt.Sprint(allRuns(s, d)), fmt.Sprint(allRuns(fresh, d)); got != want {
 						t.Fatalf("after op %d: device %s: runs\n got %s\nwant %s", i, topo.Device(d).Name, got, want)
 					}
 				}
@@ -266,7 +266,7 @@ func refreshBytes(t *testing.T, n int) uint64 {
 	s.EnableTableCache()
 	pullAll := func() {
 		for id := range topo.Devices {
-			s.TableRuns(topology.DeviceID(id), nil)
+			allRuns(s, topology.DeviceID(id))
 		}
 	}
 	pullAll()

@@ -704,13 +704,14 @@ func (s *Synth) spans(scope []ipnet.Prefix) [][2]int {
 func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int) {
 	d := rt.Device
 	dev := s.topo.Device(d)
+	buf := s.bufs.Get().(*runBuf)
+	defer s.bufs.Put(buf)
 	if def {
-		rt.Rows = s.rows(d, dev)
+		rt.Rows = s.appendRows(make([]fib.Entry, 0, len(dev.HostedPrefixes)+1), d, dev, buf)
 	}
 	if len(spans) == 0 {
 		return
 	}
-	buf := s.bufs.Get().(*runBuf)
 	s.begin(buf, d, dev)
 	buf.runs = buf.runs[:0]
 	for _, sp := range spans {
@@ -718,7 +719,6 @@ func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int) {
 	}
 	out := make([]fib.Run, 0, len(rt.Runs)+len(buf.runs)+len(spans))
 	rt.Runs = spliceRuns(out, rt.Runs, spans, buf.runs)
-	s.bufs.Put(buf)
 }
 
 // spliceRuns appends to out runs with what they say about the positions in
@@ -910,7 +910,7 @@ func (s *Synth) runTable(d topology.DeviceID) fib.RunTable {
 	if rt, ok := s.cached(d); ok {
 		return rt
 	}
-	return s.synthRuns(d, nil)
+	return s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{})
 }
 
 // cached returns d's cached runs — shared, read only — synthesizing and
@@ -926,8 +926,8 @@ func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
 	s.Metrics.observeCache(sl.ok)
 	switch {
 	case !sl.ok:
-		sl.rt = s.synthRuns(d, nil)
-		sl.rt.Runs = slices.Clip(sl.rt.Runs)
+		sl.rt = s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{})
+		sl.rt.Rows, sl.rt.Runs = slices.Clip(sl.rt.Rows), slices.Clip(sl.rt.Runs)
 		sl.ok = true
 	case sl.pending():
 		s.patch(&sl.rt, sl.def, sl.spans)
@@ -941,17 +941,34 @@ func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
 func (s *Synth) RunPrefixes() []topology.HostedPrefix { return s.prefixes }
 
 // TableRuns returns d's converged table as runs over RunPrefixes (see
-// fib.RunTable), appending the runs to buf[:0]: Rows holds the connected
-// routes and the default route, and each run is a maximal stretch of
-// hosted prefixes d forwards to one next-hop set. Expanding them gives
-// exactly what Table returns. With the table cache on, the runs are the
-// cached ones (filled on a miss, patched if a patch is pending), shared —
-// read only — and buf is left alone.
-func (s *Synth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+// fib.RunTable), appending the runs over positions [lo, hi) to
+// buf.Runs[:0] and the rows outside them to buf.Rows[:0]: Rows holds the
+// connected routes and the default route, and each run is a maximal
+// stretch of hosted prefixes d forwards to one next-hop set, cut at lo and
+// hi. Over the whole list, expanding them gives exactly what Table
+// returns. With the table cache on, the runs are the whole cached ones
+// (filled on a miss, patched if a patch is pending), shared — read only —
+// and buf is left alone.
+func (s *Synth) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
 	if rt, ok := s.cached(d); ok {
 		return rt
 	}
-	return s.synthRuns(d, buf)
+	return s.synthRuns(d, lo, hi, buf)
+}
+
+// Home returns the stretch [lo, hi) of RunPrefixes that a full check of d
+// merges on its own, classing the positions outside it by RunClass: a
+// ToR's own cluster. ok is false for every other role, which a full check
+// merges whole: a leaf's stretch outside its cluster is that cluster's
+// alone, and the cluster's leaves are on distinct planes, so no two leaves
+// of one class share it; spines and regional spines have no class.
+func (s *Synth) Home(d topology.DeviceID) (lo, hi int, ok bool) {
+	dev := s.topo.Device(d)
+	if dev.Role != topology.RoleToR {
+		return 0, 0, false
+	}
+	lo, hi = s.clusterSpan(dev.Cluster)
+	return lo, hi, true
 }
 
 // RunClass returns the class of device d over positions [lo, hi) of
@@ -1002,27 +1019,27 @@ func (s *Synth) RunClass(d topology.DeviceID, lo, hi int) (c fib.RunClass, ok bo
 	return c, true
 }
 
-// synthRuns synthesizes d's runs, appending them to buf[:0], in scratch
-// from the synth's pool.
-func (s *Synth) synthRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+// synthRuns synthesizes d's runs over positions [lo, hi) and its rows,
+// appending them to buf's, in scratch from the synth's pool.
+func (s *Synth) synthRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
 	dev := s.topo.Device(d)
 	scratch := s.bufs.Get().(*runBuf)
 	s.begin(scratch, d, dev)
-	rt := fib.RunTable{Device: d, Rows: s.rows(d, dev),
-		Runs: s.appendRuns(buf[:0], scratch, d, dev, 0, len(s.prefixes))}
+	rt := fib.RunTable{Device: d, Rows: s.appendRows(buf.Rows[:0], d, dev, scratch),
+		Runs: s.appendRuns(buf.Runs[:0], scratch, d, dev, lo, hi)}
 	s.bufs.Put(scratch)
 	return rt
 }
 
-// rows returns d's rows outside the runs: its connected routes, then its
-// default route if it has one.
-func (s *Synth) rows(d topology.DeviceID, dev *topology.Device) []fib.Entry {
-	rows := make([]fib.Entry, 0, len(dev.HostedPrefixes)+1)
+// appendRows appends d's rows outside the runs to rows: its connected
+// routes, then its default route if it has one, whose next hops are
+// derived in buf.
+func (s *Synth) appendRows(rows []fib.Entry, d topology.DeviceID, dev *topology.Device, buf *runBuf) []fib.Entry {
 	for _, p := range dev.HostedPrefixes {
 		rows = append(rows, fib.Entry{Prefix: p, Connected: true})
 	}
-	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
-		rows = append(rows, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
+	if buf.hops = s.defaultNextHops(d, buf.hops[:0]); len(buf.hops) > 0 {
+		rows = append(rows, fib.Entry{Prefix: ipnet.Prefix{}, NextHops: buf.owned(nil, buf.hops)})
 	}
 	return rows
 }
@@ -1262,18 +1279,18 @@ func appendRun(runs []fib.Run, lo, hi int, hops []topology.DeviceID) []fib.Run {
 	return append(runs, fib.Run{Lo: lo, Hi: hi, NextHops: hops})
 }
 
-func (s *Synth) defaultNextHops(d topology.DeviceID) []topology.DeviceID {
+// defaultNextHops appends d's default route's next hops to nhs.
+func (s *Synth) defaultNextHops(d topology.DeviceID, nhs []topology.DeviceID) []topology.DeviceID {
 	dev := s.topo.Device(d)
 	cfg := s.config(d)
 	if cfg.RejectDefaultIn {
-		return nil
+		return nhs
 	}
-	nhs := make([]topology.DeviceID, 0, len(s.topo.LinksOf(d)))
 	switch dev.Role {
 	case topology.RoleRegionalSpine:
 		// The RS's own default points into the regional network, outside
 		// the model; its FIB carries no default entry (matching Sim).
-		return nil
+		return nhs
 	case topology.RoleSpine:
 		for _, rs := range s.topo.RegionalSpines() {
 			if s.live(d, rs) && (s.fastAccept || s.acceptsPath(d, []uint32{s.asn(rs)})) {

@@ -46,7 +46,7 @@ func checkAllTables(t *testing.T, topo *topology.Topology, cfg map[topology.Devi
 			t.Fatalf("%s: device %s: %v\nsim=%+v\nsynth=%+v",
 				label, topo.Device(d).Name, err, st.Entries, yt.Entries)
 		}
-		rt := synth.TableRuns(d, nil)
+		rt := allRuns(synth, d)
 		for i, r := range rt.Runs {
 			if r.Lo >= r.Hi || i > 0 && rt.Runs[i-1].Hi > r.Lo {
 				t.Fatalf("%s: device %s: runs not ascending and disjoint: %+v", label, topo.Device(d).Name, rt.Runs)
@@ -55,7 +55,35 @@ func checkAllTables(t *testing.T, topo *topology.Topology, cfg map[topology.Devi
 				t.Fatalf("%s: device %s: runs %d and %d touch with equal next hops: not maximal", label, topo.Device(d).Name, i-1, i)
 			}
 		}
+		// Over a stretch — each cluster's, and what lies before and after
+		// it — the runs are the whole runs cut at its edges.
+		n := len(synth.RunPrefixes())
+		for c := 0; c < topo.Params.Clusters; c++ {
+			lo, hi := synth.clusterSpan(c)
+			for _, st := range [][2]int{{0, lo}, {lo, hi}, {hi, n}} {
+				got := synth.TableRuns(d, st[0], st[1], fib.RunTable{})
+				if want := clipRuns(rt.Runs, st[0], st[1]); fmt.Sprint(got.Runs, got.Rows) != fmt.Sprint(want, rt.Rows) {
+					t.Fatalf("%s: device %s: runs over [%d,%d) %v, want the whole runs cut there %v", label, topo.Device(d).Name, st[0], st[1], got, want)
+				}
+			}
+		}
 	}
+}
+
+// allRuns returns d's runs over the whole prefix list.
+func allRuns(s *Synth, d topology.DeviceID) fib.RunTable {
+	return s.TableRuns(d, 0, len(s.RunPrefixes()), fib.RunTable{})
+}
+
+// clipRuns returns the parts of runs inside positions [lo, hi).
+func clipRuns(runs []fib.Run, lo, hi int) []fib.Run {
+	var out []fib.Run
+	for _, r := range runs {
+		if r.Lo < hi && r.Hi > lo {
+			out = append(out, fib.Run{Lo: max(r.Lo, lo), Hi: min(r.Hi, hi), NextHops: r.NextHops})
+		}
+	}
+	return out
 }
 
 func TestSynthMatchesSimHealthy(t *testing.T) {

@@ -279,7 +279,7 @@ func (g *Generator) runs(l *layout, id topology.DeviceID, buf []Run) DeviceRuns 
 	df := g.facts.Device(id)
 	n := len(g.facts.Prefixes)
 	dr := DeviceRuns{Device: id, Runs: buf[:0]}
-	uplinks := devIDs(df.Uplinks)
+	uplinks := l.uplinksOf(df)
 	switch df.Role {
 	case topology.RoleToR:
 		// Default contract: all neighboring leaves.
@@ -355,15 +355,36 @@ type layout struct {
 	// ident[d] is d: the one-hop next-hop sets are its one-element
 	// slices, shared by every device and run that expects them.
 	ident []topology.DeviceID
+	// uplinks[d] is device d's uplinks, ascending: the set its default
+	// contract and every run toward the rest of the fleet expect, derived
+	// once per intent generation rather than once per device pulled.
+	uplinks [][]topology.DeviceID
 }
 
 // stretch is the positions [lo, hi) of the prefix list, all with one key.
 type stretch struct{ lo, hi, key int }
 
 func newLayout(f *metadata.Facts) *layout {
-	l := &layout{ident: make([]topology.DeviceID, len(f.Devices))}
+	l := &layout{ident: make([]topology.DeviceID, len(f.Devices)), uplinks: make([][]topology.DeviceID, len(f.Devices))}
 	for i := range l.ident {
 		l.ident[i] = topology.DeviceID(i)
+	}
+	n := 0
+	for i := range f.Devices {
+		n += len(f.Devices[i].Uplinks)
+	}
+	flat := make([]topology.DeviceID, 0, n)
+	for i := range f.Devices {
+		df := &f.Devices[i]
+		if df.ID < 0 || int(df.ID) >= len(l.uplinks) {
+			continue
+		}
+		at := len(flat)
+		for _, nb := range df.Uplinks {
+			flat = append(flat, nb.Device)
+		}
+		slices.Sort(flat[at:])
+		l.uplinks[df.ID] = flat[at:len(flat):len(flat)]
 	}
 	for i, p := range f.Prefixes {
 		if n := len(l.tors); n > 0 && l.tors[n-1].key == int(p.ToR) && f.Prefixes[i-1].Cluster == p.Cluster {
@@ -390,6 +411,15 @@ func (l *layout) one(d topology.DeviceID) []topology.DeviceID {
 		return []topology.DeviceID{d}
 	}
 	return l.ident[d : d+1 : d+1]
+}
+
+// uplinksOf returns a device's uplinks, ascending: shared when it is a
+// device of the facts.
+func (l *layout) uplinksOf(df *metadata.DeviceFacts) []topology.DeviceID {
+	if df.ID < 0 || int(df.ID) >= len(l.uplinks) {
+		return devIDs(df.Uplinks)
+	}
+	return l.uplinks[df.ID]
 }
 
 // keyed returns the stretches of sorted — ordered by key — with key k.

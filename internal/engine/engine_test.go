@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -327,6 +328,56 @@ func TestQueryReach(t *testing.T) {
 	}
 	if _, err := e.QueryReach("ghost", "dc-c1-t0-0"); err == nil {
 		t.Fatal("want error for unknown source")
+	}
+}
+
+// TestReachTargets: a /reach destination resolves, by device, to the
+// device's hosted prefixes as the fleet's hosted-prefix list names them,
+// and by prefix to its one hosting ToR. A prefix target answers for the
+// same prefix as the device target of a ToR hosting only it.
+func TestReachTargets(t *testing.T) {
+	p := testParams()
+	p.PrefixesPerToR = 2
+	topo := topology.MustNew(p)
+	all := topo.HostedPrefixes()
+	for _, tor := range topo.ToRs() {
+		name := topo.Device(tor).Name
+		got, err := reachTargets(topo, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []topology.HostedPrefix
+		for _, hp := range all {
+			if hp.ToR == tor {
+				want = append(want, hp)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: targets %v, want %v", name, got, want)
+		}
+	}
+	for _, hp := range all {
+		got, err := reachTargets(topo, hp.Prefix.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, []topology.HostedPrefix{hp}) {
+			t.Fatalf("%s: targets %v, want %v", hp.Prefix, got, hp)
+		}
+	}
+
+	e := newTestEngine(t)
+	byDevice, err := e.QueryReach("dc-c0-t0-0", "dc-c1-t0-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPrefix, err := e.QueryReach("dc-c0-t0-0", byDevice.Prefixes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPrefix.Dst, byPrefix.Cached = byDevice.Dst, byDevice.Cached
+	if got, want := fmt.Sprintf("%+v", byPrefix), fmt.Sprintf("%+v", byDevice); got != want {
+		t.Fatalf("reach by prefix %s\n got %s\nwant %s (by device)", byDevice.Prefixes[0], got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dcvalidate/internal/clock"
@@ -253,17 +254,17 @@ func (e *Engine) QueryViolations() ([]rcdc.Violation, uint64, error) {
 }
 
 // reachTargets resolves the dst operand of a reachability query: a
-// device name (all its hosted prefixes) or a CIDR prefix.
+// device name (all its hosted prefixes) or a CIDR prefix, which the first
+// ToR hosting it, in ToR order, answers for. ParsePrefix rejects host
+// bits, so equal prefix values are equal prefixes.
 func reachTargets(topo *topology.Topology, dst string) ([]topology.HostedPrefix, error) {
 	if dev, ok := topo.ByName(dst); ok {
 		if len(dev.HostedPrefixes) == 0 {
 			return nil, fmt.Errorf("dcvalidate: device %q hosts no prefixes", dst)
 		}
-		var hps []topology.HostedPrefix
-		for _, hp := range topo.HostedPrefixes() {
-			if hp.ToR == dev.ID {
-				hps = append(hps, hp)
-			}
+		hps := make([]topology.HostedPrefix, len(dev.HostedPrefixes))
+		for i, p := range dev.HostedPrefixes {
+			hps[i] = topology.HostedPrefix{Prefix: p, ToR: dev.ID, Cluster: dev.Cluster}
 		}
 		return hps, nil
 	}
@@ -271,13 +272,13 @@ func reachTargets(topo *topology.Topology, dst string) ([]topology.HostedPrefix,
 	if err != nil {
 		return nil, fmt.Errorf("dcvalidate: destination %q is neither a device nor a prefix", dst)
 	}
-	want := pfx.String()
-	for _, hp := range topo.HostedPrefixes() {
-		if hp.Prefix.String() == want {
-			return []topology.HostedPrefix{hp}, nil
+	for _, tor := range topo.ToRs() {
+		dev := topo.Device(tor)
+		if slices.Contains(dev.HostedPrefixes, pfx) {
+			return []topology.HostedPrefix{{Prefix: pfx, ToR: tor, Cluster: dev.Cluster}}, nil
 		}
 	}
-	return nil, fmt.Errorf("dcvalidate: no ToR hosts prefix %s", want)
+	return nil, fmt.Errorf("dcvalidate: no ToR hosts prefix %s", pfx)
 }
 
 // reachAnswer traces every target prefix through the snapshot and

@@ -18,10 +18,12 @@ import (
 
 // clockedSynth is a cached synthesizer on a virtual clock that a refresh
 // advances by 3 ms and every pull of runs by 1 µs, so each stage of a
-// traced Revalidate takes a known, nonzero time.
+// traced Revalidate takes a known, nonzero time. It counts the pulls that
+// ask for less than the whole prefix list in home.
 type clockedSynth struct {
 	*bgp.Synth
-	vc *clock.Virtual
+	vc   *clock.Virtual
+	home *int
 }
 
 func (c clockedSynth) RefreshDelta(ds *delta.Set, since uint64) {
@@ -29,9 +31,12 @@ func (c clockedSynth) RefreshDelta(ds *delta.Set, since uint64) {
 	c.Synth.RefreshDelta(ds, since)
 }
 
-func (c clockedSynth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+func (c clockedSynth) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
 	c.vc.Advance(time.Microsecond)
-	return c.Synth.TableRuns(d, buf)
+	if hi-lo < len(c.RunPrefixes()) {
+		*c.home++
+	}
+	return c.Synth.TableRuns(d, lo, hi, buf)
 }
 
 // TestRevalidateTraceStagesNest: a traced Revalidate records one
@@ -40,7 +45,9 @@ func (c clockedSynth) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable
 // refresh and check take the time their stages advanced the clock by. The
 // check pulls the devices it merges on its own (see checkRuns) — one per
 // class of ToRs or leaves outside the flipped ToR's cluster, and every
-// other dirty device — and no other.
+// other dirty device — and no other. A full sweep then pulls every device
+// once: the first ToR of each (cluster, direct mask) class over the whole
+// list, the class's other ToRs over their own cluster alone.
 func TestRevalidateTraceStagesNest(t *testing.T) {
 	topo := topology.MustNew(topology.Params{
 		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
@@ -51,7 +58,7 @@ func TestRevalidateTraceStagesNest(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(1000, 0))
 	synth := bgp.NewSynth(topo, nil)
 	synth.EnableTableCache()
-	src := clockedSynth{Synth: synth, vc: vc}
+	src := clockedSynth{Synth: synth, vc: vc, home: new(int)}
 	tr := obs.NewTracer(vc, 64)
 	v := Validator{Workers: 1, Clock: vc, Tracer: tr}
 	prev, _, err := v.Revalidate(nil, topo, facts, nil, src, delta.Options{})
@@ -117,6 +124,22 @@ func TestRevalidateTraceStagesNest(t *testing.T) {
 	if got, want := stages[2].Duration(), time.Duration(classes+unclassed)*time.Microsecond; got != want {
 		t.Errorf("check took %v, want %v: one pull per class and per unclassed device", got, want)
 	}
+
+	// The full sweep: cluster 0's ToRs are two classes (the flipped ToR's
+	// mask lost plane 0), every other cluster's one.
+	*src.home = 0
+	rep, err := v.ValidateAll(facts, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tors := p.Clusters * p.ToRsPerCluster
+	members := tors - (p.Clusters + 1)
+	if got, want := rep.Elapsed, time.Duration(len(topo.Devices))*time.Microsecond; got != want {
+		t.Errorf("full sweep took %v, want %v: one pull per device", got, want)
+	}
+	if *src.home != members {
+		t.Errorf("full sweep pulled %d devices over their home, want %d: every ToR but one per (cluster, mask) class", *src.home, members)
+	}
 }
 
 // TestRevalidateUntracedSpansAllocateNothing: without a tracer, the spans
@@ -175,7 +198,7 @@ func TestScopedCheckLeavesSharedRunsIntact(t *testing.T) {
 		held, heldRuns, want = held[:0], heldRuns[:0], want[:0]
 		for i := range topo.Devices {
 			d := topo.Devices[i].ID
-			rt, cr := synth.TableRuns(d, nil), gen.Runs(d, nil)
+			rt, cr := allRuns(synth, d), gen.Runs(d, nil)
 			held, heldRuns = append(held, rt), append(heldRuns, cr)
 			want = append(want, fmt.Sprint(deepRunTable(rt), deepDeviceRuns(cr)))
 		}
@@ -192,7 +215,7 @@ func TestScopedCheckLeavesSharedRunsIntact(t *testing.T) {
 				t.Fatalf("step %d: device %s: runs handed out before the change now read\n%s\nwant\n%s",
 					step, topo.Devices[i].Name, got, want[i])
 			}
-			changed = changed || fmt.Sprint(synth.TableRuns(held[i].Device, nil)) != fmt.Sprint(held[i])
+			changed = changed || fmt.Sprint(allRuns(synth, held[i].Device)) != fmt.Sprint(held[i])
 		}
 		if !changed {
 			t.Fatalf("step %d: no device's runs moved; the change exercised nothing", step)

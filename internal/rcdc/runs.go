@@ -22,23 +22,28 @@ type RunSource interface {
 	// RunPrefixes returns the list runs index, or nil when the source
 	// offers no runs.
 	RunPrefixes() []topology.HostedPrefix
-	// TableRuns returns a device's table as runs: appended to buf[:0], or
-	// the source's own runs, shared and read only, leaving buf alone. A
+	// TableRuns returns a device's table as runs over at least positions
+	// [lo, hi) of the list — a source may hand out more of them — and all
+	// its rows outside the runs: appended to buf's Runs[:0] and Rows[:0],
+	// or the source's own, shared and read only, leaving buf alone. A
 	// source does one or the other for every device, so a caller may hand
 	// what it got back in as the next buf.
-	TableRuns(dev topology.DeviceID, buf []fib.Run) fib.RunTable
+	TableRuns(dev topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable
 }
 
 // ClassSource is a RunSource that can also name the devices it derives
-// alike over a stretch of its prefix list (fib.RunClass): a scoped check
-// merges the runs of one device per class and scope on each worker, the
-// class's representative, and hands the others its verdict (see
-// checkRuns). RunClass must answer from the state TableRuns derives from
-// and in time independent of the fleet; ok is false for a device or
-// stretch it cannot vouch for, which is then checked on its own.
+// alike over a stretch of its prefix list (fib.RunClass): a check merges
+// the runs of one device per class and stretch on each worker, the class's
+// representative, and hands the others its verdict there (see checkRuns).
+// RunClass must answer from the state TableRuns derives from and in time
+// independent of the fleet; ok is false for a device or stretch it cannot
+// vouch for, which is then checked on its own. Home names the stretch a
+// full check of a device merges on its own, classing the positions before
+// and after it; ok is false for a device a full check merges whole.
 type ClassSource interface {
 	RunSource
 	RunClass(dev topology.DeviceID, lo, hi int) (c fib.RunClass, ok bool)
+	Home(dev topology.DeviceID) (lo, hi int, ok bool)
 }
 
 // newSweep sets up a sweep, with runs when the source offers them, the
@@ -70,9 +75,119 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 }
 
 // checkRuns validates one device by merging its table runs with its
-// contract runs over spans of the prefix list: the whole list, or — given
-// the device's previous report and a row scope — the positions the scope
-// can have moved verdicts at (see rescoped). Each segment where a
+// contract runs (see merge) over spans of the prefix list: the whole list,
+// or — given the device's previous report and a row scope — the positions
+// the scope can have moved verdicts at (see rescoped). A scoped check
+// splices the fresh violations into prev's (see splice). Both kinds of
+// runs are read in place: the source's and the generator's own, when they
+// keep them. It returns the report and the number of contracts checked.
+//
+// On a ClassSource a check goes by class over the stretches its class
+// vouches for: a scoped check without the default row over its scope's
+// stretch, a full check before and after the device's home (fullClass).
+// The first device of a class and check on the worker — the class's
+// representative — merges its spans there on its own and keeps its fresh
+// violations (see sweepBuf.classes); a later device of the class whose
+// contract runs there equal the representative's takes those violations,
+// relabeled to it, instead. They are the violations its own merge would
+// find: the class fixes the table runs, the other rows and the default row
+// it reads, the contract runs are compared, and a violation says nothing
+// else of its device. Every device merges the rest on its own: a full
+// check's home and default contract, a member pulling its runs over its
+// home alone. A scoped member merges nothing: it is not pulled and reads
+// no clock, and its Elapsed is zero.
+func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
+	start := buf.start(s.v.Clock)
+	cr := s.gen.Runs(id, buf.contractRuns)
+	buf.contractRuns = cr.Runs
+
+	spans, withDefault := append(buf.spans[:0], span{0, len(s.prefixes)}), true
+	if prev != nil && prev.Contracts == cr.Len() {
+		spans, withDefault = s.scoped(buf, scope, prev)
+	} else {
+		prev = nil
+		buf.spans = spans
+	}
+	// sts: the stretches the device's class vouches for, if it has one —
+	// a scope's runs from its first span to its last.
+	var stretches [2]span
+	var key classKey
+	sts, classed := stretches[:0], false
+	switch {
+	case s.classes == nil:
+	case prev == nil:
+		key, sts, classed = s.fullClass(id, sts)
+	case !withDefault && len(spans) > 0:
+		st := hull(spans)
+		key.class, classed = s.classes.RunClass(id, st.lo, st.hi)
+		key.scope, key.n = &scope[0], len(scope)
+		sts = append(sts, st)
+	}
+	var cv *classVerdict // the class's verdict over sts
+	if classed {
+		if cv = buf.class(&key); cv != nil && !sameRunsIn(cv.contractRuns, cr.Runs, sts) {
+			cv, classed = nil, false // a contract differs: checked on its own, not kept
+		}
+	}
+	if cv != nil && prev != nil {
+		return s.member(id, buf, prev, cv), cv.checked, nil
+	}
+	// own: the spans the device merges on its own; shared: those its
+	// class's verdict covers — on a scoped check all of them, on a full
+	// one all but its home. A member pulls its runs over its home alone.
+	own, shared, pull := spans, []span(nil), hull(spans)
+	var home [1]span
+	if classed {
+		own, shared = nil, spans
+		if prev == nil {
+			home[0] = key.home
+			own, shared = home[:], sts
+		}
+		if cv != nil {
+			pull = key.home
+		}
+	}
+
+	var rep DeviceReport
+	if prev != nil {
+		rep = *prev
+	} else {
+		df := s.facts.Device(id)
+		rep = DeviceReport{Device: id, Name: df.Name, Role: df.Role, Contracts: cr.Len()}
+	}
+	rt := s.runs.TableRuns(id, pull.lo, pull.hi, buf.pulled)
+	buf.pulled = rt
+	if classed && cv == nil {
+		kept, t, err := s.merge(id, buf, rt, cr, shared, false, rep.Role)
+		if err != nil {
+			return DeviceReport{}, 0, err
+		}
+		cv = buf.keep(classVerdict{key: key, fresh: kept, tally: t}, cr.Runs, sts)
+	}
+	fresh, t, err := s.merge(id, buf, rt, cr, own, withDefault, rep.Role)
+	if err != nil {
+		return DeviceReport{}, 0, err
+	}
+	if cv != nil {
+		t.add(cv.tally)
+		if prev == nil {
+			fresh = splice(fresh, cv.fresh, id, none)
+		} else {
+			fresh = cv.fresh
+		}
+	}
+	rep.Violations = fresh
+	if prev != nil {
+		rep.Violations = splice(prev.Violations, fresh, id, s.redone(buf.spans, withDefault))
+	}
+	rep.Elapsed = buf.end(s.v.Clock, start)
+	s.v.Metrics.observeDevice(&rep)
+	s.v.Metrics.observeRuns(t.clean, t.expanded)
+	return rep, t.checked, nil
+}
+
+// merge checks a device's contracts over spans — and its default contract
+// when withDefault — against its table runs rt. Each segment where a
 // contract run meets a table run is decided once: clean when hopsOKSorted
 // approves the table run's next hops against the contract run's and no row
 // outside the runs overlaps it. Every other segment — red, or a gap with no
@@ -85,54 +200,13 @@ func (v *Validator) newSweep(facts *metadata.Facts, gen *contracts.Generator, so
 // fast path there, and everything an expanded contract can read is in the
 // fragment, because on a flat plan no row at another position contains or
 // is contained in its prefix. A fragment without contracts is not checked.
-// A scoped check splices those violations into prev's (see splice). Both
-// kinds of runs are read in place: the source's and the generator's own,
-// when they keep them. It returns the report and the number of contracts
-// checked.
-//
-// A scoped check without the default row on a ClassSource goes by class:
-// the first device of a (class, scope) on the worker is merged as above,
-// and its fresh violations are kept (see sweepBuf.classes); a later device
-// of the same class and scope whose contract runs over the scope's stretch
-// equal the representative's is not pulled at all — its verdicts are the
-// representative's, relabeled to it, spliced into its own previous report.
-// Those are the violations its own merge would find: the class fixes the
-// table runs, the other rows and the default row it reads, the contract
-// runs are compared, and a violation says nothing else of its device. Such
-// a member reads no clock: its Elapsed is zero.
-func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
-	start := buf.start(s.v.Clock)
-	cr := s.gen.Runs(id, buf.contractRuns)
-	buf.contractRuns = cr.Runs
-
+// It returns the violations and what it checked.
+func (s *sweep) merge(id topology.DeviceID, buf *sweepBuf, rt fib.RunTable, cr contracts.DeviceRuns, spans []span, withDefault bool, role topology.Role) ([]Violation, tally, error) {
+	var t tally
 	ps := s.prefixes
-	spans, withDefault := append(buf.spans[:0], span{0, len(ps)}), true
-	if prev != nil && prev.Contracts == cr.Len() {
-		spans, withDefault = s.scoped(buf, scope, prev)
-	} else {
-		prev = nil
-		buf.spans = spans
-	}
-	var class fib.RunClass
-	var stretch span // from the scope's first position to its last
-	classed := false
-	if prev != nil && !withDefault && len(spans) > 0 && s.classes != nil {
-		stretch = span{spans[0].lo, spans[len(spans)-1].hi}
-		if class, classed = s.classes.RunClass(id, stretch.lo, stretch.hi); classed {
-			if cv, ok := buf.class(class, scope); ok {
-				if sameRunsIn(cv.contractRuns, cr.Runs, stretch) {
-					return s.member(id, buf, prev, cv), cv.checked, nil
-				}
-				classed = false // a contract differs: checked on its own, not kept
-			}
-		}
-	}
-
-	rt := s.runs.TableRuns(id, buf.tableRuns)
-	buf.tableRuns = rt.Runs
 	tr, err := window(rt.Runs, spans, len(ps))
 	if err != nil {
-		return DeviceReport{}, 0, fmt.Errorf("rcdc: device %d: %w", id, err)
+		return nil, t, fmt.Errorf("rcdc: device %d: %w", id, err)
 	}
 	// Rows outside the runs mark the positions they overlap, which only
 	// matters inside the spans: a row wholly outside their addresses is
@@ -157,8 +231,7 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 	if withDefault && len(cr.Default) > 0 {
 		dc.Contracts = append(dc.Contracts, contracts.Contract{Device: id, Kind: contracts.Default, NextHops: cr.Default})
 	}
-	n := len(dc.Contracts)
-	var clean, expanded int
+	t.checked = len(dc.Contracts)
 	m := 0
 	for _, c := range cr.Runs {
 		for len(spans) > 0 && spans[0].hi <= c.Lo {
@@ -170,7 +243,7 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 			}
 			hi := min(c.Hi, sp.hi)
 			pos := max(c.Lo, sp.lo)
-			n += hi - pos
+			t.checked += hi - pos
 			for pos < hi {
 				// The segment from pos: up to the end of the contract run
 				// within the span, of the table run covering pos (or the gap
@@ -198,11 +271,11 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 				}
 
 				if covered && !marked && len(tr[0].NextHops) > 0 && hopsOKSorted(c.NextHops, tr[0].NextHops, s.exact) {
-					clean++
+					t.clean++
 					pos = end
 					continue
 				}
-				expanded++
+				t.expanded++
 				for ; pos < end; pos++ {
 					p := ps[pos].Prefix
 					if covered {
@@ -214,39 +287,26 @@ func (s *sweep) checkRuns(id topology.DeviceID, buf *sweepBuf, prev *DeviceRepor
 		}
 	}
 	buf.rows, buf.contracts = rows, dc.Contracts
+	if len(dc.Contracts) == 0 {
+		return nil, t, nil
+	}
+	buf.table = fib.Table{Device: id, Entries: rows}
+	fresh, err := s.v.checker().CheckDevice(&buf.table, dc, role)
+	return fresh, t, err
+}
 
-	var rep DeviceReport
-	if prev != nil {
-		rep = *prev
-	} else {
-		df := s.facts.Device(id)
-		rep = DeviceReport{Device: id, Name: df.Name, Role: df.Role, Contracts: cr.Len()}
-	}
-	var fresh []Violation
-	if len(dc.Contracts) > 0 {
-		tbl := fib.NewTable(id)
-		tbl.Entries = rows
-		if fresh, err = s.v.checker().CheckDevice(tbl, dc, rep.Role); err != nil {
-			return DeviceReport{}, 0, err
-		}
-	}
-	rep.Violations = fresh
-	if prev != nil {
-		rep.Violations = splice(prev.Violations, fresh, id, s.redone(buf.spans, withDefault))
-	}
-	if classed {
-		buf.keep(classVerdict{class: class, scope: &scope[0], n: len(scope), fresh: fresh,
-			checked: n, clean: clean, expanded: expanded}, runsIn(cr.Runs, stretch))
-	}
-	rep.Elapsed = buf.end(s.v.Clock, start)
-	s.v.Metrics.observeDevice(&rep)
-	s.v.Metrics.observeRuns(clean, expanded)
-	return rep, n, nil
+// tally is what a merge checked: contracts, and run segments decided clean
+// or expanded.
+type tally struct{ checked, clean, expanded int }
+
+func (t *tally) add(u tally) {
+	t.checked, t.clean, t.expanded = t.checked+u.checked, t.clean+u.clean, t.expanded+u.expanded
 }
 
 // member returns the report of a device that takes the verdict cv of its
-// class's representative: prev with the violations of the contracts in
-// the scope's spans replaced by cv's, relabeled to the device.
+// class's representative on a scoped check: prev with the violations of
+// the contracts in the scope's spans replaced by cv's, relabeled to the
+// device.
 func (s *sweep) member(id topology.DeviceID, buf *sweepBuf, prev *DeviceReport, cv *classVerdict) DeviceReport {
 	buf.members++
 	rep := *prev
@@ -270,45 +330,88 @@ func (s *sweep) redone(spans []span, withDefault bool) func(*contracts.Contract)
 	}
 }
 
-// classVerdict is what a class representative's scoped check found (see
-// checkRuns): the class, the scope by its first row and length (devices
-// share scope slices), the representative's contract runs over the scope's
-// stretch, its fresh violations in contract order, and the contracts and
-// segments its merge checked.
-type classVerdict struct {
-	class                    fib.RunClass
-	scope                    *ipnet.Prefix
-	n                        int
-	contractRuns             []contracts.Run
-	fresh                    []Violation
-	checked, clean, expanded int
+// none says no contract was re-checked: splicing a class's verdict into a
+// full check's own violations replaces nothing.
+func none(*contracts.Contract) bool { return false }
+
+// fullClass returns the key of a full check's class and the stretches,
+// appended to sts, that the class vouches for: the positions before and
+// after the device's home, both in the one class. ok is false when the
+// check goes without a class.
+func (s *sweep) fullClass(id topology.DeviceID, sts []span) (key classKey, _ []span, ok bool) {
+	lo, hi, ok := s.classes.Home(id)
+	if !ok {
+		return key, sts, false
+	}
+	key.home = span{lo, hi}
+	for _, st := range [...]span{{0, lo}, {hi, len(s.prefixes)}} {
+		if st.lo >= st.hi {
+			continue
+		}
+		c, ok := s.classes.RunClass(id, st.lo, st.hi)
+		if !ok || len(sts) > 0 && c != key.class {
+			return key, sts, false
+		}
+		key.class, sts = c, append(sts, st)
+	}
+	return key, sts, len(sts) > 0
 }
 
-// class returns the worker's verdict for a class and scope, if it has one.
-// A worker meets a class's devices mostly one after the other, so the
-// verdict found last is tried first.
-func (buf *sweepBuf) class(c fib.RunClass, scope []ipnet.Prefix) (*classVerdict, bool) {
-	match := func(cv *classVerdict) bool { return cv.class == c && cv.scope == &scope[0] && cv.n == len(scope) }
-	if buf.lastClass < len(buf.classes) && match(&buf.classes[buf.lastClass]) {
-		return &buf.classes[buf.lastClass], true
+// classKey names what a class verdict covers: the class and the check — a
+// scoped check's scope by its first row and length (devices share scope
+// slices), a full check's home, outside which its stretches lie. A full
+// check has no scope, so the two kinds never match.
+type classKey struct {
+	class fib.RunClass
+	scope *ipnet.Prefix
+	n     int
+	home  span
+}
+
+// classVerdict is what a class representative's merge over its class's
+// stretches found (see checkRuns): its contract runs there, one stretch
+// after the other, its fresh violations there in contract order, and what
+// the merge checked.
+type classVerdict struct {
+	key          classKey
+	contractRuns []contracts.Run
+	fresh        []Violation
+	tally
+}
+
+// class returns the worker's verdict under a key, or nil. A worker meets
+// a class's devices mostly one after the other, so the verdict found last
+// is tried first.
+func (buf *sweepBuf) class(k *classKey) *classVerdict {
+	if buf.lastClass < len(buf.classes) && buf.classes[buf.lastClass].key.is(k) {
+		return &buf.classes[buf.lastClass]
 	}
 	for i := range buf.classes {
-		if match(&buf.classes[i]) {
+		if buf.classes[i].key.is(k) {
 			buf.lastClass = i
-			return &buf.classes[i], true
+			return &buf.classes[i]
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// keep adds a representative's verdict, copying its contract runs: a
-// generator that does not memoize hands them out in the worker's buffer.
-func (buf *sweepBuf) keep(cv classVerdict, contractRuns []contracts.Run) {
+// is reports whether two keys name one verdict.
+func (k *classKey) is(o *classKey) bool {
+	return k.scope == o.scope && k.class == o.class && k.n == o.n && k.home == o.home
+}
+
+// keep adds a representative's verdict over the stretches sts, copying its
+// contract runs there (a generator that does not memoize hands them out in
+// the worker's buffer), and returns it.
+func (buf *sweepBuf) keep(cv classVerdict, contractRuns []contracts.Run, sts []span) *classVerdict {
 	at := len(buf.classRuns)
-	buf.classRuns = append(buf.classRuns, contractRuns...)
+	for _, st := range sts {
+		buf.classRuns = append(buf.classRuns, runsIn(contractRuns, st)...)
+	}
 	cv.contractRuns = buf.classRuns[at:]
 	buf.lastClass = len(buf.classes)
 	buf.classes = append(buf.classes, cv)
+	return &buf.classes[buf.lastClass]
 }
 
 // runsIn returns the runs of an ascending, disjoint list that overlap the
@@ -322,12 +425,20 @@ func runsIn(runs []contracts.Run, st span) []contracts.Run {
 	return runs[i:j]
 }
 
-// sameRunsIn reports whether two devices' contract runs — a kept over st,
-// b whole — expect the same next hops at every position of st.
-func sameRunsIn(a, b []contracts.Run, st span) bool {
-	return slices.EqualFunc(a, runsIn(b, st), func(x, y contracts.Run) bool {
-		return max(x.Lo, st.lo) == max(y.Lo, st.lo) && min(x.Hi, st.hi) == min(y.Hi, st.hi) && slices.Equal(x.NextHops, y.NextHops)
-	})
+// sameRunsIn reports whether two devices' contract runs — a kept over the
+// stretches sts one after the other, b whole — expect the same next hops
+// at every position of sts.
+func sameRunsIn(a, b []contracts.Run, sts []span) bool {
+	for _, st := range sts {
+		bs := runsIn(b, st)
+		if len(bs) > len(a) || !slices.EqualFunc(a[:len(bs)], bs, func(x, y contracts.Run) bool {
+			return max(x.Lo, st.lo) == max(y.Lo, st.lo) && min(x.Hi, st.hi) == min(y.Hi, st.hi) && slices.Equal(x.NextHops, y.NextHops)
+		}) {
+			return false
+		}
+		a = a[len(bs):]
+	}
+	return len(a) == 0
 }
 
 // scoped returns the spans of positions a row scope can have moved verdicts
@@ -400,4 +511,13 @@ func mergeSpans(sp []span) []span {
 		w++
 	}
 	return sp[:w]
+}
+
+// hull returns the stretch from the first span's start to the last's end,
+// empty without spans.
+func hull(spans []span) span {
+	if len(spans) == 0 {
+		return span{}
+	}
+	return span{spans[0].lo, spans[len(spans)-1].hi}
 }

@@ -66,10 +66,15 @@ type editedRuns struct {
 
 func (e *editedRuns) RunPrefixes() []topology.HostedPrefix { return e.prefixes }
 
-func (e *editedRuns) TableRuns(d topology.DeviceID, buf []fib.Run) fib.RunTable {
+func (e *editedRuns) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
 	rt := e.tables[d]
-	rt.Runs = append(buf[:0], rt.Runs...)
+	rt.Rows, rt.Runs = append(buf.Rows[:0], rt.Rows...), append(buf.Runs[:0], rt.Runs...)
 	return rt
+}
+
+// allRuns returns d's runs over the whole prefix list.
+func allRuns(src RunSource, d topology.DeviceID) fib.RunTable {
+	return src.TableRuns(d, 0, len(src.RunPrefixes()), fib.RunTable{})
 }
 
 func (e *editedRuns) Table(d topology.DeviceID) (*fib.Table, error) {
@@ -91,7 +96,7 @@ func editRuns(topo *topology.Topology, synth *bgp.Synth, r *fuzzBytes) *editedRu
 	}
 	for i := range topo.Devices {
 		d := topo.Devices[i].ID
-		rt := synth.TableRuns(d, nil)
+		rt := allRuns(synth, d)
 		cells := make([]runCell, len(ps))
 		for g, run := range rt.Runs {
 			for pos := run.Lo; pos < run.Hi; pos++ {
@@ -173,8 +178,9 @@ func checkRunsAgainstRows(t testing.TB, facts *metadata.Facts, src RunSource, ex
 // with random link and session faults, whose synthesized runs are then
 // edited into tables no healthy or faulted fleet produces, are validated
 // as runs and row by row, and the two reports must be byte-identical. The
-// fleet then takes random scoped flips through a table-cached synth (see
-// checkScopedFlips).
+// fleet's full sweep also goes by class against one without classes (see
+// checkFullSweepClasses), and the fleet then takes random scoped flips
+// through a table-cached synth (see checkScopedFlips).
 func FuzzRunsDifferential(f *testing.F) {
 	for _, seed := range runsSeeds {
 		f.Add(seed)
@@ -185,7 +191,8 @@ func FuzzRunsDifferential(f *testing.F) {
 // runsSeeds are FuzzRunsDifferential's committed seeds. The last builds
 // three clusters of four ToRs over two planes and flips a ToR–leaf link, so
 // its scoped check hands class verdicts to the ToRs and leaves of the other
-// clusters (TestRunsSeedsTakeMemberPath).
+// clusters, and its full sweep to the ToRs of every cluster
+// (TestRunsSeedsTakeMemberPath).
 var runsSeeds = [][]byte{
 	{},
 	{1, 2, 1, 1, 0, 1, 3, 5, 7, 2, 9, 1, 0, 4, 2, 3, 5, 1, 0, 2, 2, 7, 3, 1},
@@ -194,8 +201,8 @@ var runsSeeds = [][]byte{
 }
 
 // runsDifferential is one FuzzRunsDifferential input, returning how many
-// devices its scoped checks handed a class verdict.
-func runsDifferential(t *testing.T, data []byte) (members int) {
+// devices its full sweep and its scoped checks handed a class verdict.
+func runsDifferential(t *testing.T, data []byte) (full, scoped int) {
 	r := &fuzzBytes{data: data}
 	rs := 1 + r.intn(2)
 	topo, err := topology.New(topology.Params{
@@ -219,21 +226,74 @@ func runsDifferential(t *testing.T, data []byte) (members int) {
 	exact := r.intn(2) == 1
 	checkRunsAgainstRows(t, facts, synth, exact)
 	checkRunsAgainstRows(t, facts, editRuns(topo, synth, r), exact)
-	return checkScopedFlips(t, topo, facts, r, exact)
+	full = checkFullSweepClasses(t, topo, facts, synth, exact)
+	return full, checkScopedFlips(t, topo, facts, r, exact)
 }
 
 // TestRunsSeedsTakeMemberPath: FuzzRunsDifferential's committed seeds, and
-// so its CI run, reach the scoped check's member path — a device taking
-// its class representative's verdict — at least once.
+// so its CI run, reach the full sweep's and the scoped check's member
+// paths — a device taking its class representative's verdict — at least
+// once each.
 func TestRunsSeedsTakeMemberPath(t *testing.T) {
-	members := 0
+	full, scoped := 0, 0
 	for i, seed := range runsSeeds {
-		t.Run(fmt.Sprint(i), func(t *testing.T) { members += runsDifferential(t, seed) })
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			f, s := runsDifferential(t, seed)
+			full, scoped = full+f, scoped+s
+		})
 	}
-	if members == 0 {
-		t.Fatal("no seed's scoped checks handed a device its class's verdict")
+	if full == 0 || scoped == 0 {
+		t.Fatalf("the seeds' full sweeps handed %d devices their class's verdict and their scoped checks %d: want some of each", full, scoped)
 	}
-	t.Logf("%d devices took a class verdict", members)
+	t.Logf("%d devices took a class verdict in a full sweep, %d in a scoped check", full, scoped)
+}
+
+// runsOnly hides a source's classes but not its runs: every device of a
+// sweep is merged on its own.
+type runsOnly struct{ RunSource }
+
+// homePulls counts the pulls of a synthesizer's runs that ask for less
+// than the whole prefix list: a full check's class member pulls its home
+// alone.
+type homePulls struct {
+	*bgp.Synth
+	n int
+}
+
+func (h *homePulls) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
+	if hi-lo < len(h.RunPrefixes()) {
+		h.n++
+	}
+	return h.Synth.TableRuns(d, lo, hi, buf)
+}
+
+// checkFullSweepClasses is the full sweep's class leg: the devices synth
+// puts in one class for a full check must agree on everything their
+// verdicts read around their home (classcheck.Check's full-check mode, by a
+// fresh synthesis), and a sweep that hands out class verdicts must render
+// the bytes of one through a source without classes. It returns how many
+// devices took a class verdict.
+func checkFullSweepClasses(t *testing.T, topo *topology.Topology, facts *metadata.Facts, synth *bgp.Synth, exact bool) (members int) {
+	t.Helper()
+	all := delta.NewSet()
+	all.MarkFull()
+	if _, _, err := classcheck.Check(topo, synth, bgp.NewSynth(topo, nil), contracts.NewGenerator(facts), all); err != nil {
+		t.Fatalf("full-check class soundness: %v", err)
+	}
+	v := Validator{Checker: TrieChecker{Exact: exact}, Workers: 1}
+	src := &homePulls{Synth: synth}
+	got, err := v.ValidateAll(facts, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v.ValidateAll(facts, runsOnly{synth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderRunsReport(got), renderRunsReport(want); !bytes.Equal(g, w) {
+		t.Fatalf("class-collapsed full sweep diverges from one without classes (exact=%v)\n--- classes ---\n%s--- none ---\n%s", exact, g, w)
+	}
+	return src.n
 }
 
 // rowQueries hides a source's runs but answers row queries: ValidateScoped
@@ -277,7 +337,7 @@ func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Fac
 		fresh := bgp.NewSynth(topo, nil)
 		for i := range topo.Devices {
 			d := topo.Devices[i].ID
-			if got, want := cached.TableRuns(d, nil), fresh.TableRuns(d, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := allRuns(cached, d), allRuns(fresh, d); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("device %d: patched runs diverge from a fresh synthesis\n got %v\nwant %v", d, got, want)
 			}
 		}

@@ -144,7 +144,7 @@ func (ss *smtSession) check(ct contracts.Contract) ([]Violation, error) {
 	if ct.Kind == contracts.Default {
 		// §2.5.1: the default contract is the special case
 		// r_default.nexthops = C_default.nexthops.
-		return appendDefaultViolations(nil, ss.tbl, ct, ss.role), nil
+		return appendDefaultViolations(nil, ss.tbl, ss.tbl.Index(), ct, ss.role), nil
 	}
 	return ss.checkSpecific(ct)
 }

@@ -1,6 +1,7 @@
 package rcdc
 
 import (
+	"slices"
 	"sync"
 
 	"dcvalidate/internal/contracts"
@@ -46,20 +47,21 @@ type TrieChecker struct {
 	Exact bool
 }
 
-// CheckDevice implements Checker. Without contracts there is nothing to
-// check, and the table's index is not built: a scoped runs check whose
-// merge came out clean hands over an empty fragment.
+// CheckDevice implements Checker. The table's index is built only for a
+// specific contract: a runs check whose merge came out clean hands over a
+// fragment of the rows outside the runs and the default contract alone,
+// whose default row a scan finds.
 func (t TrieChecker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error) {
-	if len(dc.Contracts) == 0 {
-		return nil, nil
-	}
 	var out []Violation
-	x := tbl.Index()
+	var x *ipnet.Index
+	if slices.ContainsFunc(dc.Contracts, func(c contracts.Contract) bool { return c.Kind == contracts.Specific }) {
+		x = tbl.Index()
+	}
 	cursor := 0
 	for i := range dc.Contracts {
 		c := &dc.Contracts[i]
 		if c.Kind == contracts.Default {
-			out = appendDefaultViolations(out, tbl, *c, role)
+			out = appendDefaultViolations(out, tbl, x, *c, role)
 			continue
 		}
 		out, cursor = appendSpecificViolations(out, tbl, x, cursor, c, role, t.Exact)
@@ -67,10 +69,25 @@ func (t TrieChecker) CheckDevice(tbl *fib.Table, dc contracts.DeviceContracts, r
 	return out, nil
 }
 
+// defaultRow returns the table's default row — of several, the last, as
+// the index answers — through the index x, or by a scan from the last row
+// without one.
+func defaultRow(tbl *fib.Table, x *ipnet.Index) (*fib.Entry, bool) {
+	if x != nil {
+		return tbl.Default()
+	}
+	for i := len(tbl.Entries) - 1; i >= 0; i-- {
+		if tbl.Entries[i].Prefix.IsDefault() {
+			return &tbl.Entries[i], true
+		}
+	}
+	return nil, false
+}
+
 // appendDefaultViolations validates a default-route contract by direct
 // comparison of the default rule's next hops — the special case of §2.5.1.
-func appendDefaultViolations(out []Violation, tbl *fib.Table, c contracts.Contract, role topology.Role) []Violation {
-	def, ok := tbl.Default()
+func appendDefaultViolations(out []Violation, tbl *fib.Table, x *ipnet.Index, c contracts.Contract, role topology.Role) []Violation {
+	def, ok := defaultRow(tbl, x)
 	if !ok {
 		v := Violation{Device: c.Device, Contract: c, Kind: MissingDefault, Remaining: 0}
 		classify(&v, role)

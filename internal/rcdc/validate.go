@@ -187,12 +187,14 @@ type sweep struct {
 }
 
 // sweepBuf is one worker's buffers, reused from device to device: nothing
-// checked keeps them (violations hold copies).
+// checked keeps them (violations hold copies; the trie checker keeps no
+// table).
 type sweepBuf struct {
 	contracts    []contracts.Contract
 	contractRuns []contracts.Run
-	tableRuns    []fib.Run
+	pulled       fib.RunTable
 	rows         []fib.Entry
+	table        fib.Table // the fragment a merge checks
 	marks        []span
 	spans        []span
 	read         []ipnet.Prefix
@@ -204,8 +206,9 @@ type sweepBuf struct {
 		spans []span
 	}
 	// classes holds the verdicts of the class representatives the worker
-	// merged (see checkRuns), classes[lastClass] the one found last;
-	// classRuns backs their contract runs, and members counts the devices
+	// merged (see checkRuns), full and scoped checks' alike and for this
+	// sweep only, classes[lastClass] the one found last; classRuns backs
+	// their contract runs, and members counts the devices of a scoped check
 	// that took a verdict.
 	classes   []classVerdict
 	classRuns []contracts.Run

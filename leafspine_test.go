@@ -3,6 +3,7 @@ package dcvalidate
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -58,6 +59,76 @@ func flipSoundAtScale(t *testing.T, link func(*topology.Topology) (topology.Devi
 	}
 }
 
+// TestSeededFaultSweepClassesSound arms the full-check class gate on the
+// fleet_sweep benchmark's fleet: 2008 devices carrying its 12 seeded link
+// faults (seed 1: a third leaf–spine, the rest ToR–leaf, each a shut
+// session or a failed link), swept whole. The devices the synthesizer puts
+// in one class for a full check must agree on everything their verdicts
+// read (classcheck.Check), and the class-collapsed sweep must render the
+// bytes of a sweep through a source that offers runs but no classes.
+func TestSeededFaultSweepClassesSound(t *testing.T) {
+	topo := topology.MustNew(experiments.SizedParams("dc", 2008))
+	var torLeaf, leafSpine []topology.LinkID
+	for i := range topo.Links {
+		switch topo.Device(topo.Links[i].A).Role {
+		case topology.RoleToR:
+			torLeaf = append(torLeaf, topo.Links[i].ID)
+		case topology.RoleLeaf:
+			leafSpine = append(leafSpine, topo.Links[i].ID)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, draw := range []struct {
+		links []topology.LinkID
+		n     int
+	}{{leafSpine, 4}, {torLeaf, 8}} {
+		for _, i := range rng.Perm(len(draw.links))[:draw.n] {
+			if rng.Intn(2) == 0 {
+				topo.SetSessionUp(draw.links[i], false)
+			} else {
+				topo.SetLinkUp(draw.links[i], false)
+			}
+		}
+	}
+	facts := metadata.FromTopology(topo)
+	synth := bgp.NewSynth(topo, nil)
+	all := delta.NewSet()
+	all.MarkFull()
+	classes, members, err := classcheck.Check(topo, synth, bgp.NewSynth(topo, nil), contracts.NewGenerator(facts), all)
+	if err != nil {
+		t.Fatalf("class soundness: %v", err)
+	}
+	if members == 0 {
+		t.Fatal("no device shares a full check's class with another: the class gate exercised nothing")
+	}
+	v := rcdc.Validator{Workers: 2}
+	got, err := v.ValidateAll(facts, synth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v.ValidateAll(facts, runsOnly{synth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Failures == 0 {
+		t.Fatal("the seeded faults turned no device red")
+	}
+	if g, w := renderReport(got), renderReport(want); !bytes.Equal(g, w) {
+		t.Fatalf("class-collapsed sweep diverges from one without classes:\n--- classes\n%s--- none\n%s", g, w)
+	}
+	t.Logf("%d devices in %d classes, %d violations", classes+members, classes, got.Failures)
+}
+
+// runsOnly offers a synthesizer's runs but not its classes (no
+// rcdc.ClassSource): every device of a sweep is merged on its own.
+type runsOnly struct{ s *bgp.Synth }
+
+func (r runsOnly) Table(d topology.DeviceID) (*fib.Table, error) { return r.s.Table(d) }
+func (r runsOnly) RunPrefixes() []topology.HostedPrefix          { return r.s.RunPrefixes() }
+func (r runsOnly) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
+	return r.s.TableRuns(d, lo, hi, buf)
+}
+
 // flipSound fails the link between the two devices link picks on a
 // warmed, table-cached validator and checks the blast radius the sweep
 // planned from against the derivation, which reaches the same facts
@@ -69,8 +140,10 @@ func flipSoundAtScale(t *testing.T, link func(*topology.Topology) (topology.Devi
 // row by row. The devices the cached synthesizer puts in one class for
 // their scope's stretch — whose verdicts the scoped check hands from one to
 // the other — must have equal content keys there (classcheck.Check), by a
-// fresh synthesis. Then the revalidated report must render identically to
-// a from-scratch sweep of the failed fleet.
+// fresh synthesis, and so must the devices it puts in one class for a
+// full check, around their home (the gate's full-check mode, over every
+// device). Then the revalidated report must render identically to a
+// from-scratch sweep of the failed fleet.
 func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (topology.DeviceID, topology.DeviceID)) {
 	topo := topology.MustNew(p)
 	facts := metadata.FromTopology(topo)
@@ -117,7 +190,7 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 					topo.Device(d).Name, what, r, dirty, len(sc.Rows))
 			}
 		}
-		a, b := was.TableRuns(d, nil), is.TableRuns(d, nil)
+		a, b := was.TableRuns(d, 0, len(prefixes), fib.RunTable{}), is.TableRuns(d, 0, len(prefixes), fib.RunTable{})
 		for _, st := range movedRuns(a.Runs, b.Runs) {
 			for pi := st[0]; pi < st[1]; pi++ {
 				inScope(prefixes[pi].Prefix, "run row")
@@ -153,6 +226,15 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if members == 0 {
 		t.Fatalf("no device of the %d dirty shares a class with another: the class gate exercised nothing", ds.Count())
 	}
+	all := delta.NewSet()
+	all.MarkFull()
+	fullClasses, fullMembers, err := classcheck.Check(topo, cached, is, gen, all)
+	if err != nil {
+		t.Fatalf("class soundness of a full sweep: %v", err)
+	}
+	if fullMembers == 0 {
+		t.Fatal("no device shares a full check's class with another: the class gate exercised nothing")
+	}
 
 	full, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
 	if err != nil {
@@ -161,8 +243,8 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if got, want := renderReport(rep), renderReport(full); !bytes.Equal(got, want) {
 		t.Fatalf("revalidated report diverges from a full sweep:\n--- revalidated\n%s--- full\n%s", got, want)
 	}
-	t.Logf("%d devices: %d dirty after one link failure (%d scoped to rows, %d of them in %d classes), %d (device × prefix) moved, %d violations",
-		len(topo.Devices), ds.Count(), scoped, classes+members, classes, moved, rep.Failures)
+	t.Logf("%d devices: %d dirty after one link failure (%d scoped to rows, %d of them in %d classes), %d (device × prefix) moved, %d violations; a full sweep: %d devices in %d classes",
+		len(topo.Devices), ds.Count(), scoped, classes+members, classes, moved, rep.Failures, fullClasses+fullMembers, fullClasses)
 }
 
 // movedRuns returns the stretches of positions, ascending and disjoint,
