@@ -10,11 +10,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dcvalidate/internal/acl"
 	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/emulator"
 	"dcvalidate/internal/experiments"
@@ -22,6 +26,7 @@ import (
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/monitor"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/secguru"
 	"dcvalidate/internal/topology"
@@ -421,6 +426,59 @@ func BenchmarkAblation_BGPSimVsSynth(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkColdSweepStages splits a fresh datacenter's first sweep — the
+// fleet_sweep benchmark's seeded 2008-device fleet, as the facade's default
+// Validate runs it — into stages, each timed on its own and reported as
+// its median in µs: facts (metadata.FromTopology), synth (bgp.NewSynth),
+// facts+synth (the two built side by side as two par.For jobs on all
+// CPUs, which is what the engine's first Validate does), layout (the
+// contract generator's prefix layout, which its first Runs builds) and
+// check (ValidateAll on all CPUs over that synth and generator).
+func BenchmarkColdSweepStages(b *testing.B) {
+	topo := seededFleet()
+	workers := runtime.GOMAXPROCS(0)
+	c := clock.System{}
+	stages := map[string][]time.Duration{}
+	timed := func(name string, f func()) {
+		start := c.Now()
+		f()
+		stages[name] = append(stages[name], clock.Since(c, start))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var facts *metadata.Facts
+		var synth *bgp.Synth
+		timed("facts", func() { facts = metadata.FromTopology(topo) })
+		timed("synth", func() { synth = bgp.NewSynth(topo, nil) })
+		timed("facts+synth", func() {
+			par.For(2, workers, func(_, j int) {
+				if j == 0 {
+					synth = bgp.NewSynth(topo, nil)
+				} else {
+					facts = metadata.FromTopology(topo)
+				}
+			})
+		})
+		gen := contracts.NewGenerator(facts)
+		timed("layout", func() { gen.Runs(0, nil) })
+		var rep *rcdc.Report
+		var err error
+		timed("check", func() { rep, err = (&rcdc.Validator{Contracts: gen}).ValidateAll(facts, synth) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Failures == 0 {
+			b.Fatal("the seeded faults turned no device red")
+		}
+	}
+	b.StopTimer()
+	for _, name := range []string{"facts", "synth", "facts+synth", "layout", "check"} {
+		d := stages[name]
+		slices.Sort(d)
+		b.ReportMetric(float64(d[len(d)/2].Nanoseconds())/1e3, name+"-µs")
+	}
 }
 
 // BenchmarkFIBTextFormat measures Figure 2 rendering and parsing.

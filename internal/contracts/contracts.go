@@ -315,14 +315,18 @@ func (g *Generator) runs(l *layout, id topology.DeviceID, buf []Run) DeviceRuns 
 		dr.Default = uplinks
 		// Specific contracts: the neighboring leaves of the hosting
 		// cluster (with the plane structure, exactly one per cluster).
+		cluster := func(nb metadata.Neighbor) int { return g.facts.Device(nb.Device).Cluster }
+		byClusterDevice := func(a, b metadata.Neighbor) int {
+			return cmp.Or(cmp.Compare(cluster(a), cluster(b)), cmp.Compare(a.Device, b.Device))
+		}
 		down := df.Downlinks
 		if !slices.IsSortedFunc(down, byClusterDevice) {
 			down = slices.Clone(down)
 			slices.SortFunc(down, byClusterDevice)
 		}
 		for _, c := range l.clusters {
-			lo := sort.Search(len(down), func(i int) bool { return down[i].Cluster >= c.key })
-			hi := lo + sort.Search(len(down)-lo, func(i int) bool { return down[lo+i].Cluster > c.key })
+			lo := sort.Search(len(down), func(i int) bool { return cluster(down[i]) >= c.key })
+			hi := lo + sort.Search(len(down)-lo, func(i int) bool { return cluster(down[lo+i]) > c.key })
 			switch {
 			case hi-lo == 1:
 				dr.add(c.lo, c.hi, l.one(down[lo].Device))
@@ -435,10 +439,6 @@ func within(st []stretch, lo, hi int) []stretch {
 	i := sort.Search(len(st), func(i int) bool { return st[i].lo >= lo })
 	j := i + sort.Search(len(st)-i, func(k int) bool { return st[i+k].lo >= hi })
 	return st[i:j]
-}
-
-func byClusterDevice(a, b metadata.Neighbor) int {
-	return cmp.Or(cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.Device, b.Device))
 }
 
 // Prefixes returns the prefix list Runs indexes: the facts' hosted

@@ -240,8 +240,7 @@ func TestToRContractsSkipHostedPrefixes(t *testing.T) {
 				RegionalSpines: 4, RSLinksPerSpine: 2, PrefixesPerToR: per,
 			})
 			if swap {
-				a, b := topo.Device(topo.ToRs()[0]), topo.Device(topo.ToRs()[4])
-				a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+				topo.SwapHostedPrefixes(topo.ToRs()[0], topo.ToRs()[4])
 			}
 			facts := metadata.FromTopology(topo)
 			g := NewGenerator(facts)
@@ -352,7 +351,7 @@ func TestRunsMatchPerPrefixRule(t *testing.T) {
 					}
 				case topology.RoleSpine:
 					for _, n := range df.Downlinks {
-						if n.Cluster == p.Cluster {
+						if facts.Device(n.Device).Cluster == p.Cluster {
 							hops = append(hops, n.Device)
 						}
 					}

@@ -159,8 +159,7 @@ func TestRowScopesUnionWithoutLimit(t *testing.T) {
 // gets whole-device scopes over the same devices.
 func TestUnorderedAddressPlanScopesWhole(t *testing.T) {
 	flat, swapped := multiSpine(t), multiSpine(t)
-	a, b := swapped.Device(swapped.ToRs()[0]), swapped.Device(swapped.ToRs()[4])
-	a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+	swapped.SwapHostedPrefixes(swapped.ToRs()[0], swapped.ToRs()[4])
 	var sets [2]*delta.Set
 	for i, topo := range []*topology.Topology{flat, swapped} {
 		gen := topo.Generation()

@@ -21,6 +21,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"dcvalidate/internal/bgp"
@@ -36,6 +37,7 @@ import (
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/monitor"
 	"dcvalidate/internal/obs"
+	"dcvalidate/internal/par"
 	"dcvalidate/internal/pec"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/topology"
@@ -152,6 +154,28 @@ func (e *Engine) factsLocked() *metadata.Facts {
 		e.facts = metadata.FromTopology(e.topo)
 	}
 	return e.facts
+}
+
+// besideFactsLocked runs build — a FIB source's construction — and, when
+// the facts are not built yet, the facts build beside it as two par.For
+// jobs: both only read the topology, so a fresh engine's first sweep waits
+// for the longer of the two rather than their sum. workers is Options.Workers
+// (0 = all CPUs, 1 = one after the other).
+func (e *Engine) besideFactsLocked(workers int, build func()) {
+	if e.facts != nil {
+		build()
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	par.For(2, workers, func(_, i int) {
+		if i == 0 {
+			build()
+		} else {
+			e.facts = metadata.FromTopology(e.topo)
+		}
+	})
 }
 
 // Metrics returns the engine's metric registry, creating it — and wiring
@@ -420,7 +444,7 @@ func (e *Engine) validateLocked(opts Options) (*rcdc.Report, error) {
 	gen := e.topo.Generation()
 	src := opts.Source
 	if src == nil {
-		src = e.newSourceLocked()
+		e.besideFactsLocked(opts.Workers, func() { src = e.newSourceLocked() })
 	}
 	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
 	rep, err := v.ValidateAll(e.factsLocked(), src)
@@ -444,7 +468,7 @@ func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, e
 
 func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
 	if opts.Source == nil {
-		opts.Source = e.cachedSourceLocked()
+		e.besideFactsLocked(opts.Workers, func() { opts.Source = e.cachedSourceLocked() })
 	}
 	if e.cgen == nil {
 		e.cgen = contracts.NewGenerator(e.factsLocked())

@@ -1,10 +1,11 @@
 // Package metadata models the Azure metadata service of §2.3: the source of
 // truth for network intent. It records facts about topology and address
 // locality — which IP prefixes are hosted in which top-of-rack switch, who
-// each device's neighbors are, and how BGP sessions are configured between
-// routers. The device contract generator derives intent from these facts
-// alone; it never looks at live network state, because contracts are based
-// on the expected topology (§2.4), not the current link status.
+// each device's neighbors are and at which address each BGP session
+// terminates, and the ASN each router's sessions carry. The device contract
+// generator derives intent from these facts alone; it never looks at live
+// network state, because contracts are based on the expected topology
+// (§2.4), not the current link status.
 package metadata
 
 import (
@@ -16,15 +17,13 @@ import (
 	"dcvalidate/internal/topology"
 )
 
-// Neighbor is one expected adjacency of a device, with the configuration of
-// the BGP session riding it.
+// Neighbor is one expected adjacency of a device: the peer and the
+// address of its far-end interface, where the BGP session riding the link
+// terminates. The peer's name, role, cluster and ASN — the rest of the
+// session's configuration — are read through Facts.Device(nb.Device).
 type Neighbor struct {
 	Device   topology.DeviceID `json:"device"`
-	Name     string            `json:"name"`
-	Role     topology.Role     `json:"role"`
-	Cluster  int               `json:"cluster"`
-	ASN      uint32            `json:"asn"`
-	PeerAddr ipnet.Addr        `json:"peerAddr"` // far-end interface address
+	PeerAddr ipnet.Addr        `json:"peerAddr"`
 }
 
 // DeviceFacts is everything the metadata service knows about one device.
@@ -78,40 +77,54 @@ func (f *Facts) NoteIntentChange() { f.gen++ }
 // Link state is deliberately ignored: the metadata service describes the
 // architecture, and contracts must hold across state fluctuations.
 func FromTopology(t *topology.Topology) *Facts {
-	f := &Facts{Datacenter: t.Params.Name, Devices: make([]DeviceFacts, 0, len(t.Devices))}
-	// Every device's neighbors share one array, sized exactly: a link is
-	// two adjacencies. Each list is capped, so appending to one copies it.
+	hps := t.HostedPrefixes()
+	f := &Facts{
+		Datacenter: t.Params.Name,
+		Devices:    make([]DeviceFacts, len(t.Devices)),
+		Prefixes:   make([]PrefixFacts, len(hps)),
+	}
+	for i, hp := range hps {
+		f.Prefixes[i] = PrefixFacts{Prefix: hp.Prefix, ToR: hp.ToR, Cluster: hp.Cluster}
+	}
+	// Every device's neighbors share one array, sized exactly (a link is
+	// two adjacencies), and so do the ToRs' hosted prefixes. Each slice is
+	// capped, so appending to one copies it out.
 	nbs := make([]Neighbor, 0, 2*len(t.Links))
+	hosted := make([]ipnet.Prefix, 0, len(hps))
+	var down []Neighbor // one device's downlinks, until its uplinks are in
 	for i := range t.Devices {
 		d := &t.Devices[i]
-		adjacent := func(up bool) []Neighbor {
-			lo := len(nbs)
-			for _, lid := range t.LinksOf(d.ID) {
-				peer, peerAddr := t.Link(lid).Peer(d.ID)
-				pd := t.Device(peer)
-				if (pd.Role > d.Role) == up { // higher tier value = closer to RS
-					nbs = append(nbs, Neighbor{
-						Device: pd.ID, Name: pd.Name, Role: pd.Role,
-						Cluster: pd.Cluster, ASN: pd.ASN, PeerAddr: peerAddr,
-					})
-				}
+		up := len(nbs)
+		down = down[:0]
+		for _, lid := range t.LinksOf(d.ID) {
+			// A link's A end is its lower-tier end: B is closer to the RS.
+			if l := t.Link(lid); l.A == d.ID {
+				nbs = append(nbs, Neighbor{Device: l.B, PeerAddr: l.AddrB})
+			} else {
+				down = append(down, Neighbor{Device: l.A, PeerAddr: l.AddrA})
 			}
-			if len(nbs) == lo {
-				return nil
-			}
-			return nbs[lo:len(nbs):len(nbs)]
 		}
-		f.Devices = append(f.Devices, DeviceFacts{
+		uplinks := carve(nbs, up)
+		at := len(nbs)
+		nbs = append(nbs, down...)
+		lo := len(hosted)
+		hosted = append(hosted, d.HostedPrefixes...)
+		f.Devices[i] = DeviceFacts{
 			ID: d.ID, Name: d.Name, Role: d.Role, Cluster: d.Cluster, ASN: d.ASN,
-			HostedPrefixes: append([]ipnet.Prefix(nil), d.HostedPrefixes...),
-			Uplinks:        adjacent(true),
-			Downlinks:      adjacent(false),
-		})
-	}
-	for _, hp := range t.HostedPrefixes() {
-		f.Prefixes = append(f.Prefixes, PrefixFacts{Prefix: hp.Prefix, ToR: hp.ToR, Cluster: hp.Cluster})
+			HostedPrefixes: carve(hosted, lo),
+			Uplinks:        uplinks,
+			Downlinks:      carve(nbs, at),
+		}
 	}
 	return f
+}
+
+// carve returns s[lo:] capped at its length, or nil when it is empty.
+func carve[E any](s []E, lo int) []E {
+	if len(s) == lo {
+		return nil
+	}
+	return s[lo:len(s):len(s)]
 }
 
 // Device returns the facts for a device ID.

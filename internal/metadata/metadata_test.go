@@ -3,6 +3,8 @@ package metadata
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dcvalidate/internal/topology"
@@ -28,8 +30,8 @@ func TestFromTopology(t *testing.T) {
 			len(tor.Uplinks), len(tor.Downlinks), len(tor.HostedPrefixes))
 	}
 	for _, u := range tor.Uplinks {
-		if u.Role != topology.RoleLeaf || u.Cluster != 0 {
-			t.Errorf("ToR uplink = %+v", u)
+		if p := f.Device(u.Device); p.Role != topology.RoleLeaf || p.Cluster != 0 {
+			t.Errorf("ToR uplink = %+v, peer %+v", u, p)
 		}
 	}
 
@@ -107,5 +109,104 @@ func TestByNameAndClusterQueries(t *testing.T) {
 		if p.Cluster != 1 {
 			t.Errorf("wrong cluster in %+v", p)
 		}
+	}
+}
+
+// fleet builds the benchmark fleets' shape with the given clusters: per
+// cluster 40 ToRs and 8 leaves, 8 planes of 4 spines, 8 regional spines —
+// 520 devices at 10 clusters, 2008 at 41.
+func fleet(clusters int) *topology.Topology {
+	return topology.MustNew(topology.Params{
+		Name: "dc", Clusters: clusters, ToRsPerCluster: 40, LeavesPerCluster: 8,
+		SpinesPerPlane: 4, RegionalSpines: 8, RSLinksPerSpine: 4, PrefixesPerToR: 1,
+	})
+}
+
+// TestFactsMatchTopology checks the facts of a faulted 520-device fleet
+// against the topology they were read from: each device's neighbors are
+// its adjacency as (device, peer address), split by role, in link order;
+// every peer's name, role, cluster and ASN, read through the device table,
+// are the topology device's; and the facts survive a JSON round trip.
+func TestFactsMatchTopology(t *testing.T) {
+	topo := fleet(10)
+	if n := len(topo.Devices); n != 520 {
+		t.Fatalf("fleet has %d devices, want 520", n)
+	}
+	for i := 0; i < len(topo.Links); i += 97 {
+		if i%2 == 0 {
+			topo.SetLinkUp(topology.LinkID(i), false)
+		} else {
+			topo.SetSessionUp(topology.LinkID(i), false)
+		}
+	}
+	f := FromTopology(topo)
+	if len(f.Devices) != len(topo.Devices) {
+		t.Fatalf("facts list %d devices, topology %d", len(f.Devices), len(topo.Devices))
+	}
+	for i := range topo.Devices {
+		d := &topo.Devices[i]
+		df := f.Device(d.ID)
+		if df.ID != d.ID || df.Name != d.Name || df.Role != d.Role || df.Cluster != d.Cluster || df.ASN != d.ASN ||
+			!slices.Equal(df.HostedPrefixes, d.HostedPrefixes) {
+			t.Fatalf("device %s: facts %+v", d.Name, df)
+		}
+		var up, down []Neighbor
+		for _, lid := range topo.LinksOf(d.ID) {
+			peer, addr := topo.Link(lid).Peer(d.ID)
+			if topo.Device(peer).Role > d.Role {
+				up = append(up, Neighbor{Device: peer, PeerAddr: addr})
+			} else {
+				down = append(down, Neighbor{Device: peer, PeerAddr: addr})
+			}
+		}
+		if !slices.Equal(df.Uplinks, up) || !slices.Equal(df.Downlinks, down) {
+			t.Fatalf("device %s: uplinks %v downlinks %v, want %v and %v", d.Name, df.Uplinks, df.Downlinks, up, down)
+		}
+		for _, nb := range append(slices.Clip(df.Uplinks), df.Downlinks...) {
+			p, want := f.Device(nb.Device), topo.Device(nb.Device)
+			if p.Name != want.Name || p.Role != want.Role || p.Cluster != want.Cluster || p.ASN != want.ASN {
+				t.Fatalf("device %s: peer %+v, want %+v", d.Name, p, want)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, f) {
+		t.Error("JSON round trip changed the facts")
+	}
+}
+
+// TestFromTopologyAllocCeiling locks the facts build's allocation diet at
+// 2008 devices: the devices, their neighbors, their hosted prefixes and
+// the prefix list are one array each. Measured when written: 5 mallocs and
+// 0.51 MB per build, against 1670 mallocs and 1.83 MB when each neighbor
+// carried a copy of its peer's name, role, cluster and ASN and each ToR
+// its own hosted-prefix slice.
+func TestFromTopologyAllocCeiling(t *testing.T) {
+	topo := fleet(41)
+	if n := len(topo.Devices); n != 2008 {
+		t.Fatalf("fleet has %d devices, want 2008", n)
+	}
+	allocs := testing.AllocsPerRun(5, func() { FromTopology(topo) })
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		FromTopology(topo)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%d devices: %.0f mallocs, %.2f MB per build", len(topo.Devices), allocs, per/(1<<20))
+	if allocs > 32 {
+		t.Errorf("FromTopology: %.0f mallocs per build, ceiling 32", allocs)
+	}
+	if per > 1<<20 {
+		t.Errorf("FromTopology: %.2f MB per build, ceiling 1 MB", per/(1<<20))
 	}
 }

@@ -213,8 +213,7 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := topology.MustNew(params)
 			if tc.unordered {
-				a, b := topo.Device(topo.ToRs()[0]), topo.Device(topo.ToRs()[4])
-				a.HostedPrefixes, b.HostedPrefixes = b.HostedPrefixes, a.HostedPrefixes
+				topo.SwapHostedPrefixes(topo.ToRs()[0], topo.ToRs()[4])
 			}
 			facts := metadata.FromTopology(topo)
 			gen := contracts.NewGenerator(facts)
@@ -353,7 +352,10 @@ func TestClassMembersKeepTheirOwnContracts(t *testing.T) {
 	facts := metadata.FromTopology(topo)
 	edited := facts.Device(topo.ClusterToRs(1)[2])
 	other := topo.ClusterLeaves(0)[1]
-	edited.Uplinks[1] = metadata.Neighbor{Device: other, Name: topo.Device(other).Name, Role: topology.RoleLeaf}
+	edited.Uplinks[1] = metadata.Neighbor{Device: other}
+	if p := facts.Device(other); p.Role != topology.RoleLeaf || p.Name != topo.Device(other).Name {
+		t.Fatalf("edited uplink's peer = %+v, want leaf %s", p, topo.Device(other).Name)
+	}
 	facts.NoteIntentChange()
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()

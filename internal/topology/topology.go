@@ -21,6 +21,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dcvalidate/internal/ipnet"
 )
@@ -66,6 +67,8 @@ type Device struct {
 	ASN     uint32
 
 	// HostedPrefixes are the VLAN prefixes announced by a ToR (§2.1).
+	// Move them only through Topology.SwapHostedPrefixes, which keeps the
+	// Topology.HostedPrefixes list in step.
 	HostedPrefixes []ipnet.Prefix
 }
 
@@ -74,7 +77,9 @@ type LinkID int32
 
 // Link is a point-to-point connection carrying one EBGP session.
 type Link struct {
-	ID   LinkID
+	ID LinkID
+	// A is the lower-tier end (ToR, leaf, spine), B the higher one (leaf,
+	// spine, regional spine): B is the uplink of A.
 	A, B DeviceID
 	// Up is the physical/operational state (false models optical faults).
 	Up bool
@@ -243,6 +248,10 @@ type Topology struct {
 	spines  []DeviceID
 	rspines []DeviceID
 
+	// hosted lists every (prefix, hosting ToR) pair in ToR order, built
+	// with the devices' HostedPrefixes (see HostedPrefixes).
+	hosted []HostedPrefix
+
 	// Change journal: gen counts mutations since construction, journal
 	// holds the most recent maxJournal of them, journalFloor is the newest
 	// generation that has been truncated away (0 = journal complete).
@@ -266,13 +275,18 @@ func New(p Params) (*Topology, error) {
 	t := &Topology{Params: p, byName: make(map[string]DeviceID, nDevices)}
 	t.Devices = make([]Device, 0, nDevices)
 
-	addDevice := func(name string, role Role, cluster, index, plane int, asn uint32) DeviceID {
+	// Each device's name is appended to names as it is added, and every
+	// name is cut from one string once all devices are in: one allocation
+	// for the fleet's names, not one per device.
+	names := make([]byte, 0, nDevices*(len(p.Name)+12))
+	nameEnd := make([]int, 0, nDevices)
+	addDevice := func(role Role, cluster, index, plane int, asn uint32) DeviceID {
 		id := DeviceID(len(t.Devices))
 		t.Devices = append(t.Devices, Device{
-			ID: id, Name: name, Role: role, Cluster: cluster, Index: index,
+			ID: id, Role: role, Cluster: cluster, Index: index,
 			Plane: plane, ASN: asn,
 		})
-		t.byName[name] = id
+		nameEnd = append(nameEnd, len(names))
 		return id
 	}
 
@@ -287,8 +301,8 @@ func New(p Params) (*Topology, error) {
 	hosted := make([]ipnet.Prefix, p.Clusters*p.ToRsPerCluster*p.PrefixesPerToR)
 	for c := 0; c < p.Clusters; c++ {
 		for i := 0; i < p.ToRsPerCluster; i++ {
-			id := addDevice(fmt.Sprintf("%s-c%d-t0-%d", p.Name, c, i),
-				RoleToR, c, i, -1, asnToRBase+uint32(i))
+			names = appendName(names, p.Name, "-c", c, "-t0-", i)
+			id := addDevice(RoleToR, c, i, -1, asnToRBase+uint32(i))
 			d := &t.Devices[id]
 			d.HostedPrefixes, hosted = hosted[:p.PrefixesPerToR:p.PrefixesPerToR], hosted[p.PrefixesPerToR:]
 			for k := range d.HostedPrefixes {
@@ -298,22 +312,29 @@ func New(p Params) (*Topology, error) {
 			t.tors = append(t.tors, id)
 		}
 		for i := 0; i < p.LeavesPerCluster; i++ {
-			id := addDevice(fmt.Sprintf("%s-c%d-t1-%d", p.Name, c, i),
-				RoleLeaf, c, i, i, asnLeafBase+uint32(c))
+			names = appendName(names, p.Name, "-c", c, "-t1-", i)
+			id := addDevice(RoleLeaf, c, i, i, asnLeafBase+uint32(c))
 			t.leaves = append(t.leaves, id)
 		}
 	}
+	t.listHosted()
 	for pl := 0; pl < p.LeavesPerCluster; pl++ {
 		for i := 0; i < p.SpinesPerPlane; i++ {
-			id := addDevice(fmt.Sprintf("%s-t2-p%d-%d", p.Name, pl, i),
-				RoleSpine, -1, i, pl, asnSpine)
+			names = appendName(names, p.Name, "-t2-p", pl, "-", i)
+			id := addDevice(RoleSpine, -1, i, pl, asnSpine)
 			t.spines = append(t.spines, id)
 		}
 	}
 	for i := 0; i < p.RegionalSpines; i++ {
-		id := addDevice(fmt.Sprintf("%s-rs-%d", p.Name, i),
-			RoleRegionalSpine, -1, i, -1, asnRegionalSpine+uint32(p.RegionIndex))
+		names = appendName(names, p.Name, "-rs-", i, "", -1)
+		id := addDevice(RoleRegionalSpine, -1, i, -1, asnRegionalSpine+uint32(p.RegionIndex))
 		t.rspines = append(t.rspines, id)
+	}
+	all, lo := string(names), 0
+	for i, hi := range nameEnd {
+		t.Devices[i].Name = all[lo:hi]
+		t.byName[t.Devices[i].Name] = DeviceID(i)
+		lo = hi
 	}
 
 	groups := p.RegionalSpines / p.RSLinksPerSpine
@@ -374,6 +395,16 @@ func New(p Params) (*Topology, error) {
 		t.linksOf[l.B] = append(t.linksOf[l.B], l.ID)
 	}
 	return t, nil
+}
+
+// appendName appends the device name dc+s1+a+s2+b to buf, without s2 and
+// b when b < 0.
+func appendName(buf []byte, dc, s1 string, a int, s2 string, b int) []byte {
+	buf = strconv.AppendInt(append(append(buf, dc...), s1...), int64(a), 10)
+	if b < 0 {
+		return buf
+	}
+	return strconv.AppendInt(append(buf, s2...), int64(b), 10)
 }
 
 // MustNew is New that panics on error; for tests and examples.
@@ -645,15 +676,34 @@ func (t *Topology) RestoreAll() {
 }
 
 // HostedPrefixes returns every (prefix, hosting ToR) pair in the
-// datacenter, in prefix order — the address-locality facts of §2.3.
-func (t *Topology) HostedPrefixes() []HostedPrefix {
-	var out []HostedPrefix
+// datacenter, in ToR order — the address-locality facts of §2.3. The list
+// is built once, with the devices' HostedPrefixes, and shared by every
+// caller: it is read only.
+func (t *Topology) HostedPrefixes() []HostedPrefix { return t.hosted }
+
+// listHosted builds the HostedPrefixes list from the ToRs' prefixes.
+func (t *Topology) listHosted() {
+	n := 0
 	for _, id := range t.tors {
-		for _, p := range t.Devices[id].HostedPrefixes {
-			out = append(out, HostedPrefix{Prefix: p, ToR: id, Cluster: t.Devices[id].Cluster})
+		n += len(t.Devices[id].HostedPrefixes)
+	}
+	t.hosted = make([]HostedPrefix, 0, n)
+	for _, id := range t.tors {
+		d := &t.Devices[id]
+		for _, p := range d.HostedPrefixes {
+			t.hosted = append(t.hosted, HostedPrefix{Prefix: p, ToR: id, Cluster: d.Cluster})
 		}
 	}
-	return out
+}
+
+// SwapHostedPrefixes exchanges the prefixes two ToRs host and lists them
+// anew: the way to lay out an address plan that is not ascending in ToR
+// order. Prefixes are intent, not state: the swap is not journaled, and
+// facts and FIB sources built before it do not see it.
+func (t *Topology) SwapHostedPrefixes(a, b DeviceID) {
+	da, db := &t.Devices[a], &t.Devices[b]
+	da.HostedPrefixes, db.HostedPrefixes = db.HostedPrefixes, da.HostedPrefixes
+	t.listHosted()
 }
 
 // HostedPrefix records where a VLAN prefix lives.

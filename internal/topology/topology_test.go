@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dcvalidate/internal/ipnet"
@@ -155,6 +157,52 @@ func TestHostedPrefixes(t *testing.T) {
 	}
 }
 
+// TestHostedPrefixesListedOnce: the list is New's, handed out without a
+// copy, and it follows the ToRs' own prefixes through a swap.
+func TestHostedPrefixesListedOnce(t *testing.T) {
+	topo := MustNew(Params{
+		Clusters: 2, ToRsPerCluster: 3, LeavesPerCluster: 2,
+		SpinesPerPlane: 1, RegionalSpines: 1, RSLinksPerSpine: 1,
+		PrefixesPerToR: 2,
+	})
+	if allocs := testing.AllocsPerRun(10, func() { topo.HostedPrefixes() }); allocs != 0 {
+		t.Errorf("HostedPrefixes allocates %.0f times per call, want 0", allocs)
+	}
+	derived := func() []HostedPrefix {
+		var out []HostedPrefix
+		for _, id := range topo.ToRs() {
+			d := topo.Device(id)
+			for _, p := range d.HostedPrefixes {
+				out = append(out, HostedPrefix{Prefix: p, ToR: id, Cluster: d.Cluster})
+			}
+		}
+		return out
+	}
+	if got, want := topo.HostedPrefixes(), derived(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("HostedPrefixes = %v, want %v", got, want)
+	}
+	before := topo.HostedPrefixes()[0]
+	topo.SwapHostedPrefixes(topo.ToRs()[0], topo.ToRs()[4])
+	if got, want := topo.HostedPrefixes(), derived(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a swap HostedPrefixes = %v, want %v", got, want)
+	}
+	if got := topo.HostedPrefixes()[0]; got.Prefix == before.Prefix || got.ToR != before.ToR {
+		t.Errorf("after a swap the first ToR lists %v, had %v", got, before)
+	}
+}
+
+// TestLinkALowerTier: every link runs from its lower-tier end A up to B,
+// one tier apart — what readers splitting uplinks from downlinks rely on.
+func TestLinkALowerTier(t *testing.T) {
+	topo := MustNew(Figure3Params())
+	for i := range topo.Links {
+		l := &topo.Links[i]
+		if a, b := topo.Device(l.A).Role, topo.Device(l.B).Role; b != a+1 {
+			t.Errorf("link %d runs %s → %s", l.ID, a, b)
+		}
+	}
+}
+
 func TestLinkStateAndFailures(t *testing.T) {
 	topo := MustNew(Figure3Params())
 	tor := topo.ToRs()[0]
@@ -251,6 +299,32 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := topo.ByName("nope"); ok {
 		t.Error("ByName matched missing device")
+	}
+	// Every tier's name pattern, with multi-digit positions, and every name
+	// finds its own device.
+	topo = MustNew(Params{
+		Name: "big", Clusters: 12, ToRsPerCluster: 11, LeavesPerCluster: 10,
+		SpinesPerPlane: 11, RegionalSpines: 12, RSLinksPerSpine: 1,
+	})
+	for i := range topo.Devices {
+		d := &topo.Devices[i]
+		var want string
+		switch d.Role {
+		case RoleToR:
+			want = fmt.Sprintf("big-c%d-t0-%d", d.Cluster, d.Index)
+		case RoleLeaf:
+			want = fmt.Sprintf("big-c%d-t1-%d", d.Cluster, d.Index)
+		case RoleSpine:
+			want = fmt.Sprintf("big-t2-p%d-%d", d.Plane, d.Index)
+		default:
+			want = fmt.Sprintf("big-rs-%d", d.Index)
+		}
+		if d.Name != want {
+			t.Fatalf("device %d is named %q, want %q", d.ID, d.Name, want)
+		}
+		if got, ok := topo.ByName(want); !ok || got.ID != d.ID {
+			t.Fatalf("ByName(%q) = %v, %v", want, got, ok)
+		}
 	}
 }
 

@@ -67,29 +67,7 @@ func flipSoundAtScale(t *testing.T, link func(*topology.Topology) (topology.Devi
 // read (classcheck.Check), and the class-collapsed sweep must render the
 // bytes of a sweep through a source that offers runs but no classes.
 func TestSeededFaultSweepClassesSound(t *testing.T) {
-	topo := topology.MustNew(experiments.SizedParams("dc", 2008))
-	var torLeaf, leafSpine []topology.LinkID
-	for i := range topo.Links {
-		switch topo.Device(topo.Links[i].A).Role {
-		case topology.RoleToR:
-			torLeaf = append(torLeaf, topo.Links[i].ID)
-		case topology.RoleLeaf:
-			leafSpine = append(leafSpine, topo.Links[i].ID)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, draw := range []struct {
-		links []topology.LinkID
-		n     int
-	}{{leafSpine, 4}, {torLeaf, 8}} {
-		for _, i := range rng.Perm(len(draw.links))[:draw.n] {
-			if rng.Intn(2) == 0 {
-				topo.SetSessionUp(draw.links[i], false)
-			} else {
-				topo.SetLinkUp(draw.links[i], false)
-			}
-		}
-	}
+	topo := seededFleet()
 	facts := metadata.FromTopology(topo)
 	synth := bgp.NewSynth(topo, nil)
 	all := delta.NewSet()
@@ -117,6 +95,36 @@ func TestSeededFaultSweepClassesSound(t *testing.T) {
 		t.Fatalf("class-collapsed sweep diverges from one without classes:\n--- classes\n%s--- none\n%s", g, w)
 	}
 	t.Logf("%d devices in %d classes, %d violations", classes+members, classes, got.Failures)
+}
+
+// seededFleet builds the fleet_sweep benchmark's fleet: 2008 devices
+// carrying its 12 seed-1 link faults, a third leaf–spine and the rest
+// ToR–leaf, each a shut session or a failed link.
+func seededFleet() *topology.Topology {
+	topo := topology.MustNew(experiments.SizedParams("dc", 2008))
+	var torLeaf, leafSpine []topology.LinkID
+	for i := range topo.Links {
+		switch topo.Device(topo.Links[i].A).Role {
+		case topology.RoleToR:
+			torLeaf = append(torLeaf, topo.Links[i].ID)
+		case topology.RoleLeaf:
+			leafSpine = append(leafSpine, topo.Links[i].ID)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, draw := range []struct {
+		links []topology.LinkID
+		n     int
+	}{{leafSpine, 4}, {torLeaf, 8}} {
+		for _, i := range rng.Perm(len(draw.links))[:draw.n] {
+			if rng.Intn(2) == 0 {
+				topo.SetSessionUp(draw.links[i], false)
+			} else {
+				topo.SetLinkUp(draw.links[i], false)
+			}
+		}
+	}
+	return topo
 }
 
 // runsOnly offers a synthesizer's runs but not its classes (no
