@@ -74,12 +74,15 @@ bench-solver:
 # devices a build stays under 32 mallocs and 1 MB
 # (TestFromTopologyAllocCeiling), each neighbor equals the topology's
 # adjacency (TestFactsMatchTopology), and BenchmarkColdSweepStages reports
-# the cold sweep's facts, synth, side-by-side, layout and check stages.
+# the cold sweep's facts, synth, side-by-side, layout and check stages. The
+# reach leg locks the slice walk: on a warmed 520-device datacenter the
+# first /reach after a write allocates at most 64 KB
+# (TestFirstReachAfterWriteAllocCeiling).
 bench-smoke:
 	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale|TestSeededFaultSweepClassesSound' -count=1 .
 	$(GO) test -count=1 ./internal/classcheck
 	$(GO) test -run 'TestRunClass|TestPendingPatchesBounded' -count=1 ./internal/bgp
-	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty' -count=1 .
+	$(GO) test -run 'TestValidateAllSteadyStateZeroAlloc|TestValidateAllColdAllocCeiling|TestLinkFlipAllocCeiling|TestLeafSpineFlipAllocsScaleWithDirty|TestFirstReachAfterWriteAllocCeiling' -count=1 .
 	$(GO) test -run xxx -bench BenchmarkValidateAllSteadyState -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench BenchmarkValidateAllCold -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench BenchmarkLinkFlip -benchmem -benchtime 20x .
@@ -144,6 +147,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPECDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzPECFleetDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzPrefixIndex -fuzztime $(FUZZTIME) ./internal/ipnet/
+	$(GO) test -fuzz FuzzRunTableLookup -fuzztime $(FUZZTIME) ./internal/fib/
 	$(GO) test -fuzz FuzzRunsDifferential -fuzztime $(FUZZTIME) ./internal/rcdc/
 	$(GO) test -fuzz FuzzSynthMatchesSim -fuzztime $(FUZZTIME) ./internal/bgp/
 	$(GO) test -fuzz FuzzSynthStateMatchesFresh -fuzztime $(FUZZTIME) ./internal/bgp/

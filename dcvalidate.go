@@ -385,10 +385,12 @@ func (d *Datacenter) ValidateDelta(prev *Report, opts ValidateOptions) (*Report,
 	return d.eng.ValidateDelta(prev, opts.engineOptions())
 }
 
-// CheckGlobalIntent materializes a global snapshot and verifies all-pairs
-// ToR reachability along maximally redundant shortest paths — the
-// whole-snapshot baseline the local technique replaces; empty result means
-// the intent holds.
+// CheckGlobalIntent verifies all-pairs ToR reachability along maximally
+// redundant shortest paths — the global intent the local contracts imply
+// (Claim 1) — by walking each prefix's forwarding cone over the engine's
+// cached synthesis, one device's runs at a time, never a global snapshot;
+// empty result means the intent holds. Config edits must go through
+// SetDeviceConfig to be seen.
 func (d *Datacenter) CheckGlobalIntent() ([]rcdc.PairResult, error) {
 	return d.eng.CheckGlobalIntent()
 }

@@ -25,6 +25,9 @@ func TestFacadeConcurrentUse(t *testing.T) {
 	tor := dc.Topo.Device(dc.Topo.ClusterToRs(0)[0]).Name
 	leaf := dc.Topo.Device(dc.Topo.ClusterLeaves(0)[0]).Name
 	remote := dc.Topo.Device(dc.Topo.ClusterToRs(1)[0]).Name
+	remoteLeaf := dc.Topo.Device(dc.Topo.ClusterLeaves(1)[0]).Name
+	spine := dc.Topo.Device(dc.Topo.Spines()[0]).Name
+	home := dc.Topo.Device(dc.Topo.ClusterToRs(0)[1]).Name
 
 	const iters = 20
 	var wg sync.WaitGroup
@@ -38,16 +41,20 @@ func TestFacadeConcurrentUse(t *testing.T) {
 		}()
 	}
 
-	// Mutators: link flaps and config edits.
-	run(func(i int) {
-		if i%2 == 0 {
-			if err := dc.FailLink(tor, leaf); err != nil {
+	// Mutators: ToR–leaf and leaf–spine link flaps and config edits.
+	flap := func(a, b string) func(i int) {
+		return func(i int) {
+			if i%2 == 0 {
+				if err := dc.FailLink(a, b); err != nil {
+					t.Error(err)
+				}
+			} else if err := dc.RestoreLink(a, b); err != nil {
 				t.Error(err)
 			}
-		} else if err := dc.RestoreLink(tor, leaf); err != nil {
-			t.Error(err)
 		}
-	})
+	}
+	run(flap(tor, leaf))
+	run(flap(remoteLeaf, spine))
 	run(func(i int) {
 		if err := dc.SetDeviceConfig(leaf, nil); err != nil {
 			t.Error(err)
@@ -70,8 +77,15 @@ func TestFacadeConcurrentUse(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	// Two /reach readers, toward either cluster: their walks read shared
+	// cached runs at once.
 	run(func(i int) {
 		if _, err := dc.QueryReach(tor, remote); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func(i int) {
+		if _, err := dc.QueryReach(remote, home); err != nil {
 			t.Error(err)
 		}
 	})
@@ -98,6 +112,9 @@ func TestFacadeConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Topo.RestoreAll()
+	if ans, err := dc.QueryReach(remote, home); err != nil || !ans.Reaches {
+		t.Fatalf("restored fleet: reach %+v, %v", ans, err)
+	}
 	s, err := dc.Summary()
 	if err != nil {
 		t.Fatal(err)

@@ -224,6 +224,11 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 // Refresh must not run concurrently with pulls.
 func (s *Synth) Refresh() { s.RefreshDelta(nil, 0) }
 
+// Generation returns the topology generation the synthesis state — and the
+// table cache, when on — reflects: that of the last Refresh or
+// RefreshDelta, or of NewSynth.
+func (s *Synth) Generation() uint64 { return s.stateGen }
+
 // RefreshDelta is Refresh for a caller that holds ds, the blast radius of
 // every change journaled after generation since up to now. The synthesis
 // state is updated from the journal: a window of link and session flips

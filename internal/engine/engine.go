@@ -13,9 +13,10 @@
 // The Engine owns the serving caches the paper's production pipeline
 // implies (Figure 5): a generation-keyed report cache (steady-state
 // conformance queries are O(1) map hits with zero revalidation work) and
-// a generation-keyed global snapshot for reachability queries. It is safe
-// for concurrent use: mutations (Apply) and validations take the write
-// lock, cached queries take the read lock only.
+// the table-cached FIB synthesis behind it, whose runs reachability
+// queries walk without copying a table. It is safe for concurrent use:
+// mutations (Apply) and validations take the write lock, cached queries
+// take the read lock only.
 package engine
 
 import (
@@ -73,14 +74,11 @@ type Engine struct {
 	synth *bgp.Synth
 	cgen  *contracts.Generator
 
-	// Serving caches, all keyed on the topology generation. report is the
-	// last complete sweep; reportIdx indexes it by device name for O(1)
-	// conformance answers. global is the materialized snapshot behind
-	// reachability queries.
+	// The report cache, keyed on the topology generation: the last
+	// complete sweep, and reportIdx indexing it by device name for O(1)
+	// conformance answers.
 	report    *rcdc.Report
 	reportIdx map[string]int
-	global    *rcdc.GlobalChecker
-	globalGen uint64
 
 	// lintGate makes Apply(SetConfig) render and statically lint the
 	// candidate fleet, rejecting changes that introduce findings.
@@ -255,6 +253,17 @@ func (e *Engine) cachedSourceLocked() *bgp.Synth {
 		e.synth.Metrics = e.bgpM
 	}
 	return e.synth
+}
+
+// freshSourceLocked returns the cached source brought up to the current
+// generation through the blast radius of the changes it is behind by.
+// Caller holds the write lock.
+func (e *Engine) freshSourceLocked() *bgp.Synth {
+	s := e.cachedSourceLocked()
+	if since := s.Generation(); since != e.topo.Generation() {
+		s.RefreshDelta(delta.Since(e.topo, since, delta.Options{UnboundedConfig: bgp.ConfigUnbounded(e.cfg)}), since)
+	}
+	return s
 }
 
 // ChangeKind enumerates the mutations Apply supports.
@@ -482,17 +491,14 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 	return rep, err
 }
 
-// CheckGlobalIntent materializes a global snapshot and verifies all-pairs
-// ToR reachability along maximally redundant shortest paths; empty result
-// means the intent holds.
+// CheckGlobalIntent verifies all-pairs ToR reachability along maximally
+// redundant shortest paths by walking each prefix's forwarding cone over
+// the cached synthesis, brought up to date first; empty result means the
+// intent holds. Config edits must go through Apply to be seen.
 func (e *Engine) CheckGlobalIntent() ([]rcdc.PairResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	g, err := rcdc.NewGlobalChecker(e.topo, e.newSourceLocked())
-	if err != nil {
-		return nil, err
-	}
-	return g.Check(rcdc.FullRedundancy), nil
+	return rcdc.NewSliceChecker(e.topo, e.freshSourceLocked()).Check(rcdc.FullRedundancy), nil
 }
 
 // ExploreFailures model-checks the contracts against every combination of

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/rcdc"
@@ -291,7 +293,7 @@ func TestQueryReach(t *testing.T) {
 		t.Fatalf("reach by prefix: %+v", ap)
 	}
 
-	// Cached snapshot: repeat query is a hit.
+	// The synthesis state is current: the repeat query runs no refresh.
 	if !ap.Cached {
 		t.Fatal("repeat reach query not cached")
 	}
@@ -328,6 +330,43 @@ func TestQueryReach(t *testing.T) {
 	}
 	if _, err := e.QueryReach("ghost", "dc-c1-t0-0"); err == nil {
 		t.Fatal("want error for unknown source")
+	}
+}
+
+// countingClock counts its Now calls.
+type countingClock struct{ calls atomic.Int64 }
+
+func (c *countingClock) Now() time.Time {
+	c.calls.Add(1)
+	return time.Unix(0, 0)
+}
+
+// TestQueryReachReadsNoClockWithoutMetrics: a warm /reach reads the engine
+// clock only to time itself into the serving metrics — never before
+// Metrics() is called, twice (start and end) after.
+func TestQueryReachReadsNoClockWithoutMetrics(t *testing.T) {
+	e := newTestEngine(t)
+	clk := &countingClock{}
+	e.SetClock(clk)
+	reach := func() {
+		t.Helper()
+		if ans, err := e.QueryReach("dc-c0-t0-0", "dc-c1-t0-0"); err != nil || !ans.Cached {
+			t.Fatalf("warm reach: %+v, %v", ans, err)
+		}
+	}
+	if _, err := e.QueryReach("dc-c0-t0-0", "dc-c1-t0-0"); err != nil {
+		t.Fatal(err)
+	}
+	clk.calls.Store(0)
+	reach()
+	if n := clk.calls.Load(); n != 0 {
+		t.Fatalf("warm reach without metrics read the clock %d times, want 0", n)
+	}
+	e.Metrics()
+	clk.calls.Store(0)
+	reach()
+	if n := clk.calls.Load(); n != 2 {
+		t.Fatalf("warm reach with metrics read the clock %d times, want 2", n)
 	}
 }
 

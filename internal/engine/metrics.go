@@ -13,8 +13,6 @@ import (
 type Metrics struct {
 	cacheHits     *obs.Counter      // dcv_serve_cache_hits_total
 	cacheMisses   *obs.Counter      // dcv_serve_cache_misses_total
-	snapshotHits  *obs.Counter      // dcv_serve_snapshot_hits_total
-	snapshotMiss  *obs.Counter      // dcv_serve_snapshot_misses_total
 	querySeconds  *obs.HistogramVec // dcv_serve_query_seconds{kind}
 	queries       *obs.CounterVec   // dcv_serve_queries_total{kind}
 	sweeps        *obs.CounterVec   // dcv_serve_sweeps_total{mode}
@@ -29,10 +27,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Queries answered from the generation-keyed report cache with no revalidation work."),
 		cacheMisses: r.Counter("dcv_serve_cache_misses_total",
 			"Queries that found the report cache stale and triggered a revalidation."),
-		snapshotHits: r.Counter("dcv_serve_snapshot_hits_total",
-			"Reachability queries answered from the cached global snapshot."),
-		snapshotMiss: r.Counter("dcv_serve_snapshot_misses_total",
-			"Reachability queries that rematerialized the global snapshot."),
 		querySeconds: r.HistogramVec("dcv_serve_query_seconds",
 			"Query latency by kind (device, reach, summary).", obs.LatencyBuckets, "kind"),
 		queries: r.CounterVec("dcv_serve_queries_total",
@@ -53,17 +47,6 @@ func (m *Metrics) hit() {
 func (m *Metrics) miss() {
 	if m != nil {
 		m.cacheMisses.Inc()
-	}
-}
-
-func (m *Metrics) snapshot(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.snapshotHits.Inc()
-	} else {
-		m.snapshotMiss.Inc()
 	}
 }
 

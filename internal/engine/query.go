@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"dcvalidate/internal/clock"
 	"dcvalidate/internal/ipnet"
@@ -13,20 +14,23 @@ import (
 
 // The Query API: the serving-layer questions the paper's monitoring
 // pipeline answers continuously — "is device X conformant?", "can prefix
-// A reach B?", "how healthy is the fleet?" — backed by two
-// generation-keyed caches so steady-state repeat queries are O(1) map
-// hits with zero revalidation work:
+// A reach B?", "how healthy is the fleet?":
 //
-//   - the report cache (last complete sweep + a device-name index),
-//     refreshed through the blast-radius delta path over the engine's
-//     cached FIB source;
-//   - the global snapshot cache behind reachability queries, which also
-//     derives counterexample packets for failing trajectories.
+//   - conformance and fleet health come from the generation-keyed report
+//     cache (last complete sweep + a device-name index), refreshed through
+//     the blast-radius delta path over the engine's cached FIB source, so
+//     steady-state repeats are O(1) map hits with zero revalidation work;
+//   - reachability walks the forwarding slice of (source, destination
+//     prefix) over that source's cached runs, device by device, and
+//     derives counterexample packets for failing trajectories; no table is
+//     copied.
 //
 // Cached queries take only the read lock, so they proceed concurrently
 // with each other; a stale cache upgrades to the write lock, re-checks
 // (another query may have refreshed meanwhile — that still counts as a
-// hit), and revalidates only the journaled blast radius.
+// hit), and revalidates only the journaled blast radius. A reachability
+// query takes the write lock only to bring the synthesis state up to the
+// topology generation, and walks under the read lock.
 
 // DeviceAnswer answers "is device X conformant?".
 type DeviceAnswer struct {
@@ -53,6 +57,8 @@ type Counterexample struct {
 // ReachAnswer answers "can traffic from src reach dst?". When dst is a
 // device hosting several prefixes, the answer aggregates over all of
 // them: Reaches means every prefix is reached on every ECMP branch.
+// Cached reports that the synthesis state was already at the answer's
+// generation, so the query ran no refresh.
 type ReachAnswer struct {
 	Src            string          `json:"src"`
 	Dst            string          `json:"dst"`
@@ -117,26 +123,6 @@ func sameDevices(a, b *rcdc.Report) bool {
 		}
 	}
 	return true
-}
-
-// ensureGlobalLocked returns a global snapshot checker for the current
-// generation, rematerializing when stale. Caller holds the write lock.
-func (e *Engine) ensureGlobalLocked() (*rcdc.GlobalChecker, bool, error) {
-	gen := e.topo.Generation()
-	if e.global != nil && e.globalGen == gen {
-		e.serveM.snapshot(true)
-		return e.global, true, nil
-	}
-	e.serveM.snapshot(false)
-	src := e.cachedSourceLocked()
-	src.RefreshDelta(nil, 0)
-	g, err := rcdc.NewGlobalChecker(e.topo, src)
-	if err != nil {
-		return nil, false, err
-	}
-	e.global = g
-	e.globalGen = gen
-	return g, false, nil
 }
 
 func deviceAnswer(rep *rcdc.Report, i int, cached bool) *DeviceAnswer {
@@ -281,8 +267,9 @@ func reachTargets(topo *topology.Topology, dst string) ([]topology.HostedPrefix,
 	return nil, fmt.Errorf("dcvalidate: no ToR hosts prefix %s", pfx)
 }
 
-// reachAnswer traces every target prefix through the snapshot and
-// aggregates. Pure reads on g; safe under the read lock.
+// reachAnswer traces every target prefix through g and aggregates. Safe
+// under the read lock: g's walks only read, and the synth fills or patches
+// a cache slot a walk pulls under that slot's own lock.
 func (e *Engine) reachAnswer(g *rcdc.GlobalChecker, src *topology.Device, dst string, hps []topology.HostedPrefix, gen uint64, cached bool) *ReachAnswer {
 	ans := &ReachAnswer{
 		Src: src.Name, Dst: dst,
@@ -335,45 +322,42 @@ func (e *Engine) reachAnswer(g *rcdc.GlobalChecker, src *topology.Device, dst st
 }
 
 // QueryReach answers "can traffic from src reach dst?" where dst is a
-// device name or a CIDR prefix. On a hit the trace runs against the
-// cached global snapshot under the read lock; a failing answer carries a
-// counterexample packet — the concrete header and hop-by-hop trajectory
-// ending where it is dropped, looped, or misdelivered.
+// device name or a CIDR prefix, by walking the forwarding cone over the
+// cached synthesis under the read lock; when the synthesis state is behind
+// the topology, the write lock is taken first to bring it up to date. A
+// failing answer carries a counterexample packet — the concrete header and
+// hop-by-hop trajectory ending where it is dropped, looped, or
+// misdelivered.
 func (e *Engine) QueryReach(src, dst string) (*ReachAnswer, error) {
 	e.mu.RLock()
-	c := clock.Or(e.clk)
-	start := c.Now()
-	if e.global != nil && e.globalGen == e.topo.Generation() {
-		ans, err := e.reachLocked(e.global, src, dst, true)
-		if err == nil {
-			e.serveM.snapshot(true)
-		}
+	m, c := e.serveM, clock.Or(e.clk)
+	var start time.Time
+	if m != nil {
+		start = c.Now()
+	}
+	cached := true
+	for e.synth == nil || e.synth.Generation() != e.topo.Generation() {
 		e.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		e.serveM.observeQuery("reach", clock.Since(c, start))
-		return ans, nil
-	}
-	e.mu.RUnlock()
-
-	e.mu.Lock()
-	g, cached, err := e.ensureGlobalLocked()
-	if err != nil {
+		e.mu.Lock()
+		e.freshSourceLocked()
 		e.mu.Unlock()
-		return nil, err
+		e.mu.RLock()
+		cached = false
 	}
-	ans, err := e.reachLocked(g, src, dst, cached)
-	e.mu.Unlock()
+	ans, err := e.reachLocked(src, dst, cached)
+	e.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	e.serveM.observeQuery("reach", clock.Since(c, start))
+	if m != nil {
+		m.observeQuery("reach", clock.Since(c, start))
+	}
 	return ans, nil
 }
 
-// reachLocked resolves operands and traces; caller holds a lock.
-func (e *Engine) reachLocked(g *rcdc.GlobalChecker, src, dst string, cached bool) (*ReachAnswer, error) {
+// reachLocked resolves operands and walks the cached synthesis; caller
+// holds a lock and has brought the synthesis up to date.
+func (e *Engine) reachLocked(src, dst string, cached bool) (*ReachAnswer, error) {
 	sdev, ok := e.topo.ByName(src)
 	if !ok {
 		return nil, fmt.Errorf("dcvalidate: unknown device %q", src)
@@ -382,5 +366,5 @@ func (e *Engine) reachLocked(g *rcdc.GlobalChecker, src, dst string, cached bool
 	if err != nil {
 		return nil, err
 	}
-	return e.reachAnswer(g, sdev, dst, hps, e.topo.Generation(), cached), nil
+	return e.reachAnswer(rcdc.NewSliceChecker(e.topo, e.synth), sdev, dst, hps, e.topo.Generation(), cached), nil
 }

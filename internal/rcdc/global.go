@@ -8,16 +8,26 @@ import (
 	"dcvalidate/internal/topology"
 )
 
-// GlobalChecker is the straw-man the paper's local technique replaces
-// (§2.4): it materializes a snapshot of every device's FIB and verifies the
-// end-to-end intent directly — all-pairs ToR reachability (INTENT 1) along
-// shortest paths (INTENT 2) with the maximal redundant path set (INTENT 3).
-// Its cost and memory scale with the global snapshot, which is exactly the
-// scalability argument of §1; it doubles as the independent oracle for
-// validating Claim 1 in tests.
+// GlobalChecker verifies the end-to-end intent directly — all-pairs ToR
+// reachability (INTENT 1) along shortest paths (INTENT 2) with the maximal
+// redundant path set (INTENT 3) — by walking each prefix's forwarding cone
+// hop by hop, following every ECMP choice. It reads a hop's route in one
+// of two ways:
+//
+//   - from a materialized snapshot of every device's FIB (NewGlobalChecker):
+//     the straw-man the paper's local technique replaces (§2.4), whose
+//     memory scales with the global snapshot — the scalability argument of
+//     §1. It is the independent oracle for Claim 1 and for the slice walk,
+//     and E3's baseline.
+//   - from the source's runs, device by device as the walk reaches it
+//     (NewSliceChecker): the one run covering the prefix, plus the device's
+//     other rows. No table is expanded and nothing is indexed, so a query
+//     holds one device's runs at a time — the (source, destination-prefix)
+//     slice is the unit of work.
 type GlobalChecker struct {
 	topo   *topology.Topology
-	tables []*fib.Table // indexed by device; the global snapshot
+	tables []*fib.Table // the snapshot, indexed by device; nil for a slice walk
+	runs   RunSource    // a slice walk's source
 }
 
 // NewGlobalChecker materializes the snapshot from the source.
@@ -31,6 +41,17 @@ func NewGlobalChecker(topo *topology.Topology, source fib.Source) (*GlobalChecke
 		g.tables[i] = t
 	}
 	return g, nil
+}
+
+// NewSliceChecker returns a checker that walks src's runs and copies no
+// table: each hop reads the device's runs through TableRuns — over the
+// positions of the walked prefix, or the source's own runs, read only —
+// and matches the prefix's address there (fib.RunTable.Lookup). Its
+// answers are the snapshot's over the same state, and it is safe for
+// concurrent use as far as src's TableRuns is (bgp.Synth's is, table cache
+// on or off).
+func NewSliceChecker(topo *topology.Topology, src RunSource) *GlobalChecker {
+	return &GlobalChecker{topo: topo, runs: src}
 }
 
 // PairResult describes forwarding from one source ToR toward one prefix.
@@ -63,13 +84,28 @@ const (
 )
 
 // walker memoizes the forwarding trace toward one prefix, shared across
-// source ToRs (one dynamic program over the snapshot per prefix).
+// source ToRs (one dynamic program over the snapshot or the runs per
+// prefix).
 type walker struct {
 	g    *GlobalChecker
 	hp   topology.HostedPrefix
 	addr ipnet.Addr
 	memo map[topology.DeviceID]*walkResult
+	slab []walkResult // memo's results, allocated walkChunk at a time
+	// A slice walk's cover of addr, the positions it lies in, and the
+	// buffer the source's runs come in.
+	cover  fib.Cover
+	lo, hi int
+	buf    fib.RunTable
 }
+
+// walkChunk is how many results a walker allocates at once: about the
+// devices of one pair's forwarding cone.
+const walkChunk = 64
+
+// looped is the result of a branch that revisits a device on its own
+// path; shared, read only.
+var looped = walkResult{dropped: true, done: true}
 
 type walkResult struct {
 	reaches        bool
@@ -80,19 +116,42 @@ type walkResult struct {
 }
 
 func (g *GlobalChecker) newWalker(hp topology.HostedPrefix) *walker {
-	return &walker{g: g, hp: hp, addr: hp.Prefix.First(),
-		memo: make(map[topology.DeviceID]*walkResult)}
+	w := &walker{g: g, hp: hp, addr: hp.Prefix.First(),
+		memo: make(map[topology.DeviceID]*walkResult, walkChunk)}
+	if g.tables == nil {
+		w.cover = fib.NewCover(g.runs.RunPrefixes(), w.addr)
+		w.lo, w.hi = w.cover.Span()
+	}
+	return w
+}
+
+// route returns d's forwarding entry toward the walker's address: the
+// snapshot table's longest-prefix match, or the same match over d's runs.
+func (w *walker) route(d topology.DeviceID) (fib.Entry, bool) {
+	if w.g.tables != nil {
+		e, ok := w.g.tables[d].Lookup(w.addr)
+		if !ok {
+			return fib.Entry{}, false
+		}
+		return *e, true
+	}
+	w.buf = w.g.runs.TableRuns(d, w.lo, w.hi, w.buf)
+	return w.buf.Lookup(w.cover)
 }
 
 func (w *walker) walk(d topology.DeviceID) *walkResult {
 	if m, ok := w.memo[d]; ok {
 		if m.visiting && !m.done {
 			// Forwarding loop: treat this branch as a drop.
-			return &walkResult{dropped: true, done: true}
+			return &looped
 		}
 		return m
 	}
-	m := &walkResult{visiting: true}
+	if len(w.slab) == cap(w.slab) {
+		w.slab = make([]walkResult, 0, walkChunk)
+	}
+	w.slab = append(w.slab, walkResult{visiting: true})
+	m := &w.slab[len(w.slab)-1]
 	w.memo[d] = m
 	defer func() { m.done = true; m.visiting = false }()
 
@@ -100,7 +159,7 @@ func (w *walker) walk(d topology.DeviceID) *walkResult {
 		m.reaches, m.paths = true, 1
 		return m
 	}
-	e, ok := w.g.tables[d].Lookup(w.addr)
+	e, ok := w.route(d)
 	if !ok || len(e.NextHops) == 0 {
 		m.dropped = true
 		return m
@@ -147,7 +206,7 @@ func pairResult(src topology.DeviceID, hp topology.HostedPrefix, m *walkResult) 
 }
 
 // CheckPair traces forwarding from src toward the given hosted prefix by
-// following every ECMP choice through the snapshot.
+// following every ECMP choice.
 func (g *GlobalChecker) CheckPair(src topology.DeviceID, hp topology.HostedPrefix) PairResult {
 	w := g.newWalker(hp)
 	return pairResult(src, hp, w.walk(src))
@@ -163,9 +222,9 @@ func (g *GlobalChecker) expected(src topology.DeviceID, hp topology.HostedPrefix
 }
 
 // Check verifies the selected intent level for all ToR pairs, returning
-// the failing pairs (empty means the intent holds). This is the
-// whole-snapshot computation whose cost and memory footprint RCDC's local
-// decomposition avoids.
+// the failing pairs (empty means the intent holds). Over the snapshot this
+// is the whole-snapshot computation whose cost and memory footprint RCDC's
+// local decomposition avoids.
 func (g *GlobalChecker) Check(level Intent) []PairResult {
 	var failures []PairResult
 	for _, hp := range g.topo.HostedPrefixes() {
@@ -203,14 +262,14 @@ func (g *GlobalChecker) Check(level Intent) []PairResult {
 // reachability query: a header addressed into the prefix plus the switch
 // where it dies.
 func (g *GlobalChecker) CounterexamplePath(src topology.DeviceID, hp topology.HostedPrefix) (path []topology.DeviceID, reason string, ok bool) {
-	addr := hp.Prefix.First()
+	w := g.newWalker(hp)
 	onPath := make(map[topology.DeviceID]bool)
 	var walk func(d topology.DeviceID) ([]topology.DeviceID, string, bool)
 	walk = func(d topology.DeviceID) ([]topology.DeviceID, string, bool) {
 		if d == hp.ToR {
 			return nil, "", false // delivered: this branch is no counterexample
 		}
-		e, found := g.tables[d].Lookup(addr)
+		e, found := w.route(d)
 		if !found || len(e.NextHops) == 0 {
 			return []topology.DeviceID{d}, "no-route", true
 		}

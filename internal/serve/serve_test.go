@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dcvalidate/internal/engine"
+	"dcvalidate/internal/experiments"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/topology"
 )
@@ -391,5 +394,56 @@ func TestServeFlipRechecksRows(t *testing.T) {
 	// scoped row as one clean segment.
 	if scoped := sample(reg, "dcv_delta_scoped_devices_total"); clean()-cold < scoped/2 {
 		t.Fatalf("the re-check after the flip decided %v clean run segments for %v scoped devices", clean()-cold, scoped)
+	}
+}
+
+// BenchmarkHandlerReach times GET /reach across clusters on a warmed
+// 520-device server, in process, as serve_mixed's traced handler rows do:
+// warm, and as the first request after a ToR–leaf flip, which brings the
+// synthesis state up to date before it walks. reach-p50-ns is the median
+// request, the flip excluded; direction 8's exit asks the second to stay
+// within 3× the first.
+func BenchmarkHandlerReach(b *testing.B) {
+	topo := topology.MustNew(experiments.SizedParams("reach", 520))
+	eng := engine.New(topo, nil)
+	srv := New(eng)
+	tors := topo.ToRs()
+	src, dst := topo.Device(tors[0]).Name, topo.Device(tors[len(tors)-1]).Name
+	leaf := topo.Device(topo.ClusterLeaves(0)[0]).Name
+	reach := func() time.Duration {
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/reach?src="+src+"&dst="+dst, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("/reach: status %d", rec.Code)
+		}
+		return time.Since(start)
+	}
+	if _, err := eng.Summary(); err != nil {
+		b.Fatal(err)
+	}
+	reach()
+	for _, write := range []bool{false, true} {
+		name := "warm"
+		if write {
+			name = "after-write"
+		}
+		b.Run(name, func(b *testing.B) {
+			took := make([]time.Duration, b.N)
+			for i := range b.N {
+				if write {
+					kind := engine.FailLink
+					if i%2 == 1 {
+						kind = engine.RestoreLink
+					}
+					if err := eng.Apply(engine.Change{Kind: kind, A: src, B: leaf}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				took[i] = reach()
+			}
+			slices.Sort(took)
+			b.ReportMetric(float64(took[len(took)/2]), "reach-p50-ns")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package dcvalidate
 
 import (
+	"runtime"
 	"testing"
 
 	"dcvalidate/internal/delta"
@@ -122,5 +123,56 @@ func TestLeafSpineFlipAllocsScaleWithDirty(t *testing.T) {
 	}
 	if per := (large - small) / float64(largeDirty-smallDirty); per > 1.25 {
 		t.Errorf("a leaf–spine flip + query adds %.2f mallocs per extra dirty device from 520 to 2008 devices, ceiling 1.25", per)
+	}
+}
+
+// TestFirstReachAfterWriteAllocCeiling: on a warmed 520-device datacenter,
+// the first /reach after a link flip — the query that brings the synthesis
+// state up to date and walks the forwarding cone over the cached runs —
+// allocates at most 64 KB, and answers at the flip's generation. It read
+// ~8.9 MB and ~1670 mallocs when the query copied every table into a
+// global snapshot on the first read after each write.
+func TestFirstReachAfterWriteAllocCeiling(t *testing.T) {
+	dc, err := NewDatacenter(experiments.SizedParams("reach", 520))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tors := dc.Topo.ToRs()
+	src, dst := dc.Topo.Device(tors[0]).Name, dc.Topo.Device(tors[len(tors)-1]).Name
+	leaf := dc.Topo.Device(dc.Topo.ClusterLeaves(0)[0]).Name
+	ends := []string{src, dc.Topo.Device(dc.Topo.Spines()[0]).Name}
+	if _, err := dc.QueryDevice(leaf); err != nil {
+		t.Fatal(err)
+	}
+	const flips = 12
+	var bytes, mallocs uint64
+	for i := range flips + 2 {
+		flip := dc.FailLink
+		if i%4 >= 2 {
+			flip = dc.RestoreLink
+		}
+		if err := flip(ends[i%2], leaf); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ans, err := dc.QueryReach(src, dst)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Cached || ans.Generation != dc.Topo.Generation() || !ans.Reaches {
+			t.Fatalf("flip %d: cached=%v generation %d of %d reaches=%v, want a fresh reaching answer",
+				i, ans.Cached, ans.Generation, dc.Topo.Generation(), ans.Reaches)
+		}
+		if i >= 2 { // the first two warm the slots the flips patch
+			bytes += after.TotalAlloc - before.TotalAlloc
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	kb := float64(bytes) / flips / 1024
+	t.Logf("first /reach after a write: %.1f KB, %d mallocs", kb, mallocs/flips)
+	if kb > 64 {
+		t.Errorf("the first /reach after a write allocates %.1f KB, ceiling 64 KB", kb)
 	}
 }

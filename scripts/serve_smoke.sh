@@ -2,8 +2,9 @@
 # Serving-plane smoke test (CI: make serve-smoke): boot dcvalidated on a
 # small topology, issue conformance and reachability queries, and fail
 # unless repeat queries land as dcv_serve_cache_hits_total increments
-# without extra revalidation sweeps and a link flip surfaces as exactly
-# one fresh sweep.
+# without extra revalidation sweeps, a link flip surfaces as exactly
+# one fresh sweep, and /reach across the flipped link answers at the new
+# generation without one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,7 +93,22 @@ fi
 # way.
 generation() { sed -n 's/.*"generation": *\([0-9]*\).*/\1/p' | head -n 1; }
 G1="$(echo "$DEV" | generation)"
-curl -fsS -X POST "$BASE/link?a=$TOR&b=dc-c0-t1-0&action=fail" >/dev/null
+APPLIED="$(curl -fsS -X POST "$BASE/link?a=$TOR&b=dc-c0-t1-0&action=fail")"
+GA="$(echo "$APPLIED" | generation)"
+
+# /reach across the flipped link walks the forwarding cone at the new
+# generation — the ToR's other leaf still carries it — and runs no sweep.
+REACH="$(curl -fsS "$BASE/reach?src=$TOR&dst=$REMOTE")"
+GR="$(echo "$REACH" | generation)"
+if ! echo "$REACH" | grep -q '"reaches": true' || [ -z "$GA" ] || [ "$GR" != "$GA" ]; then
+    echo "serve_smoke: reach across the failed link not answered at generation $GA:" >&2
+    echo "$REACH" >&2
+    exit 1
+fi
+if [ "$(sweeps)" -ne "$S1" ]; then
+    echo "serve_smoke: reach after the flip ran a sweep ($S1 -> $(sweeps))" >&2
+    exit 1
+fi
 DEV="$(curl -fsS "$BASE/device?name=$TOR")"
 G2="$(echo "$DEV" | generation)"
 if ! echo "$DEV" | grep -q '"conformant": false' || ! echo "$DEV" | grep -q '"cached": false' || [ "$G2" -le "$G1" ]; then
