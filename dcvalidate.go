@@ -378,9 +378,10 @@ func (d *Datacenter) Validate(opts ValidateOptions) (*Report, error) {
 // present anywhere). Either way the returned report is complete and
 // stamped with the new generation, ready to be fed back in.
 //
-// Repeated calls amortize work through a persistent table-cached FIB
-// source and a memoized contract generator (unless opts.Source overrides
-// the source). Config edits must go through SetDeviceConfig to be seen.
+// Repeated calls amortize work through a persistent FIB source, whose
+// synthesis state follows the change journal, and a memoized contract
+// generator (unless opts.Source overrides the source). Config edits must
+// go through SetDeviceConfig to be seen.
 func (d *Datacenter) ValidateDelta(prev *Report, opts ValidateOptions) (*Report, error) {
 	return d.eng.ValidateDelta(prev, opts.engineOptions())
 }

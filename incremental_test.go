@@ -69,8 +69,8 @@ func metricValue(reg *MetricsRegistry, name string) float64 {
 // already hold violations — and the test requires that it did, rather than
 // quietly falling back to whole devices. Each step also asks the serving path, which
 // refreshes its own report over the same source, and a step that changed
-// nothing must be answered from its cache. The serving path reads one set
-// of unsharded table caches, which the subtest name records.
+// nothing must be answered from its cache. The serving path reads one
+// unsharded source, which the subtest name records.
 func TestIncrementalEquivalence(t *testing.T) {
 	t.Run("shards=0", incrementalEquivalence)
 }
@@ -167,9 +167,6 @@ func incrementalEquivalence(t *testing.T) {
 	}
 	if scopedOverViolations < 10 {
 		t.Fatalf("only %d steps spliced row scopes into a violating report; the scoped path is not being driven", scopedOverViolations)
-	}
-	if patched := metricValue(reg, "dcv_bgp_synth_rows_patched_total"); patched == 0 {
-		t.Fatal("no cached row was ever patched")
 	}
 }
 

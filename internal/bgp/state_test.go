@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"dcvalidate/internal/delta"
 	"dcvalidate/internal/topology"
 )
 
@@ -101,21 +100,12 @@ func journaledFlip(topo *topology.Topology, rng *rand.Rand, tier int) {
 	}
 }
 
-// refreshFromJournal refreshes s the way rcdc.Revalidate does: with the
-// blast radius of the journal window since the last refresh.
-func refreshFromJournal(s *Synth, since uint64) {
-	s.RefreshDelta(delta.Since(s.topo, since, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)}), since)
-}
-
-// FuzzSynthStateMatchesFresh drives a table-cached synth through random
-// sequences of journaled ToR–leaf, leaf–spine and spine–regional-spine
-// link and session flips, device-level changes and configuration edits,
-// refreshing from the journal every few steps; after each refresh its
-// maintained state must equal a fresh NewSynth's (stateMatchesFresh) and
-// every device's runs a fresh synthesis's. A configuration edit the journal
-// never saw leaves the table cache stale — it trusts the journal, which is
-// why the engine journals every edit — so after one only the state is
-// compared.
+// FuzzSynthStateMatchesFresh drives a synth through random sequences of
+// journaled ToR–leaf, leaf–spine and spine–regional-spine link and session
+// flips, device-level changes and configuration edits — journaled or made
+// directly in the map — refreshing from the journal every few steps; after
+// each refresh its maintained state must equal a fresh NewSynth's
+// (stateMatchesFresh) and every device's runs a fresh synthesis's.
 func FuzzSynthStateMatchesFresh(f *testing.F) {
 	f.Add(uint32(0), []byte{})
 	f.Add(uint32(3|5<<2|2<<5|1<<7), []byte{0, 1, 0, 2, 1, 3, 8, 2, 5, 0, 0, 9, 1, 1, 2})
@@ -135,9 +125,7 @@ func FuzzSynthStateMatchesFresh(f *testing.F) {
 		topo := topology.MustNew(p)
 		cfg := map[topology.DeviceID]*DeviceConfig{}
 		s := NewSynth(topo, cfg)
-		s.EnableTableCache()
 		rng := rand.New(rand.NewSource(int64(shape)))
-		since, traced := topo.Generation(), true
 		for i, op := range ops {
 			if i >= 96 {
 				break
@@ -166,21 +154,18 @@ func FuzzSynthStateMatchesFresh(f *testing.F) {
 				}
 				if op/36%2 == 0 {
 					topo.NoteDeviceChanged(d)
-				} else {
-					traced = false
 				}
 			case 7:
 				clear(cfg)
 				topo.NoteDeviceChanged(0)
 			}
 			if op%2 == 1 || i == len(ops)-1 {
-				refreshFromJournal(s, since)
-				since = topo.Generation()
+				s.RefreshDelta()
 				if err := stateMatchesFresh(s); err != nil {
 					t.Fatalf("after op %d (%d): %v", i, op, err)
 				}
 				fresh := NewSynth(topo, cfg)
-				for id := 0; traced && id < len(topo.Devices); id++ {
+				for id := 0; id < len(topo.Devices); id++ {
 					d := topology.DeviceID(id)
 					if got, want := fmt.Sprint(allRuns(s, d)), fmt.Sprint(allRuns(fresh, d)); got != want {
 						t.Fatalf("after op %d: device %s: runs\n got %s\nwant %s", i, topo.Device(d).Name, got, want)
@@ -208,7 +193,6 @@ func TestSynthClassTableBounded(t *testing.T) {
 	var faults []topology.LinkID
 	peak := 0
 	for step := 0; step < 5000; step++ {
-		since := topo.Generation()
 		if len(faults) == 3 {
 			topo.SetLinkUp(faults[0], true)
 			faults = faults[1:]
@@ -218,7 +202,7 @@ func TestSynthClassTableBounded(t *testing.T) {
 			topo.SetLinkUp(lid, false)
 			faults = append(faults, lid)
 		}
-		refreshFromJournal(s, since)
+		s.RefreshDelta()
 		rows := map[string]bool{}
 		for pi := range s.prefixes {
 			rows[fmt.Sprint(s.spineHas(pi))] = true
@@ -237,9 +221,8 @@ func TestSynthClassTableBounded(t *testing.T) {
 }
 
 // TestRefreshBytesIndependentOfFleet is the byte gate on a ToR–leaf flip's
-// refresh: the bytes RefreshDelta allocates for one flip on a warmed,
-// table-cached 2008-device fleet may exceed those on a 520-device fleet
-// by at most 1 KB. Work sized by the fleet — a slice per device or per
+// refresh: the bytes RefreshDelta allocates for one flip on a 2008-device
+// fleet may exceed those on a 520-device fleet by at most 1 KB. Work sized by the fleet — a slice per device or per
 // prefix, a rebuilt index — fails it.
 func TestRefreshBytesIndependentOfFleet(t *testing.T) {
 	if testing.Short() {
@@ -253,8 +236,7 @@ func TestRefreshBytesIndependentOfFleet(t *testing.T) {
 }
 
 // refreshBytes returns the fewest bytes RefreshDelta allocated over a few
-// ToR–leaf flips on a warmed, table-cached fleet of about n devices with
-// the benchmarks' shape, each flip's patches applied before the next.
+// ToR–leaf flips on a fleet of about n devices with the benchmarks' shape.
 func refreshBytes(t *testing.T, n int) uint64 {
 	p := topology.Params{
 		ToRsPerCluster: 40, LeavesPerCluster: 8, SpinesPerPlane: 4,
@@ -263,29 +245,19 @@ func refreshBytes(t *testing.T, n int) uint64 {
 	p.Clusters = (n - 40 + 47) / 48
 	topo := topology.MustNew(p)
 	s := NewSynth(topo, nil)
-	s.EnableTableCache()
-	pullAll := func() {
-		for id := range topo.Devices {
-			allRuns(s, topology.DeviceID(id))
-		}
-	}
-	pullAll()
 	tor, leaf := topo.ToRs()[0], topo.ClusterLeaves(0)[0]
 	best := ^uint64(0)
 	var before, after runtime.MemStats
 	for i := 0; i < 6; i++ {
-		since := topo.Generation()
 		if i%2 == 0 {
 			topo.FailLink(tor, leaf)
 		} else {
 			topo.RestoreLink(tor, leaf)
 		}
-		ds := delta.Since(topo, since, delta.Options{})
 		runtime.ReadMemStats(&before)
-		s.RefreshDelta(ds, since)
+		s.RefreshDelta()
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
-		pullAll()
 	}
 	if err := stateMatchesFresh(s); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
@@ -109,20 +108,11 @@ type Synth struct {
 	// (topology.HostedPrefixes), and never changes.
 	clusterAt []int
 	own       [][2]int
-	// bufs pools the scratch a device's runs are derived or patched in.
+	// bufs pools the scratch a device's runs are derived in.
 	bufs sync.Pool
 
-	// Opt-in per-device table cache keyed by topology generation, holding
-	// each table as runs, one slot per device ID (nil: off): RefreshDelta
-	// consumes the change journal, evicts the devices dirty as a whole and
-	// leaves a patch pending on the row-scoped ones, which their next pull
-	// applies. Steady-state pulls of unaffected devices read the cached runs
-	// in place. Off by default.
-	cache    []slot
-	cacheGen uint64
-
-	// Metrics, when non-nil, counts table-cache hits and misses (cache
-	// enabled only). Set before serving pulls; recording is atomic.
+	// Metrics records nothing: the synth keeps no table cache to count.
+	// It stays for callers that still set it.
 	Metrics *Metrics
 
 	// UnionECMP disables MaxECMPPaths truncation so every synthesized
@@ -131,47 +121,14 @@ type Synth struct {
 	// uses to cover "any tie-break" in a single validation run (and to
 	// keep Clos symmetry intact: deterministic truncation picks hops by
 	// device-ID order, which position permutations do not preserve). Set
-	// before the first Table call; cached tables are not re-cut.
+	// before the first Table call.
 	UnionECMP bool
 }
 
-// EnableTableCache turns on per-device table caching. A cached table is
-// kept as runs (fib.RunTable: the connected and default rows, plus maximal
-// stretches of hosted prefixes forwarded alike), which TableRuns serves
-// as they are and Table and Rows expand on demand. Cached tables are
-// brought up to date by Refresh using the topology change journal: inside
-// the blast radius of the changes since the last Refresh, a device with a
-// row scope has exactly those rows re-derived in its runs — on its next
-// pull, by whichever worker pulls it (see slot) — and a device dirty as a
-// whole, or still holding a patch no pull applied, is evicted (everything
-// is, if the radius is unbounded or the journal was truncated). Call only
-// on long-lived sources that serve repeated incremental pulls, before the
-// first pull; memory grows to one table per distinct device pulled, a
-// handful of runs each rather than a row per hosted prefix.
-func (s *Synth) EnableTableCache() {
-	s.cache = make([]slot, len(s.topo.Devices))
-	s.cacheGen = s.topo.Generation()
-}
-
-// slot is one device's place in the table cache: its runs once pulled,
-// and the patch RefreshDelta left pending on them — the default row when
-// def, and the position stretches spans lists (see spans). The device's
-// next pull applies the patch under the slot's lock (see cached), so
-// concurrent pulls of one device patch it once and pulls of distinct
-// devices never wait on each other.
-type slot struct {
-	mu    sync.Mutex
-	ok    bool
-	rt    fib.RunTable
-	def   bool
-	spans [][2]int
-}
-
-// evict drops the slot's runs and any patch pending on them.
-func (sl *slot) evict() { sl.ok, sl.rt, sl.def, sl.spans = false, fib.RunTable{}, false, nil }
-
-// pending reports whether a patch is pending on the slot's runs.
-func (sl *slot) pending() bool { return sl.def || len(sl.spans) > 0 }
+// EnableTableCache does nothing: every pull derives its runs from the
+// synthesis state Refresh and RefreshDelta maintain. It stays for callers
+// that still call it.
+func (s *Synth) EnableTableCache() {}
 
 // NewSynth derives the synthesis state from the topology and configuration
 // as they stand — in O(devices + prefixes + links), after which Table is
@@ -215,38 +172,27 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 	return s
 }
 
-// Refresh brings the synthesis state and the opt-in table cache up to
-// date with the current topology and configuration. The monitoring loop
-// calls this at the start of every pull cycle so synthesized FIBs track
-// live state. It knows no blast radius, so the state is derived afresh for
-// every cluster (direct config-map edits leave no journal trace); only the
-// table cache is brought up to date selectively, via the change journal.
-// Refresh must not run concurrently with pulls.
-func (s *Synth) Refresh() { s.RefreshDelta(nil, 0) }
+// Refresh derives the synthesis state afresh for every cluster from the
+// current topology and configuration. The monitoring loop calls this at the
+// start of every pull cycle so synthesized FIBs track live state, including
+// direct config-map edits, which leave no journal trace. Refresh must not
+// run concurrently with pulls.
+func (s *Synth) Refresh() { s.advance(true) }
 
-// Generation returns the topology generation the synthesis state — and the
-// table cache, when on — reflects: that of the last Refresh or
-// RefreshDelta, or of NewSynth.
+// Generation returns the topology generation the synthesis state reflects:
+// that of the last Refresh or RefreshDelta, or of NewSynth.
 func (s *Synth) Generation() uint64 { return s.stateGen }
 
-// RefreshDelta is Refresh for a caller that holds ds, the blast radius of
-// every change journaled after generation since up to now. The synthesis
-// state is updated from the journal: a window of link and session flips
-// updates only what they touched — a ToR–leaf flip one ToR's direct mask
-// and the classes of its prefixes, a leaf–spine flip one leaf's spine set
-// and its cluster's classes, a spine–regional-spine flip the default
-// routes of one plane — while a nil or full ds, a truncated journal, a
-// device-level change or an acceptance-altering configuration derives it
-// afresh for every cluster, by the same update. The table cache is
-// synchronized from ds instead of computing the radius a second time; a ds
-// whose window starts after the cache's last synchronization (or a nil
-// ds) is ignored and the cache reads the journal itself. Like Refresh, it
-// must not run concurrently with pulls.
-func (s *Synth) RefreshDelta(ds *delta.Set, since uint64) {
-	dirty := s.cacheWindow(ds, since)
-	s.advance(ds)
-	s.syncCache(dirty)
-}
+// RefreshDelta brings the synthesis state up to the current generation from
+// the change journal: a window of link and session flips updates only what
+// they touched — a ToR–leaf flip one ToR's direct mask and the classes of
+// its prefixes, a leaf–spine flip one leaf's spine set and its cluster's
+// classes, a spine–regional-spine flip the default routes of one plane —
+// while a truncated journal, a device-level change, a link of no known tier
+// or an acceptance-altering configuration derives it afresh for every
+// cluster, by the same update. Like Refresh, it must not run concurrently
+// with pulls.
+func (s *Synth) RefreshDelta() { s.advance(false) }
 
 // stateScratch is the scratch advance and update work in.
 type stateScratch struct {
@@ -263,15 +209,16 @@ type stateScratch struct {
 
 // advance brings the synthesis state up to the topology's generation: the
 // links the journal window since stateGen flipped name the ToRs, leaves and
-// spines to update. Anything the journal cannot bound — no ds or a full
-// one, a truncated journal, a device-level change, an acceptance-altering
-// configuration now or when the state was derived — updates them all.
-func (s *Synth) advance(ds *delta.Set) {
+// spines to update. With all, or anything the journal cannot bound — a
+// truncated journal, a device-level change, a link of no known tier, an
+// acceptance-altering configuration now or when the state was derived — it
+// updates them all.
+func (s *Synth) advance(all bool) {
 	topo := s.topo
 	s.fastAccept = len(s.cfg) == 0
 	unbounded := ConfigUnbounded(s.cfg)
 	changes, ok := topo.ChangesSince(s.stateGen)
-	full := ds == nil || ds.Full() || !ok || unbounded || s.stateUnbounded
+	full := all || !ok || unbounded || s.stateUnbounded
 	s.stateGen, s.stateUnbounded = topo.Generation(), unbounded
 	u := &s.upd
 	u.tors, u.leaves, u.spines = u.tors[:0], u.leaves[:0], u.spines[:0]
@@ -602,177 +549,6 @@ func (s *Synth) block(lo, hi int) block {
 	return block{lo: lo, hi: hi, class: s.torClass[hp.ToR], cluster: hp.Cluster}
 }
 
-// cacheWindow returns the blast radius the table cache is behind by — nil
-// when caching is off or the cache is in sync — and marks the cache
-// synchronized to the current generation. Unbounded change sets (journal
-// truncation, device-level changes, acceptance-altering configs) come
-// back as a full set.
-func (s *Synth) cacheWindow(ds *delta.Set, since uint64) *delta.Set {
-	gen := s.topo.Generation()
-	if s.cache == nil || gen == s.cacheGen {
-		return nil
-	}
-	behind := s.cacheGen
-	s.cacheGen = gen
-	if ds != nil && since <= behind {
-		return ds
-	}
-	return delta.Since(s.topo, behind, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
-}
-
-// syncCache applies a blast radius to the cache, after advance: it evicts
-// the cached devices dirty as a whole and leaves a patch pending on the
-// row-scoped ones, in time set by the dirty devices. A row-scoped device
-// that still has a patch pending was not pulled since the last refresh —
-// a scoped check took its class's verdict instead (see rcdc.ClassSource) —
-// and is evicted rather than given a wider patch: an unpulled slot then
-// holds at most one patch, shared with the other devices of its scope, and
-// costs no allocation per refresh. Its next pull synthesizes it afresh.
-// Devices share scope slices (delta.Scope) — every device a ToR–leaf flip
-// scopes reads one ToR's prefixes — so each distinct scope is planned once,
-// not once per device.
-func (s *Synth) syncCache(dirty *delta.Set) {
-	if dirty == nil {
-		return
-	}
-	var patched, evicted int
-	if dirty.Full() {
-		for d := range s.cache {
-			if sl := &s.cache[d]; sl.ok {
-				sl.evict()
-				evicted++
-			}
-		}
-		s.Metrics.observeSync(patched, evicted)
-		return
-	}
-	type plan struct {
-		first *ipnet.Prefix
-		n     int
-		spans [][2]int
-	}
-	var plans []plan
-	for _, d := range dirty.Devices() {
-		sl := &s.cache[d]
-		if !sl.ok {
-			continue
-		}
-		sc, _ := dirty.Scope(d)
-		if sc.Whole || sl.pending() {
-			sl.evict()
-			evicted++
-			continue
-		}
-		k := slices.IndexFunc(plans, func(p plan) bool { return p.first == &sc.Rows[0] && p.n == len(sc.Rows) })
-		if k < 0 {
-			k = len(plans)
-			plans = append(plans, plan{&sc.Rows[0], len(sc.Rows), s.spans(sc.Rows)})
-		}
-		sl.def, sl.spans = sc.Rows[0].IsDefault(), plans[k].spans
-		patched += len(sc.Rows)
-	}
-	s.Metrics.observeSync(patched, evicted)
-}
-
-// spans maps a scope's rows but the default onto the stretches [lo, hi) of
-// positions they cover, ascending and disjoint, by binary search: a row
-// scope implies a flat address plan (see package delta).
-func (s *Synth) spans(scope []ipnet.Prefix) [][2]int {
-	var spans [][2]int
-	if len(scope) > 0 && scope[0].IsDefault() {
-		scope = scope[1:]
-	}
-	at := func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }
-	for len(scope) > 0 {
-		lo, hi := ipnet.OverlapRun(len(s.prefixes), at, scope[0])
-		for scope = scope[1:]; len(scope) > 0; scope = scope[1:] {
-			l, h := ipnet.OverlapRun(len(s.prefixes), at, scope[0])
-			if l > hi {
-				break
-			}
-			hi = max(hi, h)
-		}
-		if lo < hi {
-			spans = append(spans, [2]int{lo, hi})
-		}
-	}
-	return spans
-}
-
-// patch brings a cached device's runs up to date with a row scope: the
-// default row when def, and the stretches of positions spans lists. The
-// stretches are re-derived by the rule TableRuns uses and spliced in: the
-// runs are split at the stretches' edges and equal neighbours merged back,
-// so the result is what a fresh TableRuns returns, at a cost in the runs
-// of the device. Rows and runs are replaced, never written: the spliced
-// runs are one new slice, so run tables handed out earlier stay intact.
-func (s *Synth) patch(rt *fib.RunTable, def bool, spans [][2]int) {
-	d := rt.Device
-	dev := s.topo.Device(d)
-	buf := s.bufs.Get().(*runBuf)
-	defer s.bufs.Put(buf)
-	if def {
-		rt.Rows = s.appendRows(make([]fib.Entry, 0, len(dev.HostedPrefixes)+1), d, dev, buf)
-	}
-	if len(spans) == 0 {
-		return
-	}
-	s.begin(buf, d, dev)
-	buf.runs = buf.runs[:0]
-	for _, sp := range spans {
-		buf.runs = s.appendRuns(buf.runs, buf, d, dev, sp[0], sp[1])
-	}
-	out := make([]fib.Run, 0, len(rt.Runs)+len(buf.runs)+len(spans))
-	rt.Runs = spliceRuns(out, rt.Runs, spans, buf.runs)
-}
-
-// spliceRuns appends to out runs with what they say about the positions in
-// spans — ascending, disjoint stretches — replaced by fresh, the runs
-// inside them, ascending: a run straddling a stretch's edge keeps its part
-// outside it, and equal neighbours merge across every edge. It appends at
-// most len(runs)+len(fresh)+len(spans) runs and never writes runs, so run
-// tables handed out earlier stay intact.
-func spliceRuns(out, runs []fib.Run, spans [][2]int, fresh []fib.Run) []fib.Run {
-	i, at := 0, 0 // runs[i:] are still to be emitted, runs[i] from position at on
-	for _, sp := range spans {
-		for ; i < len(runs); i++ {
-			r := runs[i]
-			r.Lo = max(r.Lo, at)
-			if r.Lo >= sp[0] {
-				break
-			}
-			if r.Hi > sp[0] {
-				out = mergeRun(out, fib.Run{Lo: r.Lo, Hi: sp[0], NextHops: r.NextHops})
-				break
-			}
-			out = mergeRun(out, r)
-		}
-		for ; len(fresh) > 0 && fresh[0].Lo < sp[1]; fresh = fresh[1:] {
-			out = mergeRun(out, fresh[0])
-		}
-		for i < len(runs) && runs[i].Hi <= sp[1] {
-			i++
-		}
-		at = sp[1]
-	}
-	for ; i < len(runs); i++ {
-		r := runs[i]
-		r.Lo = max(r.Lo, at)
-		out = mergeRun(out, r)
-	}
-	return out
-}
-
-// mergeRun appends r, extending the last run instead when r continues it
-// with equal next hops.
-func mergeRun(runs []fib.Run, r fib.Run) []fib.Run {
-	if n := len(runs); n > 0 && runs[n-1].Hi == r.Lo && slices.Equal(runs[n-1].NextHops, r.NextHops) {
-		runs[n-1].Hi = r.Hi
-		return runs
-	}
-	return append(runs, r)
-}
-
 // block is a stretch [lo, hi) of the prefix list with one class — and, in
 // blocks, one hosting cluster and direct pattern.
 type block struct {
@@ -867,9 +643,9 @@ func (s *Synth) Table(d topology.DeviceID) (*fib.Table, error) {
 // converged FIB whose prefix contains or is contained in one of the given
 // prefixes, plus the default row, in table order. That is everything a
 // contract on one of those prefixes can read (rcdc.RowSource). The entries
-// are copies; their NextHops slices are shared and immutable. Like patch,
-// Rows finds positions by binary search and so requires the flat address
-// plan that every row scope implies.
+// are copies; their NextHops slices are shared and immutable. Rows finds
+// positions by binary search and so requires the flat address plan that
+// every row scope implies.
 func (s *Synth) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
 	rt := s.runTable(d)
 	var out []fib.Entry
@@ -909,36 +685,9 @@ func overlapsAny(p ipnet.Prefix, qs []ipnet.Prefix) bool {
 	return false
 }
 
-// runTable returns d's converged runs: the cache's own (shared — read only)
-// when caching is on, a fresh synthesis otherwise.
+// runTable returns d's converged runs over the whole prefix list.
 func (s *Synth) runTable(d topology.DeviceID) fib.RunTable {
-	if rt, ok := s.cached(d); ok {
-		return rt
-	}
 	return s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{})
-}
-
-// cached returns d's cached runs — shared, read only — synthesizing and
-// caching them on a miss and applying the patch pending on a hit, under the
-// slot's lock; ok is false when caching is off.
-func (s *Synth) cached(d topology.DeviceID) (fib.RunTable, bool) {
-	if s.cache == nil {
-		return fib.RunTable{}, false
-	}
-	sl := &s.cache[d]
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	s.Metrics.observeCache(sl.ok)
-	switch {
-	case !sl.ok:
-		sl.rt = s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{})
-		sl.rt.Rows, sl.rt.Runs = slices.Clip(sl.rt.Rows), slices.Clip(sl.rt.Runs)
-		sl.ok = true
-	case sl.pending():
-		s.patch(&sl.rt, sl.def, sl.spans)
-		sl.def, sl.spans = false, nil
-	}
-	return sl.rt, true
 }
 
 // RunPrefixes returns the prefix list TableRuns indexes: the hosted
@@ -951,13 +700,9 @@ func (s *Synth) RunPrefixes() []topology.HostedPrefix { return s.prefixes }
 // connected routes and the default route, and each run is a maximal
 // stretch of hosted prefixes d forwards to one next-hop set, cut at lo and
 // hi. Over the whole list, expanding them gives exactly what Table
-// returns. With the table cache on, the runs are the whole cached ones
-// (filled on a miss, patched if a patch is pending), shared — read only —
-// and buf is left alone.
+// returns. The runs are derived from the synthesis state on every call, in
+// time set by the runs emitted, and safe for concurrent pulls.
 func (s *Synth) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
-	if rt, ok := s.cached(d); ok {
-		return rt
-	}
 	return s.synthRuns(d, lo, hi, buf)
 }
 
@@ -1049,9 +794,9 @@ func (s *Synth) appendRows(rows []fib.Entry, d topology.DeviceID, dev *topology.
 	return rows
 }
 
-// runBuf is the scratch one device's runs are derived or patched in, from
-// the synth's pool, reused from device to device: nothing derived keeps it
-// (next hops are cloned out of hops, and patch splices copies of runs).
+// runBuf is the scratch one device's runs are derived in, from the synth's
+// pool, reused from device to device: nothing derived keeps it (next hops
+// are cloned out of hops).
 type runBuf struct {
 	runs []fib.Run
 	hops []topology.DeviceID
@@ -1245,8 +990,8 @@ var noHops = []topology.DeviceID{}
 // leaves" run in two — else one of the sets buf handed out lately, else a
 // copy, which buf then remembers. Devices worked one after the other share
 // most sets (a cluster's ToRs their leaves, a plane's leaves their spines),
-// so deriving a fleet's runs or patches copies a set about once per
-// cluster or plane and worker, not once per device.
+// so deriving a fleet's runs copies a set about once per cluster or plane
+// and worker, not once per device.
 func (buf *runBuf) owned(runs []fib.Run, hops []topology.DeviceID) []topology.DeviceID {
 	if len(hops) == 0 {
 		return noHops

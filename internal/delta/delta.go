@@ -47,7 +47,8 @@
 // Scopes of several changes in one window union per device. Row scopes
 // presuppose a flat address plan (hosted prefixes ascending ToR by ToR and
 // pairwise disjoint — the only kind topology.New emits): that is what lets
-// the table cache and the contract lookup find a row by binary search. On
+// the synth's row queries and the contract lookup find a row by binary
+// search. On
 // any other plan every dirty device is Whole.
 //
 // All alternative-path tests demand *stable* links: live in the current

@@ -13,10 +13,10 @@
 // The Engine owns the serving caches the paper's production pipeline
 // implies (Figure 5): a generation-keyed report cache (steady-state
 // conformance queries are O(1) map hits with zero revalidation work) and
-// the table-cached FIB synthesis behind it, whose runs reachability
-// queries walk without copying a table. It is safe for concurrent use:
-// mutations (Apply) and validations take the write lock, cached queries
-// take the read lock only.
+// the FIB synthesis state behind it, kept current from the change journal,
+// whose runs reachability queries walk without copying a table. It is safe
+// for concurrent use: mutations (Apply) and validations take the write
+// lock, cached queries take the read lock only.
 package engine
 
 import (
@@ -69,8 +69,9 @@ type Engine struct {
 
 	facts *metadata.Facts // regenerated lazily if nil
 
-	// Incremental-validation state: a persistent FIB source with
-	// generation-keyed table caching and a memoized contract generator.
+	// Incremental-validation state: a persistent FIB source whose
+	// synthesis state follows the journal, and a memoized contract
+	// generator.
 	synth *bgp.Synth
 	cgen  *contracts.Generator
 
@@ -195,9 +196,6 @@ func (e *Engine) Metrics() *obs.Registry {
 		e.pecM = pec.NewMetrics(e.reg)
 		e.serveM = NewMetrics(e.reg)
 		e.tracer = obs.NewTracer(e.clk, 256)
-		if e.synth != nil {
-			e.synth.Metrics = e.bgpM
-		}
 		if e.pec != nil {
 			e.pec.Metrics = e.pecM
 		}
@@ -225,9 +223,7 @@ func (e *Engine) NewSource() fib.Source {
 }
 
 func (e *Engine) newSourceLocked() *bgp.Synth {
-	s := bgp.NewSynth(e.topo, e.cfg)
-	s.Metrics = e.bgpM
-	return s
+	return bgp.NewSynth(e.topo, e.cfg)
 }
 
 // SimulateBGP runs the full EBGP path-vector simulation and returns it as
@@ -242,26 +238,23 @@ func (e *Engine) SimulateBGP() fib.Source {
 	return sim
 }
 
-// cachedSourceLocked returns the persistent generation-cached FIB source
-// behind incremental validation and the serving caches. It is as fresh as
-// its last RefreshDelta; rcdc.Revalidate refreshes it with the blast
-// radius it planned from.
+// cachedSourceLocked returns the persistent FIB source behind incremental
+// validation, the serving caches and /reach: one synthesis state, kept
+// across writes. It is as fresh as its last refresh; rcdc.Revalidate
+// refreshes it from the journal.
 func (e *Engine) cachedSourceLocked() *bgp.Synth {
 	if e.synth == nil {
 		e.synth = bgp.NewSynth(e.topo, e.cfg)
-		e.synth.EnableTableCache()
-		e.synth.Metrics = e.bgpM
 	}
 	return e.synth
 }
 
-// freshSourceLocked returns the cached source brought up to the current
-// generation through the blast radius of the changes it is behind by.
-// Caller holds the write lock.
+// freshSourceLocked returns the persistent source brought up to the current
+// generation from the journal. Caller holds the write lock.
 func (e *Engine) freshSourceLocked() *bgp.Synth {
 	s := e.cachedSourceLocked()
-	if since := s.Generation(); since != e.topo.Generation() {
-		s.RefreshDelta(delta.Since(e.topo, since, delta.Options{UnboundedConfig: bgp.ConfigUnbounded(e.cfg)}), since)
+	if s.Generation() != e.topo.Generation() {
+		s.RefreshDelta()
 	}
 	return s
 }
@@ -493,7 +486,7 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 
 // CheckGlobalIntent verifies all-pairs ToR reachability along maximally
 // redundant shortest paths by walking each prefix's forwarding cone over
-// the cached synthesis, brought up to date first; empty result means the
+// the maintained synthesis, brought up to date first; empty result means the
 // intent holds. Config edits must go through Apply to be seen.
 func (e *Engine) CheckGlobalIntent() ([]rcdc.PairResult, error) {
 	e.mu.Lock()

@@ -18,10 +18,10 @@ import (
 //
 //   - conformance and fleet health come from the generation-keyed report
 //     cache (last complete sweep + a device-name index), refreshed through
-//     the blast-radius delta path over the engine's cached FIB source, so
-//     steady-state repeats are O(1) map hits with zero revalidation work;
+//     the blast-radius delta path over the engine's synth, so steady-state
+//     repeats are O(1) map hits with zero revalidation work;
 //   - reachability walks the forwarding slice of (source, destination
-//     prefix) over that source's cached runs, device by device, and
+//     prefix) over the runs that synth derives, device by device, and
 //     derives counterexample packets for failing trajectories; no table is
 //     copied.
 //
@@ -268,8 +268,8 @@ func reachTargets(topo *topology.Topology, dst string) ([]topology.HostedPrefix,
 }
 
 // reachAnswer traces every target prefix through g and aggregates. Safe
-// under the read lock: g's walks only read, and the synth fills or patches
-// a cache slot a walk pulls under that slot's own lock.
+// under the read lock: g's walks only read the synthesis state, deriving
+// each hop's runs into the walk's own buffer.
 func (e *Engine) reachAnswer(g *rcdc.GlobalChecker, src *topology.Device, dst string, hps []topology.HostedPrefix, gen uint64, cached bool) *ReachAnswer {
 	ans := &ReachAnswer{
 		Src: src.Name, Dst: dst,
@@ -323,7 +323,7 @@ func (e *Engine) reachAnswer(g *rcdc.GlobalChecker, src *topology.Device, dst st
 
 // QueryReach answers "can traffic from src reach dst?" where dst is a
 // device name or a CIDR prefix, by walking the forwarding cone over the
-// cached synthesis under the read lock; when the synthesis state is behind
+// maintained synthesis under the read lock; when the synthesis state is behind
 // the topology, the write lock is taken first to bring it up to date. A
 // failing answer carries a counterexample packet — the concrete header and
 // hop-by-hop trajectory ending where it is dropped, looped, or
@@ -355,7 +355,7 @@ func (e *Engine) QueryReach(src, dst string) (*ReachAnswer, error) {
 	return ans, nil
 }
 
-// reachLocked resolves operands and walks the cached synthesis; caller
+// reachLocked resolves operands and walks the maintained synthesis; caller
 // holds a lock and has brought the synthesis up to date.
 func (e *Engine) reachLocked(src, dst string, cached bool) (*ReachAnswer, error) {
 	sdev, ok := e.topo.ByName(src)

@@ -403,7 +403,7 @@ func ViolationKey(v rcdc.Violation) string {
 	return fmt.Sprintf("%d|%s|%s|%s", v.Device, v.Contract.Kind, v.Contract.Prefix, v.Kind)
 }
 
-// gatedSource wraps the worker's cached FIB source, failing pulls — whole
+// gatedSource wraps the worker's FIB source, failing pulls — whole
 // tables and row queries alike — for telemetry-dead devices so the
 // validator's graceful-degradation path (keep the previous verdict,
 // surface the error) models monitoring blindness. Runs cannot fail, so
@@ -442,7 +442,7 @@ func (g *gatedSource) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]f
 	return g.Synth.Rows(d, overlapping)
 }
 
-// worker owns one clone of the world: topology, cached FIB source,
+// worker owns one clone of the world: topology, FIB source,
 // contract generator, and healthy-baseline report. Every scenario is an
 // apply → delta-revalidate → restore round trip on this clone; the
 // baseline is computed once and stays valid because restore returns the
@@ -472,7 +472,6 @@ func newWorker(e *Explorer, blasts map[Fault]*delta.Set) (*worker, error) {
 	}
 	w.src = &gatedSource{Synth: bgp.NewSynth(w.topo, e.Cfg)}
 	w.src.UnionECMP = e.Opts.UnionECMP
-	w.src.EnableTableCache()
 	w.facts = metadata.FromTopology(w.topo)
 	w.cgen = contracts.NewGenerator(w.facts)
 	w.cgen.EnableMemo()

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bytes"
-	"dcvalidate/internal/bgp"
 	"flag"
 	"os"
 	"path/filepath"
@@ -38,13 +37,6 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	in.Incremental = true
 	reg := obs.NewRegistry()
 	in.EnableObservability(reg)
-	// A table-cached source, so the link repair below also pins what the
-	// cache does with a bounded delta: rows patched in place on row-scoped
-	// devices, the one whole device evicted.
-	synth := dc.Source.(*bgp.Synth)
-	synth.EnableTableCache()
-	synth.Metrics = bgp.NewMetrics(reg)
-
 	for cycle := 1; cycle <= 2; cycle++ {
 		if _, err := in.RunCycle(); err != nil {
 			t.Fatal(err)

@@ -127,8 +127,8 @@ func subsetOf(a, b []topology.DeviceID) bool {
 	return true
 }
 
-// FNV-1a over 64-bit words. The synth layer's table cache hands out a
-// fresh copy of each table per pull, so pointer identity can never prove
+// FNV-1a over 64-bit words. The synth layer hands out a fresh table per
+// pull, so pointer identity can never prove
 // "unchanged" — content hashing is what makes the per-device atomization
 // cache effective across sweeps. Mixing whole words instead of bytes
 // keeps the warm-path hash an order of magnitude cheaper than the

@@ -19,8 +19,8 @@
 // orderings match.
 //
 // Atomization is cached per device behind a content hash of (FIB,
-// contracts, role) — the synth table cache hands out fresh copies per
-// pull, so pointer identity can never prove "unchanged". The blast-radius
+// contracts, role) — the synth hands out a fresh table per pull, so
+// pointer identity can never prove "unchanged". The blast-radius
 // machinery invalidates dirty devices via Invalidate, making delta
 // sweeps re-atomize only what changed.
 package pec

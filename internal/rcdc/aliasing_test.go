@@ -115,7 +115,6 @@ func TestScopedSpliceNeverWritesPrev(t *testing.T) {
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
 	synth := bgp.NewSynth(topo, nil)
-	synth.EnableTableCache()
 	v := Validator{Workers: 2}
 	prev, err := v.ValidateAll(facts, synth)
 	if err != nil {
@@ -129,7 +128,7 @@ func TestScopedSpliceNeverWritesPrev(t *testing.T) {
 	topo.FailLink(topo.ClusterToRs(1)[1], topo.ClusterLeaves(1)[0])
 	changes, _ := topo.ChangesSince(since)
 	ds := delta.Compute(topo, changes, delta.Options{})
-	synth.RefreshDelta(ds, since)
+	synth.RefreshDelta()
 	rep, err := v.ValidateScoped(prev, facts, gen, synth, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -185,11 +185,10 @@ func (p plainSource) Table(d topology.DeviceID) (*fib.Table, error) { return p.i
 // TestValidateScopedMatchesFullSweep drives the contract-level splice over
 // random windows of link and session flips on a degrading fleet — so most
 // splices land in reports that already hold violations — through every
-// kind of source: the table-cached synth (patched rows), an uncached one,
-// one that cannot answer row queries (whole-device fallback), and a synth
-// over an address plan that is not ascending (every scope whole: eviction
-// in place of patching, whole devices re-checked). Every step must match a
-// from-scratch sweep.
+// kind of source: the synth refreshed from the journal, one that cannot
+// answer row queries (whole-device fallback), and a synth over an address
+// plan that is not ascending (every scope whole, whole devices
+// re-checked). Every step must match a from-scratch sweep.
 func TestValidateScopedMatchesFullSweep(t *testing.T) {
 	params := topology.Params{
 		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
@@ -201,12 +200,10 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 		unordered bool
 		source    func(*bgp.Synth) fib.Source
 		rows      bool // devices are re-checked by row: a flat address plan, and a source that answers row queries
-		patches   bool // cached rows get patched in place: a flat address plan, and a cache
 	}{
-		{name: "cached synth", rows: true, patches: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return s }},
 		{name: "uncached synth", rows: true, source: func(s *bgp.Synth) fib.Source { return s }},
-		{name: "no row queries", patches: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return plainSource{s} }},
-		{name: "unordered address plan", unordered: true, source: func(s *bgp.Synth) fib.Source { s.EnableTableCache(); return s }},
+		{name: "no row queries", source: func(s *bgp.Synth) fib.Source { return plainSource{s} }},
+		{name: "unordered address plan", unordered: true, source: func(s *bgp.Synth) fib.Source { return s }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -221,7 +218,6 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 			reg := obs.NewRegistry()
 			v := Validator{Workers: 2, Metrics: NewMetrics(reg)}
 			synth := bgp.NewSynth(topo, nil)
-			synth.Metrics = bgp.NewMetrics(reg)
 			src := tc.source(synth)
 			prev, err := v.ValidateAll(facts, src)
 			if err != nil {
@@ -244,7 +240,7 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 					t.Fatal("journal truncated")
 				}
 				ds := delta.Compute(topo, changes, delta.Options{})
-				synth.RefreshDelta(ds, since)
+				synth.RefreshDelta()
 				if prev.Failures > 0 && ds.Count() > 0 {
 					splicedIntoViolations++
 				}
@@ -277,9 +273,6 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 				t.Fatalf("%.1f contracts re-checked per dirty device (a whole device has ~%.0f); row queries available: %v",
 					perDevice, full, tc.rows)
 			}
-			if patched := series("dcv_bgp_synth_rows_patched_total"); tc.patches != (patched > 0) {
-				t.Fatalf("%v cached rows patched, want patching: %v", patched, tc.patches)
-			}
 		})
 	}
 }
@@ -297,7 +290,6 @@ func TestRevalidate(t *testing.T) {
 	})
 	facts := metadata.FromTopology(topo)
 	src := bgp.NewSynth(topo, nil)
-	src.EnableTableCache()
 	v := Validator{Workers: 2}
 	step := func(prev *Report) (*Report, *delta.Set) {
 		t.Helper()
@@ -360,7 +352,6 @@ func TestClassMembersKeepTheirOwnContracts(t *testing.T) {
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
 	synth := bgp.NewSynth(topo, nil)
-	synth.EnableTableCache()
 	reg := obs.NewRegistry()
 	v := Validator{Workers: 1, Metrics: NewMetrics(reg)}
 	prev, _, err := v.Revalidate(nil, topo, facts, gen, synth, delta.Options{})

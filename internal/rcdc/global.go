@@ -48,8 +48,7 @@ func NewGlobalChecker(topo *topology.Topology, source fib.Source) (*GlobalChecke
 // positions of the walked prefix, or the source's own runs, read only —
 // and matches the prefix's address there (fib.RunTable.Lookup). Its
 // answers are the snapshot's over the same state, and it is safe for
-// concurrent use as far as src's TableRuns is (bgp.Synth's is, table cache
-// on or off).
+// concurrent use as far as src's TableRuns is (bgp.Synth's is).
 func NewSliceChecker(topo *topology.Topology, src RunSource) *GlobalChecker {
 	return &GlobalChecker{topo: topo, runs: src}
 }

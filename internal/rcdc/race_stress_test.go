@@ -33,7 +33,6 @@ func TestValidatorRaceStress(t *testing.T) {
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
 	synth := bgp.NewSynth(topo, nil)
-	synth.EnableTableCache()
 	synth.Metrics = bgp.NewMetrics(reg)
 
 	v := &Validator{Workers: 16, Metrics: NewMetrics(reg), Tracer: obs.NewTracer(nil, 64)}

@@ -26,9 +26,14 @@ type clockedSynth struct {
 	home *int
 }
 
-func (c clockedSynth) RefreshDelta(ds *delta.Set, since uint64) {
+func (c clockedSynth) Refresh() {
 	c.vc.Advance(3 * time.Millisecond)
-	c.Synth.RefreshDelta(ds, since)
+	c.Synth.Refresh()
+}
+
+func (c clockedSynth) RefreshDelta() {
+	c.vc.Advance(3 * time.Millisecond)
+	c.Synth.RefreshDelta()
 }
 
 func (c clockedSynth) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable {
@@ -57,7 +62,6 @@ func TestRevalidateTraceStagesNest(t *testing.T) {
 	facts := metadata.FromTopology(topo)
 	vc := clock.NewVirtual(time.Unix(1000, 0))
 	synth := bgp.NewSynth(topo, nil)
-	synth.EnableTableCache()
 	src := clockedSynth{Synth: synth, vc: vc, home: new(int)}
 	tr := obs.NewTracer(vc, 64)
 	v := Validator{Workers: 1, Clock: vc, Tracer: tr}
@@ -159,11 +163,11 @@ func TestRevalidateUntracedSpansAllocateNothing(t *testing.T) {
 }
 
 // TestScopedCheckLeavesSharedRunsIntact is the gate that makes reading runs
-// in place safe: every cached run table the synthesizer hands out and every
+// in place safe: every run table the synthesizer hands out and every
 // memoized contract run list the generator hands out is deep-copied before
 // a change and its scoped check, and after them every slice handed out
-// earlier must read exactly as its copy. Patches, evictions and the check
-// replace runs; none may write through them.
+// earlier must read exactly as its copy. Refreshes and the check replace
+// state; none may write through what was handed out.
 func TestScopedCheckLeavesSharedRunsIntact(t *testing.T) {
 	topo := topology.MustNew(topology.Params{
 		Clusters: 3, ToRsPerCluster: 4, LeavesPerCluster: 2,
@@ -172,7 +176,6 @@ func TestScopedCheckLeavesSharedRunsIntact(t *testing.T) {
 	})
 	facts := metadata.FromTopology(topo)
 	synth := bgp.NewSynth(topo, nil)
-	synth.EnableTableCache()
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
 	v := Validator{Workers: 2}
@@ -245,7 +248,7 @@ func deepDeviceRuns(dr contracts.DeviceRuns) contracts.DeviceRuns {
 }
 
 // BenchmarkRevalidateStages times one event of each class on a warmed,
-// table-cached 2008-device fleet (the benchmarks' shape: 40 ToRs and 8
+// 2008-device fleet (the benchmarks' shape: 40 ToRs and 8
 // leaves per cluster, 8 planes of 4 spines, 8 regional spines) through a
 // traced Revalidate on the system clock, and reports the median of each
 // stage — window (the blast radius), refresh (the source's RefreshDelta)
@@ -276,7 +279,6 @@ func BenchmarkRevalidateStages(b *testing.B) {
 			topo := topology.MustNew(p)
 			facts := metadata.FromTopology(topo)
 			synth := bgp.NewSynth(topo, nil)
-			synth.EnableTableCache()
 			gen := contracts.NewGenerator(facts)
 			gen.EnableMemo()
 			tr := obs.NewTracer(nil, 8)

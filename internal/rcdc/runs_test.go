@@ -180,7 +180,7 @@ func checkRunsAgainstRows(t testing.TB, facts *metadata.Facts, src RunSource, ex
 // as runs and row by row, and the two reports must be byte-identical. The
 // fleet's full sweep also goes by class against one without classes (see
 // checkFullSweepClasses), and the fleet then takes random scoped flips
-// through a table-cached synth (see checkScopedFlips).
+// through a synth refreshed from the journal (see checkScopedFlips).
 func FuzzRunsDifferential(f *testing.F) {
 	for _, seed := range runsSeeds {
 		f.Add(seed)
@@ -301,21 +301,20 @@ func checkFullSweepClasses(t *testing.T, topo *topology.Topology, facts *metadat
 type rowQueries struct{ RowSource }
 
 // checkScopedFlips drives the serving plane's path: random link and session
-// flips, each followed by a journal-driven refresh of a table-cached synth
-// and a scoped re-check. After every flip the patched cached runs must
-// equal freshly synthesized ones, the devices the synth puts in one class
+// flips, each followed by a journal-driven refresh of one synth and a
+// scoped re-check. After every flip its runs must equal freshly
+// synthesized ones, the devices the synth puts in one class
 // for their scope must agree on everything their verdicts read
 // (classcheck.Check), and the scoped runs re-check, the scoped row
 // re-check and a from-scratch row sweep must render the same bytes. It
 // returns how many devices the runs re-checks handed a class verdict.
 func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Facts, r *fuzzBytes, exact bool) (members int) {
 	t.Helper()
-	cached := bgp.NewSynth(topo, nil)
-	cached.EnableTableCache()
+	synth := bgp.NewSynth(topo, nil)
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
 	v := Validator{Checker: TrieChecker{Exact: exact}, Workers: 1, Metrics: NewMetrics(obs.NewRegistry())}
-	prevRuns, err := v.ValidateAll(facts, cached)
+	prevRuns, err := v.ValidateAll(facts, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,24 +332,24 @@ func checkScopedFlips(t *testing.T, topo *topology.Topology, facts *metadata.Fac
 			t.Fatal("journal truncated")
 		}
 		ds := delta.Compute(topo, changes, delta.Options{})
-		cached.RefreshDelta(ds, since)
+		synth.RefreshDelta()
 		fresh := bgp.NewSynth(topo, nil)
 		for i := range topo.Devices {
 			d := topo.Devices[i].ID
-			if got, want := allRuns(cached, d), allRuns(fresh, d); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("device %d: patched runs diverge from a fresh synthesis\n got %v\nwant %v", d, got, want)
+			if got, want := allRuns(synth, d), allRuns(fresh, d); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("device %d: runs diverge from a fresh synthesis\n got %v\nwant %v", d, got, want)
 			}
 		}
-		if _, _, err := classcheck.Check(topo, cached, fresh, gen, ds); err != nil {
+		if _, _, err := classcheck.Check(topo, synth, fresh, gen, ds); err != nil {
 			t.Fatalf("class soundness: %v", err)
 		}
 		dirty, merged := v.Metrics.dirty.Sum(), v.Metrics.merged.Sum()
-		gotRuns, err := v.ValidateScoped(prevRuns, facts, gen, cached, ds)
+		gotRuns, err := v.ValidateScoped(prevRuns, facts, gen, synth, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		members += int((v.Metrics.dirty.Sum() - dirty) - (v.Metrics.merged.Sum() - merged))
-		gotRows, err := v.ValidateScoped(prevRows, facts, gen, rowQueries{cached}, ds)
+		gotRows, err := v.ValidateScoped(prevRows, facts, gen, rowQueries{synth}, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,14 +389,12 @@ func TestRunsPathDecidesCleanRunsOnce(t *testing.T) {
 
 // TestRunsNeedTheTrieAndAFlatPlan pins when a sweep takes the runs path:
 // the default trie checker over a source that offers runs on the
-// generator's own flat prefix list — a synthesizer with or without its
-// table cache, not a source without runs, not another checker.
+// generator's own flat prefix list — a synthesizer, not a source without
+// runs, not another checker.
 func TestRunsNeedTheTrieAndAFlatPlan(t *testing.T) {
 	topo := topology.MustNew(topology.Figure3Params())
 	facts := metadata.FromTopology(topo)
 	gen := (&Validator{}).gen(facts)
-	cached := bgp.NewSynth(topo, nil)
-	cached.EnableTableCache()
 	for _, tc := range []struct {
 		name string
 		v    Validator
@@ -406,7 +403,6 @@ func TestRunsNeedTheTrieAndAFlatPlan(t *testing.T) {
 	}{
 		{"synth", Validator{}, bgp.NewSynth(topo, nil), true},
 		{"exact trie", Validator{Checker: TrieChecker{Exact: true}}, bgp.NewSynth(topo, nil), true},
-		{"cached synth", Validator{}, cached, true},
 		{"rows only", Validator{}, plainSource{bgp.NewSynth(topo, nil)}, false},
 		{"smt", Validator{Checker: SMTChecker{}}, bgp.NewSynth(topo, nil), false},
 	} {

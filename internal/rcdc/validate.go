@@ -98,23 +98,9 @@ type Validator struct {
 	// Contracts, when non-nil, supplies the generator ValidateAll uses
 	// instead of building a transient one per run. Pair it with a
 	// memoizing generator (EnableMemo) so repeated sweeps reuse the same
-	// contract sets — one of the two ingredients of the zero-allocation
-	// steady state the -benchmem gate locks.
+	// contract sets — what keeps a steady-state sweep free of allocations
+	// per device (the make bench-smoke gate).
 	Contracts *contracts.Generator
-	// Scratch, when non-nil and Workers is 1, switches ValidateAll to a
-	// sequential path that reuses the scratch's backing arrays instead of
-	// allocating the worker pool's report slots: allocation-free once warm. The
-	// returned report and its device slice are views into the scratch,
-	// valid only until the next ValidateAll on the same validator.
-	Scratch *Scratch
-}
-
-// Scratch holds the reusable backing arrays of the sequential
-// ValidateAll path. One scratch serves one validator at a time.
-type Scratch struct {
-	reps []DeviceReport
-	errs []error
-	rep  Report
 }
 
 func (v *Validator) checker() Checker {
@@ -161,11 +147,12 @@ type RowSource interface {
 }
 
 // Refresher is implemented by a fib.Source that follows the live topology
-// (bgp.Synth, the shard coordinator): RefreshDelta brings it up to the
-// current generation, given the blast radius ds of the changes journaled
-// after generation since — or nil, and the source reads the journal itself.
+// (bgp.Synth, the shard coordinator): Refresh derives it afresh, and
+// RefreshDelta brings it up to the current generation from the change
+// journal, which it reads itself.
 type Refresher interface {
-	RefreshDelta(ds *delta.Set, since uint64)
+	Refresh()
+	RefreshDelta()
 }
 
 // sweep is what one ValidateAll or ValidateScoped checks whole devices
@@ -297,9 +284,6 @@ func (v *Validator) validateSet(devs []topology.DeviceID, check func(topology.De
 func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Report, error) {
 	sp := v.Tracer.Start("rcdc.ValidateAll")
 	defer sp.End()
-	if v.Scratch != nil && v.workers() == 1 {
-		return v.validateAllSeq(facts, source)
-	}
 	start := clock.Or(v.Clock).Now()
 	devs := make([]topology.DeviceID, len(facts.Devices))
 	for i := range facts.Devices {
@@ -323,42 +307,6 @@ func (v *Validator) gen(facts *metadata.Facts) *contracts.Generator {
 		return v.Contracts
 	}
 	return contracts.NewGenerator(facts)
-}
-
-// validateAllSeq is the sequential twin of ValidateAll for Workers==1
-// with a Scratch: no goroutines, no per-run slices. Device results land
-// directly in scratch order — facts.Devices is ascending by ID, so the
-// report order matches the worker-pool path's and the two paths stay
-// byte-identical.
-func (v *Validator) validateAllSeq(facts *metadata.Facts, source fib.Source) (*Report, error) {
-	start := clock.Or(v.Clock).Now()
-	gen := v.gen(facts)
-	s := v.Scratch
-	s.reps = s.reps[:0]
-	s.errs = s.errs[:0]
-	for i := range facts.Devices {
-		id := facts.Devices[i].ID
-		tbl, err := source.Table(id)
-		if err != nil {
-			s.errs = append(s.errs, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err))
-			continue
-		}
-		dr, err := v.ValidateDevice(facts, tbl, gen.ForDevice(id))
-		if err != nil {
-			s.errs = append(s.errs, err)
-			continue
-		}
-		s.reps = append(s.reps, dr)
-	}
-	rep := &s.rep
-	*rep = Report{Workers: 1, Devices: s.reps}
-	for i := range s.reps {
-		rep.Checked += s.reps[i].Contracts
-		rep.Failures += len(s.reps[i].Violations)
-	}
-	rep.Elapsed = clock.Since(v.Clock, start)
-	v.Metrics.observeRun("full", rep, len(facts.Devices), busyTime(s.reps))
-	return rep, errors.Join(s.errs...)
 }
 
 // ValidateDelta revalidates only the dirty devices (a blast-radius set
@@ -508,30 +456,33 @@ type indexedErr struct {
 // to the topology's current generation, and returns the blast radius it
 // planned from (nil without a prev). The journal window since
 // prev.Generation gives the radius (delta.Since); a source that is a
-// Refresher is refreshed with it; a RowChecker forgets the dirty devices; then
+// Refresher is refreshed — from the journal, or afresh without a prev; a
+// RowChecker forgets the dirty devices; then
 // ValidateScoped re-checks the radius and splices — or ValidateAll sweeps
 // the fleet, when there is no prev, the journal no longer reaches back to
 // it, or the radius is unbounded. The report is stamped with the generation
 // read before anything is pulled, ready to be fed back in. gen is passed on
 // to ValidateScoped. With a Tracer, it records an rcdc.Revalidate span with
 // one child per stage: window (the blast radius), refresh (the source's
-// RefreshDelta) and check (the sweep, splice included).
+// Refresh or RefreshDelta) and check (the sweep, splice included).
 func (v *Validator) Revalidate(prev *Report, topo *topology.Topology, facts *metadata.Facts, gen *contracts.Generator,
 	source fib.Source, opts delta.Options) (*Report, *delta.Set, error) {
 	sp := v.Tracer.Start("rcdc.Revalidate")
 	defer sp.End()
 	stamp := topo.Generation()
 	var ds *delta.Set
-	var since uint64
 	stage := sp.Child("window")
 	if prev != nil {
-		since = prev.Generation
-		ds = delta.Since(topo, since, opts)
+		ds = delta.Since(topo, prev.Generation, opts)
 	}
 	stage.End()
 	stage = sp.Child("refresh")
 	if live, ok := source.(Refresher); ok {
-		live.RefreshDelta(ds, since)
+		if prev == nil {
+			live.Refresh()
+		} else {
+			live.RefreshDelta()
+		}
 	}
 	stage.End()
 	stage = sp.Child("check")

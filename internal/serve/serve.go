@@ -1,7 +1,8 @@
 // Package serve exposes the validation engine's query API over HTTP —
 // the dcvalidated server. It is a thin, stdlib-only shim: every question
 // is answered by the engine — from its generation-keyed report cache, or
-// for reachability by a walk over its cached runs — so the handlers add
+// for reachability by a walk over the runs its synth derives — so the
+// handlers add
 // JSON encoding and request accounting, nothing more.
 //
 // Endpoints:

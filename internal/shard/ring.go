@@ -1,7 +1,7 @@
 // Package shard is a standalone oracle for the validation plane: a
-// Coordinator spreads the fleet across N table caches by consistent
+// Coordinator spreads the fleet across N FIB sources by consistent
 // hashing over the Clos pod structure, routes every FIB pull to the
-// owning cache, and runs the one plan→check→splice
+// owning source, and runs the one plan→check→splice
 // (rcdc.Validator.Revalidate) over them. Its report renders
 // byte-identically (modulo timing) to a single-engine sweep, which is
 // what the benchmark checks. No serving path uses it:

@@ -22,8 +22,8 @@ type Options struct {
 }
 
 // shardState is one validator shard: its slice of the fleet (ascending
-// device order) and its own generation-cached FIB source, which holds the
-// tables of those devices and no others.
+// device order) and its own FIB source, which answers the pulls of those
+// devices and no others.
 type shardState struct {
 	devices []topology.DeviceID
 	synth   *bgp.Synth
@@ -31,15 +31,14 @@ type shardState struct {
 
 // Coordinator partitions the fleet across N validator shards by
 // consistent hashing over the Clos pod structure — whole pods (and spine
-// planes, and regional spines) land on one shard, preserving the table
-// locality the per-shard FIB caches exploit. Which shard owns a device
-// decides whose table cache answers for it and nothing else: the
-// coordinator is a FIB source (rcdc.RowSource with RefreshDelta) that
+// planes, and regional spines) land on one shard. Which shard owns a
+// device decides whose source answers for it and nothing else: the
+// coordinator is a FIB source (rcdc.RowSource and rcdc.Refresher) that
 // routes every pull to the owner, and Sweep runs the one
 // rcdc.Validator.Revalidate over it.
 //
 // Sweep is safe for concurrent use. The source methods follow bgp.Synth's
-// rule: pulls may run concurrently, RefreshDelta must not overlap them.
+// rule: pulls may run concurrently, a refresh must not overlap them.
 type Coordinator struct {
 	topo  *topology.Topology
 	cfg   map[topology.DeviceID]*bgp.DeviceConfig
@@ -69,9 +68,7 @@ func New(topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig, n
 	c.cgen.EnableMemo()
 	c.shards = make([]*shardState, c.ring.Shards())
 	for i := range c.shards {
-		synth := bgp.NewSynth(topo, cfg)
-		synth.EnableTableCache()
-		c.shards[i] = &shardState{synth: synth}
+		c.shards[i] = &shardState{synth: bgp.NewSynth(topo, cfg)}
 	}
 	for i := range topo.Devices {
 		d := &topo.Devices[i]
@@ -85,7 +82,7 @@ func New(topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig, n
 // PartitionKey returns the ring key a device is placed by: its pod for
 // ToRs and leaves, its plane for spines, its index for regional spines.
 // Hashing structural units instead of devices keeps each pod's FIBs —
-// which share most of their routes — on one shard's table cache.
+// which share most of their routes — on one shard.
 func PartitionKey(d *topology.Device) string {
 	switch d.Role {
 	case topology.RoleToR, topology.RoleLeaf:
@@ -108,17 +105,23 @@ func (c *Coordinator) Devices(i int) []topology.DeviceID {
 // Table pulls a device's converged FIB from the shard that owns it.
 func (c *Coordinator) Table(d topology.DeviceID) (*fib.Table, error) { return c.owner[d].Table(d) }
 
-// Rows answers a row query (rcdc.RowSource) from the owning shard's cache.
+// Rows answers a row query (rcdc.RowSource) from the owning shard.
 func (c *Coordinator) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
 	return c.owner[d].Rows(d, overlapping)
 }
 
-// RefreshDelta brings every shard's source up to the live topology, each
-// table cache synchronized from ds — the blast radius of the changes
-// journaled after generation since — as bgp.Synth.RefreshDelta describes.
-func (c *Coordinator) RefreshDelta(ds *delta.Set, since uint64) {
+// Refresh derives every shard's source afresh (bgp.Synth.Refresh).
+func (c *Coordinator) Refresh() {
 	for _, s := range c.shards {
-		s.synth.RefreshDelta(ds, since)
+		s.synth.Refresh()
+	}
+}
+
+// RefreshDelta brings every shard's source up to the live topology from
+// the change journal (bgp.Synth.RefreshDelta).
+func (c *Coordinator) RefreshDelta() {
+	for _, s := range c.shards {
+		s.synth.RefreshDelta()
 	}
 }
 

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestChangeJournal(t *testing.T) {
 	topo := MustNew(Figure3Params())
@@ -77,11 +80,11 @@ func TestChangeJournal(t *testing.T) {
 func TestChangeJournalTruncation(t *testing.T) {
 	topo := MustNew(Figure3Params())
 	lid := topo.Links[0].ID
-	for i := 0; i < maxJournal+10; i++ {
+	for i := 0; i < 2*maxJournal+10; i++ {
 		topo.SetLinkUp(lid, i%2 == 0)
 	}
 	if _, ok := topo.ChangesSince(0); ok {
-		t.Fatal("ChangesSince(0) should report truncation after >maxJournal changes")
+		t.Fatal("ChangesSince(0) should report truncation after >2×maxJournal changes")
 	}
 	gen := topo.Generation()
 	cs, ok := topo.ChangesSince(gen - 5)
@@ -92,5 +95,78 @@ func TestChangeJournalTruncation(t *testing.T) {
 		if c.Gen != gen-4+uint64(i) {
 			t.Fatalf("change %d has gen %d, want %d", i, c.Gen, gen-4+uint64(i))
 		}
+	}
+}
+
+// TestJournalDropIsExact: across the drop that halves a full journal,
+// ChangesSince keeps its floor exact — ok for every generation the journal
+// still reaches back to, false for every older one — and answers a
+// contiguous window whose entries carry the generations after the one
+// asked for; a window handed out before the drop reads the same after it.
+func TestJournalDropIsExact(t *testing.T) {
+	topo := MustNew(Figure3Params())
+	lid := topo.Links[0].ID
+	flip := func(n int) {
+		for i := 0; i < n; i++ {
+			topo.SetLinkUp(lid, !topo.Link(lid).Up)
+		}
+	}
+	window := func(gen uint64) ([]Change, bool) {
+		t.Helper()
+		cs, ok := topo.ChangesSince(gen)
+		for i, c := range cs {
+			if c.Gen != gen+1+uint64(i) {
+				t.Fatalf("ChangesSince(%d): entry %d has generation %d, want %d", gen, i, c.Gen, gen+1+uint64(i))
+			}
+		}
+		if ok && uint64(len(cs)) != topo.Generation()-gen {
+			t.Fatalf("ChangesSince(%d) = %d entries at generation %d", gen, len(cs), topo.Generation())
+		}
+		return cs, ok
+	}
+	flip(2*maxJournal - 1) // one short of the drop
+	held, ok := window(0)
+	if !ok {
+		t.Fatal("the journal dropped entries before reaching 2 × maxJournal")
+	}
+	before := append([]Change(nil), held...)
+	flip(1) // the drop
+	floor := uint64(maxJournal)
+	if _, ok := window(floor - 1); ok {
+		t.Fatalf("ChangesSince(%d) ok after the drop, want the floor at %d", floor-1, floor)
+	}
+	if _, ok := window(floor); !ok {
+		t.Fatalf("ChangesSince(%d) truncated after the drop, want it kept", floor)
+	}
+	flip(maxJournal / 2)
+	for _, gen := range []uint64{floor, floor + 1, topo.Generation() - 1, topo.Generation()} {
+		if _, ok := window(gen); !ok {
+			t.Fatalf("ChangesSince(%d) truncated after the drop", gen)
+		}
+	}
+	for i := range held {
+		if held[i] != before[i] {
+			t.Fatalf("entry %d of a window handed out before the drop changed: %+v, was %+v", i, held[i], before[i])
+		}
+	}
+}
+
+// TestJournalWriteBytesFlat: a long-lived topology's writes stay cheap
+// once its journal is full — 12 000 flips of one Figure 3 link, three
+// times the journal's bound, allocate under 1 KB per flip on average.
+func TestJournalWriteBytesFlat(t *testing.T) {
+	topo := MustNew(Figure3Params())
+	lid := topo.Links[0].ID
+	const flips = 12000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < flips; i++ {
+		topo.SetLinkUp(lid, !topo.Link(lid).Up)
+	}
+	runtime.ReadMemStats(&after)
+	perFlip := float64(after.TotalAlloc-before.TotalAlloc) / flips
+	t.Logf("%.0f bytes per flip over %d flips", perFlip, flips)
+	if perFlip >= 1024 {
+		t.Errorf("%.0f bytes per flip over %d flips, want under 1 KB", perFlip, flips)
 	}
 }

@@ -227,10 +227,13 @@ type Change struct {
 	Gen uint64
 }
 
-// maxJournal bounds the change journal: once exceeded, the oldest entries
-// are dropped and ChangesSince answers ok=false for generations before the
-// truncation point, forcing consumers back to a full sweep. The bound keeps
-// journal memory O(1) in the age of the topology.
+// maxJournal bounds the change journal: it always holds at least the most
+// recent maxJournal changes, and once it reaches 2 × maxJournal the oldest
+// half is dropped at once, into a fresh array, so a write copies the
+// journal once per maxJournal writes rather than on every one. ChangesSince
+// answers ok=false for generations before the truncation point, forcing
+// consumers back to a full sweep. The bound keeps journal memory O(1) in
+// the age of the topology.
 const maxJournal = 4096
 
 // Topology is a generated datacenter network.
@@ -253,8 +256,9 @@ type Topology struct {
 	hosted []HostedPrefix
 
 	// Change journal: gen counts mutations since construction, journal
-	// holds the most recent maxJournal of them, journalFloor is the newest
-	// generation that has been truncated away (0 = journal complete).
+	// holds the most recent maxJournal to 2 × maxJournal of them,
+	// journalFloor is the newest generation that has been truncated away
+	// (0 = journal complete).
 	gen          uint64
 	journal      []Change
 	journalFloor uint64
@@ -538,19 +542,25 @@ func (t *Topology) ChangesSince(gen uint64) (changes []Change, ok bool) {
 		return nil, true
 	}
 	// Journal entries are generation-ordered; find the first entry > gen.
-	i := sort.Search(len(t.journal), func(i int) bool { return t.journal[i].Gen > gen })
-	return t.journal[i:], true
+	// The window is capped at its length, so appending to it never writes
+	// the journal.
+	n := len(t.journal)
+	i := sort.Search(n, func(i int) bool { return t.journal[i].Gen > gen })
+	return t.journal[i:n:n], true
 }
 
-// record journals one mutation and bumps the generation.
+// record journals one mutation and bumps the generation. Once the journal
+// holds 2 × maxJournal entries, the oldest half moves out: the newest
+// maxJournal are copied into a fresh array, so a window ChangesSince
+// handed out earlier is never written.
 func (t *Topology) record(c Change) {
 	t.gen++
 	c.Gen = t.gen
 	t.journal = append(t.journal, c)
-	if len(t.journal) > maxJournal {
+	if len(t.journal) >= 2*maxJournal {
 		drop := len(t.journal) - maxJournal
 		t.journalFloor = t.journal[drop-1].Gen
-		t.journal = append(t.journal[:0:0], t.journal[drop:]...)
+		t.journal = append(make([]Change, 0, 2*maxJournal), t.journal[drop:]...)
 	}
 }
 

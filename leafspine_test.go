@@ -22,7 +22,7 @@ import (
 // TestLeafSpineFlipSoundAtScale arms the change-driven sweep's soundness
 // gate at the fleet sizes the benchmarks measure, not only at the small
 // fleets of TestBlastRadiusIsSuperset and TestIncrementalEquivalence.
-// After one leaf–spine failure on a warmed, table-cached validator, every
+// After one leaf–spine failure on a warmed validator, every
 // (device × prefix) whose derived next hops moved lies inside its device's
 // scope, and the revalidated report renders identically to a from-scratch
 // sweep of the failed fleet (see flipSound), and the devices that share a
@@ -138,14 +138,14 @@ func (r runsOnly) TableRuns(d topology.DeviceID, lo, hi int, buf fib.RunTable) f
 }
 
 // flipSound fails the link between the two devices link picks on a
-// warmed, table-cached validator and checks the blast radius the sweep
+// warmed validator and checks the blast radius the sweep
 // planned from against the derivation, which reaches the same facts
 // independently: the runs and rows outside the runs each device derives
 // before and after the failure — its next hops per class run, block and
 // prefix stretch — must differ only at prefixes inside the device's row
 // scope (sound). That costs the runs each device emits, so it runs at
 // every size. Up to 2008 devices the expanded FIB rows are compared too,
-// row by row. The devices the cached synthesizer puts in one class for
+// row by row. The devices the maintained synthesizer puts in one class for
 // their scope's stretch — whose verdicts the scoped check hands from one to
 // the other — must have equal content keys there (classcheck.Check), by a
 // fresh synthesis, and so must the devices it puts in one class for a
@@ -156,11 +156,10 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	topo := topology.MustNew(p)
 	facts := metadata.FromTopology(topo)
 	v := rcdc.Validator{Workers: 2}
-	cached := bgp.NewSynth(topo, nil)
-	cached.EnableTableCache()
+	synth := bgp.NewSynth(topo, nil)
 	gen := contracts.NewGenerator(facts)
 	gen.EnableMemo()
-	prev, err := v.ValidateAll(facts, cached)
+	prev, err := v.ValidateAll(facts, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if a, b := link(topo); !topo.FailLink(a, b) {
 		t.Fatal("FailLink failed")
 	}
-	rep, ds, err := v.Revalidate(prev, topo, facts, gen, cached, delta.Options{})
+	rep, ds, err := v.Revalidate(prev, topo, facts, gen, synth, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	if scoped == 0 || moved == 0 {
 		t.Fatalf("%d devices of the %d dirty scoped to rows, %d (device × prefix) moved: the failure exercised nothing", scoped, ds.Count(), moved)
 	}
-	classes, members, err := classcheck.Check(topo, cached, is, gen, ds)
+	classes, members, err := classcheck.Check(topo, synth, is, gen, ds)
 	if err != nil {
 		t.Fatalf("class soundness: %v", err)
 	}
@@ -236,7 +235,7 @@ func flipSound(t *testing.T, p topology.Params, link func(*topology.Topology) (t
 	}
 	all := delta.NewSet()
 	all.MarkFull()
-	fullClasses, fullMembers, err := classcheck.Check(topo, cached, is, gen, all)
+	fullClasses, fullMembers, err := classcheck.Check(topo, synth, is, gen, all)
 	if err != nil {
 		t.Fatalf("class soundness of a full sweep: %v", err)
 	}

@@ -10,9 +10,10 @@ import (
 
 // A ToR–leaf link flip on a warmed 2008-device datacenter, followed by a
 // query on the leaf, is the operator's event end to end: the journal, the
-// blast radius (one device whole, ~1700 scoped to one row), the table
-// cache's run patch and the scoped re-check, once per class of devices. BenchmarkLinkFlip times it
-// with -benchmem; TestLinkFlipAllocCeiling locks its allocations.
+// blast radius (one device whole, ~1700 scoped to one row), the refresh of
+// the synthesis state and the scoped re-check, once per class of devices.
+// BenchmarkLinkFlip times it with -benchmem; TestLinkFlipAllocCeiling locks
+// its allocations.
 
 // linkFlipper builds a datacenter of about n devices, warms it with a cold
 // query and returns it with op, which fails a link of the first cluster's
@@ -78,12 +79,13 @@ func flipAllocs(t *testing.T, n int, leafSpine bool) (allocs float64, dirty int)
 	}), dirty
 }
 
-// TestLinkFlipAllocCeiling: one ToR–leaf flip plus its query makes ~241
+// TestLinkFlipAllocCeiling: one ToR–leaf flip plus its query makes ~165
 // mallocs. Of the ~1690 devices it dirties, the check merges ~95 — one ToR
 // per cluster, one leaf per plane and worker, the devices no class covers —
-// and the rest take their class's verdict unpulled; a slot that still has
-// a patch pending is evicted, not given a wider one. History: ~1.91 k
-// before the dirty set was checked once per class of devices; ~1.92 k
+// each deriving its runs over its scope alone, and the rest take their
+// class's verdict unpulled. History: ~241 while a table cache kept each
+// device's runs and patched them; ~1.91 k before the dirty set was checked
+// once per class of devices; ~1.92 k
 // before the synthesis state was kept up to date from the journal instead
 // of rebuilt per event; ~6.96 k before patches were left pending for the
 // scoped check to apply, runs read in place, hop sets shared between
@@ -103,10 +105,9 @@ func TestLinkFlipAllocCeiling(t *testing.T) {
 // TestLeafSpineFlipAllocsScaleWithDirty is the O(dirty devices) claim as a
 // test. A leaf–spine flip dirties 15 devices at 520 devices and 46 at 2008
 // — the leaf whole, the rest in one cluster's rows — while the fleet grows
-// by ~1490 devices. A device the check pulls owes at most one malloc, the
-// new slice of its copy-on-write runs when a patch is pending on them; a
-// device that takes its class's verdict is not pulled and owes none, and
-// neither does evicting a slot whose patch was never applied. So from the
+// by ~1490 devices. A device the check pulls owes at most one malloc, for
+// the runs it derives; a device that takes its class's verdict is not
+// pulled and owes none. So from the
 // one fleet to the other a flip plus its query may add at most 1.25 mallocs
 // per extra dirty device and none per extra clean one: work that walks or
 // hashes the fleet, or allocates per device beyond the splice, fails it.
@@ -128,8 +129,10 @@ func TestLeafSpineFlipAllocsScaleWithDirty(t *testing.T) {
 
 // TestFirstReachAfterWriteAllocCeiling: on a warmed 520-device datacenter,
 // the first /reach after a link flip — the query that brings the synthesis
-// state up to date and walks the forwarding cone over the cached runs —
-// allocates at most 64 KB, and answers at the flip's generation. It read
+// state up to date and walks the forwarding cone over the runs it derives
+// hop by hop — allocates at most 64 KB (~6 KB and ~28 mallocs), and
+// answers at the flip's generation. It read ~33 KB while a table cache
+// kept runs and the refresh recomputed the window's blast radius, and
 // ~8.9 MB and ~1670 mallocs when the query copied every table into a
 // global snapshot on the first read after each write.
 func TestFirstReachAfterWriteAllocCeiling(t *testing.T) {
@@ -165,7 +168,7 @@ func TestFirstReachAfterWriteAllocCeiling(t *testing.T) {
 			t.Fatalf("flip %d: cached=%v generation %d of %d reaches=%v, want a fresh reaching answer",
 				i, ans.Cached, ans.Generation, dc.Topo.Generation(), ans.Reaches)
 		}
-		if i >= 2 { // the first two warm the slots the flips patch
+		if i >= 2 { // the first two warm the pools the walk draws on
 			bytes += after.TotalAlloc - before.TotalAlloc
 			mallocs += after.Mallocs - before.Mallocs
 		}

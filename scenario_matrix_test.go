@@ -275,7 +275,7 @@ func TestScenarioMatrixCrossEngine(t *testing.T) {
 					t.Fatalf("%s full: %v", e.name, err)
 				}
 				// The synthesized fleet is checked as runs — by the full sweep,
-				// and by the delta over the serving plane's table-cached source
+				// and by the delta over the serving plane's persistent source
 				// whenever the change dirtied something. The rows leg's source
 				// and a corrupted pull path offer none.
 				runs := !e.rows && sc.source == nil

@@ -12,17 +12,17 @@ import (
 	"dcvalidate/internal/topology"
 )
 
-// TestSliceWalkMatchesSnapshot: a slice walk — over a table-cached synth
-// brought up to date by RefreshDelta, as the engine's /reach and global
-// intent walk it, and over a synth without a cache, whose runs come cut to
-// the walked prefix — answers every (ToR, prefix) pair as the snapshot
-// checker over a fresh synth does: the same PairResult and the same
-// counterexample path, on faulted, session-shut and configured fleets of
-// 136 and 520 devices, and again after a sequence of three flips — after
-// each flip at 136 devices, after the last at 520. At 136 devices every
-// pair's counterexample search is compared, and a walk over a synth
-// without a table cache too; at 520 the searches of the pairs that fail,
-// which are those /reach runs it for. -short keeps the 136-device fleets.
+// TestSliceWalkMatchesSnapshot: a slice walk — over a synth whose state
+// RefreshDelta keeps up to date from the journal, as the engine's /reach
+// and global intent walk it, its runs cut to the walked prefix — answers
+// every (ToR, prefix) pair as the snapshot checker over a fresh synth does:
+// the same PairResult and the same counterexample path, on faulted,
+// session-shut and configured fleets of 136 and 520 devices, and again
+// after a sequence of three flips — after each flip at 136 devices, after
+// the last at 520. At 136 devices every pair's counterexample search is
+// compared, and a walk over a fresh synth too; at 520 the searches of the
+// pairs that fail, which are those /reach runs it for. -short keeps the
+// 136-device fleets.
 func TestSliceWalkMatchesSnapshot(t *testing.T) {
 	sizes := []int{136, 520}
 	if testing.Short() {
@@ -68,11 +68,10 @@ func TestSliceWalkMatchesSnapshot(t *testing.T) {
 			t.Run(fmt.Sprintf("%d/%s", n, fleet.name), func(t *testing.T) {
 				topo := topology.MustNew(experiments.SizedParams("slice", n))
 				cfg := map[DeviceID]*DeviceConfig{}
-				cached := bgp.NewSynth(topo, cfg)
-				cached.EnableTableCache()
+				maintained := bgp.NewSynth(topo, cfg)
 				rng := rand.New(rand.NewSource(int64(n + fi)))
 				fleet.fault(topo, cfg, rng)
-				compareSliceWalk(t, topo, cfg, cached, "broken")
+				compareSliceWalk(t, topo, cfg, maintained, "broken")
 				for i := range 3 {
 					l := topology.LinkID(rng.Intn(len(topo.Links)))
 					if i%2 == 0 {
@@ -81,7 +80,7 @@ func TestSliceWalkMatchesSnapshot(t *testing.T) {
 						topo.SetSessionUp(l, !topo.Link(l).SessionUp)
 					}
 					if n < 200 || i == 2 {
-						compareSliceWalk(t, topo, cfg, cached, fmt.Sprintf("flip %d of link %d", i, l))
+						compareSliceWalk(t, topo, cfg, maintained, fmt.Sprintf("flip %d of link %d", i, l))
 					}
 				}
 			})
@@ -89,17 +88,17 @@ func TestSliceWalkMatchesSnapshot(t *testing.T) {
 	}
 }
 
-func compareSliceWalk(t *testing.T, topo *topology.Topology, cfg map[DeviceID]*DeviceConfig, cached *bgp.Synth, step string) {
+func compareSliceWalk(t *testing.T, topo *topology.Topology, cfg map[DeviceID]*DeviceConfig, maintained *bgp.Synth, step string) {
 	t.Helper()
 	small := len(topo.Devices) < 200
-	if cached.Generation() != topo.Generation() {
-		cached.RefreshDelta(nil, 0)
+	if maintained.Generation() != topo.Generation() {
+		maintained.RefreshDelta()
 	}
 	snap, err := rcdc.NewGlobalChecker(topo, bgp.NewSynth(topo, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	walks := map[string]*rcdc.GlobalChecker{"cached": rcdc.NewSliceChecker(topo, cached)}
+	walks := map[string]*rcdc.GlobalChecker{"maintained": rcdc.NewSliceChecker(topo, maintained)}
 	if small {
 		walks["fresh"] = rcdc.NewSliceChecker(topo, bgp.NewSynth(topo, cfg))
 	}
