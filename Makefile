@@ -77,7 +77,9 @@ bench-solver:
 # the cold sweep's facts, synth, side-by-side, layout and check stages. The
 # reach leg locks the slice walk: on a warmed 520-device datacenter the
 # first /reach after a write allocates at most 64 KB
-# (TestFirstReachAfterWriteAllocCeiling).
+# (TestFirstReachAfterWriteAllocCeiling). The SecGuru leg locks the
+# solver's term table: one context encoding the default ~3000-rule Edge ACL
+# holds at most 20 MB live (TestEdgeACLEncodingLiveBytes).
 bench-smoke:
 	$(GO) test -run 'TestLeafSpineFlipSoundAtScale|TestToRLeafFlipSoundAtScale|TestSeededFaultSweepClassesSound' -count=1 .
 	$(GO) test -count=1 ./internal/classcheck
@@ -88,6 +90,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkLinkFlip -benchmem -benchtime 20x .
 	$(GO) test -run 'TestFromTopologyAllocCeiling|TestFactsMatchTopology' -count=1 ./internal/metadata
 	$(GO) test -run xxx -bench BenchmarkColdSweepStages -benchtime 20x .
+	$(GO) test -run TestEdgeACLEncodingLiveBytes -count=1 ./internal/bv
 
 # CI gate for the benchmark harness: benchmark/ is a nested module that
 # `go build ./...` and `go test ./...` never enter, yet it calls delta,
@@ -135,12 +138,14 @@ serve-smoke:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# Brief fuzz sessions over every parser (extend -fuzztime for real runs).
+# Brief fuzz sessions over every parser and differential fuzzer (extend
+# -fuzztime for real runs).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz FuzzParseIOS -fuzztime $(FUZZTIME) ./internal/acl/
 	$(GO) test -fuzz FuzzParseNSG -fuzztime $(FUZZTIME) ./internal/acl/
 	$(GO) test -fuzz FuzzParseSMTLIB2 -fuzztime $(FUZZTIME) ./internal/bv/
+	$(GO) test -fuzz FuzzInternMatchesStringKey -fuzztime $(FUZZTIME) ./internal/bv/
 	$(GO) test -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat/
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/devconf/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/devconf/

@@ -1,10 +1,12 @@
 package dcvalidate_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"dcvalidate"
+	"dcvalidate/internal/rcdc"
 )
 
 // TestFacadeConcurrentUse pins the facade's thread-safety contract:
@@ -41,9 +43,14 @@ func TestFacadeConcurrentUse(t *testing.T) {
 		}()
 	}
 
-	// Mutators: ToR–leaf and leaf–spine link flaps and config edits.
+	// Mutators: ToR–leaf and leaf–spine link flaps and config edits. They
+	// share writes, which the intent checker takes alone to pin a
+	// generation.
+	var writes sync.RWMutex
 	flap := func(a, b string) func(i int) {
 		return func(i int) {
+			writes.RLock()
+			defer writes.RUnlock()
 			if i%2 == 0 {
 				if err := dc.FailLink(a, b); err != nil {
 					t.Error(err)
@@ -56,6 +63,8 @@ func TestFacadeConcurrentUse(t *testing.T) {
 	run(flap(tor, leaf))
 	run(flap(remoteLeaf, spine))
 	run(func(i int) {
+		writes.RLock()
+		defer writes.RUnlock()
 		if err := dc.SetDeviceConfig(leaf, nil); err != nil {
 			t.Error(err)
 		}
@@ -87,6 +96,32 @@ func TestFacadeConcurrentUse(t *testing.T) {
 	run(func(i int) {
 		if _, err := dc.QueryReach(remote, home); err != nil {
 			t.Error(err)
+		}
+	})
+	// The all-pairs intent walk: beside the writers on even iterations,
+	// and on odd ones with the writers held off, where it must equal the
+	// snapshot checker's over a fresh source at the same generation.
+	run(func(i int) {
+		if i%2 == 0 {
+			if _, err := dc.CheckGlobalIntent(); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		writes.Lock()
+		defer writes.Unlock()
+		got, err := dc.CheckGlobalIntent()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		snap, err := rcdc.NewGlobalChecker(dc.Topo, dc.Source())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if want := snap.Check(rcdc.FullRedundancy); !slices.Equal(got, want) {
+			t.Errorf("intent walk finds %d failing pairs, snapshot %d", len(got), len(want))
 		}
 	})
 	run(func(i int) {

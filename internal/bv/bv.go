@@ -13,7 +13,7 @@ package bv
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 
 	"dcvalidate/internal/clock"
@@ -51,18 +51,25 @@ type node struct {
 
 // Ctx is a term context. All terms passed to a Ctx's methods must have been
 // created by the same Ctx.
+//
+// Nodes are hash-consed by structure: memo maps a 64-bit hash of (kind,
+// width, val, name, args) to the newest node with that hash, and next
+// chains each node to the older node with the same hash (0 ends a chain,
+// Term 0 is never interned). A lookup compares fields exactly, so a
+// collision costs a comparison and never merges two distinct nodes.
 type Ctx struct {
 	nodes      []node
-	memo       map[string]Term
-	keyBuf     []byte
+	next       []Term // parallel to nodes
+	memo       map[uint64]Term
 	simplified map[Term]Term // Simplify memo; rewrite results are fixpoints
 }
 
 // NewCtx returns an empty term context with True and False preallocated.
 func NewCtx() *Ctx {
-	c := &Ctx{memo: make(map[string]Term)}
+	c := &Ctx{memo: make(map[uint64]Term)}
 	c.nodes = append(c.nodes, node{kind: kInvalid})
 	c.nodes = append(c.nodes, node{kind: kTrue}, node{kind: kFalse})
+	c.next = make([]Term, len(c.nodes))
 	return c
 }
 
@@ -70,24 +77,38 @@ func NewCtx() *Ctx {
 func (c *Ctx) True() Term  { return 1 }
 func (c *Ctx) False() Term { return 2 }
 
-func (c *Ctx) intern(n node) Term {
-	buf := c.keyBuf[:0]
-	buf = append(buf, byte(n.kind), n.width)
-	buf = strconv.AppendUint(buf, n.val, 16)
-	buf = append(buf, '|')
-	buf = append(buf, n.name...)
-	for _, a := range n.args {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(a), 16)
-	}
-	c.keyBuf = buf
-	if t, ok := c.memo[string(buf)]; ok {
-		return t
+func (c *Ctx) intern(n node) Term { return c.internAt(hashNode(&n), n) }
+
+// internAt returns the node equal to n on h's chain, appending n and
+// making it the chain's head when there is none.
+func (c *Ctx) internAt(h uint64, n node) Term {
+	head := c.memo[h]
+	for t := head; t != 0; t = c.next[t] {
+		if m := &c.nodes[t]; m.kind == n.kind && m.width == n.width && m.val == n.val &&
+			m.name == n.name && slices.Equal(m.args, n.args) {
+			return t
+		}
 	}
 	c.nodes = append(c.nodes, n)
+	c.next = append(c.next, head)
 	t := Term(len(c.nodes) - 1)
-	c.memo[string(buf)] = t
+	c.memo[h] = t
 	return t
+}
+
+// hashNode is FNV-1a over the node's fields, one 64-bit word at a time
+// (one per name byte).
+func hashNode(n *node) uint64 {
+	const prime = 1099511628211
+	h := (14695981039346656037 ^ (uint64(n.kind) | uint64(n.width)<<8)) * prime
+	h = (h ^ n.val) * prime
+	for i := 0; i < len(n.name); i++ {
+		h = (h ^ uint64(n.name[i])) * prime
+	}
+	for _, a := range n.args {
+		h = (h ^ uint64(a)) * prime
+	}
+	return h
 }
 
 func (c *Ctx) n(t Term) *node { return &c.nodes[t] }

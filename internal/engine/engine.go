@@ -16,7 +16,8 @@
 // the FIB synthesis state behind it, kept current from the change journal,
 // whose runs reachability queries walk without copying a table. It is safe
 // for concurrent use: mutations (Apply) and validations take the write
-// lock, cached queries take the read lock only.
+// lock, cached queries and the reachability walks over a current synthesis
+// take the read lock only.
 package engine
 
 import (
@@ -486,12 +487,14 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 
 // CheckGlobalIntent verifies all-pairs ToR reachability along maximally
 // redundant shortest paths by walking each prefix's forwarding cone over
-// the maintained synthesis, brought up to date first; empty result means the
-// intent holds. Config edits must go through Apply to be seen.
+// the maintained synthesis under the read lock, as QueryReach does; empty
+// result means the intent holds. Config edits must go through Apply to be
+// seen.
 func (e *Engine) CheckGlobalIntent() ([]rcdc.PairResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return rcdc.NewSliceChecker(e.topo, e.freshSourceLocked()).Check(rcdc.FullRedundancy), nil
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	e.freshenRLocked()
+	return rcdc.NewSliceChecker(e.topo, e.synth).Check(rcdc.FullRedundancy), nil
 }
 
 // ExploreFailures model-checks the contracts against every combination of

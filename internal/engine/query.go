@@ -335,6 +335,22 @@ func (e *Engine) QueryReach(src, dst string) (*ReachAnswer, error) {
 	if m != nil {
 		start = c.Now()
 	}
+	ans, err := e.reachLocked(src, dst, e.freshenRLocked())
+	e.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	if m != nil {
+		m.observeQuery("reach", clock.Since(c, start))
+	}
+	return ans, nil
+}
+
+// freshenRLocked brings the synthesis up to date with the topology for a
+// caller holding the read lock, taking the write lock only while it is
+// behind, and reports whether it was current already. The caller holds the
+// read lock again on return.
+func (e *Engine) freshenRLocked() bool {
 	cached := true
 	for e.synth == nil || e.synth.Generation() != e.topo.Generation() {
 		e.mu.RUnlock()
@@ -344,15 +360,7 @@ func (e *Engine) QueryReach(src, dst string) (*ReachAnswer, error) {
 		e.mu.RLock()
 		cached = false
 	}
-	ans, err := e.reachLocked(src, dst, cached)
-	e.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	if m != nil {
-		m.observeQuery("reach", clock.Since(c, start))
-	}
-	return ans, nil
+	return cached
 }
 
 // reachLocked resolves operands and walks the maintained synthesis; caller
