@@ -139,8 +139,10 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
+			// A directory holding its own go.mod is another module, which
+			// "./..." leaves out, as go build does.
 			name := d.Name()
-			if path != pat && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+			if path != pat && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor" || hasGoMod(path)) {
 				return filepath.SkipDir
 			}
 			add(path)
@@ -152,6 +154,11 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func hasGoMod(dir string) bool {
+	fi, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil && !fi.IsDir()
 }
 
 func hasGoFiles(dir string) bool {

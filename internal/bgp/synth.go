@@ -34,7 +34,13 @@ func ConfigUnbounded(cfg map[topology.DeviceID]*DeviceConfig) bool {
 // datacenters without a global snapshot.
 //
 // Synth honors the same DeviceConfig knobs as Sim and is cross-validated
-// against it on randomized topologies (see synth_test.go).
+// against it on randomized topologies (see synth_test.go). Of ASNOverride
+// it models the migration clash over all of a cluster's leaves, the shape
+// that test draws, and a ToR on a leaf's ASN. Under other clashes its
+// tables can differ from Sim's: it checks an AS path only at the device
+// receiving it, ignores routes rejected upstream, and never routes through
+// a ToR (a valley Sim takes once one leaf of a cluster leaves the cluster's
+// ASN and a ToR–leaf link there is down).
 type Synth struct {
 	topo *topology.Topology
 	cfg  map[topology.DeviceID]*DeviceConfig
@@ -636,58 +642,7 @@ func (s *Synth) truncate(d topology.DeviceID, nhs []topology.DeviceID) []topolog
 // leaves — so callers must treat the NextHops slices as immutable, same as
 // contracts.
 func (s *Synth) Table(d topology.DeviceID) (*fib.Table, error) {
-	return s.runTable(d).Expand(s.prefixes), nil
-}
-
-// Rows answers a row query without expanding the table: the rows of d's
-// converged FIB whose prefix contains or is contained in one of the given
-// prefixes, plus the default row, in table order. That is everything a
-// contract on one of those prefixes can read (rcdc.RowSource). The entries
-// are copies; their NextHops slices are shared and immutable. Rows finds
-// positions by binary search and so requires the flat address plan that
-// every row scope implies.
-func (s *Synth) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
-	rt := s.runTable(d)
-	var out []fib.Entry
-	for _, e := range rt.Rows { // connected rows and the default
-		if e.Prefix.IsDefault() || overlapsAny(e.Prefix, overlapping) {
-			out = append(out, e)
-		}
-	}
-	// Queries arrive in any order and may share positions; emit each row
-	// once, in table order.
-	var idx []int
-	for _, q := range overlapping {
-		lo, hi := ipnet.OverlapRun(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }, q)
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-	}
-	sort.Ints(idx)
-	runs := rt.Runs
-	for _, pos := range slices.Compact(idx) {
-		for len(runs) > 0 && runs[0].Hi <= pos {
-			runs = runs[1:]
-		}
-		if len(runs) > 0 && runs[0].Lo <= pos {
-			out = append(out, fib.Entry{Prefix: s.prefixes[pos].Prefix, NextHops: runs[0].NextHops})
-		}
-	}
-	return out, nil
-}
-
-func overlapsAny(p ipnet.Prefix, qs []ipnet.Prefix) bool {
-	for _, q := range qs {
-		if p.Overlaps(q) {
-			return true
-		}
-	}
-	return false
-}
-
-// runTable returns d's converged runs over the whole prefix list.
-func (s *Synth) runTable(d topology.DeviceID) fib.RunTable {
-	return s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{})
+	return s.synthRuns(d, 0, len(s.prefixes), fib.RunTable{}).Expand(s.prefixes), nil
 }
 
 // RunPrefixes returns the prefix list TableRuns indexes: the hosted
@@ -1084,6 +1039,9 @@ func (s *Synth) someDefaultSpine(leaf topology.DeviceID) topology.DeviceID {
 	return topology.None
 }
 
+// specificNextHops derives d's next hops for one hosted prefix, checking
+// every AS path on the way: appendRuns calls it only when a configuration
+// can reject paths.
 func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.HostedPrefix) []topology.DeviceID {
 	dev := s.topo.Device(d)
 	torASN := s.asn(hp.ToR)
@@ -1095,10 +1053,6 @@ func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.Hosted
 			if !s.live(d, sp) || !has[s.spineIdx(sp)] {
 				continue
 			}
-			if s.fastAccept {
-				nhs = append(nhs, sp)
-				continue
-			}
 			hl := s.hostLeaf(hp.Cluster, s.topo.Device(sp).Plane)
 			if s.acceptsPath(d, []uint32{s.asn(sp), s.asn(hl), torASN}) {
 				nhs = append(nhs, sp)
@@ -1106,21 +1060,19 @@ func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.Hosted
 		}
 	case topology.RoleSpine:
 		hl := s.hostLeaf(hp.Cluster, dev.Plane)
-		if s.live(d, hl) && s.leafHasDirect(hl, hp.ToR) &&
-			(s.fastAccept || s.acceptsPath(d, []uint32{s.asn(hl), torASN})) {
+		if s.live(d, hl) && s.leafHasDirect(hl, hp.ToR) && s.acceptsPath(d, []uint32{s.asn(hl), torASN}) {
 			nhs = append(nhs, hl)
 		}
 	case topology.RoleLeaf:
 		if dev.Cluster == hp.Cluster {
-			if s.leafHasDirect(d, hp.ToR) && (s.fastAccept || s.acceptsPath(d, []uint32{torASN})) {
+			if s.leafHasDirect(d, hp.ToR) && s.acceptsPath(d, []uint32{torASN}) {
 				nhs = append(nhs, hp.ToR)
 			}
 			break
 		}
 		hl := s.hostLeaf(hp.Cluster, dev.Plane)
 		for _, sp := range s.planeSpines(d) {
-			if s.live(d, sp) && has[s.spineIdx(sp)] &&
-				(s.fastAccept || s.acceptsPath(d, []uint32{s.asn(sp), s.asn(hl), torASN})) {
+			if s.live(d, sp) && has[s.spineIdx(sp)] && s.acceptsPath(d, []uint32{s.asn(sp), s.asn(hl), torASN}) {
 				nhs = append(nhs, sp)
 			}
 		}
@@ -1134,31 +1086,21 @@ func (s *Synth) specificNextHops(d topology.DeviceID, pi int, hp topology.Hosted
 				if !s.leafHasDirect(leaf, hp.ToR) {
 					continue
 				}
-				if !s.fastAccept {
-					path = []uint32{s.asn(leaf), torASN}
-				}
+				path = []uint32{s.asn(leaf), torASN}
 			} else {
-				// The leaf needs a via-spine route on its plane.
-				ok := false
+				// The leaf needs a via-spine route on its plane that it accepts.
+				hl := s.hostLeaf(hp.Cluster, plane)
 				for _, sp := range s.planeSpines(leaf) {
-					if s.live(leaf, sp) && has[s.spineIdx(sp)] {
-						if s.fastAccept {
-							ok = true
-							break
-						}
-						hl := s.hostLeaf(hp.Cluster, plane)
-						if s.acceptsPath(leaf, []uint32{s.asn(sp), s.asn(hl), torASN}) {
-							ok = true
-							path = []uint32{s.asn(leaf), s.asn(sp), s.asn(hl), torASN}
-							break
-						}
+					if s.live(leaf, sp) && has[s.spineIdx(sp)] && s.acceptsPath(leaf, []uint32{s.asn(sp), s.asn(hl), torASN}) {
+						path = []uint32{s.asn(leaf), s.asn(sp), s.asn(hl), torASN}
+						break
 					}
 				}
-				if !ok {
+				if path == nil {
 					continue
 				}
 			}
-			if s.fastAccept || s.acceptsPath(d, path) {
+			if s.acceptsPath(d, path) {
 				nhs = append(nhs, leaf)
 			}
 		}

@@ -88,8 +88,8 @@ type Engine struct {
 
 	// defaultKind routes runs that don't name an engine; pec/pecExact are
 	// the engine-lifetime packet-equivalence-class checkers (created
-	// lazily so non-PEC engines never pay for them) whose atomization
-	// caches the delta path invalidates by blast radius.
+	// lazily so non-PEC engines never pay for them) whose content-keyed
+	// atomization caches survive every run.
 	defaultKind Kind
 	pec         *pec.Checker
 	pecExact    *pec.Checker

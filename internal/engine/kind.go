@@ -89,9 +89,9 @@ func (e *Engine) resolveKindLocked(o Options) Kind {
 
 // pecLocked returns the engine-lifetime PEC checker for the given
 // semantics, creating it on first use. Persistence is the point: the
-// checker's content-hash atomization cache survives across runs, and
-// rcdc.Revalidate has it forget the blast radius of each delta run
-// (rcdc.RowChecker).
+// checker's content-hash atomization cache survives across runs: a delta
+// run re-atomizes only the devices whose table moved, and its row-scoped
+// re-checks leave the cache alone (rcdc.RowChecker).
 func (e *Engine) pecLocked(exact bool) *pec.Checker {
 	p := &e.pec
 	if exact {

@@ -11,7 +11,6 @@ import (
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
-	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/monitor"
 	"dcvalidate/internal/par"
@@ -403,12 +402,11 @@ func ViolationKey(v rcdc.Violation) string {
 	return fmt.Sprintf("%d|%s|%s|%s", v.Device, v.Contract.Kind, v.Contract.Prefix, v.Kind)
 }
 
-// gatedSource wraps the worker's FIB source, failing pulls — whole
-// tables and row queries alike — for telemetry-dead devices so the
-// validator's graceful-degradation path (keep the previous verdict,
-// surface the error) models monitoring blindness. Runs cannot fail, so
-// while any device is dead the source offers none and the sweep pulls
-// tables and rows.
+// gatedSource wraps the worker's FIB source, failing table pulls for
+// telemetry-dead devices so the validator's graceful-degradation path
+// (keep the previous verdict, surface the error) models monitoring
+// blindness. Runs cannot fail, so while any device is dead the source
+// offers none and the sweep, row-scoped re-checks included, pulls tables.
 type gatedSource struct {
 	*bgp.Synth
 	dead map[topology.DeviceID]bool
@@ -433,13 +431,6 @@ func (g *gatedSource) Table(d topology.DeviceID) (*fib.Table, error) {
 		return nil, err
 	}
 	return g.Synth.Table(d)
-}
-
-func (g *gatedSource) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
-	if err := g.blackout(d); err != nil {
-		return nil, err
-	}
-	return g.Synth.Rows(d, overlapping)
 }
 
 // worker owns one clone of the world: topology, FIB source,

@@ -20,9 +20,10 @@
 //
 // Atomization is cached per device behind a content hash of (FIB,
 // contracts, role) — the synth hands out a fresh table per pull, so
-// pointer identity can never prove "unchanged". The blast-radius
-// machinery invalidates dirty devices via Invalidate, making delta
-// sweeps re-atomize only what changed.
+// pointer identity can never prove "unchanged". A delta sweep therefore
+// re-atomizes only the devices whose table or contracts changed, with
+// nothing evicted; a row-scoped re-check goes through CheckRows, which
+// leaves the cache alone.
 package pec
 
 import (
@@ -110,10 +111,9 @@ func (c *Checker) Stats() Stats {
 }
 
 // Invalidate drops the cached atomizations of the given devices, forcing
-// re-atomization on their next check. rcdc.Validator.Revalidate calls it
-// with each bounded blast radius, so incremental validation re-atomizes
-// exactly the devices whose converged state may have changed while every
-// other device stays a content-hash cache hit.
+// re-atomization on their next check. No validation path needs it — the
+// cache is keyed by content, so evicting never changes a verdict — but a
+// caller may use it to measure a cold check or to bound the cache.
 func (c *Checker) Invalidate(devs []topology.DeviceID) {
 	c.mu.Lock()
 	for _, d := range devs {

@@ -3,6 +3,7 @@ package rcdc
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcvalidate/internal/bgp"
@@ -174,10 +175,48 @@ func TestValidateDeltaKeepsPrevResultOnError(t *testing.T) {
 	if !found {
 		t.Fatal("failed dirty device must keep its previous result")
 	}
+
+	// Row-scoped: a ToR–leaf failure leaves the other ToRs of the cluster
+	// scoped to the cut ToR's rows — a thinned ECMP set, which the exact
+	// checker flags — and a source without runs answers them from the
+	// device's table. A failed pull keeps the device's previous result.
+	v = Validator{Workers: 2, Checker: TrieChecker{Exact: true}}
+	if prev, err = v.ValidateAll(facts, bgp.NewSynth(topo, nil)); err != nil {
+		t.Fatal(err)
+	}
+	since := topo.Generation()
+	topo.FailLink(bad, topo.ClusterLeaves(0)[0])
+	changes, ok := topo.ChangesSince(since)
+	if !ok {
+		t.Fatal("journal truncated")
+	}
+	ds := delta.Compute(topo, changes, delta.Options{})
+	scoped := topo.ClusterToRs(0)[1]
+	if sc, ok := ds.Scope(scoped); !ok || sc.Whole || len(sc.Rows) == 0 {
+		t.Fatalf("ToR %d: scope %+v, want a row scope", scoped, sc)
+	}
+	src = failingSource{inner: bgp.NewSynth(topo, nil), bad: scoped}
+	rep, err = v.ValidateScoped(prev, facts, gen, src, ds)
+	if err == nil || !errors.Is(err, errPull) {
+		t.Fatalf("row-scoped: err = %v, want wrapped errPull", err)
+	}
+	i, ok := devicePos(rep.Devices, scoped)
+	j, _ := devicePos(prev.Devices, scoped)
+	if !ok || !reflect.DeepEqual(rep.Devices[i], prev.Devices[j]) {
+		t.Fatal("row-scoped: failed device must keep its previous result")
+	}
+	want, err := v.ValidateScoped(prev, facts, gen, plainSource{bgp.NewSynth(topo, nil)}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want.Devices[i].Violations, prev.Devices[j].Violations) {
+		t.Fatal("row-scoped: the failure moves no verdict of the scoped device; the leg shows nothing")
+	}
 }
 
-// plainSource hides a source's row queries: ValidateScoped must fall back
-// to whole devices.
+// plainSource hides a source's runs: ValidateScoped re-checks a device
+// with a row scope against the rows of its whole table that the scope's
+// contracts read.
 type plainSource struct{ inner fib.Source }
 
 func (p plainSource) Table(d topology.DeviceID) (*fib.Table, error) { return p.inner.Table(d) }
@@ -185,10 +224,12 @@ func (p plainSource) Table(d topology.DeviceID) (*fib.Table, error) { return p.i
 // TestValidateScopedMatchesFullSweep drives the contract-level splice over
 // random windows of link and session flips on a degrading fleet — so most
 // splices land in reports that already hold violations — through every
-// kind of source: the synth refreshed from the journal, one that cannot
-// answer row queries (whole-device fallback), and a synth over an address
-// plan that is not ascending (every scope whole, whole devices
-// re-checked). Every step must match a from-scratch sweep.
+// kind of source: the synth refreshed from the journal (runs re-checked
+// over the scope), one that hides its runs (rows re-checked, read from the
+// whole table), the synth under a checker that takes no runs (rows
+// re-checked, read from the runs), and a synth over an address plan that
+// is not ascending (every scope whole, whole devices re-checked). Every
+// step must match a from-scratch sweep.
 func TestValidateScopedMatchesFullSweep(t *testing.T) {
 	params := topology.Params{
 		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
@@ -198,11 +239,13 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 	cases := []struct {
 		name      string
 		unordered bool
+		checker   Checker
 		source    func(*bgp.Synth) fib.Source
-		rows      bool // devices are re-checked by row: a flat address plan, and a source that answers row queries
+		rows      bool // devices are re-checked by row: a flat address plan
 	}{
 		{name: "uncached synth", rows: true, source: func(s *bgp.Synth) fib.Source { return s }},
-		{name: "no row queries", source: func(s *bgp.Synth) fib.Source { return plainSource{s} }},
+		{name: "no row queries", rows: true, source: func(s *bgp.Synth) fib.Source { return plainSource{s} }},
+		{name: "checker without runs", rows: true, checker: rowTrie{}, source: func(s *bgp.Synth) fib.Source { return s }},
 		{name: "unordered address plan", unordered: true, source: func(s *bgp.Synth) fib.Source { return s }},
 	}
 	for _, tc := range cases {
@@ -216,7 +259,7 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 			gen := contracts.NewGenerator(facts)
 			gen.EnableMemo()
 			reg := obs.NewRegistry()
-			v := Validator{Workers: 2, Metrics: NewMetrics(reg)}
+			v := Validator{Checker: tc.checker, Workers: 2, Metrics: NewMetrics(reg)}
 			synth := bgp.NewSynth(topo, nil)
 			src := tc.source(synth)
 			prev, err := v.ValidateAll(facts, src)
@@ -258,8 +301,8 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 			if splicedIntoViolations < 10 {
 				t.Fatalf("only %d splices into violating reports", splicedIntoViolations)
 			}
-			// Row queries must show as fewer contracts re-checked than the
-			// whole-device fallback needs; without them, as exactly that.
+			// A row re-check must show as at most half the contracts a whole
+			// device holds; a whole-device re-check as more.
 			series := func(name string) float64 {
 				for _, s := range reg.Snapshot() {
 					if s.Name == name {
@@ -269,9 +312,61 @@ func TestValidateScopedMatchesFullSweep(t *testing.T) {
 				return 0
 			}
 			perDevice := series("dcv_rcdc_delta_contracts_checked_sum") / series("dcv_rcdc_delta_dirty_devices_sum")
+			t.Logf("%.1f contracts re-checked per dirty device", perDevice)
 			if full := float64(len(topo.HostedPrefixes())); tc.rows == (perDevice > full/2) {
-				t.Fatalf("%.1f contracts re-checked per dirty device (a whole device has ~%.0f); row queries available: %v",
+				t.Fatalf("%.1f contracts re-checked per dirty device (a whole device has ~%.0f); re-checked by row: %v",
 					perDevice, full, tc.rows)
+			}
+		})
+	}
+}
+
+// TestRecheckDefaultRowAlone: a spine–RS failure scopes the spine to its
+// default row alone, so on a healthy fleet its row re-check reads the
+// default contract and no prefix — the fragment is the default row, taken
+// from the table or from the runs — and must still match a full sweep.
+func TestRecheckDefaultRowAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		checker Checker
+		source  func(*bgp.Synth) fib.Source
+	}{
+		{"table", TrieChecker{Exact: true}, func(s *bgp.Synth) fib.Source { return plainSource{s} }},
+		{"runs", rowTrie{TrieChecker{Exact: true}}, func(s *bgp.Synth) fib.Source { return s }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := topology.MustNew(topology.Figure3Params())
+			facts := metadata.FromTopology(topo)
+			synth := bgp.NewSynth(topo, nil)
+			v := Validator{Checker: tc.checker, Workers: 1}
+			prev, err := v.ValidateAll(facts, tc.source(synth))
+			if err != nil || prev.Failures != 0 {
+				t.Fatalf("healthy fleet: %d failures, err %v", prev.Failures, err)
+			}
+			sp := topo.Spines()[0]
+			since := topo.Generation()
+			for _, l := range topo.LinksOf(sp) {
+				if lk := topo.Link(l); topo.Device(lk.A).Role == topology.RoleRegionalSpine || topo.Device(lk.B).Role == topology.RoleRegionalSpine {
+					topo.SetLinkUp(l, false)
+					break
+				}
+			}
+			ds := delta.Since(topo, since, delta.Options{})
+			if sc, ok := ds.Scope(sp); !ok || sc.Whole || len(sc.Rows) != 1 || !sc.Rows[0].IsDefault() {
+				t.Fatalf("spine scope %+v, want the default row alone", sc)
+			}
+			synth.RefreshDelta()
+			got, err := v.ValidateScoped(prev, facts, nil, tc.source(synth), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := v.ValidateAll(facts, bgp.NewSynth(topo, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportsEquivalent(t, got, want)
+			if got.Failures == 0 {
+				t.Fatal("the thinned default shows no violation; the test shows nothing")
 			}
 		})
 	}

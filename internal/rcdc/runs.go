@@ -24,10 +24,8 @@ type RunSource interface {
 	RunPrefixes() []topology.HostedPrefix
 	// TableRuns returns a device's table as runs over at least positions
 	// [lo, hi) of the list — a source may hand out more of them — and all
-	// its rows outside the runs: appended to buf's Runs[:0] and Rows[:0],
-	// or the source's own, shared and read only, leaving buf alone. A
-	// source does one or the other for every device, so a caller may hand
-	// what it got back in as the next buf.
+	// its rows outside the runs, appended to buf's Runs[:0] and Rows[:0]:
+	// a caller may hand what it got back in as the next buf.
 	TableRuns(dev topology.DeviceID, lo, hi int, buf fib.RunTable) fib.RunTable
 }
 

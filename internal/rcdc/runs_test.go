@@ -296,9 +296,14 @@ func checkFullSweepClasses(t *testing.T, topo *topology.Topology, facts *metadat
 	return src.n
 }
 
-// rowQueries hides a source's runs but answers row queries: ValidateScoped
-// re-checks a row-scoped device on the rows the scope names.
-type rowQueries struct{ RowSource }
+// rowQueries hides a source's runs: ValidateScoped re-checks a row-scoped
+// device on the rows of its table the scope's contracts read.
+type rowQueries struct{ fib.Source }
+
+// rowTrie is the trie checker under a type the runs path does not take:
+// ValidateScoped re-checks a row-scoped device on the rows the scope's
+// contracts read, derived from the source's runs.
+type rowTrie struct{ TrieChecker }
 
 // checkScopedFlips drives the serving plane's path: random link and session
 // flips, each followed by a journal-driven refresh of one synth and a
@@ -405,6 +410,7 @@ func TestRunsNeedTheTrieAndAFlatPlan(t *testing.T) {
 		{"exact trie", Validator{Checker: TrieChecker{Exact: true}}, bgp.NewSynth(topo, nil), true},
 		{"rows only", Validator{}, plainSource{bgp.NewSynth(topo, nil)}, false},
 		{"smt", Validator{Checker: SMTChecker{}}, bgp.NewSynth(topo, nil), false},
+		{"trie under another type", Validator{Checker: rowTrie{}}, bgp.NewSynth(topo, nil), false},
 	} {
 		if got := tc.v.newSweep(facts, gen, tc.src, false).runs != nil; got != tc.runs {
 			t.Errorf("%s: runs path %v, want %v", tc.name, got, tc.runs)

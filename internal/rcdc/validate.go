@@ -134,18 +134,6 @@ func (v *Validator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RowSource is a fib.Source that can also answer a row query: the rows of
-// one device's table whose prefix contains or is contained in one of the
-// given prefixes, plus the default row, in table order — without handing
-// over (or copying) the whole table. Those rows are all a contract on one
-// of the prefixes reads, which is what lets ValidateScoped re-check a
-// handful of contracts on a device with a row scope. Entries returned are
-// read-only.
-type RowSource interface {
-	fib.Source
-	Rows(dev topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error)
-}
-
 // Refresher is implemented by a fib.Source that follows the live topology
 // (bgp.Synth, the shard coordinator): Refresh derives it afresh, and
 // RefreshDelta brings it up to the current generation from the change
@@ -330,8 +318,7 @@ func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *cont
 // contracts re-checked whose verdict can read a row in scope, and the
 // fresh verdicts replace the previous ones contract by contract: as runs,
 // merged over the scope's positions only, when the sweep has runs (see
-// checkRuns), else — when source can answer row queries — against only
-// the rows in scope (see recheck). The
+// checkRuns), else against only the rows they read (see recheck). The
 // spliced report keeps the sorted-by-device order and, per device, contract
 // order, so a delta report over an accurate dirty set is byte-identical to
 // a from-scratch full sweep under a fixed clock — the determinism invariant
@@ -372,15 +359,14 @@ func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *con
 	if !sort.SliceIsSorted(base, byDevice) {
 		sort.SliceStable(base, byDevice)
 	}
-	rows, _ := source.(RowSource)
 	sw := v.newSweep(facts, gen, source, true)
 	check := func(id topology.DeviceID, prev *DeviceReport, sc delta.Scope, buf *sweepBuf) (DeviceReport, int, error) {
 		if sw.runs != nil {
 			return sw.checkRuns(id, buf, prev, sc.Rows)
 		}
 		dc := gen.ForDevice(id)
-		if prev != nil && rows != nil && prev.Contracts == len(dc.Contracts) {
-			return v.recheck(rows, dc, prev, sc.Rows)
+		if prev != nil && prev.Contracts == len(dc.Contracts) {
+			return sw.recheck(dc, prev, sc.Rows, buf)
 		}
 		rep, err := sw.checkWhole(id, buf)
 		return rep, len(dc.Contracts), err
@@ -456,8 +442,7 @@ type indexedErr struct {
 // to the topology's current generation, and returns the blast radius it
 // planned from (nil without a prev). The journal window since
 // prev.Generation gives the radius (delta.Since); a source that is a
-// Refresher is refreshed — from the journal, or afresh without a prev; a
-// RowChecker forgets the dirty devices; then
+// Refresher is refreshed — from the journal, or afresh without a prev; then
 // ValidateScoped re-checks the radius and splices — or ValidateAll sweeps
 // the fleet, when there is no prev, the journal no longer reaches back to
 // it, or the radius is unbounded. The report is stamped with the generation
@@ -492,9 +477,6 @@ func (v *Validator) Revalidate(prev *Report, topo *topology.Topology, facts *met
 	if ds == nil || ds.Full() {
 		rep, err = v.ValidateAll(facts, source)
 	} else {
-		if rc, ok := v.checker().(RowChecker); ok {
-			rc.Invalidate(ds.Devices())
-		}
 		rep, err = v.ValidateScoped(prev, facts, gen, source, ds)
 	}
 	if rep != nil {
@@ -521,13 +503,15 @@ func devicePos(devs []DeviceReport, id topology.DeviceID) (int, bool) {
 //
 // Which contracts: see rescoped.
 // Those contracts are checked by the configured Checker against a table of
-// just the rows they can read — through CheckRows if it is a RowChecker, so
-// that the fragment never replaces what the checker knows of the device.
+// just the rows they can read (see rows) — through CheckRows if it is a
+// RowChecker, so that the fragment never replaces what the checker knows of
+// the device.
 //
 // The fresh violations replace the previous ones of the re-checked
 // contracts (see splice).
-func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
-	prev *DeviceReport, scope []ipnet.Prefix) (DeviceReport, int, error) {
+func (s *sweep) recheck(dc contracts.DeviceContracts, prev *DeviceReport, scope []ipnet.Prefix,
+	buf *sweepBuf) (DeviceReport, int, error) {
+	v := s.v
 	start := clock.Or(v.Clock).Now()
 	read, withDefault := rescoped(nil, scope, prev)
 	var picked []int // indices into dc.Contracts
@@ -553,12 +537,10 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 			read = append(read, c.Prefix)
 		}
 	}
-	entries, err := source.Rows(dc.Device, read)
+	tbl, err := s.rows(dc.Device, read, buf)
 	if err != nil {
-		return DeviceReport{}, 0, fmt.Errorf("rcdc: pulling rows for device %d: %w", dc.Device, err)
+		return DeviceReport{}, 0, err
 	}
-	tbl := fib.NewTable(dc.Device)
-	tbl.Entries = entries
 	check := v.checker().CheckDevice
 	if rc, ok := v.checker().(RowChecker); ok {
 		check = rc.CheckRows
@@ -575,6 +557,39 @@ func (v *Validator) recheck(source RowSource, dc contracts.DeviceContracts,
 	rep.Elapsed = clock.Since(v.Clock, start)
 	v.Metrics.observeDevice(&rep)
 	return rep, len(sub), nil
+}
+
+// rows returns the rows of a device's table that contracts on the prefixes
+// read — ascending and disjoint, as a row scope's contracts are (a row
+// scope implies a flat plan, see delta.Set) — can read: those overlapping
+// one of them, and the default row, in table order. A source with runs
+// derives them over just the positions from the first prefix's to the
+// last's; any other hands over its table.
+func (s *sweep) rows(id topology.DeviceID, read []ipnet.Prefix, buf *sweepBuf) (*fib.Table, error) {
+	var whole *fib.Table
+	if rs, ok := s.source.(RunSource); ok && rs.RunPrefixes() != nil {
+		ps := rs.RunPrefixes()
+		at := func(i int) ipnet.Prefix { return ps[i].Prefix }
+		lo, hi := 0, 0
+		if n := len(read); n > 0 {
+			lo, _ = ipnet.OverlapRun(len(ps), at, read[0])
+			_, hi = ipnet.OverlapRun(len(ps), at, read[n-1])
+		}
+		buf.pulled = rs.TableRuns(id, lo, hi, buf.pulled)
+		whole = buf.pulled.Expand(ps)
+	} else {
+		var err error
+		if whole, err = s.source.Table(id); err != nil {
+			return nil, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)
+		}
+	}
+	tbl := fib.NewTable(id)
+	for _, e := range whole.Entries {
+		if lo, hi := ipnet.OverlapRun(len(read), func(i int) ipnet.Prefix { return read[i] }, e.Prefix); lo < hi || e.Prefix.IsDefault() {
+			tbl.Entries = append(tbl.Entries, e)
+		}
+	}
+	return tbl, nil
 }
 
 // rescoped returns what a row scope can have moved on a device whose

@@ -202,17 +202,13 @@ type Checker interface {
 }
 
 // RowChecker is a Checker that keeps state per device between calls (the
-// PEC engine caches each device's atomization) and therefore has two more
-// entry points. CheckRows takes a fragment of a device — some of its
-// contracts against just the rows they read, as a row-scoped re-check hands
-// it — which must not pass for the device's state: it returns what
-// CheckDevice would on the same inputs and remembers nothing. Invalidate
-// drops what the checker keeps for the given devices; Revalidate calls it
-// with a bounded blast radius before re-checking it (a full sweep calls
-// nothing). For PEC this evicts rather than corrects: its cache is keyed by
-// content, so a stale entry never answers for a changed table.
+// PEC engine caches each device's atomization, keyed by content, so a stale
+// entry never answers for a changed table) and therefore has one more entry
+// point. CheckRows takes a fragment of a device — some of its contracts
+// against just the rows they read, as a row-scoped re-check hands it —
+// which must not pass for the device's state: it returns what CheckDevice
+// would on the same inputs and remembers nothing.
 type RowChecker interface {
 	Checker
 	CheckRows(tbl *fib.Table, dc contracts.DeviceContracts, role topology.Role) ([]Violation, error)
-	Invalidate(devs []topology.DeviceID)
 }

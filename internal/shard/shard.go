@@ -9,7 +9,6 @@ import (
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/delta"
 	"dcvalidate/internal/fib"
-	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/topology"
@@ -33,7 +32,7 @@ type shardState struct {
 // consistent hashing over the Clos pod structure — whole pods (and spine
 // planes, and regional spines) land on one shard. Which shard owns a
 // device decides whose source answers for it and nothing else: the
-// coordinator is a FIB source (rcdc.RowSource and rcdc.Refresher) that
+// coordinator is a FIB source (and an rcdc.Refresher) that
 // routes every pull to the owner, and Sweep runs the one
 // rcdc.Validator.Revalidate over it.
 //
@@ -104,11 +103,6 @@ func (c *Coordinator) Devices(i int) []topology.DeviceID {
 
 // Table pulls a device's converged FIB from the shard that owns it.
 func (c *Coordinator) Table(d topology.DeviceID) (*fib.Table, error) { return c.owner[d].Table(d) }
-
-// Rows answers a row query (rcdc.RowSource) from the owning shard.
-func (c *Coordinator) Rows(d topology.DeviceID, overlapping []ipnet.Prefix) ([]fib.Entry, error) {
-	return c.owner[d].Rows(d, overlapping)
-}
 
 // Refresh derives every shard's source afresh (bgp.Synth.Refresh).
 func (c *Coordinator) Refresh() {
